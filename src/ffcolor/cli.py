@@ -253,22 +253,19 @@ def _stats_radii(args, field) -> list:
             field, Window((0, 0), (side, side)), cap=args.cap)
         return [int(r) if ok else None
                 for r, ok in zip(radii.ravel(), resolved.ravel())][:args.samples]
-    out = []
     if name == "tower":
         spec = LatticeSpec(args.d, 1, "l1")
-        for v in _sample_vertices(args.seed, args.samples, args.d):
-            out.append(tower_color_at(field, v, spec)[1])
-        return out
+        d, query = args.d, lambda f, v: tower_color_at(f, v, spec)
+    elif name == "baseline4":
+        d, query = 2, lambda f, v: baseline_percolation_4color(v, f)
+    else:
+        d, query = 2, lambda f, v: three_color_general(
+            v, 2, f, density_scale=args.density_scale)
     budget = Budget(radius_cap=args.cap)
-    for v in _sample_vertices(args.seed, args.samples, 2):
+    out = []
+    for v in _sample_vertices(args.seed, args.samples, d):
         try:
-            if name == "baseline4":
-                te = tracked(lambda f: baseline_percolation_4color(v, f),
-                             field, v, budget)
-            else:
-                te = tracked(lambda f: three_color_general(
-                    v, 2, f, density_scale=args.density_scale), field, v, budget)
-            out.append(te.tracker.radius)
+            out.append(tracked(lambda f: query(f, v), field, v, budget).radius)
         except BudgetExceeded:
             out.append(None)
     return out

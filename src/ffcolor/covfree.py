@@ -153,6 +153,36 @@ def feasible_levels(delta: int, kmax: int) -> int:
     return k
 
 
+def family_rows(field, stream: str, rows, ground: int) -> np.ndarray:
+    """Packed words of the 0-based `rows` of a family over [ground].
+
+    Rows are conditioned nonempty by rejection: an empty set would be covered
+    by anything, and min over it is bottomless.  Attempt a reads a row's words
+    at columns [a*nwords, (a+1)*nwords), so a row read alone equals the same
+    row read in any batch.
+    """
+    nwords = (ground + 63) // 64
+    tail = np.uint64((1 << (ground % 64)) - 1) if ground % 64 else None
+    rows = np.asarray(rows, dtype=np.int64)[:, None]
+
+    def read_attempt(which_rows, attempt):
+        cols = np.arange(attempt * nwords, (attempt + 1) * nwords,
+                         dtype=np.int64)[None, :]
+        w = np.asarray(field.u64_box(stream, [which_rows, cols]), dtype=np.uint64)
+        if tail is not None:
+            w[:, -1] &= tail
+        return w
+
+    words = read_attempt(rows, 0)
+    attempt = 1
+    empty = ~words.any(axis=1)
+    while empty.any():
+        words[empty] = read_attempt(rows[empty], attempt)
+        empty = ~words.any(axis=1)
+        attempt += 1
+    return words
+
+
 class SetFamily:
     """nsets random subsets of [ground], packed 64 bits per word.
 
@@ -177,29 +207,7 @@ class SetFamily:
         if nsets * ground > FAMILY_BIT_CAP:
             raise MemoryError("family exceeds bit cap")
         stream = f"family:d{delta}/l{level}"
-        nwords = (ground + 63) // 64
-        rows = np.arange(nsets, dtype=np.int64)[:, None]
-        reader = field.u64_box if hasattr(field, "u64_box") else field.u64_grid
-        tail = np.uint64((1 << (ground % 64)) - 1) if ground % 64 else None
-
-        def read_attempt(which_rows, attempt):
-            cols = np.arange(attempt * nwords, (attempt + 1) * nwords,
-                             dtype=np.int64)[None, :]
-            w = np.asarray(reader(stream, [which_rows, cols]), dtype=np.uint64)
-            if tail is not None:
-                w[:, -1] &= tail
-            return w
-
-        # rows are conditioned nonempty by rejection: an empty set would be
-        # covered by anything, and min over it is bottomless
-        words = read_attempt(rows, 0)
-        attempt = 1
-        empty = ~words.any(axis=1)
-        while empty.any():
-            words[empty] = read_attempt(rows[empty], attempt)
-            empty = ~words.any(axis=1)
-            attempt += 1
-        return cls(words, ground, stream)
+        return cls(family_rows(field, stream, np.arange(nsets), ground), ground, stream)
 
     def contains(self, row: int, element: int) -> bool:
         """element is 1-based in [ground]."""

@@ -10,6 +10,13 @@ an evaluation touched; the 1-norm reach of the touched *spatial* coordinates is
 an upper-bound witness for the coding radius of that query.  Streams flagged
 non-spatial (shared global tables such as set-family bits) count against the
 access budget but not the radius.
+
+Field protocol: every field (LabelField, TrackedField, PerturbedField) answers
+the scalar reads `u64`, `uniform`, `coin`, `discrete` and the bulk reads
+`u64_box`, `uniform_box`, `coin_box`, `discrete_box`, which take broadcast
+coordinate axes.  Constructions call only these names.  The `*_grid` methods
+are LabelField's raw vectorized hash, which the bulk reads of every field
+bottom out in.
 """
 
 from __future__ import annotations
@@ -136,6 +143,20 @@ class LabelField:
         k = np.ceil(n * self.uniform_grid(stream, axes)).astype(np.int64)
         return np.clip(k, 1, n)
 
+    # -- bulk reads: the field protocol's names for the vectorized path ------
+
+    def u64_box(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
+        return self.u64_grid(stream, axes)
+
+    def uniform_box(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
+        return self.uniform_grid(stream, axes)
+
+    def coin_box(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
+        return self.coin_grid(stream, axes)
+
+    def discrete_box(self, stream: str, axes: Sequence[np.ndarray], n: int) -> np.ndarray:
+        return self.discrete_grid(stream, axes, n)
+
 
 class Tracker:
     """Record of every label access made while answering one query.
@@ -260,12 +281,13 @@ class TrackedField:
         self.tracker.record_box(stream, lo, hi, spatial=is_spatial(stream))
 
 
-class PerturbedField:
+class PerturbedField(LabelField):
     """Answers like `base` inside an accessed set, like `alt` outside it.
 
     Used by the replay test: rerunning a query against the perturbation of its
     own tracker must reproduce the original answer exactly, otherwise the
-    tracker under-reported what the construction read.
+    tracker under-reported what the construction read.  The `*_box` reads are
+    LabelField's, so they land on the merging `*_grid` methods below.
     """
 
     def __init__(self, base: LabelField, tracker: Tracker, alt: LabelField):
@@ -329,19 +351,6 @@ class PerturbedField:
             inside = flat.reshape(base_vals.shape)
         return np.where(inside, base_vals, alt_vals)
 
-    # tracked-interface aliases so perturbed fields can drive bulk readers
-    def u64_box(self, stream, axes):
-        return self.u64_grid(stream, axes)
-
-    def uniform_box(self, stream, axes):
-        return self.uniform_grid(stream, axes)
-
-    def coin_box(self, stream, axes):
-        return self.coin_grid(stream, axes)
-
-    def discrete_box(self, stream, axes, n):
-        return self.discrete_grid(stream, axes, n)
-
 
 @dataclass
 class TrackedEvaluation:
@@ -364,18 +373,9 @@ def tracked(fn, field: LabelField, origin: Sequence[int],
     return TrackedEvaluation(fn(TrackedField(field, t)), t)
 
 
-def untracked(base: LabelField):
-    """Adapter giving a plain LabelField the tracked bulk-read interface."""
-
-    class _Pass:
-        seed = base.seed
-
-        def __getattr__(self, name):
-            if name.endswith("_box"):
-                return getattr(base, name[:-4] + "_grid")
-            return getattr(base, name)
-
-    return _Pass()
+def untracked(base: LabelField) -> LabelField:
+    """Return `base`: a LabelField already answers every read of the protocol."""
+    return base
 
 
 def digest_bits(bits: np.ndarray) -> str:

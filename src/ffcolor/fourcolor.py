@@ -32,16 +32,6 @@ BASE_SIGN_STREAM = "baseline4:sign"
 BASE_PHASE_STREAM = "baseline4:phase"
 
 
-def _uniform(field, stream, axes):
-    reader = field.uniform_box if hasattr(field, "uniform_box") else field.uniform_grid
-    return reader(stream, axes)
-
-
-def _discrete(field, stream, axes, n):
-    reader = field.discrete_box if hasattr(field, "discrete_box") else field.discrete_grid
-    return reader(stream, axes, n)
-
-
 def choose_M(d: int) -> tuple[int, int, int]:
     """Scale constants (M, C, C') for the box construction in dimension d.
 
@@ -109,9 +99,9 @@ def fixture_net(field, lo, hi, M: int, *, per_cell: int = 6, ensure=None,
     cand = grids[d].ravel()
 
     axes = [c[:, None] for c in cells] + [cand[:, None], np.arange(d)[None, :]]
-    offs = _discrete(field, stream + ":pos", axes, M) - 1
+    offs = field.discrete_box(stream + ":pos", axes, M) - 1
     pos = np.stack(cells, axis=1) * M + offs
-    prio = _uniform(field, stream + ":prio", [*cells, cand])
+    prio = field.uniform_box(stream + ":prio", [*cells, cand])
 
     kept = np.empty_like(pos)
     k = 0
@@ -456,7 +446,7 @@ def four_color_window(field, window: Window, *, context_scale: int = 6) -> FourC
 
     signs, covered = sign_window(zwin, boxes, colors)
     two = np.where(signs > 0, 1, 2)
-    u = _uniform(field, PHASE_STREAM, zwin.axes())
+    u = field.uniform_box(PHASE_STREAM, zwin.axes())
     forbidden = ~covered if not covered.all() else None
     x4, valid = checkerboard_4color(two, u, forbidden=forbidden)
 
@@ -511,9 +501,8 @@ def baseline_window(field, window: Window, *, margin: int = 64):
         raise ValueError("baseline runs on the planar lattice")
     big = window.grow(margin)
     axes = big.axes()
-    reader = field.coin_box if hasattr(field, "coin_box") else field.coin_grid
-    signs = reader(BASE_SIGN_STREAM, axes)
-    u = _uniform(field, BASE_PHASE_STREAM, axes)
+    signs = field.coin_box(BASE_SIGN_STREAM, axes)
+    u = field.uniform_box(BASE_PHASE_STREAM, axes)
     parity, valid = _cluster_phases(signs, u)
     colors = np.where(signs > 0, 1, 3) + parity.astype(np.int64)
     colors = np.where(valid, colors, 0)

@@ -55,11 +55,6 @@ def choose_diagonals(s, field, stream_prefix: str = STREAM_PREFIX) -> int:
     return diagonal_rule(du, b[0] * b[1] * b[2] * b[3])
 
 
-def _read_grid(field, kind, stream, axes):
-    name = kind + ("_box" if hasattr(field, kind + "_box") else "_grid")
-    return getattr(field, name)(stream, axes)
-
-
 class PercWindow:
     """Diagonal configuration and cluster genealogy over one window.
 
@@ -106,10 +101,10 @@ class PercWindow:
     def build(cls, field, window: Window,
               stream_prefix: str = STREAM_PREFIX) -> "PercWindow":
         axes = window.axes()
-        u = _read_grid(field, "uniform", f"{stream_prefix}:u", axes)
-        b = _read_grid(field, "coin", f"{stream_prefix}:b", axes).astype(np.int64)
-        v = _read_grid(field, "uniform", f"{stream_prefix}:v", axes)
-        w = _read_grid(field, "coin", f"{stream_prefix}:w", axes).astype(np.int64)
+        u = field.uniform_box(f"{stream_prefix}:u", axes)
+        b = field.coin_box(f"{stream_prefix}:b", axes).astype(np.int64)
+        v = field.uniform_box(f"{stream_prefix}:v", axes)
+        w = field.coin_box(f"{stream_prefix}:w", axes).astype(np.int64)
         du = (u[:-1, :-1] + u[1:, 1:]) - (u[1:, :-1] + u[:-1, 1:])
         bprime = b[:-1, :-1] * b[1:, :-1] * b[1:, 1:] * b[:-1, 1:]
         val = du * bprime

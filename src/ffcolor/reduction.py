@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covfree import ColorSequence, SetFamily, color_sequence, feasible_levels
+from .covfree import ColorSequence, SetFamily, color_sequence, family_rows, \
+    feasible_levels
 from .lattice import FiniteGraph, LatticeSpec, Window, WindowGraph, ball_size
 
 INF = 0  # sentinel for "no color" / infinity
@@ -128,8 +129,7 @@ def almost_coloring(g, k: int, seq: ColorSequence | None = None,
     if cache is None:
         cache = FamilyCache(field, delta, seq)
     nbr, _ = padded_neighbors(graph)
-    reader = field.discrete_box if hasattr(field, "discrete_box") else field.discrete_grid
-    z = np.asarray(reader(stream, axes, seq.n_k(k)), dtype=np.int64).ravel()
+    z = np.asarray(field.discrete_box(stream, axes, seq.n_k(k)), dtype=np.int64).ravel()
     collide = (_gather(z, nbr, INF) == z[:, None]).any(axis=1)
     z = np.where(collide, INF, z)
     if trace is not None:
@@ -181,28 +181,38 @@ def eliminate_colors_synchronous(x: np.ndarray, colors, g: FiniteGraph) -> np.nd
     return x
 
 
+def _least_absent(seen) -> int:
+    """Least color >= 1 not in `seen`; the 0 sentinel never blocks."""
+    c = 1
+    while c in seen:
+        c += 1
+    return c
+
+
+def _greedy(x: np.ndarray, g: FiniteGraph, order, taint: np.ndarray | None) -> None:
+    """Give each vertex of `order`, in turn, the least color absent among its
+    neighbors, in place.  If `taint` is given it is updated in place: a
+    recolored vertex becomes tainted when any neighbor it consulted was.
+    """
+    indptr, indices = g.indptr, g.indices
+    for v in order:
+        nbrs = indices[indptr[v]:indptr[v + 1]]
+        x[v] = _least_absent(set(x[nbrs].tolist()))
+        if taint is not None and not taint[v] and bool(taint[nbrs].any()):
+            taint[v] = True
+
+
 def elimination_sweep(w: np.ndarray, g: FiniteGraph, floor: int,
                       taint: np.ndarray | None = None) -> np.ndarray:
     """Eliminate every color above `floor`, largest first, vertex by vertex.
 
     Equal to composing eliminate_color over colors max(w)..floor+1 downward:
     replacements land in [floor] and are never re-targeted, and same-color
-    vertices are never adjacent.  If `taint` is given it is updated in place:
-    a recolored vertex becomes tainted when any neighbor it consulted was.
+    vertices are never adjacent.  `taint` is updated as in `_greedy`.
     """
     x = w.astype(np.int64, copy=True)
     todo = np.nonzero(x > floor)[0]
-    order = todo[np.argsort(x[todo], kind="stable")][::-1]
-    indptr, indices = g.indptr, g.indices
-    for v in order:
-        nbrs = indices[indptr[v]:indptr[v + 1]]
-        seen = set(x[nbrs].tolist())
-        c = 1
-        while c in seen:
-            c += 1
-        x[v] = c
-        if taint is not None and not taint[v] and bool(taint[nbrs].any()):
-            taint[v] = True
+    _greedy(x, g, todo[np.argsort(x[todo], kind="stable")][::-1], taint)
     return x
 
 
@@ -216,17 +226,7 @@ def greedy_fallback(x: np.ndarray, g: FiniteGraph, prio: np.ndarray,
     """
     x = x.copy()
     un = np.nonzero(x == INF)[0]
-    order = un[np.argsort(prio[un], kind="stable")][::-1]
-    indptr, indices = g.indptr, g.indices
-    for v in order:
-        nbrs = indices[indptr[v]:indptr[v + 1]]
-        seen = set(x[nbrs].tolist())
-        c = 1
-        while c in seen:
-            c += 1
-        x[v] = c
-        if taint is not None and not taint[v] and bool(taint[nbrs].any()):
-            taint[v] = True
+    _greedy(x, g, un[np.argsort(prio[un], kind="stable")][::-1], taint)
     mask = np.zeros(len(x), dtype=bool)
     mask[un] = True
     return x, mask
@@ -282,17 +282,12 @@ def tower_coloring(g, field, delta: int | None = None, kmax: int = 3,
         xtaint = staint | ((w != x2) & ~full)
         x = x2
         level = np.where((level == 0) & (x > 0), k, level)
-    prio = _read_uniform(field, f"{stream_prefix}:prio", axes).ravel()
+    prio = field.uniform_box(f"{stream_prefix}:prio", axes).ravel()
     fb_needed = int((x == INF).sum())
     ftaint = xtaint.copy()
     x, fb = greedy_fallback(x, graph, prio, taint=ftaint)
     tainted = ftaint | (fb & ~full)
     return TowerWindow(x, level, tainted, delta, kmax, seq, fb_needed)
-
-
-def _read_uniform(field, stream, axes):
-    reader = field.uniform_box if hasattr(field, "uniform_box") else field.uniform_grid
-    return np.asarray(reader(stream, axes))
 
 
 # ---------------------------------------------------------------------------
@@ -342,24 +337,8 @@ class TowerQuery:
     def _row(self, i: int, j: int) -> np.ndarray:
         key = (i, j)
         if key not in self._rows:
-            ground = self.seq.n_k(i)
-            nwords = (ground + 63) // 64
-            stream = f"family:d{self.delta}/l{i}"
-            reader = self.fld.u64_box if hasattr(self.fld, "u64_box") else self.fld.u64_grid
-            tail = np.uint64((1 << (ground % 64)) - 1) if ground % 64 else None
-            attempt = 0
-            while True:
-                cols = np.arange(attempt * nwords, (attempt + 1) * nwords,
-                                 dtype=np.int64)[None, :]
-                words = np.asarray(
-                    reader(stream, [np.array([j - 1])[:, None], cols]),
-                    dtype=np.uint64)
-                if tail is not None:
-                    words[:, -1] &= tail
-                if words.any():  # nonempty-row rejection, as in the builder
-                    break
-                attempt += 1
-            self._rows[key] = words[0]
+            self._rows[key] = family_rows(
+                self.fld, f"family:d{self.delta}/l{i}", [j - 1], self.seq.n_k(i))[0]
         return self._rows[key]
 
     def _zval(self, k: int, i: int, v) -> int:
@@ -422,17 +401,11 @@ class TowerQuery:
             seen = set()
             for u in self.spec.neighbors(a):
                 xu = self._x.get((k, u))
-                if xu is not None:
-                    if xu != INF:
-                        seen.add(xu)
-                    continue
-                wu = self._w(k, u)
-                if wu != INF and wu <= self.delta + 1:
-                    seen.add(wu)
-            c = 1
-            while c in seen:
-                c += 1
-            self._x[(k, a)] = c
+                if xu is None:  # pending neighbors above delta+1 do not block
+                    wu = self._w(k, u)
+                    xu = wu if wu <= self.delta + 1 else INF
+                seen.add(xu)
+            self._x[(k, a)] = _least_absent(seen)
         return self._x[key]
 
     def _fallback(self, v) -> int:
@@ -454,15 +427,8 @@ class TowerQuery:
                 else:
                     border[u] = xu
         for a in sorted(region, key=region.get, reverse=True):
-            seen = set()
-            for u in self.spec.neighbors(a):
-                c = self._fb.get(u, border.get(u, INF))
-                if c != INF:
-                    seen.add(c)
-            c = 1
-            while c in seen:
-                c += 1
-            self._fb[a] = c
+            self._fb[a] = _least_absent(
+                {self._fb.get(u, border.get(u, INF)) for u in self.spec.neighbors(a)})
         return self._fb[v]
 
     def color(self, v) -> tuple[int, int]:

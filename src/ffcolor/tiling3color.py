@@ -114,13 +114,6 @@ def hexgraph() -> HexGraph:
 
 # -- center discovery -------------------------------------------------------
 
-def _read_grid(field, kind: str, stream: str, axes):
-    fn = getattr(field, f"{kind}_box", None)
-    if fn is None:
-        fn = getattr(field, f"{kind}_grid")
-    return fn(stream, axes)
-
-
 def _bernoulli_points(field, stream: str, lo, hi, p: float) -> np.ndarray:
     """All vertices of [lo, hi) whose uniform label falls below p."""
     lo = np.asarray(lo, dtype=np.int64)
@@ -135,7 +128,7 @@ def _bernoulli_points(field, stream: str, lo, hi, p: float) -> np.ndarray:
         x1 = min(x0 + rows, int(hi[0]))
         ranges = [np.arange(x0, x1)] + [np.arange(lo[i], hi[i]) for i in range(1, d)]
         axes = np.ix_(*ranges)
-        u = _read_grid(field, "uniform", stream, axes)
+        u = field.uniform_box(stream, axes)
         idx = np.argwhere(u < p)
         if idx.size:
             idx[:, 0] += x0

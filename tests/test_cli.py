@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ffcolor.cli import PALETTE, main, read_ppm, write_ppm
-from ffcolor.field import LabelField
-from ffcolor.lattice import Window
-from ffcolor.reduction import MNet
+from ffcolor.cli import PALETTE, _sample_vertices, main, read_ppm, write_ppm
+from ffcolor.field import Budget, LabelField, tracked
+from ffcolor.lattice import LatticeSpec, Window
+from ffcolor.reduction import MNet, tower_color_at
+from ffcolor.verify import radius_tail_csv
 
 
 COL3 = "3 2\n1 2\n1 3\n2 1\n2 3\n3 1\n3 2\n"
@@ -209,6 +210,17 @@ def test_stats_rerun_is_byte_identical(tmp_path):
                    "--samples", "100", "--seed", "4", "--out", out) == 0
     assert a.read_bytes() == b.read_bytes()
 
+
+def test_stats_tower_tabulates_tracked_coding_radius(tmp_path):
+    out = tmp_path / "t.csv"
+    assert run("stats", "--construction", "tower", "--d", "1",
+               "--samples", "100", "--seed", "4", "--out", out) == 0
+    spec, fld = LatticeSpec(1, 1, "l1"), LabelField(4)
+    radii = [tracked(lambda f: tower_color_at(f, v, spec), fld, v,
+                     Budget(radius_cap=512)).radius
+             for v in _sample_vertices(4, 100, 1)]
+    assert out.read_text() == radius_tail_csv(radii, 512)
+    assert max(radii) > 3  # above every resolving level, so not a level
 
 # -- sft -------------------------------------------------------------------------
 

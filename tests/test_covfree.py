@@ -18,6 +18,7 @@ from ffcolor.covfree import (
     FAMILY_BIT_CAP,
     ColorSequence,
     SetFamily,
+    family_rows,
     build_cover_free_family,
     color_sequence,
     cover_free_constant,
@@ -26,7 +27,7 @@ from ffcolor.covfree import (
     first_color_count,
     sample_tuples,
 )
-from ffcolor.field import LabelField, untracked
+from ffcolor.field import LabelField, Tracker, TrackedField
 
 FROZEN = {
     1: (6, 8, 16, 256),
@@ -115,7 +116,7 @@ def test_sampled_audit_large_family_clean():
     # violation probability per triple is (3/4)^200 ~ 1e-25
     fld = LabelField(2024)
     fam = build_cover_free_family(100, 200, 2, fld)
-    tuples = sample_tuples(untracked(fld), 100, 2, 100_000)
+    tuples = sample_tuples(fld, 100, 2, 100_000)
     report = fam.audit(rng_tuples=tuples, delta=2)
     assert report == {"mode": "sampled", "checked": 100_000, "bad": 0}
 
@@ -191,3 +192,15 @@ def test_exact_exp_paths_agree_past_the_integer_cutoff(monkeypatch):
 def test_large_degree_sequence_is_frozen():
     seq = color_sequence(14, 3)
     assert seq.n == (3717910, 3717924, 3718136)
+
+
+def test_row_read_alone_matches_built_row_under_rejection():
+    # over [3] a row is empty with probability 1/8, so some rows are redrawn
+    fld = LabelField(11)
+    fam = build_cover_free_family(64, 3, 2, fld, allow_infeasible=True)
+    first = fld.u64_grid(fam.stream, [np.arange(64)[:, None], np.zeros((1, 1))])
+    assert ((first & np.uint64(0b111)) == 0).sum() > 0
+    assert all(fam.words.any(axis=1))
+    for f in (fld, TrackedField(fld, Tracker((0,)))):
+        for r in range(fam.nsets):
+            assert np.array_equal(family_rows(f, fam.stream, [r], 3)[0], fam.words[r])
