@@ -36,8 +36,6 @@ from .reduction import (
     TowerWindow,
     almost_coloring,
     eliminate_color,
-    long_range_coloring,
-    m_net,
     net_window,
     tower_color_at,
     tower_coloring,
@@ -71,8 +69,6 @@ __all__ = [
     "TowerWindow",
     "almost_coloring",
     "eliminate_color",
-    "long_range_coloring",
-    "m_net",
     "net_window",
     "tower_color_at",
     "tower_coloring",

@@ -159,10 +159,14 @@ def _run_color(args, field, window):
     return fc[0], fc[1], None, {"margin": args.margin}
 
 
-def cmd_color(args) -> int:
+def _check_dims(args) -> None:
     dims = COLOR_DIMS[args.construction]
     if args.d not in dims:
-        raise ConfigError(f"{args.construction} renders d in {dims}, not d={args.d}")
+        raise ConfigError(f"{args.construction} runs on d in {dims}, not d={args.d}")
+
+
+def cmd_color(args) -> int:
+    _check_dims(args)
     window = _parse_window(args.window, args.d)
     field = LabelField(args.seed)
     if args.radius_budget is not None:
@@ -255,15 +259,15 @@ def _stats_radii(args, field) -> list:
                 for r, ok in zip(radii.ravel(), resolved.ravel())][:args.samples]
     if name == "tower":
         spec = LatticeSpec(args.d, 1, "l1")
-        d, query = args.d, lambda f, v: tower_color_at(f, v, spec)
+        query = lambda f, v: tower_color_at(f, v, spec)
     elif name == "baseline4":
-        d, query = 2, lambda f, v: baseline_percolation_4color(v, f)
+        query = lambda f, v: baseline_percolation_4color(v, f)
     else:
-        d, query = 2, lambda f, v: three_color_general(
-            v, 2, f, density_scale=args.density_scale)
+        query = lambda f, v: three_color_general(
+            v, args.d, f, density_scale=args.density_scale)
     budget = Budget(radius_cap=args.cap)
     out = []
-    for v in _sample_vertices(args.seed, args.samples, d):
+    for v in _sample_vertices(args.seed, args.samples, args.d):
         try:
             out.append(tracked(lambda f: query(f, v), field, v, budget).radius)
         except BudgetExceeded:
@@ -272,8 +276,7 @@ def _stats_radii(args, field) -> list:
 
 
 def cmd_stats(args) -> int:
-    if args.construction == "tower" and args.d not in (1, 2):
-        raise ConfigError("tower stats run on d in (1, 2)")
+    _check_dims(args)
     field = LabelField(args.seed)
     radii = _stats_radii(args, field)
     out = Path(args.out)

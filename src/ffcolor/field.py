@@ -17,6 +17,14 @@ the scalar reads `u64`, `uniform`, `coin`, `discrete` and the bulk reads
 coordinate axes.  Constructions call only these names.  The `*_grid` methods
 are LabelField's raw vectorized hash, which the bulk reads of every field
 bottom out in.
+
+One rule keeps the fields in step: a field overrides only its `u64`
+primitives (`u64`, `u64_grid`, `u64_box`), and every derived read is
+LabelField's.  `uniform`, `coin` and `discrete` are elementwise functions of
+the `u64` value, computed in LabelField alone, so a tracked read records
+exactly one access and a perturbed read picks base or alt once, at the `u64`.
+The bulk primitives return a new array on every call, which the derived reads
+convert in place.
 """
 
 from __future__ import annotations
@@ -65,6 +73,28 @@ def _mix64_arr(h: np.ndarray) -> np.ndarray:
     h *= np.uint64(_M2)
     h ^= h >> np.uint64(31)
     return h
+
+
+# The input is a new array from a bulk primitive, so a helper may convert it
+# in place; keeping it alive beside a converted copy slows reads of large
+# boxes by about a fifth.
+
+def _uniform_arr(h: np.ndarray) -> np.ndarray:
+    # top 53 bits -> [0, 1)
+    h >>= np.uint64(11)
+    u = h.astype(np.float64)
+    u *= 2.0**-53
+    return u
+
+
+def _coin_arr(h: np.ndarray) -> np.ndarray:
+    return np.where((h >> np.uint64(63)) == 0, 1, -1).astype(np.int8)
+
+
+def _discrete_arr(u: np.ndarray, n: int) -> np.ndarray:
+    u *= n
+    k = np.ceil(u, out=u).astype(np.int64)
+    return np.clip(k, 1, n, out=k)
 
 
 class BudgetExceeded(Exception):
@@ -131,17 +161,15 @@ class LabelField:
         return h
 
     def uniform_grid(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
-        return (self.u64_grid(stream, axes) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return _uniform_arr(self.u64_grid(stream, axes))
 
     def coin_grid(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
-        h = self.u64_grid(stream, axes)
-        return np.where((h >> np.uint64(63)) == 0, 1, -1).astype(np.int8)
+        return _coin_arr(self.u64_grid(stream, axes))
 
     def discrete_grid(self, stream: str, axes: Sequence[np.ndarray], n: int) -> np.ndarray:
         if n < 1:
             raise ValueError("discrete needs n >= 1")
-        k = np.ceil(n * self.uniform_grid(stream, axes)).astype(np.int64)
-        return np.clip(k, 1, n)
+        return _discrete_arr(self.uniform_grid(stream, axes), n)
 
     # -- bulk reads: the field protocol's names for the vectorized path ------
 
@@ -149,13 +177,15 @@ class LabelField:
         return self.u64_grid(stream, axes)
 
     def uniform_box(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
-        return self.uniform_grid(stream, axes)
+        return _uniform_arr(self.u64_box(stream, axes))
 
     def coin_box(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
-        return self.coin_grid(stream, axes)
+        return _coin_arr(self.u64_box(stream, axes))
 
     def discrete_box(self, stream: str, axes: Sequence[np.ndarray], n: int) -> np.ndarray:
-        return self.discrete_grid(stream, axes, n)
+        if n < 1:
+            raise ValueError("discrete needs n >= 1")
+        return _discrete_arr(self.uniform_box(stream, axes), n)
 
 
 class Tracker:
@@ -231,7 +261,13 @@ def is_spatial(stream: str) -> bool:
 
 
 class TrackedField:
-    """LabelField wrapper that records every access into a Tracker."""
+    """LabelField wrapper that records every access into a Tracker.
+
+    Only the primitives have bodies here: `u64` records one point and `u64_box`
+    the bounding box it covers.  The derived reads are LabelField's own
+    functions, bound by name, so each records exactly once, through them.  Not
+    a LabelField subclass: the raw `*_grid` reads would skip `base`.
+    """
 
     def __init__(self, base: LabelField, tracker: Tracker):
         self.base = base
@@ -243,42 +279,18 @@ class TrackedField:
         self.tracker.record(stream, c, spatial=is_spatial(stream))
         return self.base.u64(stream, c)
 
-    def uniform(self, stream: str, coords: Sequence[int]) -> float:
-        c = tuple(int(x) for x in coords)
-        self.tracker.record(stream, c, spatial=is_spatial(stream))
-        return self.base.uniform(stream, c)
-
-    def coin(self, stream: str, coords: Sequence[int]) -> int:
-        c = tuple(int(x) for x in coords)
-        self.tracker.record(stream, c, spatial=is_spatial(stream))
-        return self.base.coin(stream, c)
-
-    def discrete(self, stream: str, coords: Sequence[int], n: int) -> int:
-        c = tuple(int(x) for x in coords)
-        self.tracker.record(stream, c, spatial=is_spatial(stream))
-        return self.base.discrete(stream, c, n)
-
-    # bulk reads record the bounding box they actually cover
     def u64_box(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
-        self._record_axes(stream, axes)
-        return self.base.u64_grid(stream, axes)
-
-    def uniform_box(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
-        self._record_axes(stream, axes)
-        return self.base.uniform_grid(stream, axes)
-
-    def coin_box(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
-        self._record_axes(stream, axes)
-        return self.base.coin_grid(stream, axes)
-
-    def discrete_box(self, stream: str, axes: Sequence[np.ndarray], n: int) -> np.ndarray:
-        self._record_axes(stream, axes)
-        return self.base.discrete_grid(stream, axes, n)
-
-    def _record_axes(self, stream: str, axes: Sequence[np.ndarray]) -> None:
         lo = [int(np.min(a)) for a in axes]
         hi = [int(np.max(a)) for a in axes]
         self.tracker.record_box(stream, lo, hi, spatial=is_spatial(stream))
+        return self.base.u64_grid(stream, axes)
+
+    uniform = LabelField.uniform
+    coin = LabelField.coin
+    discrete = LabelField.discrete
+    uniform_box = LabelField.uniform_box
+    coin_box = LabelField.coin_box
+    discrete_box = LabelField.discrete_box
 
 
 class PerturbedField(LabelField):
@@ -286,8 +298,8 @@ class PerturbedField(LabelField):
 
     Used by the replay test: rerunning a query against the perturbation of its
     own tracker must reproduce the original answer exactly, otherwise the
-    tracker under-reported what the construction read.  The `*_box` reads are
-    LabelField's, so they land on the merging `*_grid` methods below.
+    tracker under-reported what the construction read.  Only the `u64`
+    primitives pick between base and alt; every derived read is LabelField's.
     """
 
     def __init__(self, base: LabelField, tracker: Tracker, alt: LabelField):
@@ -303,33 +315,9 @@ class PerturbedField(LabelField):
         c = tuple(int(x) for x in coords)
         return self._pick(stream, c).u64(stream, c)
 
-    def uniform(self, stream: str, coords: Sequence[int]) -> float:
-        c = tuple(int(x) for x in coords)
-        return self._pick(stream, c).uniform(stream, c)
-
-    def coin(self, stream: str, coords: Sequence[int]) -> int:
-        c = tuple(int(x) for x in coords)
-        return self._pick(stream, c).coin(stream, c)
-
-    def discrete(self, stream: str, coords: Sequence[int], n: int) -> int:
-        c = tuple(int(x) for x in coords)
-        return self._pick(stream, c).discrete(stream, c, n)
-
     def u64_grid(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
         return self._merge(stream, axes, self.base.u64_grid(stream, axes),
                            self.alt.u64_grid(stream, axes))
-
-    def uniform_grid(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
-        return self._merge(stream, axes, self.base.uniform_grid(stream, axes),
-                           self.alt.uniform_grid(stream, axes))
-
-    def coin_grid(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
-        return self._merge(stream, axes, self.base.coin_grid(stream, axes),
-                           self.alt.coin_grid(stream, axes))
-
-    def discrete_grid(self, stream: str, axes: Sequence[np.ndarray], n: int) -> np.ndarray:
-        return self._merge(stream, axes, self.base.discrete_grid(stream, axes, n),
-                           self.alt.discrete_grid(stream, axes, n))
 
     def _merge(self, stream: str, axes, base_vals: np.ndarray, alt_vals: np.ndarray):
         bc = np.broadcast_arrays(*[np.asarray(a) for a in axes])

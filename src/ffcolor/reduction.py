@@ -565,22 +565,9 @@ class LongRangeColoring:
         return tower_coloring(wg, f, kmax=self.kmax, stream_prefix=self.prefix)
 
 
-def long_range_coloring(d: int, m: int, norm: str, field,
-                        kmax: int = 3) -> LongRangeColoring:
-    return LongRangeColoring(d, m, norm, field, kmax)
-
-
-class MNet:
+class MNet(LongRangeColoring):
     """Indicator process of an m-net of Z^d: 1's pairwise farther than m,
     every site within m of a 1."""
-
-    def __init__(self, d: int, m: int, norm: str = "l1", field=None,
-                 kmax: int = 3, stream_prefix: str = "net"):
-        self.spec = LatticeSpec(d, m, norm)
-        self.q = self.spec.degree + 1
-        self.field = field
-        self.kmax = kmax
-        self.prefix = stream_prefix
 
     def at(self, v, field=None) -> bool:
         f = field if field is not None else self.field
@@ -590,10 +577,6 @@ class MNet:
         f = field if field is not None else self.field
         wg = WindowGraph.build(window, self.spec.m, self.spec.norm)
         return net_window(wg, f, kmax=self.kmax, stream_prefix=self.prefix)
-
-
-def m_net(d: int, m: int, norm: str, field, kmax: int = 3) -> MNet:
-    return MNet(d, m, norm, field, kmax)
 
 
 def net_packing_bound(d: int, m: int, c: int, norm: str = "l1") -> int:

@@ -527,34 +527,29 @@ class TileForest:
             cur = self.tiles[cur].parent
         return None
 
+    def homomorphism(self, tid: int) -> tuple | None:
+        """g(T): the checkerboard the nearest special ancestors give tile
+        `tid`, or None when this forest cannot decide it."""
+        walk = self.nearest_special(tid)
+        if walk is None:
+            return None
+        a, gens = walk
+        if gens >= HEX_DIAMETER:
+            return self.h_prime(a)
+        up = self.nearest_special(a)
+        if up is None:
+            return None
+        aa = up[0]
+        parity = sum(self.tiles[aa].center) % 2
+        path = [translate_phase(z, parity) for z in hexgraph().canonical_path(
+            self.h(aa), translate_phase(self.h_prime(a), parity))]
+        return path[min(gens, len(path) - 1)]
+
     def assign_colorings(self, *, root_closure: bool) -> dict[int, tuple | None]:
         """The homomorphism value g(T) per tile (None where undecidable)."""
         self.mark_specials(root_closure=root_closure)
-        hexg = hexgraph()
-        g: dict[int, tuple | None] = {}
-        for t in self.tiles:
-            walk = self.nearest_special(t.tid)
-            if walk is None:
-                g[t.tid] = None
-                continue
-            a, gens = walk
-            if gens >= HEX_DIAMETER:
-                g[t.tid] = self.h_prime(a)
-                continue
-            up = self.nearest_special(a) if self.tiles[a].parent is not None \
-                else (a, 0)
-            if up is None:
-                g[t.tid] = None
-                continue
-            aa = up[0]
-            parity = sum(self.tiles[aa].center) % 2
-            start = self.h(aa)
-            end = translate_phase(self.h_prime(a), parity)
-            path = [translate_phase(z, parity)
-                    for z in hexg.canonical_path(start, end)]
-            g[t.tid] = path[min(gens, len(path) - 1)]
-        self.g = g
-        return g
+        self.g = {t.tid: self.homomorphism(t.tid) for t in self.tiles}
+        return self.g
 
     def colors_grid(self, window: Window | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
@@ -828,18 +823,6 @@ def three_color_general(v, d: int, field, *, density_scale: float = 1.0,
         tid = forest.tile_at(v)
         if tid < 0:
             continue
-        walk = forest.nearest_special(tid)
-        if walk is None:
-            continue
-        a, gens = walk
-        if gens >= HEX_DIAMETER:
-            return phase_color(forest.h_prime(a), v), reach
-        up = forest.nearest_special(a)
-        if up is None:
-            continue
-        aa = up[0]
-        parity = sum(forest.tiles[aa].center) % 2
-        path = [translate_phase(z, parity) for z in hexgraph().canonical_path(
-            forest.h(aa), translate_phase(forest.h_prime(a), parity))]
-        q = path[min(gens, len(path) - 1)]
-        return phase_color(q, v), reach
+        q = forest.homomorphism(tid)
+        if q is not None:
+            return phase_color(q, v), reach

@@ -409,15 +409,5 @@ def radius_tail_csv(radii: list, cap: int) -> str:
 
 def survival_points(radii: list, cap: int) -> list[tuple[int, float]]:
     """(r, P(R > r)) pairs at integer radii, censoring-aware, for fits."""
-    finite = sorted(x for x in radii if x is not None)
-    censored = sum(1 for x in radii if x is None)
-    total = len(radii)
-    pts = []
-    import bisect
-
-    for r in sorted(set(finite)):
-        if r > cap:
-            break
-        gt = len(finite) - bisect.bisect_right(finite, r) + censored
-        pts.append((int(r), gt / total))
-    return pts
+    rows = radius_tail_rows(radii, cap)[:-1]  # drop the ">cap" row
+    return [(int(r), gt / total) for r, gt, total, _ in rows if int(r) <= cap]

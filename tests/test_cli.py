@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ffcolor import cli
 from ffcolor.cli import PALETTE, _sample_vertices, main, read_ppm, write_ppm
 from ffcolor.field import Budget, LabelField, tracked
 from ffcolor.lattice import LatticeSpec, Window
 from ffcolor.reduction import MNet, tower_color_at
+from ffcolor.tiling3color import three_color_general
 from ffcolor.verify import radius_tail_csv
 
 
@@ -221,6 +223,23 @@ def test_stats_tower_tabulates_tracked_coding_radius(tmp_path):
              for v in _sample_vertices(4, 100, 1)]
     assert out.read_text() == radius_tail_csv(radii, 512)
     assert max(radii) > 3  # above every resolving level, so not a level
+
+
+def test_stats_checks_dims_and_runs_threegen_in_1d(tmp_path, monkeypatch):
+    out = tmp_path / "s.csv"
+    for name, d in (("baseline4", 3), ("three2d", 1)):
+        assert run("stats", "--construction", name, "--d", d, "--samples", "3",
+                   "--out", out) == 2
+    seen = []
+
+    def spy(v, d, field, **kw):
+        seen.append((len(v), d))
+        return three_color_general(v, d, field, **kw)
+
+    monkeypatch.setattr(cli, "three_color_general", spy)
+    assert run("stats", "--construction", "threegen", "--d", "1", "--samples", "3",
+               "--cap", "256", "--seed", "1", "--out", out) == 0
+    assert seen == [(1, 1)] * 3
 
 # -- sft -------------------------------------------------------------------------
 

@@ -149,6 +149,20 @@ def test_perturbed_field_base_inside_alt_outside():
     assert got[0] == base.uniform("u", (0, 0))
     assert got[1] == alt.uniform("u", (1, 0))
     assert got[2] == base.uniform("u", (5, 5))
+    # every read kind, scalar and bulk, picks base or alt at its u64
+    xs, ys = np.meshgrid(np.arange(-1, 8), np.arange(-1, 8), indexing="ij")
+    inside = ((xs == 0) & (ys == 0)) | ((xs >= 5) & (xs <= 6) & (ys >= 5) & (ys <= 6))
+    for kind, extra in (("u64", ()), ("uniform", ()), ("coin", ()), ("discrete", (7,))):
+        b = getattr(base, f"{kind}_grid")("u", [xs, ys], *extra)
+        a = getattr(alt, f"{kind}_grid")("u", [xs, ys], *extra)
+        want = np.where(inside, b, a)
+        assert np.any(want != b) and np.any(want != a)  # both picks show
+        for bulk in ("grid", "box"):
+            got = getattr(p, f"{kind}_{bulk}")("u", [xs, ys], *extra)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (kind, bulk)
+        scalar = [getattr(p, kind)("u", (int(x), int(y)), *extra)
+                  for x, y in zip(xs.ravel(), ys.ravel())]
+        assert scalar == want.ravel().tolist(), kind
 
 
 def test_replay_through_perturbation_reproduces_value():

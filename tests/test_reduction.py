@@ -24,6 +24,8 @@ from ffcolor.lattice import (
 )
 from ffcolor.reduction import (
     INF,
+    LongRangeColoring,
+    MNet,
     NetQuery,
     TowerQuery,
     almost_coloring,
@@ -32,8 +34,6 @@ from ffcolor.reduction import (
     eliminate_colors_synchronous,
     elimination_sweep,
     greedy_fallback,
-    long_range_coloring,
-    m_net,
     net_packing_bound,
     net_window,
     padded_neighbors,
@@ -307,7 +307,7 @@ def test_tower_budget_enforced():
 
 def test_long_range_window_distinct_within_m():
     fld = LabelField(21)
-    lr = long_range_coloring(1, 2, "l1", fld)
+    lr = LongRangeColoring(1, 2, "l1", fld)
     assert lr.q == 5
     tw = lr.window(Window((0,), (400,)))
     c = tw.colors
@@ -318,7 +318,7 @@ def test_long_range_window_distinct_within_m():
 
 def test_long_range_linf_blocks_distinct():
     fld = LabelField(22)
-    lr = long_range_coloring(2, 1, "linf", fld)
+    lr = LongRangeColoring(2, 1, "linf", fld)
     assert lr.q == 9
     tw = lr.window(Window((0, 0), (40, 40)))
     grid = tw.colors.reshape(40, 40)
@@ -386,7 +386,7 @@ def test_net_demand_matches_window():
 def test_net_gap_law_d1():
     # consecutive 1's on the line sit at distance m+1 .. 2m+1
     for m in (1, 2, 5):
-        net = m_net(1, m, "l1", LabelField(31 + m))
+        net = MNet(1, m, "l1", LabelField(31 + m))
         nw = net.window(Window((0,), (4000,)))
         ones = np.nonzero(nw.indicator)[0]
         for a, b in zip(ones, ones[1:]):
