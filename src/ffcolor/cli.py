@@ -264,7 +264,7 @@ def _stats_radii(args, field) -> list:
         query = lambda f, v: baseline_percolation_4color(v, f)
     else:
         query = lambda f, v: three_color_general(
-            v, args.d, f, density_scale=args.density_scale)
+            v, args.d, f, density_scale=args.density_scale, radius_cap=args.cap)
     budget = Budget(radius_cap=args.cap)
     out = []
     for v in _sample_vertices(args.seed, args.samples, args.d):

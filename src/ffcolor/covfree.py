@@ -183,6 +183,22 @@ def family_rows(field, stream: str, rows, ground: int) -> np.ndarray:
     return words
 
 
+def least_members(words: np.ndarray) -> np.ndarray:
+    """Least element of each row of packed sets, 1-based; 0 for an empty row.
+
+    words: (m, nwords) uint64, bit b of word j standing for element 64*j+b+1.
+    Scans for each row's first nonzero word and isolates its lowest set bit
+    with w & (~w + 1); that power of two converts to float64 exactly, and
+    frexp reads off its exponent, the bit index + 1.  An empty row scans to
+    word 0, isolates 0 and has exponent 0, so it reads 0.
+    """
+    words = np.asarray(words, dtype=np.uint64)
+    first = (words != 0).argmax(axis=1)
+    w = words[np.arange(words.shape[0]), first]
+    low = w & (~w + np.uint64(1))
+    return first * 64 + np.frexp(low.astype(np.float64))[1].astype(np.int64)
+
+
 class SetFamily:
     """nsets random subsets of [ground], packed 64 bits per word.
 
@@ -228,12 +244,9 @@ class SetFamily:
         """min(S(own) \\ union) per row pair of packed words; 0 means empty.
 
         own, neighbor_union: (m, nwords) uint64.  Returns 1-based elements.
+        `family_rows` zeroes the bits past `ground`, so none can be the min.
         """
-        diff = own & ~neighbor_union
-        bits = np.unpackbits(diff.view(np.uint8), axis=1, bitorder="little")[:, : self.ground]
-        any_bit = bits.any(axis=1)
-        first = bits.argmax(axis=1) + 1
-        return np.where(any_bit, first, 0).astype(np.int64)
+        return least_members(own & ~neighbor_union)
 
     def audit(self, rng_tuples: np.ndarray | None = None, exhaustive_limit: int = 200_000,
               delta: int | None = None) -> dict:

@@ -9,6 +9,7 @@ whose full neighborhood lies inside the window.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import comb
 from typing import Callable, Iterator, Sequence
@@ -138,7 +139,10 @@ class Window:
 
 
 class FiniteGraph:
-    """Immutable CSR adjacency over vertices 0..n-1."""
+    """Immutable CSR adjacency over vertices 0..n-1.
+
+    `max_degree` and `neighbor_matrix` are derived once per graph and cached.
+    """
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
         self.n = n
@@ -168,9 +172,24 @@ class FiniteGraph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
-    @property
+    @cached_property
     def max_degree(self) -> int:
         return int(np.max(np.diff(self.indptr))) if self.n else 0
+
+    @cached_property
+    def neighbor_matrix(self) -> np.ndarray:
+        """Read-only (n, max_degree) neighbor indices, each row padded with -1.
+
+        Row v lists v's CSR neighbors in order.  Index -1 reads the last entry
+        of an array, so an array of n + 1 values whose last entry is a neutral
+        value can be gathered through this matrix without a mask.
+        """
+        deg = np.diff(self.indptr)
+        nbr = np.full((self.n, self.max_degree), -1, dtype=np.int64)
+        rows = np.repeat(np.arange(self.n), deg)
+        nbr[rows, np.arange(rows.size) - self.indptr[rows]] = self.indices
+        nbr.flags.writeable = False
+        return nbr
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])

@@ -20,6 +20,19 @@ color still waiting to be eliminated, so vertices can be processed one color
 class at a time from the largest class down; within a class members are
 non-adjacent (the input is proper on its finite values) and cannot interact.
 A literal synchronous composition is kept as a test oracle.
+
+That largest-first pass, like the greedy fallback, is a sequential greedy
+over a vertex order, and it runs in dependency rounds: a vertex waits only
+for its neighbors ahead of it in the order.  Each round takes every pending
+vertex with no pending neighbor ahead of it; two such vertices are never
+adjacent, so a round is an independent set, and each member sees exactly the
+neighbor values and taint the one-at-a-time pass would show it.
+
+Level k of the tower only decides sites still unresolved after level k-1
+(about delta/n_{k-1} of them).  Its almost coloring reads labels and tests
+collisions over the whole window, but reduction step i computes only the
+(i-1)-fold dilation of the unresolved set, which is all the values there
+depend on.
 """
 
 from __future__ import annotations
@@ -29,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covfree import ColorSequence, SetFamily, color_sequence, family_rows, \
-    feasible_levels
+    feasible_levels, least_members
 from .lattice import FiniteGraph, LatticeSpec, Window, WindowGraph, ball_size
 
 INF = 0  # sentinel for "no color" / infinity
@@ -39,21 +52,9 @@ INF = 0  # sentinel for "no color" / infinity
 # shared helpers
 
 
-def padded_neighbors(g: FiniteGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(n, maxdeg) neighbor index matrix padded with -1, plus validity mask."""
-    n, md = g.n, g.max_degree
-    nbr = np.full((n, md), -1, dtype=np.int64)
-    deg = np.diff(g.indptr)
-    for c in range(md):
-        has = deg > c
-        nbr[has, c] = g.indices[g.indptr[:-1][has] + c]
-    return nbr, nbr >= 0
-
-
 def _gather(values: np.ndarray, nbr: np.ndarray, fill) -> np.ndarray:
-    out = values[np.clip(nbr, 0, None)]
-    out[nbr < 0] = fill
-    return out
+    """values at each entry of a neighbor matrix; padding (-1) reads fill."""
+    return np.append(values, fill)[nbr]
 
 
 def dilate_mask(mask: np.ndarray, nbr: np.ndarray) -> np.ndarray:
@@ -110,12 +111,18 @@ class FamilyCache:
 def almost_coloring(g, k: int, seq: ColorSequence | None = None,
                     cache: FamilyCache | None = None, field=None,
                     stream: str = "tower:u", delta: int | None = None,
-                    trace: list | None = None) -> AlmostColoring:
+                    trace: list | None = None, *,
+                    need: np.ndarray | None = None) -> AlmostColoring:
     """Level-k almost coloring: labels in [n_k], collisions to infinity, then
     k-1 set-family reductions down to [n_1].  Adjacent finite values never
     agree, at any intermediate level (each value excludes the whole set its
     neighbor picked from).  If `trace` is a list, the intermediate value
     arrays are appended, levels k down to 1.
+
+    `need` is a vertex mask, all vertices by default.  Reduction step i then
+    runs only on the (i-1)-fold dilation of `need`, which is all that the
+    values on `need` depend on, so values are exact only on `need`; elsewhere
+    they may read INF.
     """
     graph, axes, _, ddef = _as_parts(g)
     if delta is None:
@@ -128,21 +135,28 @@ def almost_coloring(g, k: int, seq: ColorSequence | None = None,
         raise ValueError(f"level {k} beyond materialized sequence {seq.n}")
     if cache is None:
         cache = FamilyCache(field, delta, seq)
-    nbr, _ = padded_neighbors(graph)
+    nbr = graph.neighbor_matrix
     z = np.asarray(field.discrete_box(stream, axes, seq.n_k(k)), dtype=np.int64).ravel()
     collide = (_gather(z, nbr, INF) == z[:, None]).any(axis=1)
     z = np.where(collide, INF, z)
     if trace is not None:
         trace.append(z.copy())
+    mask = None if need is None else np.asarray(need, dtype=bool)
+    rows = []  # rows[i - 1] indexes the vertices reduction step i computes
+    for i in range(1, k):
+        if mask is not None and i > 1:
+            mask = dilate_mask(mask, nbr)
+        rows.append(slice(None) if mask is None else np.flatnonzero(mask))
     for i in range(k - 1, 0, -1):
         fam = cache.family(i)
         ext = np.vstack([np.zeros((1, fam.nwords), dtype=np.uint64), fam.words])
-        own = ext[z]
+        r = rows[i - 1]
+        own = ext[z[r]]
         union = np.zeros_like(own)
-        for c in range(nbr.shape[1]):
-            zn = np.where(nbr[:, c] >= 0, z[np.clip(nbr[:, c], 0, None)], INF)
+        for zn in _gather(z, nbr[r], INF).T:
             union |= ext[zn]
-        z = fam.reduce_min(own, union)
+        z = np.full(graph.n, INF, dtype=np.int64)
+        z[r] = fam.reduce_min(own, union)
         if trace is not None:
             trace.append(z.copy())
     return AlmostColoring(z, k, delta)
@@ -158,7 +172,7 @@ def eliminate_color(x: np.ndarray, a: int, g: FiniteGraph) -> np.ndarray:
     """
     if a < 1:
         raise ValueError("colors are 1-based")
-    nbr, _ = padded_neighbors(g)
+    nbr = g.neighbor_matrix
     out = x.copy()
     members = x == a
     if not members.any():
@@ -193,13 +207,40 @@ def _greedy(x: np.ndarray, g: FiniteGraph, order, taint: np.ndarray | None) -> N
     """Give each vertex of `order`, in turn, the least color absent among its
     neighbors, in place.  If `taint` is given it is updated in place: a
     recolored vertex becomes tainted when any neighbor it consulted was.
+
+    Runs in dependency rounds (see the module docstring): `ahead[v]` counts
+    v's pending neighbors ahead of it, and a round takes every vertex whose
+    count is 0.  A neighbor still pending blocks with its current value, as
+    it would one vertex at a time.
     """
-    indptr, indices = g.indptr, g.indices
-    for v in order:
-        nbrs = indices[indptr[v]:indptr[v + 1]]
-        x[v] = _least_absent(set(x[nbrs].tolist()))
-        if taint is not None and not taint[v] and bool(taint[nbrs].any()):
-            taint[v] = True
+    order = np.asarray(order, dtype=np.int64)
+    nbr = g.neighbor_matrix
+    n, m = g.n, len(order)
+    top = nbr.shape[1] + 1  # the least absent color is at most maxdeg + 1
+    # n + 1 entries each, so the padding index -1 reads a neutral last entry:
+    # value 0 never blocks, rank m is never ahead, taint is False
+    val = np.append(x, INF).astype(np.int64)
+    rank = np.full(n + 1, m, dtype=np.int64)
+    rank[order] = np.arange(m)
+    tnt = np.append(taint if taint is not None else np.zeros(n, dtype=bool), False)
+    members = np.flatnonzero(rank[:n] < m)  # vertex order reads nbr in sequence
+    ahead = np.zeros(n + 1, dtype=np.int64)
+    ahead[members] = (rank[nbr[members]] < rank[members, None]).sum(axis=1)
+    ready = members[ahead[members] == 0]
+    while len(ready):
+        vn = nbr[ready]
+        seen = np.zeros((len(ready), top + 1), dtype=bool)
+        seen[np.arange(len(ready))[:, None], np.clip(val[vn], INF, top)] = True
+        seen[:, INF] = True
+        tnt[ready] |= tnt[vn].any(axis=1)
+        val[ready] = seen.argmin(axis=1)
+        rn = rank[vn]
+        behind = np.bincount(vn[(rn > rank[ready, None]) & (rn < m)], minlength=n + 1)
+        ahead -= behind
+        ready = np.flatnonzero((behind > 0) & (ahead == 0))
+    x[order] = val[order]
+    if taint is not None:
+        taint[order] = tnt[order]
 
 
 def elimination_sweep(w: np.ndarray, g: FiniteGraph, floor: int,
@@ -266,16 +307,18 @@ def tower_coloring(g, field, delta: int | None = None, kmax: int = 3,
     seq = color_sequence(delta, kmax)
     kmax = min(kmax, seq.kmax)
     cache = FamilyCache(field, delta, seq)
-    nbr, _ = padded_neighbors(graph)
+    nbr = graph.neighbor_matrix
 
     x = np.zeros(graph.n, dtype=np.int64)
     level = np.zeros(graph.n, dtype=np.int64)
     xtaint = np.zeros(graph.n, dtype=bool)
+    ytaint = ~full
     for k in range(1, kmax + 1):
-        y = almost_coloring(g, k, seq, cache, field, stream=f"{stream_prefix}:u").values
-        ytaint = ~full
-        for _ in range(k - 1):
-            ytaint = dilate_mask(ytaint, nbr)
+        # level k only decides sites unresolved so far
+        y = almost_coloring(g, k, seq, cache, field, stream=f"{stream_prefix}:u",
+                            need=x == INF).values
+        if k > 1:
+            ytaint = dilate_mask(ytaint, nbr)  # (k-1)-fold dilation of ~full
         w = np.where(x > 0, x, np.where(y > 0, y + delta + 1, INF))
         staint = xtaint | ((x == INF) & ytaint)
         x2 = elimination_sweep(w, graph, floor=delta + 1, taint=staint)
@@ -352,14 +395,12 @@ class TowerQuery:
             if mine == INF:
                 out = INF
             else:
-                ground = self.seq.n_k(i)
                 rest = self._row(i, mine).copy()
                 for u in self.spec.neighbors(v):
                     zu = self._zval(k, i + 1, u)
                     if zu != INF:
                         rest &= ~self._row(i, zu)
-                bits = np.unpackbits(rest.view(np.uint8), bitorder="little")[:ground]
-                out = int(bits.argmax()) + 1 if bits.any() else INF
+                out = int(least_members(rest[None])[0])
         self._z[key] = out
         return out
 
@@ -470,21 +511,21 @@ def net_window(g, field, kmax: int = 3, stream_prefix: str = "net") -> NetWindow
     graph, _, full, _ = _as_parts(g)
     q = tw.delta + 1
     x = tw.colors
-    nbr, _ = padded_neighbors(graph)
+    nbr = graph.neighbor_matrix
     joined = np.zeros(graph.n, dtype=bool)
-    blocked = np.zeros(graph.n, dtype=bool)
+    # one spare last entry absorbs the padding index -1 of nbr
+    blocked = np.zeros(graph.n + 1, dtype=bool)
     taint = tw.tainted.copy()
 
     def take(mask):
         joined[mask] = True
-        for v in np.nonzero(mask)[0]:
-            blocked[graph.indices[graph.indptr[v]:graph.indptr[v + 1]]] = True
+        blocked[nbr[mask]] = True
 
     take(x == 1)
     for a in range(q, 1, -1):
         cls = x == a
         taint |= cls & (dilate_mask(taint, nbr) | ~full)
-        take(cls & ~blocked)
+        take(cls & ~blocked[:-1])
     return NetWindow(joined, x, taint, q)
 
 

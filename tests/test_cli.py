@@ -241,6 +241,20 @@ def test_stats_checks_dims_and_runs_threegen_in_1d(tmp_path, monkeypatch):
                "--cap", "256", "--seed", "1", "--out", out) == 0
     assert seen == [(1, 1)] * 3
 
+
+def test_stats_threegen_passes_cap_to_query(tmp_path, monkeypatch):
+    # the query's own radius cap must be --cap, not the default budget's 4096
+    caps = []
+
+    def spy(v, d, field, **kw):
+        caps.append(kw.get("radius_cap"))
+        return three_color_general(v, d, field, **kw)
+
+    monkeypatch.setattr(cli, "three_color_general", spy)
+    assert run("stats", "--construction", "threegen", "--d", "1", "--samples", "2",
+               "--cap", "300", "--seed", "1", "--out", tmp_path / "s.csv") == 0
+    assert caps == [300, 300]
+
 # -- sft -------------------------------------------------------------------------
 
 def test_sft_classify_text(tmp_path, capsys):

@@ -151,6 +151,41 @@ def test_reduce_min_hand_cases():
     assert out.tolist() == [1, 0, 2]
 
 
+def _reduce_min_unpacked(own, union, ground):
+    # the reduction primitive as first written: unpack every bit, then argmax
+    bits = np.unpackbits((own & ~union).view(np.uint8), axis=1,
+                         bitorder="little")[:, :ground]
+    return np.where(bits.any(axis=1), bits.argmax(axis=1) + 1, 0)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300))
+@settings(max_examples=150, deadline=None)
+def test_reduce_min_matches_unpacked_scan(seed, ground):
+    # random rows, plus the rows a word scan can get wrong: empty, only bit 63
+    # of a word, only the last ground bit, a lone bit in the last word
+    rs = np.random.default_rng(seed)
+    nwords = (ground + 63) // 64
+    tail = (1 << (ground % 64)) - 1 if ground % 64 else (1 << 64) - 1
+    mask = np.full(nwords, (1 << 64) - 1, dtype=np.uint64)
+    mask[-1] = np.uint64(tail)
+    fam = SetFamily(np.zeros((1, nwords), dtype=np.uint64), ground, "x")
+    rand = rs.integers(0, 2**64, size=(40, nwords), dtype=np.uint64)
+    sparse = rand & rs.integers(0, 2**64, size=(40, nwords), dtype=np.uint64) \
+        & rs.integers(0, 2**64, size=(40, nwords), dtype=np.uint64)
+    special = np.zeros((4, nwords), dtype=np.uint64)
+    last = ground - 1
+    special[1, last >> 6] = np.uint64(1) << np.uint64(last & 63)
+    if ground >= 64:
+        special[2, 0] = np.uint64(1) << np.uint64(63)
+    special[3, -1] = np.uint64(1) << np.uint64((last & 63) // 2)
+    own = np.vstack([rand, sparse, special, rand]) & mask
+    union = np.vstack([sparse, rand & ~sparse, np.zeros_like(special), rand]) & mask
+    got = fam.reduce_min(own, union)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _reduce_min_unpacked(own, union, ground))
+    assert (got[-40:] == 0).all() and got[80] == 0 and got[81] == ground
+
+
 def test_tail_bits_masked():
     fam = build_cover_free_family(8, 70, 2, LabelField(11))
     assert fam.nwords == 2

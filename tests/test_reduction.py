@@ -36,7 +36,6 @@ from ffcolor.reduction import (
     greedy_fallback,
     net_packing_bound,
     net_window,
-    padded_neighbors,
     tower_coloring,
 )
 
@@ -116,6 +115,21 @@ def test_infinity_conservation_with_clean_family():
     z2, z1 = trace
     assert (z2 == INF).any()  # collisions do happen at this scale
     assert np.array_equal(z1 == INF, z2 == INF)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_restricted_levels_equal_full_on_needed_sites(k):
+    # level k computed only for `need` agrees with the whole-graph answer there
+    fld = LabelField(31)
+    wg = WindowGraph.build(Window((-40, -40), (80, 80)), 1, "l1")
+    full = almost_coloring(wg, k, field=fld).values
+    rs = np.random.default_rng(k)
+    unresolved = almost_coloring(wg, 1, field=fld).values == INF
+    for need in (rs.random(wg.graph.n) < 0.02, unresolved,
+                 np.zeros(wg.graph.n, dtype=bool), np.ones(wg.graph.n, dtype=bool)):
+        got = almost_coloring(wg, k, field=fld, need=need).values
+        assert np.array_equal(got[need], full[need])
+    assert np.array_equal(almost_coloring(wg, k, field=fld, need=None).values, full)
 
 
 def test_level_beyond_sequence_rejected():
@@ -206,6 +220,89 @@ def test_sweep_equals_composition_on_window():
         assert np.array_equal(
             elimination_sweep(w.copy(), g, 5),
             eliminate_colors_synchronous(w.copy(), range(int(w.max()), 5, -1), g))
+
+
+def _greedy_loop(x, g, order, taint):
+    # the one-vertex-at-a-time greedy the dependency rounds must reproduce
+    for v in order:
+        nbrs = g.neighbors(v)
+        seen = set(x[nbrs].tolist())
+        c = 1
+        while c in seen:
+            c += 1
+        x[v] = c
+        if taint is not None and taint[nbrs].any():
+            taint[v] = True
+
+
+def _desc(idx, key):
+    # stable ascending sort, reversed: key descending, higher index first on ties
+    return idx[np.argsort(key[idx], kind="stable")][::-1]
+
+
+@st.composite
+def irregular_graphs(draw):
+    # isolated vertices, uneven degrees, improper starting values, tied keys
+    n = draw(st.integers(1, 24))
+    linked = draw(st.integers(0, n))
+    edges = set()
+    for _ in range(draw(st.integers(0, 3 * n))):
+        a = draw(st.integers(0, max(linked - 1, 0)))
+        b = draw(st.integers(0, max(linked - 1, 0)))
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    g = FiniteGraph.from_edges(n, sorted(edges))
+    x = np.array(draw(st.lists(st.integers(0, 14), min_size=n, max_size=n)),
+                 dtype=np.int64)
+    prio = np.array(draw(st.lists(st.sampled_from([0.25, 0.5, 0.75]),
+                                  min_size=n, max_size=n)))
+    taint = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return g, x, prio, taint
+
+
+@given(irregular_graphs(), st.integers(0, 15))
+@settings(max_examples=300, deadline=None)
+def test_sweep_rounds_equal_sequential_loop(gx, floor):
+    # floor may sit below maxdeg + 1 and the input may be improper, so pending
+    # neighbors really block with their current values; floor 15 leaves the
+    # order empty
+    g, x, _, taint = gx
+    want, want_taint = x.copy(), taint.copy()
+    _greedy_loop(want, g, _desc(np.nonzero(x > floor)[0], x), want_taint)
+    got_taint = taint.copy()
+    got = elimination_sweep(x, g, floor, taint=got_taint)
+    assert np.array_equal(got, want) and np.array_equal(got_taint, want_taint)
+    assert np.array_equal(elimination_sweep(x, g, floor), want)
+
+
+@given(irregular_graphs())
+@settings(max_examples=300, deadline=None)
+def test_fallback_rounds_equal_sequential_loop(gx):
+    g, x, prio, taint = gx
+    x = np.where(x > 9, INF, x)
+    want, want_taint = x.copy(), taint.copy()
+    _greedy_loop(want, g, _desc(np.nonzero(x == INF)[0], prio), want_taint)
+    got_taint = taint.copy()
+    got, fb = greedy_fallback(x, g, prio, taint=got_taint)
+    assert np.array_equal(got, want) and np.array_equal(got_taint, want_taint)
+    assert np.array_equal(fb, x == INF)
+
+
+def test_sweep_rounds_equal_sequential_loop_on_window():
+    # many rounds deep: random pre-colors on a window, proper above the floor
+    rs = np.random.default_rng(8)
+    g = WindowGraph.build(Window((0, 0), (40, 40)), 2, "l1").graph
+    for _ in range(5):
+        x = rs.integers(0, 200, size=g.n)
+        el = g.edge_list()
+        for a, b in el:
+            while x[a] == x[b] and x[a] > 13:
+                x[b] = rs.integers(14, 200)
+        taint = rs.random(g.n) < 0.05
+        want, want_taint = x.copy(), taint.copy()
+        _greedy_loop(want, g, _desc(np.nonzero(x > 13)[0], x), want_taint)
+        got = elimination_sweep(x, g, 13, taint=taint)
+        assert np.array_equal(got, want) and np.array_equal(taint, want_taint)
 
 
 def test_greedy_fallback_colors_everything_properly():
@@ -363,7 +460,7 @@ def test_net_packing_and_covering():
     nw = net_window(wg, fld)
     el = wg.graph.edge_list()
     assert not np.any(nw.indicator[el[:, 0]] & nw.indicator[el[:, 1]])
-    nbr, _ = padded_neighbors(wg.graph)
+    nbr = wg.graph.neighbor_matrix
     covered = nw.indicator | _gather_any(nw.indicator, nbr)
     good = ~nw.tainted & wg.interior
     assert covered[good].all()
