@@ -1,14 +1,17 @@
-"""Golden sha256 digests of the tower pipeline's seeded output.
+"""Golden sha256 digests of the constructions' seeded output.
 
-The tower window engine (`tower_coloring`), the net scan built on it
-(`net_window`) and the SFT generator that anchors on those nets
-(`sft.generate`) are pure functions of the seed.  Any rewrite of their array
-passes must keep every output bit, so the digests below are pinned.  They
-were computed from the program as it stood before the tower passes were
-vectorized (dependency-round greedy, word-scan `reduce_min`, levels k >= 2
-restricted to unresolved sites), and have not been recomputed since.
+Every window engine and every demand engine is a pure function of the seed.
+Any rewrite of their passes must keep every output bit, so the digests below
+are pinned.  The tower, net and SFT digests were computed from the program as
+it stood before the tower passes were vectorized (dependency-round greedy,
+word-scan `reduce_min`, levels k >= 2 restricted to unresolved sites); the
+four, baseline4, three2d and threegen window digests and the demand-engine
+digests were computed before the lattice adjacency became a padded neighbor
+matrix.  None has been recomputed since.
 
-A digest covers each array's dtype, shape and bytes, in the order listed.
+A digest covers each array's dtype, shape and bytes, in the order listed.  A
+demand digest covers one (value, radius, access_count) row per query site,
+each answered under `tracked` by a fresh engine.
 """
 
 import hashlib
@@ -16,10 +19,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from ffcolor.field import LabelField
-from ffcolor.lattice import FiniteGraph, Window, WindowGraph
-from ffcolor.reduction import net_window, tower_coloring
+from ffcolor.field import LabelField, tracked
+from ffcolor.fourcolor import baseline_percolation_4color, baseline_window, \
+    four_color_window
+from ffcolor.lattice import FiniteGraph, LatticeSpec, Window, WindowGraph
+from ffcolor.perc3color import coding_radii, three_color_2d
+from ffcolor.reduction import NetQuery, net_window, tower_color_at, tower_coloring
 from ffcolor.sft import coloring_spec, generate
+from ffcolor.tiling3color import threegen_window
 
 
 def _digest(*arrays) -> str:
@@ -89,3 +96,60 @@ def test_tower_bare_graph_digest():
 def test_sft_generate_digest():
     run = generate(coloring_spec(3), LabelField(11), Window((-100,), (250,)))
     assert _digest(run.letters, run.net_points, run.reach) == SFT
+
+
+FOUR_WINDOW = "2b6f94b0a606d2d12c5b858b5dad9ce0e107da37a61cac0ec70b9090801015ac"
+BASELINE_WINDOW = "2de2c2b508e3b938c7f8fc3c61e879ea118d7d61e4fe727ee83d1501ccc99a62"
+CODING_RADII = "156d09a704154ff76feac1dee7645e18969dc6dd097f6a43ed852b149e36089e"
+THREEGEN_WINDOW = "e1921c4ebaef52bebeae09c36b3f5d6c8487ef84424bdc8eabd001649159e92c"
+
+
+def test_four_color_window_digest():
+    fc = four_color_window(LabelField(3), Window((-20, 7), (48, 40)))
+    assert _digest(fc.colors, fc.valid, fc.signs) == FOUR_WINDOW
+
+
+def test_baseline_window_digest():
+    colors, valid = baseline_window(LabelField(3), Window((-30, 11), (64, 48)))
+    assert _digest(colors, valid) == BASELINE_WINDOW
+
+
+def test_coding_radii_digest():
+    radii, resolved, colors, _ = coding_radii(LabelField(3), Window((5, -9), (16, 16)),
+                                              cap=128)
+    assert _digest(radii, resolved, colors) == CODING_RADII
+
+
+def test_threegen_window_digest():
+    colors, valid, _ = threegen_window(LabelField(3), Window((-40, 10), (96, 80)),
+                                       maxlevel=2, density_scale=1 / 32, margin=32)
+    assert _digest(colors, valid) == THREEGEN_WINDOW
+
+
+SITES = [(0, 0), (17, -5), (-123456, 98765), (999_999, -3)]
+# sites the three2d engine resolves within radius 256 at seed 3 (taken from
+# coding_radii over the 40x40 window at the origin)
+THREE2D_SITES = [(0, 3), (32, 10), (38, 8)]
+_PLANE = LatticeSpec(2, 1, "l1")
+
+DEMAND = {
+    "tower": ("67390bf96ff921a0082bed8fce99cdb8857b5021c79b6ac024950806759f0fe9",
+              5, SITES, lambda f, v: tower_color_at(f, v, _PLANE)[0]),
+    "net": ("c738de4000eb70f55593186b3d525a2809ccfbd7c3b8e262403a2fe65539b803",
+            5, SITES, lambda f, v: NetQuery(f, _PLANE).indicator(v)),
+    "baseline4": ("c61eb8d925997fdbc3f1de30a5a15103d936b0f04bfe12abc2f4799642710de4",
+                  5, SITES, lambda f, v: baseline_percolation_4color(v, f)),
+    "three2d": ("83b45a5bd67bc4283fe026000e0ba86a1f2c9239e2b68bd7d1e6a675f5e47d62",
+                3, THREE2D_SITES,
+                lambda f, v: three_color_2d(v, f, radius_cap=256)[0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEMAND))
+def test_demand_digest(name):
+    want, seed, sites, query = DEMAND[name]
+    rows = []
+    for v in sites:
+        ev = tracked(lambda f: query(f, v), LabelField(seed), v)
+        rows.append((int(ev.value), ev.radius, ev.access_count))
+    assert _digest(np.array(rows, dtype=np.int64)) == want
