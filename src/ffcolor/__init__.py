@@ -35,7 +35,6 @@ from .reduction import (
     TowerQuery,
     TowerWindow,
     almost_coloring,
-    eliminate_color,
     net_window,
     tower_color_at,
     tower_coloring,
@@ -68,7 +67,6 @@ __all__ = [
     "TowerQuery",
     "TowerWindow",
     "almost_coloring",
-    "eliminate_color",
     "net_window",
     "tower_color_at",
     "tower_coloring",

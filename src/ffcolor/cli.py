@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -75,26 +76,27 @@ def write_ppm(path, colors: np.ndarray) -> None:
     Path(path).write_bytes(header + img.tobytes())
 
 
+# whitespace and comments between header fields; the maxval is followed by
+# exactly one whitespace byte, then the pixels
+_PPM_GAP = rb"(?:\s|#[^\n]*\n)+"
+_PPM_HEADER = re.compile(rb"P6" + _PPM_GAP + rb"(\d+)" + _PPM_GAP + rb"(\d+)"
+                         + _PPM_GAP + rb"255\s")
+
+
 def read_ppm(path) -> np.ndarray:
-    """Invert the palette; raises on foreign pixels so audits see real colors."""
-    raw = Path(path).read_bytes()
-    fields = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if raw[pos:pos + 1] == b"#":
-            pos = raw.index(b"\n", pos) + 1
-            continue
-        end = pos
-        while end < len(raw) and not raw[end:end + 1].isspace():
-            end += 1
-        fields.append(raw[pos:end])
-        pos = end
-    if fields[0] != b"P6" or fields[3] != b"255":
+    """Invert the palette; raises ConfigError on any file that is not a
+    palette image, foreign pixels included, so audits see real colors."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as e:
+        raise ConfigError(str(e))
+    header = _PPM_HEADER.match(raw)
+    if header is None:
         raise ConfigError("expected a binary P6 pixmap with maxval 255")
-    w, h = int(fields[1]), int(fields[2])
-    img = np.frombuffer(raw[pos + 1:], dtype=np.uint8)
+    w, h = int(header[1]), int(header[2])
+    if w == 0 or h == 0:
+        raise ConfigError("pixmap has no pixels")
+    img = np.frombuffer(raw[header.end():], dtype=np.uint8)
     if img.size != w * h * 3:
         raise ConfigError("pixmap payload has the wrong size")
     img = img.reshape(h, w, 3)
@@ -112,6 +114,25 @@ def _write_json(path, payload: dict) -> None:
 
 
 # -- color ----------------------------------------------------------------------
+
+def _at_least(low, kind=int, strict: bool = False):
+    """argparse type: a `kind` number >= low, or > low when strict."""
+    def parse(text: str):
+        try:
+            x = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {kind.__name__}")
+        if not (x > low if strict else x >= low):
+            raise argparse.ArgumentTypeError(
+                f"{text} is not {'>' if strict else '>='} {low}")
+        return x
+    return parse
+
+
+_POSITIVE = _at_least(1)
+_NONNEGATIVE = _at_least(0)
+_POSITIVE_REAL = _at_least(0, float, strict=True)
+
 
 def _parse_window(text: str, d: int) -> Window:
     try:
@@ -345,15 +366,16 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--construction", required=True, choices=sorted(COLOR_DIMS))
     c.add_argument("--d", type=int, default=2)
     c.add_argument("--window", required=True,
-                   help="origin then extents, comma-separated (half-open box)")
+                   help="origin then extents, comma-separated (half-open box); "
+                        "write --window=-8,-8,16,16 when the origin is negative")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", default="out/run", help="output path prefix")
-    c.add_argument("--kmax", type=int, default=3, help="tower levels")
-    c.add_argument("--cap", type=int, default=512, help="radius cap (three2d)")
-    c.add_argument("--maxlevel", type=int, default=2, help="tiling levels")
-    c.add_argument("--density-scale", type=float, default=1 / 32,
+    c.add_argument("--kmax", type=_POSITIVE, default=3, help="tower levels")
+    c.add_argument("--cap", type=_POSITIVE, default=512, help="radius cap (three2d)")
+    c.add_argument("--maxlevel", type=_POSITIVE, default=2, help="tiling levels")
+    c.add_argument("--density-scale", type=_POSITIVE_REAL, default=1 / 32,
                    help="tiling seed-density multiplier")
-    c.add_argument("--margin", type=int, default=64,
+    c.add_argument("--margin", type=_NONNEGATIVE, default=64,
                    help="context margin (threegen, baseline4)")
     c.add_argument("--radius-budget", type=int, default=None,
                    help="fail (exit 3) if any read leaves this 1-norm "
@@ -377,9 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--construction", required=True, choices=STATS_CONSTRUCTIONS)
     s.add_argument("--d", type=int, default=2)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--samples", type=int, default=1000)
-    s.add_argument("--cap", type=int, default=512)
-    s.add_argument("--density-scale", type=float, default=1 / 32)
+    s.add_argument("--samples", type=_POSITIVE, default=1000)
+    s.add_argument("--cap", type=_POSITIVE, default=512)
+    s.add_argument("--density-scale", type=_POSITIVE_REAL, default=1 / 32)
     s.add_argument("--out", default="out/radii.csv")
     s.add_argument("--plot", default=None, help="also write (r, survival) pairs")
     s.set_defaults(fn=cmd_stats)
@@ -391,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     fc.set_defaults(fn=cmd_sft)
     fg = fsub.add_parser("generate", help="emit a sequence from the subshift")
     fg.add_argument("specfile")
-    fg.add_argument("--length", type=int, required=True)
+    fg.add_argument("--length", type=_POSITIVE, required=True)
     fg.add_argument("--seed", type=int, default=0)
     fg.add_argument("--out", required=True)
     fg.set_defaults(fn=cmd_sft)

@@ -33,6 +33,9 @@ N_LIMIT = 10**7
 # largest delta*n decided by direct big-integer comparison
 INT_CUTOFF = 1 << 18
 
+# largest tuple count SetFamily.audit checks exhaustively
+EXHAUSTIVE_LIMIT = 200_000
+
 
 def cover_free_constant(delta: int) -> float:
     if delta < 1:
@@ -248,12 +251,13 @@ class SetFamily:
         """
         return least_members(own & ~neighbor_union)
 
-    def audit(self, rng_tuples: np.ndarray | None = None, exhaustive_limit: int = 200_000,
+    def audit(self, rng_tuples: np.ndarray | None = None,
               delta: int | None = None) -> dict:
         """Check the cover-free property.
 
-        Exhaustive when the tuple count is small, otherwise over the supplied
-        (t, delta+1) index array of sampled tuples (rows 1-based, distinct).
+        Exhaustive when the tuple count is at most EXHAUSTIVE_LIMIT, otherwise
+        over the supplied (t, delta+1) index array of sampled tuples (rows
+        1-based, distinct).
         Returns counts; defects are expected to be rare, not absent, at the
         pinned sizes.
         """
@@ -270,7 +274,7 @@ class SetFamily:
             return not bool(np.any(self.words[i0 - 1] & ~u))
 
         total = self.nsets * math.comb(self.nsets - 1, delta)
-        if total <= exhaustive_limit:
+        if total <= EXHAUSTIVE_LIMIT:
             for i0 in range(1, self.nsets + 1):
                 rest = [j for j in range(1, self.nsets + 1) if j != i0]
                 for others in itertools.combinations(rest, delta):

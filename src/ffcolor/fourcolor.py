@@ -22,7 +22,7 @@ import numpy as np
 from scipy import ndimage
 
 from .field import BudgetExceeded
-from .lattice import Window
+from .lattice import LatticeSpec, Window
 from .verify import AuditReport
 
 CAND_STREAM = "fixture:boxnet"
@@ -30,6 +30,10 @@ ORDER_STREAM = "four:order"
 PHASE_STREAM = "four:phase"
 BASE_SIGN_STREAM = "baseline4:sign"
 BASE_PHASE_STREAM = "baseline4:phase"
+CANDIDATES_PER_CELL = 6  # fixture_net candidate positions per M-cell
+CONTEXT_SCALE = 6  # four_color_window pads its net region by this many M
+BASELINE_MAX_SITES = 1_000_000  # baseline query: largest sign cluster explored
+_PLANE = LatticeSpec(2, 1, "l1")
 
 
 def choose_M(d: int) -> tuple[int, int, int]:
@@ -73,12 +77,12 @@ class BoxSystem:
         return len(self.radii)
 
 
-def fixture_net(field, lo, hi, M: int, *, per_cell: int = 6, ensure=None,
+def fixture_net(field, lo, hi, M: int, *, ensure=None,
                 stream: str = CAND_STREAM) -> np.ndarray:
     """Hard-core net on the box [lo, hi): centers pairwise > M apart.
 
-    Draws per_cell candidate positions in every M-cell meeting the region
-    (a non-spatial table read keyed by cell index) and keeps candidates in
+    Draws CANDIDATES_PER_CELL candidate positions in every M-cell meeting the
+    region (a non-spatial table read keyed by cell index) and keeps candidates in
     decreasing priority order, dropping any within distance M of a kept
     one.  Greedy thinning is maximal over the candidates, not the lattice,
     so rare coverage pockets can survive; with ensure=(elo, ehi) every
@@ -94,7 +98,8 @@ def fixture_net(field, lo, hi, M: int, *, per_cell: int = 6, ensure=None,
     cell_lo = lo // M
     cell_hi = (hi - 1) // M
     ranges = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(cell_lo, cell_hi)]
-    grids = np.meshgrid(*ranges, np.arange(per_cell, dtype=np.int64), indexing="ij")
+    grids = np.meshgrid(*ranges, np.arange(CANDIDATES_PER_CELL, dtype=np.int64),
+                        indexing="ij")
     cells = [g.ravel() for g in grids[:d]]
     cand = grids[d].ravel()
 
@@ -422,10 +427,10 @@ class FourColoring:
     Cprime: int
 
 
-def four_color_window(field, window: Window, *, context_scale: int = 6) -> FourColoring:
+def four_color_window(field, window: Window) -> FourColoring:
     """Run the full box pipeline over a window.
 
-    Net and radii are generated on the window padded by context_scale * M,
+    Net and radii are generated on the window padded by CONTEXT_SCALE * M,
     so every box that can touch the window sees its whole interaction
     neighborhood; the sign field is computed on the window padded by 2 so
     sign clusters (diameter <= 1 when the face audit passes) are complete.
@@ -434,7 +439,7 @@ def four_color_window(field, window: Window, *, context_scale: int = 6) -> FourC
     M, C, Cp = choose_M(d)
     pad = 2
     zwin = window.grow(pad)
-    margin = context_scale * M + 6
+    margin = CONTEXT_SCALE * M + 6
     zlo = np.asarray(zwin.origin, dtype=np.int64)
     lo = zlo - margin
     hi = zlo + np.asarray(zwin.extent, dtype=np.int64) + margin
@@ -456,13 +461,7 @@ def four_color_window(field, window: Window, *, context_scale: int = 6) -> FourC
                         M=M, C=C, Cprime=Cp)
 
 
-def _lattice_neighbors(v: tuple[int, ...]):
-    for a in range(len(v)):
-        for s in (1, -1):
-            yield v[:a] + (v[a] + s,) + v[a + 1:]
-
-
-def baseline_percolation_4color(v, field, *, max_sites: int = 1_000_000) -> int:
+def baseline_percolation_4color(v, field) -> int:
     """Percolation four-coloring of the plane, queried at one vertex.
 
     Fair +-1 coins per site; the sign cluster of v is explored fully, and
@@ -479,9 +478,9 @@ def baseline_percolation_4color(v, field, *, max_sites: int = 1_000_000) -> int:
     while stack:
         x = stack.pop()
         cluster.append(x)
-        if len(cluster) > max_sites:
-            raise BudgetExceeded("access", max_sites, BASE_SIGN_STREAM, x)
-        for nb in _lattice_neighbors(x):
+        if len(cluster) > BASELINE_MAX_SITES:
+            raise BudgetExceeded("access", BASELINE_MAX_SITES, BASE_SIGN_STREAM, x)
+        for nb in _PLANE.neighbors(x):
             if nb not in seen:
                 seen.add(nb)
                 if field.coin(BASE_SIGN_STREAM, nb) == sv:

@@ -1,18 +1,23 @@
 """Lattice geometry and finite graphs.
 
-Windows are half-open boxes given by an origin and positive extents.  Finite
-graphs are CSR adjacency over 0..n-1; lattice windows build their own CSR for
-the graph-generic algorithms, with an explicit interior mask marking vertices
-whose full neighborhood lies inside the window.
+Windows are half-open boxes given by an origin and positive extents.  A
+finite graph over 0..n-1 is stored as one padded neighbor matrix: row v holds
+v's neighbors, and -1 fills the unused slots, anywhere in the row.  Every
+graph-generic pass reads only that matrix.  A lattice window writes column j
+of its matrix straight from the j-th offset of `nonzero_offsets`, with -1
+where that neighbor falls outside the window, and an interior mask marks the
+vertices whose full neighborhood lies inside it.  The demand engines take
+their neighbor lists from the same cached offsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from math import comb
-from typing import Callable, Iterator, Sequence
+from operator import add
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -58,14 +63,11 @@ def sphere_offsets(d: int, r: int, norm: str = "l1") -> list[tuple[int, ...]]:
     return [off for off in ball_offsets(d, r, norm) if dist(off) == r]
 
 
-def power_graph_neighbors(v: Sequence[int], m: int, norm: str = "l1",
-                          d: int | None = None) -> list[tuple[int, ...]]:
-    """All u != v with dist(u, v) <= m; the adjacency of Z^d_(m)."""
-    if d is None:
-        d = len(v)
-    v = tuple(int(c) for c in v)
-    return [tuple(a + b for a, b in zip(v, off))
-            for off in ball_offsets(d, m, norm) if any(c != 0 for c in off)]
+@lru_cache(maxsize=None)
+def nonzero_offsets(d: int, m: int, norm: str = "l1") -> tuple[tuple[int, ...], ...]:
+    """The offsets u - v of the neighbors u of v in Z^d_(m), in ball_offsets
+    order: every nonzero offset with |x| <= m in the given norm."""
+    return tuple(off for off in ball_offsets(d, m, norm) if any(off))
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,10 @@ class LatticeSpec:
         return ball_size(self.d, self.m, self.norm) - 1
 
     def neighbors(self, v: tuple[int, ...]) -> list[tuple[int, ...]]:
-        return power_graph_neighbors(v, self.m, self.norm, self.d)
+        """All u != v with dist(u, v) <= m, in nonzero_offsets order; v is a
+        tuple of ints."""
+        offs = nonzero_offsets(self.d, self.m, self.norm)
+        return [tuple(map(add, v, off)) for off in offs]
 
 
 @dataclass(frozen=True)
@@ -139,66 +144,65 @@ class Window:
 
 
 class FiniteGraph:
-    """Immutable CSR adjacency over vertices 0..n-1.
+    """Immutable graph over vertices 0..n-1, stored as a padded neighbor matrix.
 
-    `max_degree` and `neighbor_matrix` are derived once per graph and cached.
+    `neighbor_matrix` is a read-only (n, width) int64 array: row v lists v's
+    neighbors, and -1 fills its unused slots, in any position.  Index -1 reads
+    the last entry of an array, so an array of n + 1 values whose last entry
+    is a neutral value can be gathered through the matrix without a mask.
     """
 
-    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
+    def __init__(self, n: int, neighbor_matrix: np.ndarray):
+        nbr = np.asarray(neighbor_matrix, dtype=np.int64).view()
+        if nbr.ndim != 2 or nbr.shape[0] != n:
+            raise ValueError("the neighbor matrix needs one row per vertex")
+        nbr.flags.writeable = False
         self.n = n
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
-        if self.indptr.shape != (n + 1,):
-            raise ValueError("bad indptr")
+        self.neighbor_matrix = nbr
 
     @classmethod
     def from_edges(cls, n: int, edges: Sequence[tuple[int, int]]) -> "FiniteGraph":
-        deg = np.zeros(n, dtype=np.int64)
-        for a, b in edges:
-            if a == b:
-                raise ValueError("no self-loops")
-            deg[a] += 1
-            deg[b] += 1
-        indptr = np.concatenate([[0], np.cumsum(deg)])
-        indices = np.empty(indptr[-1], dtype=np.int64)
-        fill = indptr[:-1].copy()
-        for a, b in edges:
-            indices[fill[a]] = b
-            fill[a] += 1
-            indices[fill[b]] = a
-            fill[b] += 1
-        return cls(n, indptr, indices)
+        """Each row lists its neighbors in the order the edges name them."""
+        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if (e[:, 0] == e[:, 1]).any():
+            raise ValueError("no self-loops")
+        if e.size and (e.min() < 0 or e.max() >= n):
+            raise ValueError(f"edge endpoints must lie in 0..{n - 1}")
+        # entry 2i is edge i seen from its first end, entry 2i + 1 from its
+        # second; column c takes each vertex's first entry not yet placed
+        src, dst = e.ravel(), e[:, ::-1].ravel()
+        nbr = np.full((n, np.bincount(src, minlength=n).max(initial=0)), -1,
+                      dtype=np.int64)
+        todo = np.ones(src.size, dtype=bool)
+        for c in range(nbr.shape[1]):
+            first = np.full(n, src.size)
+            np.minimum.at(first, src[todo], np.flatnonzero(todo))
+            first = first[first < src.size]
+            nbr[src[first], c] = dst[first]
+            todo[first] = False
+        return cls(n, nbr)
+
+    @property
+    def indices(self) -> np.ndarray:
+        """The matrix's neighbor entries, row by row, padding dropped."""
+        return self.neighbor_matrix[self.neighbor_matrix >= 0]
 
     def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
+        row = self.neighbor_matrix[v]
+        return row[row >= 0]
 
     @cached_property
     def max_degree(self) -> int:
-        return int(np.max(np.diff(self.indptr))) if self.n else 0
-
-    @cached_property
-    def neighbor_matrix(self) -> np.ndarray:
-        """Read-only (n, max_degree) neighbor indices, each row padded with -1.
-
-        Row v lists v's CSR neighbors in order.  Index -1 reads the last entry
-        of an array, so an array of n + 1 values whose last entry is a neutral
-        value can be gathered through this matrix without a mask.
-        """
-        deg = np.diff(self.indptr)
-        nbr = np.full((self.n, self.max_degree), -1, dtype=np.int64)
-        rows = np.repeat(np.arange(self.n), deg)
-        nbr[rows, np.arange(rows.size) - self.indptr[rows]] = self.indices
-        nbr.flags.writeable = False
-        return nbr
+        return int((self.neighbor_matrix >= 0).sum(axis=1).max(initial=0))
 
     def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
+        return int((self.neighbor_matrix[v] >= 0).sum())
 
     def edge_list(self) -> np.ndarray:
         """(m, 2) array of edges with a < b."""
-        src = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        mask = src < self.indices
-        return np.stack([src[mask], self.indices[mask]], axis=1)
+        src, dst = np.nonzero(self.neighbor_matrix >= 0)[0], self.indices
+        mask = src < dst
+        return np.stack([src[mask], dst[mask]], axis=1)
 
 
 def path_graph(n: int) -> FiniteGraph:
@@ -211,12 +215,14 @@ def cycle_graph(n: int) -> FiniteGraph:
 
 @dataclass
 class WindowGraph:
-    """A lattice window with power-graph adjacency, CSR plus interior mask.
+    """A lattice window with power-graph adjacency and an interior mask.
 
-    Two sites are adjacent when 0 < dist(u, v) <= m in the given norm.
-    Vertices whose whole neighborhood escapes the window carry interior=False;
-    graph-generic passes still see them (as lower-degree boundary vertices) but
-    audits only score interior claims.
+    Two sites are adjacent when 0 < dist(u, v) <= m in the given norm.  Column
+    j of the neighbor matrix holds each site's neighbor at the j-th offset of
+    `nonzero_offsets`, or -1 where that neighbor falls outside the window.
+    Vertices whose whole neighborhood does not fit carry interior=False;
+    graph-generic passes still see them (as lower-degree boundary vertices)
+    but audits only score interior claims.
     """
 
     window: Window
@@ -228,31 +234,19 @@ class WindowGraph:
 
     @classmethod
     def build(cls, window: Window, m: int = 1, norm: str = "l1") -> "WindowGraph":
-        d = window.d
-        offs = [o for o in ball_offsets(d, m, norm) if any(c != 0 for c in o)]
-        ext = np.array(window.extent)
-        coords_nd = np.stack([a.ravel() for a in np.indices(window.extent)], axis=1)
-        n = coords_nd.shape[0]
-        strides = np.ones(d, dtype=np.int64)
-        for i in range(d - 2, -1, -1):
-            strides[i] = strides[i + 1] * ext[i + 1]
-        src_all, dst_all = [], []
-        interior = np.ones(n, dtype=bool)
-        for off in offs:
-            shifted = coords_nd + np.array(off)
-            ok = np.all((shifted >= 0) & (shifted < ext), axis=1)
-            interior &= ok
-            idx = np.nonzero(ok)[0]
-            src_all.append(idx)
-            dst_all.append(shifted[idx] @ strides)
-        src = np.concatenate(src_all)
-        dst = np.concatenate(dst_all)
-        order = np.argsort(src, kind="stable")
-        src, dst = src[order], dst[order]
-        indptr = np.searchsorted(src, np.arange(n + 1))
-        g = FiniteGraph(n, indptr, dst)
-        abs_coords = coords_nd + np.array(window.origin)
-        return cls(window, g, interior, abs_coords.astype(np.int64), m, norm)
+        offs = nonzero_offsets(window.d, m, norm)
+        idx = np.arange(window.size).reshape(window.extent)
+        step = np.array(idx.strides) // idx.itemsize  # flat index per unit move
+        nbr = np.full(window.extent + (len(offs),), -1, dtype=np.int64)
+        for j, off in enumerate(offs):
+            # the sites whose neighbor at this offset is inside the window
+            box = tuple(slice(max(-o, 0), max(e - o, 0))
+                        for o, e in zip(off, window.extent))
+            nbr[box + (j,)] = idx[box] + int(np.dot(off, step))
+        nbr = nbr.reshape(window.size, len(offs))
+        coords = np.stack([a.ravel() for a in window.axes()], axis=1).astype(np.int64)
+        return cls(window, FiniteGraph(window.size, nbr), (nbr >= 0).all(axis=1),
+                   coords, m, norm)
 
     def axes(self) -> list[np.ndarray]:
         return [self.coords[:, i] for i in range(self.window.d)]

@@ -45,12 +45,12 @@ def diagonal_rule(du: float, bprime: int) -> int:
     return 0 if du * bprime > 0 else 1
 
 
-def choose_diagonals(s, field, stream_prefix: str = STREAM_PREFIX) -> int:
+def choose_diagonals(s, field) -> int:
     """Diagonal of the unit square with lower-left corner s."""
     x, y = (int(c) for c in s)
     corners = [(x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1)]
-    u = [field.uniform(f"{stream_prefix}:u", c) for c in corners]
-    b = [field.coin(f"{stream_prefix}:b", c) for c in corners]
+    u = [field.uniform(f"{STREAM_PREFIX}:u", c) for c in corners]
+    b = [field.coin(f"{STREAM_PREFIX}:b", c) for c in corners]
     du = (u[0] + u[2]) - (u[1] + u[3])
     return diagonal_rule(du, b[0] * b[1] * b[2] * b[3])
 
@@ -98,13 +98,12 @@ class PercWindow:
         return np.concatenate(rows), np.concatenate(cols)
 
     @classmethod
-    def build(cls, field, window: Window,
-              stream_prefix: str = STREAM_PREFIX) -> "PercWindow":
+    def build(cls, field, window: Window) -> "PercWindow":
         axes = window.axes()
-        u = field.uniform_box(f"{stream_prefix}:u", axes)
-        b = field.coin_box(f"{stream_prefix}:b", axes).astype(np.int64)
-        v = field.uniform_box(f"{stream_prefix}:v", axes)
-        w = field.coin_box(f"{stream_prefix}:w", axes).astype(np.int64)
+        u = field.uniform_box(f"{STREAM_PREFIX}:u", axes)
+        b = field.coin_box(f"{STREAM_PREFIX}:b", axes).astype(np.int64)
+        v = field.uniform_box(f"{STREAM_PREFIX}:v", axes)
+        w = field.coin_box(f"{STREAM_PREFIX}:w", axes).astype(np.int64)
         du = (u[:-1, :-1] + u[1:, 1:]) - (u[1:, :-1] + u[:-1, 1:])
         bprime = b[:-1, :-1] * b[1:, :-1] * b[1:, 1:] * b[:-1, 1:]
         val = du * bprime
@@ -274,32 +273,25 @@ class PercWindow:
         """Cluster id of the surrounding adjacent cluster, or UNKNOWN."""
         return int(self.parent[cid])
 
-    def color_of(self, v) -> int:
-        """Color at v, 0 when the ancestor chain leaves the window."""
-        i, j = self._index(v)
-        return int(self.color[self.labels[i, j]])
-
     def colors_grid(self) -> tuple[np.ndarray, np.ndarray]:
         grid = self.color[self.labels]
         return grid, grid > 0
 
 
-def three2d_window(field, window: Window, *, margin: int = 128,
-                   stream_prefix: str = STREAM_PREFIX):
+def three2d_window(field, window: Window, *, margin: int = 128):
     """Color a window, certifying through a padded surrounding region.
 
     Returns (colors, valid, perc); colors is 0 where the cluster's chain to
     its nearest special ancestor cannot be certified inside the padded
     region.
     """
-    perc = PercWindow.build(field, window.grow(margin), stream_prefix)
+    perc = PercWindow.build(field, window.grow(margin))
     grid, valid = perc.colors_grid()
     core = tuple(slice(margin, margin + e) for e in window.extent)
     return grid[core], valid[core], perc
 
 
-def coding_radii(field, window: Window, *, cap: int = 512, start_half: int = 4,
-                 stream_prefix: str = STREAM_PREFIX):
+def coding_radii(field, window: Window, *, cap: int = 512, start_half: int = 4):
     """Exact per-vertex coding radii over a window, via one shared build.
 
     A box certifies the same chain as the infinite volume exactly when the
@@ -311,7 +303,7 @@ def coding_radii(field, window: Window, *, cap: int = 512, start_half: int = 4,
     margin is sized so censoring is exact, never window-limited.
     """
     margin = cap // 2 + 2
-    perc = PercWindow.build(field, window.grow(margin), stream_prefix)
+    perc = PercWindow.build(field, window.grow(margin))
     core = tuple(slice(margin, margin + e) for e in window.extent)
     lab = perc.labels[core]
     i, j = np.indices(lab.shape)
@@ -329,8 +321,8 @@ def coding_radii(field, window: Window, *, cap: int = 512, start_half: int = 4,
     return np.where(resolved, radii, 0), resolved, colors, perc
 
 
-def three_color_2d(v, field, *, start_half: int = 4, radius_cap: int | None = None,
-                   stream_prefix: str = STREAM_PREFIX) -> tuple[int, int]:
+def three_color_2d(v, field, *, start_half: int = 4,
+                   radius_cap: int | None = None) -> tuple[int, int]:
     """Color at one vertex by growing centered windows until certified.
 
     Windows double in half-width; the answer is window-independent because
@@ -345,9 +337,9 @@ def three_color_2d(v, field, *, start_half: int = 4, radius_cap: int | None = No
     h = start_half
     while 2 * h <= cap:
         win = Window((v[0] - h, v[1] - h), (2 * h + 1, 2 * h + 1))
-        perc = PercWindow.build(field, win, stream_prefix)
+        perc = PercWindow.build(field, win)
         cid = perc.cluster_id(v)
         if perc.color_known[cid]:
             return int(perc.color[cid]), 2 * h
         h *= 2
-    raise BudgetExceeded("radius", cap, stream_prefix, v)
+    raise BudgetExceeded("radius", cap, STREAM_PREFIX, v)

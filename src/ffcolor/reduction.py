@@ -5,9 +5,10 @@ real colors are 1-based.
 
 Two engines compute the same processes:
 
-* window engine: array passes over a finite graph (usually a lattice window
-  in CSR form), carrying a conservative taint mask that marks vertices whose
-  value may differ from the infinite-lattice value because the window ends;
+* window engine: array passes over a finite graph's padded neighbor matrix
+  (usually that of a lattice window), carrying a conservative taint mask that
+  marks vertices whose value may differ from the infinite-lattice value
+  because the window ends;
 * demand engine: per-vertex recursion on the infinite lattice, reading labels
   through whatever field it is handed, so a tracked field yields an honest
   per-query access record.
@@ -19,7 +20,7 @@ color.  Replacement colors always land in [degree+1], strictly below any
 color still waiting to be eliminated, so vertices can be processed one color
 class at a time from the largest class down; within a class members are
 non-adjacent (the input is proper on its finite values) and cannot interact.
-A literal synchronous composition is kept as a test oracle.
+The tests check this against a literal one-pass-per-color composition.
 
 That largest-first pass, like the greedy fallback, is a sequential greedy
 over a vertex order, and it runs in dependency rounds: a vertex waits only
@@ -85,10 +86,6 @@ class AlmostColoring:
     values: np.ndarray  # int64, 0 = infinity
     level: int
     delta: int
-
-    @property
-    def radius_bound(self) -> int:
-        return self.level
 
 
 class FamilyCache:
@@ -166,35 +163,6 @@ def almost_coloring(g, k: int, seq: ColorSequence | None = None,
 # color elimination
 
 
-def eliminate_color(x: np.ndarray, a: int, g: FiniteGraph) -> np.ndarray:
-    """One synchronous pass replacing color a with the least color absent
-    among neighbors.  Unresolved (0) vertices never match a and never block.
-    """
-    if a < 1:
-        raise ValueError("colors are 1-based")
-    nbr = g.neighbor_matrix
-    out = x.copy()
-    members = x == a
-    if not members.any():
-        return out
-    nv = _gather(x, nbr, INF)[members]
-    assigned = np.zeros(int(members.sum()), dtype=np.int64)
-    c = 1
-    while (assigned == 0).any():
-        free = (assigned == 0) & ~(nv == c).any(axis=1)
-        assigned[free] = c
-        c += 1
-    out[members] = assigned
-    return out
-
-
-def eliminate_colors_synchronous(x: np.ndarray, colors, g: FiniteGraph) -> np.ndarray:
-    """Literal composition, colors applied first to last.  Test oracle."""
-    for a in colors:
-        x = eliminate_color(x, a, g)
-    return x
-
-
 def _least_absent(seen) -> int:
     """Least color >= 1 not in `seen`; the 0 sentinel never blocks."""
     c = 1
@@ -247,9 +215,10 @@ def elimination_sweep(w: np.ndarray, g: FiniteGraph, floor: int,
                       taint: np.ndarray | None = None) -> np.ndarray:
     """Eliminate every color above `floor`, largest first, vertex by vertex.
 
-    Equal to composing eliminate_color over colors max(w)..floor+1 downward:
-    replacements land in [floor] and are never re-targeted, and same-color
-    vertices are never adjacent.  `taint` is updated as in `_greedy`.
+    Equal to one synchronous pass per color, max(w) down to floor+1, each
+    giving that color's vertices the least color absent among their
+    neighbors: replacements land in [floor] and are never re-targeted, and
+    same-color vertices are never adjacent.  `taint` is updated as in `_greedy`.
     """
     x = w.astype(np.int64, copy=True)
     todo = np.nonzero(x > floor)[0]
@@ -286,12 +255,6 @@ class TowerWindow:
     kmax: int
     seq: ColorSequence
     fallback_count: int
-
-    @property
-    def radius_bounds(self) -> np.ndarray:
-        """Per-vertex bound n_1 * level + 1; -1 where the fallback ran."""
-        n1 = self.seq.n_k(1)
-        return np.where(self.level > 0, n1 * self.level + 1, -1)
 
 
 def tower_coloring(g, field, delta: int | None = None, kmax: int = 3,

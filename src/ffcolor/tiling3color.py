@@ -139,8 +139,7 @@ def _bernoulli_points(field, stream: str, lo, hi, p: float) -> np.ndarray:
     return np.concatenate(hits).astype(np.int64)
 
 
-def centers(field, j: int, lo, hi, *, density_scale: float = 1.0,
-            stream_prefix: str = STREAM_PREFIX) -> np.ndarray:
+def centers(field, j: int, lo, hi, *, density_scale: float = 1.0) -> np.ndarray:
     """Level-j centers inside [lo, hi), in lexicographic order.
 
     Candidates are Bernoulli(density_scale * 13^(-j*d)) per vertex; a
@@ -155,7 +154,7 @@ def centers(field, j: int, lo, hi, *, density_scale: float = 1.0,
     r = SCALE_BASE ** j
     pad = 4 * r
     p = ScaleSystem(d, density_scale).density(j)
-    pts = _bernoulli_points(field, f"{stream_prefix}:w:{j}", lo - pad, hi + pad, p)
+    pts = _bernoulli_points(field, f"{STREAM_PREFIX}:w:{j}", lo - pad, hi + pad, p)
     if len(pts) == 0:
         return pts
     core = np.all((pts >= lo) & (pts < hi), axis=1)
@@ -707,16 +706,16 @@ class TileForest:
 
 # -- field-driven construction ----------------------------------------------
 
-def _field_coin(field, prefix: str):
-    return lambda c: field.coin(f"{prefix}:coin", c)
+def _field_coin(field):
+    return lambda c: field.coin(f"{STREAM_PREFIX}:coin", c)
 
 
-def _field_h(field, prefix: str):
-    return lambda c: HEX_VERTICES[field.discrete(f"{prefix}:h", c, 6) - 1]
+def _field_h(field):
+    return lambda c: HEX_VERTICES[field.discrete(f"{STREAM_PREFIX}:h", c, 6) - 1]
 
 
 def build_tiles(field, region: Window, maxlevel: int = 8, *,
-                density_scale: float = 1.0, stream_prefix: str = STREAM_PREFIX,
+                density_scale: float = 1.0,
                 known_centers: dict | None = None) -> TileForest:
     """The tile forest generated by all centers inside `region`.
 
@@ -731,17 +730,14 @@ def build_tiles(field, region: Window, maxlevel: int = 8, *,
         if known_centers and j in known_centers:
             pts = np.asarray(known_centers[j], dtype=np.int64)
         else:
-            pts = centers(field, j, lo, hi, density_scale=density_scale,
-                          stream_prefix=stream_prefix)
+            pts = centers(field, j, lo, hi, density_scale=density_scale)
         by_level[j] = pts
     return TileForest(len(region.extent), lo, hi, by_level,
-                      coin_fn=_field_coin(field, stream_prefix),
-                      h_fn=_field_h(field, stream_prefix))
+                      coin_fn=_field_coin(field), h_fn=_field_h(field))
 
 
 def threegen_window(field, window: Window, *, maxlevel: int = 8,
-                    density_scale: float = 1.0, margin: int = 0,
-                    stream_prefix: str = STREAM_PREFIX
+                    density_scale: float = 1.0, margin: int = 0
                     ) -> tuple[np.ndarray, np.ndarray, TileForest]:
     """Root-closed coloring of a window: every covered vertex gets a color.
 
@@ -750,8 +746,7 @@ def threegen_window(field, window: Window, *, maxlevel: int = 8,
     the infinite-volume process; the per-vertex query keeps true semantics.
     """
     region = window.grow(margin) if margin else window
-    forest = build_tiles(field, region, maxlevel, density_scale=density_scale,
-                         stream_prefix=stream_prefix)
+    forest = build_tiles(field, region, maxlevel, density_scale=density_scale)
     forest.assign_colorings(root_closure=True)
     colors, valid = forest.colors_grid(window)
     return colors, valid, forest
@@ -783,7 +778,6 @@ def _stage_zones(d: int, level: int) -> dict[int, tuple[int, int]]:
 
 def three_color_general(v, d: int, field, *, density_scale: float = 1.0,
                         radius_cap: int | None = None,
-                        stream_prefix: str = STREAM_PREFIX,
                         centers_source=None, coin_fn=None, h_fn=None
                         ) -> tuple[int, int]:
     """Color of one vertex under the true (un-closed) chain semantics.
@@ -799,12 +793,11 @@ def three_color_general(v, d: int, field, *, density_scale: float = 1.0,
     cap = DEFAULT_BUDGET.radius_cap if radius_cap is None else radius_cap
     if centers_source is None:
         centers_source = lambda fld, j, lo, hi: centers(
-            fld, j, lo, hi, density_scale=density_scale,
-            stream_prefix=stream_prefix)
+            fld, j, lo, hi, density_scale=density_scale)
     if coin_fn is None:
-        coin_fn = _field_coin(field, stream_prefix)
+        coin_fn = _field_coin(field)
     if h_fn is None:
-        h_fn = _field_h(field, stream_prefix)
+        h_fn = _field_h(field)
     base = np.asarray(v, dtype=np.int64)
 
     level = 0
@@ -813,7 +806,7 @@ def three_color_general(v, d: int, field, *, density_scale: float = 1.0,
         zones = _stage_zones(d, level)
         reach = max(d * (half + pad) for half, pad in zones.values())
         if reach > cap:
-            raise BudgetExceeded("radius", cap, f"{stream_prefix}:w:{level}", v)
+            raise BudgetExceeded("radius", cap, f"{STREAM_PREFIX}:w:{level}", v)
         by_level = {}
         for j, (half, _) in zones.items():
             by_level[j] = centers_source(field, j, base - half, base + half + 1)

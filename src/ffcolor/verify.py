@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import Window, ball_offsets
+from .lattice import Window, ball_offsets, nonzero_offsets
 
 VIOLATION_CAP = 10_000
 
@@ -66,13 +66,8 @@ def _coerce(w):
 
 def _positive_offsets(d: int, m: int, norm: str) -> list[tuple[int, ...]]:
     """One representative per +/- pair of nonzero ball offsets."""
-    out = []
-    for off in ball_offsets(d, m, norm):
-        if any(c != 0 for c in off):
-            nz = next(c for c in off if c != 0)
-            if nz > 0:
-                out.append(off)
-    return out
+    return [off for off in nonzero_offsets(d, m, norm)
+            if next(c for c in off if c) > 0]
 
 
 def _shift_slices(shape, off):

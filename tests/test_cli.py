@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffcolor import cli
 from ffcolor.cli import PALETTE, _sample_vertices, main, read_ppm, write_ppm
@@ -44,6 +46,54 @@ def test_ppm_rejects_foreign_pixels(tmp_path):
     from ffcolor.cli import ConfigError
     with pytest.raises(ConfigError):
         read_ppm(p)
+
+
+@pytest.mark.parametrize("raw", [b"P6\n# x", b"P6\nx 2\n255\n", b"P6\n3 ", b"P6 3 2",
+                                 b"P6\n0 2\n255\n", b"", b"P5\n1 1\n255\n\0"])
+def test_malformed_ppm_is_config_error(tmp_path, raw):
+    p = tmp_path / "bad.ppm"
+    p.write_bytes(raw)
+    from ffcolor.cli import ConfigError
+    with pytest.raises(ConfigError):
+        read_ppm(p)
+    assert run("verify", "--image", p) == 2
+
+
+def test_verify_missing_image_exits_2(tmp_path):
+    assert run("verify", "--image", tmp_path / "absent.ppm") == 2
+
+
+@pytest.fixture(scope="module")
+def valid_ppm(tmp_path_factory):
+    """(scratch directory, bytes of a 6x5 proper 5-coloring image)."""
+    root = tmp_path_factory.mktemp("ppm")
+    x, y = np.indices((6, 5))
+    write_ppm(root / "valid.ppm", (x + 2 * y) % 5 + 1)
+    return root, (root / "valid.ppm").read_bytes()
+
+
+# a cut after some byte, or one to three bytes XORed with nonzero masks;
+# positions are taken modulo the file length
+DAMAGE = st.one_of(
+    st.integers(0, 10**6).map(lambda n: ("cut", n)),
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)),
+             min_size=1, max_size=3).map(lambda flips: ("flip", flips)))
+
+
+@given(DAMAGE, st.sampled_from(["coloring", "three-coloring", "net"]))
+@settings(max_examples=150, deadline=None)
+def test_verify_never_raises_on_damaged_ppm(valid_ppm, damage, kind):
+    root, raw = valid_ppm
+    how, arg = damage
+    if how == "cut":
+        raw = raw[:arg % len(raw)]
+    else:
+        raw = bytearray(raw)
+        for i, mask in arg:
+            raw[i % len(raw)] ^= mask
+    p = root / "damaged.ppm"
+    p.write_bytes(bytes(raw))
+    assert run("verify", "--image", p, "--kind", kind) in (0, 1, 2)
 
 
 def test_ppm_1d_is_one_row_high(tmp_path):
@@ -292,6 +342,30 @@ def test_sft_generate_writes_members_and_refuses_lattice(tmp_path):
 
 def test_sft_missing_specfile_is_config_error(tmp_path):
     assert run("sft", "classify", tmp_path / "absent.txt") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sft", "generate", "SPEC", "--length", "0", "--out", "OUT"],
+    ["stats", "--construction", "tower", "--cap", "0", "--out", "OUT"],
+    ["stats", "--construction", "tower", "--samples", "0", "--out", "OUT"],
+    ["stats", "--construction", "threegen", "--density-scale", "0", "--out", "OUT"],
+    ["color", "--construction", "tower", "--window", "0,0,4,4", "--kmax", "-1",
+     "--out", "OUT"],
+    ["color", "--construction", "threegen", "--window", "0,0,4,4", "--margin", "-3",
+     "--out", "OUT"],
+    ["color", "--construction", "threegen", "--window", "0,0,4,4", "--maxlevel", "0",
+     "--out", "OUT"],
+    ["color", "--construction", "three2d", "--window", "0,0,4,4", "--cap", "x",
+     "--out", "OUT"],
+])
+def test_bad_numeric_flag_exits_2(tmp_path, argv):
+    spec = tmp_path / "c3.txt"
+    spec.write_text(COL3)
+    subs = {"SPEC": spec, "OUT": tmp_path / "out"}
+    with pytest.raises(SystemExit) as e:
+        run(*[subs.get(a, a) for a in argv])
+    assert e.value.code == 2
+    assert not any(tmp_path.glob("out*"))
 
 
 def test_palette_is_injective():
