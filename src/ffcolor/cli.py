@@ -52,6 +52,12 @@ COLOR_DIMS = {"tower": (1, 2), "four": (2,), "three2d": (2,),
               "threegen": (1, 2), "baseline4": (2,)}
 STATS_CONSTRUCTIONS = ("tower", "three2d", "threegen", "baseline4")
 
+# A window larger than this could not be held in memory as one array, and
+# coordinates beyond COORD_LIMIT would wrap in the int64 arrays of the window
+# engines once margins are added.
+MAX_WINDOW_SITES = 1 << 32
+COORD_LIMIT = 1 << 62
+
 
 class ConfigError(Exception):
     pass
@@ -115,8 +121,9 @@ def _write_json(path, payload: dict) -> None:
 
 # -- color ----------------------------------------------------------------------
 
-def _at_least(low, kind=int, strict: bool = False):
-    """argparse type: a `kind` number >= low, or > low when strict."""
+def _at_least(low, kind=int, strict: bool = False, high=None):
+    """argparse type: a `kind` number >= low, or > low when strict, and
+    <= high when high is given."""
     def parse(text: str):
         try:
             x = kind(text)
@@ -125,13 +132,15 @@ def _at_least(low, kind=int, strict: bool = False):
         if not (x > low if strict else x >= low):
             raise argparse.ArgumentTypeError(
                 f"{text} is not {'>' if strict else '>='} {low}")
+        if high is not None and not x <= high:
+            raise argparse.ArgumentTypeError(f"{text} is not <= {high}")
         return x
     return parse
 
 
 _POSITIVE = _at_least(1)
 _NONNEGATIVE = _at_least(0)
-_POSITIVE_REAL = _at_least(0, float, strict=True)
+_UNIT_REAL = _at_least(0, float, strict=True, high=1)
 
 
 def _parse_window(text: str, d: int) -> Window:
@@ -143,9 +152,16 @@ def _parse_window(text: str, d: int) -> Window:
         raise ConfigError(f"window needs {2 * d} integers for d={d} "
                           "(origin then extents)")
     try:
-        return Window(tuple(parts[:d]), tuple(parts[d:]))
+        window = Window(tuple(parts[:d]), tuple(parts[d:]))
     except ValueError as e:
         raise ConfigError(str(e))
+    if window.size > MAX_WINDOW_SITES:
+        raise ConfigError(f"window has {window.size} sites; at most "
+                          f"{MAX_WINDOW_SITES} are supported")
+    if any(abs(o) >= COORD_LIMIT or abs(o + e) >= COORD_LIMIT
+           for o, e in zip(window.origin, window.extent)):
+        raise ConfigError(f"window coordinates must lie within +-{COORD_LIMIT}")
+    return window
 
 
 def _run_color(args, field, window):
@@ -373,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--kmax", type=_POSITIVE, default=3, help="tower levels")
     c.add_argument("--cap", type=_POSITIVE, default=512, help="radius cap (three2d)")
     c.add_argument("--maxlevel", type=_POSITIVE, default=2, help="tiling levels")
-    c.add_argument("--density-scale", type=_POSITIVE_REAL, default=1 / 32,
-                   help="tiling seed-density multiplier")
+    c.add_argument("--density-scale", type=_UNIT_REAL, default=1 / 32,
+                   help="tiling seed-density multiplier, in (0, 1]")
     c.add_argument("--margin", type=_NONNEGATIVE, default=64,
                    help="context margin (threegen, baseline4)")
     c.add_argument("--radius-budget", type=int, default=None,
@@ -401,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--samples", type=_POSITIVE, default=1000)
     s.add_argument("--cap", type=_POSITIVE, default=512)
-    s.add_argument("--density-scale", type=_POSITIVE_REAL, default=1 / 32)
+    s.add_argument("--density-scale", type=_UNIT_REAL, default=1 / 32)
     s.add_argument("--out", default="out/radii.csv")
     s.add_argument("--plot", default=None, help="also write (r, survival) pairs")
     s.set_defaults(fn=cmd_stats)

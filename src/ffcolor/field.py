@@ -25,12 +25,23 @@ the `u64` value, computed in LabelField alone, so a tracked read records
 exactly one access and a perturbed read picks base or alt once, at the `u64`.
 The bulk primitives return a new array on every call, which the derived reads
 convert in place.
+
+Stream state is cached.  `stream_key` is memoized per stream name (the
+package uses a few dozen names; the memo is bounded all the same), and each
+LabelField keeps its per-stream start value `mix64(seed ^ stream_key(stream))`
+in a dict, so a scalar read does one `mix64` per coordinate and no FNV pass.
+This is safe because a label is a pure function of (seed, stream, coords): the
+start value depends on nothing else, a field's seed is fixed when it is made,
+and the cache is per field, so fields of different seeds never share an entry.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
+from operator import sub
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,6 +67,7 @@ def mix64(h: int) -> int:
     return h
 
 
+@lru_cache(maxsize=1024)
 def stream_key(stream: str) -> int:
     """FNV-1a over the stream name's utf-8 bytes."""
     h = _FNV_OFFSET
@@ -125,11 +137,21 @@ class LabelField:
 
     def __init__(self, seed: int):
         self.seed = seed & MASK64
+        self._starts: dict[str, int] = {}
+
+    def _start(self, stream: str) -> int:
+        """The hash state before any coordinate: mix64(seed ^ stream_key)."""
+        h = self._starts.get(stream)
+        if h is None:
+            h = self._starts[stream] = mix64(self.seed ^ stream_key(stream))
+        return h
 
     # -- scalar path ------------------------------------------------------
 
     def u64(self, stream: str, coords: Sequence[int]) -> int:
-        h = mix64(self.seed ^ stream_key(stream))
+        h = self._starts.get(stream)
+        if h is None:
+            h = self._start(stream)
         for c in coords:
             h = mix64(h ^ (int(c) & MASK64))
         return h
@@ -146,8 +168,7 @@ class LabelField:
         """Uniform value in {1, ..., n} via ceil(n * U)."""
         if n < 1:
             raise ValueError("discrete needs n >= 1")
-        u = self.uniform(stream, coords)
-        k = int(np.ceil(n * u))
+        k = math.ceil(n * self.uniform(stream, coords))
         return min(max(k, 1), n)
 
     # -- vectorized path (bit-identical to the scalar path) ----------------
@@ -155,7 +176,7 @@ class LabelField:
     def u64_grid(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
         """Hash broadcast coordinate arrays; axes[i] is the i-th coordinate."""
         shape = np.broadcast_shapes(*(np.shape(a) for a in axes))
-        h = np.full(shape, mix64(self.seed ^ stream_key(stream)), dtype=np.uint64)
+        h = np.full(shape, self._start(stream), dtype=np.uint64)
         for a in axes:
             h = _mix64_arr(h ^ np.asarray(a, dtype=np.int64).astype(np.uint64))
         return h
@@ -210,14 +231,17 @@ class Tracker:
         if self.access_count > self.budget.access_cap:
             raise BudgetExceeded("access", self.budget.access_cap, stream, where)
 
-    def _reach(self, coords: tuple) -> int:
-        return sum(abs(int(c) - o) for c, o in zip(coords, self.origin))
-
     def record(self, stream: str, coords: tuple, spatial: bool = True) -> None:
-        self._bump(1, stream, coords)
-        self.points.setdefault(stream, set()).add(coords)
+        """Record one point; coords must be a tuple of Python ints."""
+        self.access_count += 1
+        if self.access_count > self.budget.access_cap:
+            raise BudgetExceeded("access", self.budget.access_cap, stream, coords)
+        pts = self.points.get(stream)
+        if pts is None:
+            pts = self.points[stream] = set()
+        pts.add(coords)
         if spatial:
-            r = self._reach(coords)
+            r = sum(map(abs, map(sub, coords, self.origin)))
             if r > self.radius:
                 if r > self.budget.radius_cap:
                     raise BudgetExceeded("radius", self.budget.radius_cap, stream, coords)
@@ -256,6 +280,7 @@ class Tracker:
 NONSPATIAL_PREFIXES = ("family:", "fixture:")
 
 
+@lru_cache(maxsize=1024)
 def is_spatial(stream: str) -> bool:
     return not stream.startswith(NONSPATIAL_PREFIXES)
 
@@ -275,8 +300,8 @@ class TrackedField:
         self.seed = base.seed
 
     def u64(self, stream: str, coords: Sequence[int]) -> int:
-        c = tuple(int(x) for x in coords)
-        self.tracker.record(stream, c, spatial=is_spatial(stream))
+        c = tuple(map(int, coords))
+        self.tracker.record(stream, c, is_spatial(stream))
         return self.base.u64(stream, c)
 
     def u64_box(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:

@@ -38,6 +38,7 @@ depend on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,26 +318,28 @@ class TowerQuery:
         self.seq = color_sequence(self.delta, self.kmax)
         self.kmax = min(self.kmax, self.seq.kmax)
         self.prefix = stream_prefix
-        self._u: dict[tuple, float] = {}
+        self._labels: dict[tuple, tuple[int, ...]] = {}
         self._z: dict[tuple, int] = {}
         self._x: dict[tuple, int] = {}
         self._rows: dict[tuple, np.ndarray] = {}
         self._fb: dict[tuple, int] = {}
 
-    # one uniform per site, shared by every level's base label
-    def _uni(self, v) -> float:
-        if v not in self._u:
-            self._u[v] = float(self.fld.uniform(f"{self.prefix}:u", v))
-        return self._u[v]
-
-    def _label(self, k: int, v) -> int:
-        nk = self.seq.n_k(k)
-        return min(max(int(np.ceil(nk * self._uni(v))), 1), nk)
+    def _label_row(self, v) -> tuple[int, ...]:
+        """Site v's base label at every level k (entry k), from its one uniform:
+        ceil(n_k * u) clipped to [n_k], as `discrete_box` computes it.
+        """
+        row = self._labels.get(v)
+        if row is None:
+            u = float(self.fld.uniform(f"{self.prefix}:u", v))
+            ns = self.seq.n[:self.kmax]
+            row = self._labels[v] = (0,) + tuple(min(max(math.ceil(nk * u), 1), nk)
+                                                 for nk in ns)
+        return row
 
     def _base(self, k: int, v) -> int:
-        mine = self._label(k, v)
+        mine = self._label_row(v)[k]
         for u in self.spec.neighbors(v):
-            if self._label(k, u) == mine:
+            if self._label_row(u)[k] == mine:
                 return INF
         return mine
 

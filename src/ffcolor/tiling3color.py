@@ -146,7 +146,7 @@ def centers(field, j: int, lo, hi, *, density_scale: float = 1.0) -> np.ndarray:
     candidate with any other candidate within 1-norm distance 4*13^j
     (inclusive) is dropped, and so is that other candidate.  The scan pads
     the box by 4*13^j so every returned center's exclusion certificate is
-    complete.
+    complete.  A density outside [0, 1] raises ValueError.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=np.int64))
     hi = np.atleast_1d(np.asarray(hi, dtype=np.int64))
@@ -154,6 +154,8 @@ def centers(field, j: int, lo, hi, *, density_scale: float = 1.0) -> np.ndarray:
     r = SCALE_BASE ** j
     pad = 4 * r
     p = ScaleSystem(d, density_scale).density(j)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"level-{j} center density {p} is not in [0, 1]")
     pts = _bernoulli_points(field, f"{STREAM_PREFIX}:w:{j}", lo - pad, hi + pad, p)
     if len(pts) == 0:
         return pts

@@ -2,6 +2,9 @@
 codes, byte-stable reruns, and audit wiring."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +142,37 @@ def test_bad_window_string_is_config_error(tmp_path):
                "--window", "0,0,banana,8", "--out", tmp_path / "x") == 2
     assert run("color", "--construction", "baseline4", "--d", "2",
                "--window", "0,0,8", "--out", tmp_path / "x") == 2
+
+
+@pytest.mark.parametrize("construction,window", [
+    ("tower", "0,0,99999999999,99999999999"),
+    ("threegen", "0,0,99999999999,99999999999"),
+    ("baseline4", "0,0,65536,65537"),
+    ("tower", "99999999999999999999,0,8,8"),
+    ("four", "0,-4611686018427387904,8,8"),
+])
+def test_oversized_window_is_config_error(tmp_path, capsys, construction, window):
+    # refused while parsing, before any array is allocated
+    assert run("color", "--construction", construction, "--d", "2",
+               f"--window={window}", "--out", tmp_path / "x") == 2
+    assert "config error: window" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_density_scale_one_is_accepted(tmp_path):
+    assert run("color", "--construction", "threegen", "--d", "1",
+               "--window", "0,8", "--density-scale", "1", "--maxlevel", "1",
+               "--margin", "0", "--out", tmp_path / "x") == 0
+
+
+def test_python_dash_m_runs_cli():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-m", "ffcolor", "--help"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "usage: ffcolor" in out.stdout
 
 
 def test_unknown_construction_exits_2(capsys):
@@ -357,6 +391,12 @@ def test_sft_missing_specfile_is_config_error(tmp_path):
      "--out", "OUT"],
     ["color", "--construction", "three2d", "--window", "0,0,4,4", "--cap", "x",
      "--out", "OUT"],
+    ["stats", "--construction", "threegen", "--density-scale", "1.5", "--out", "OUT"],
+    ["stats", "--construction", "threegen", "--density-scale", "nan", "--out", "OUT"],
+    ["color", "--construction", "threegen", "--window", "0,0,8,8",
+     "--density-scale", "inf", "--out", "OUT"],
+    ["color", "--construction", "threegen", "--window", "0,0,8,8",
+     "--density-scale", "1e6", "--out", "OUT"],
 ])
 def test_bad_numeric_flag_exits_2(tmp_path, argv):
     spec = tmp_path / "c3.txt"

@@ -7,6 +7,7 @@ from ffcolor.field import (
     Budget,
     BudgetExceeded,
     LabelField,
+    MASK64,
     PerturbedField,
     Tracker,
     TrackedField,
@@ -177,3 +178,62 @@ def test_replay_through_perturbation_reproduces_value():
     ev = tracked(fn, base, origin=(0, 0))
     replay = fn(PerturbedField(base, ev.tracker, alt))
     assert replay == ev.value
+
+
+# -- cached stream state ----------------------------------------------------------
+
+# u64 values read from the field before its stream state was cached
+PINNED_U64 = {
+    (0, "coin", (0, 0)): 0x60EDE40F51331402,
+    (0, "tower:u", (3, -5)): 0x6DE348916679E449,
+    (0, "family:d4/l1", (12, 2)): 0x44CBB58B3474F741,
+    (0, "u", (-1,)): 0x52EDF04F6C62C1E5,
+    (7, "coin", (0, 0)): 0x1F88A21E0596ADAB,
+    (7, "tower:u", (3, -5)): 0x11955C21C9702A1F,
+    (7, "baseline:sign", (10**6, -10**6)): 0x44F7FC0D0C83CDCC,
+    (2**64 - 1, "coin", (0, 0)): 0x53C2619DD2E5790,
+    (2**64 - 1, "family:d4/l1", (12, 2)): 0x6A7698F996613722,
+    (2**64 - 1, "u", (-1,)): 0x12B723B31C6943EA,
+}
+CACHE_SEEDS = (0, 7, 2**64 - 1, 12345)
+
+
+def _reference_u64(seed: int, stream: str, coords) -> int:
+    h = mix64(seed ^ stream_key(stream))
+    for c in coords:
+        h = mix64(h ^ (c & MASK64))
+    return h
+
+
+_stream = st.one_of(st.sampled_from(["coin", "tower:u", "family:d4/l1", "u", "tower:prio"]),
+                    st.text(alphabet="ab:/1", max_size=4))
+_coord = st.one_of(st.integers(-10**6, 10**6), st.integers(-2**63, 2**63 - 1))
+_read = st.tuples(st.integers(0, len(CACHE_SEEDS) - 1), _stream,
+                  st.lists(_coord, min_size=1, max_size=3).map(tuple),
+                  st.sampled_from(["u64", "uniform", "coin", "discrete"]),
+                  st.integers(1, 1000))
+
+
+@given(st.lists(_read, min_size=1, max_size=30))
+@settings(max_examples=150, deadline=None)
+def test_cached_stream_state_keeps_every_scalar_read(reads):
+    # several fields read the same streams in alternation, plain and tracked
+    fields = [LabelField(s) for s in CACHE_SEEDS]
+    budget = Budget(radius_cap=2**70)
+    tracked_fields = [TrackedField(f, Tracker((0, 0, 0), budget)) for f in fields]
+    for i, stream, c, kind, n in reads:
+        f, tf = fields[i], tracked_fields[i]
+        axes = [np.array([x]) for x in c]
+        h = _reference_u64(CACHE_SEEDS[i], stream, c)
+        assert f.u64_grid(stream, axes)[0] == h
+        extra = (n,) if kind == "discrete" else ()
+        want = getattr(f, f"{kind}_grid")(stream, axes, *extra)[0]
+        before = tf.tracker.access_count
+        assert getattr(f, kind)(stream, c, *extra) == want
+        assert getattr(tf, kind)(stream, c, *extra) == want
+        assert tf.tracker.access_count == before + 1 and tf.tracker.covers(stream, c)
+    for (seed, stream, c), h in PINNED_U64.items():
+        i = CACHE_SEEDS.index(seed)
+        assert fields[i].u64(stream, c) == h
+        assert tracked_fields[i].u64(stream, c) == h
+        assert fields[i].u64_grid(stream, [np.array([x]) for x in c])[0] == h

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffcolor.covfree import ColorSequence, build_cover_free_family
-from ffcolor.field import Budget, BudgetExceeded, LabelField, tracked
+from ffcolor.field import Budget, BudgetExceeded, LabelField, PerturbedField, tracked
 from ffcolor.lattice import (
     FiniteGraph,
     LatticeSpec,
@@ -28,6 +28,7 @@ from ffcolor.reduction import (
     MNet,
     NetQuery,
     TowerQuery,
+    tower_color_at,
     almost_coloring,
     dilate_mask,
     elimination_sweep,
@@ -418,6 +419,48 @@ def test_tower_tracked_radius_within_bound():
         if lv > 0:
             assert ev.radius <= n1 * lv + 1
         assert ev.access_count > 0
+
+
+# On the line (degree 2, n = 39, 42, 56) levels 2 and 3 and the greedy
+# fallback each decide a few percent of sites, so 300 consecutive sites reach
+# all three, and some fallback region holds two sites.  At seed 18 the
+# fallback's priority labels decide some answers, so a tracker that dropped
+# them would fail the replay.
+REPLAY_SPEC = LatticeSpec(1, 1, "l1")
+REPLAY_SITES = [(x,) for x in range(-150, 150)]
+
+
+def _replays(fn, base, alt, v):
+    """fn's answer tracked on base, and rerun on base-where-read, alt elsewhere."""
+    ev = tracked(fn, base, v, Budget())
+    return ev.value, fn(PerturbedField(base, ev.tracker, alt))
+
+
+def _assert_levels_reached(q: TowerQuery):
+    level = {v: q.color(v)[1] for v in REPLAY_SITES}
+    assert {0, 2, 3} <= set(level.values())
+    assert any(level[(x,)] == level[(x + 1,)] == 0 for x in range(-150, 149))
+
+
+def test_tower_demand_replays_through_perturbation():
+    base, alt = LabelField(18), LabelField(1018)
+    for v in REPLAY_SITES:
+        fn = lambda f: tower_color_at(f, v, REPLAY_SPEC)
+        first, replay = _replays(fn, base, alt, v)
+        assert first == replay == fn(base), v
+    _assert_levels_reached(TowerQuery(base, REPLAY_SPEC))
+
+
+def test_net_demand_replays_through_perturbation():
+    base, alt = LabelField(18), LabelField(1018)
+    ones = 0
+    for v in REPLAY_SITES:
+        fn = lambda f: NetQuery(f, REPLAY_SPEC).indicator(v)
+        first, replay = _replays(fn, base, alt, v)
+        assert first == replay == fn(base), v
+        ones += first
+    assert 0 < ones < len(REPLAY_SITES)
+    _assert_levels_reached(TowerQuery(base, REPLAY_SPEC, stream_prefix="net"))
 
 
 def test_tower_budget_enforced():

@@ -85,6 +85,13 @@ def test_center_thinning_matches_bruteforce_1d():
     assert len(got) >= 10
 
 
+@pytest.mark.parametrize("scale", [13.5, 1e6, float("inf"), float("nan")])
+def test_centers_refuse_density_above_one(scale):
+    # 13.5 * 13^-1 > 1 at level 1 in d = 1; refused before any label is read
+    with pytest.raises(ValueError, match="density"):
+        centers(LabelField(1), 1, (0,), (8,), density_scale=scale)
+
+
 def test_center_thinning_matches_bruteforce_2d():
     f = LabelField(22)
     got = {tuple(p) for p in centers(f, 1, (0, 0), (600, 600),
