@@ -7,7 +7,9 @@ it stood before the tower passes were vectorized (dependency-round greedy,
 word-scan `reduce_min`, levels k >= 2 restricted to unresolved sites); the
 four, baseline4, three2d and threegen window digests and the demand-engine
 digests were computed before the lattice adjacency became a padded neighbor
-matrix.  None has been recomputed since.
+matrix.  None has been recomputed since.  The percolation build's internal
+arrays (cluster and face ids, parents, sign labels, chain distances, colors
+and requirement boxes) were pinned before the build was vectorized.
 
 A digest covers each array's dtype, shape and bytes, in the order listed.  A
 demand digest covers one (value, radius, access_count) row per query site,
@@ -23,7 +25,7 @@ from ffcolor.field import LabelField, tracked
 from ffcolor.fourcolor import baseline_percolation_4color, baseline_window, \
     four_color_window
 from ffcolor.lattice import FiniteGraph, LatticeSpec, Window, WindowGraph
-from ffcolor.perc3color import coding_radii, three_color_2d
+from ffcolor.perc3color import PercWindow, coding_radii, three_color_2d
 from ffcolor.reduction import NetQuery, net_window, tower_color_at, tower_coloring
 from ffcolor.sft import coloring_spec, generate
 from ffcolor.tiling3color import threegen_window
@@ -118,6 +120,17 @@ def test_coding_radii_digest():
     radii, resolved, colors, _ = coding_radii(LabelField(3), Window((5, -9), (16, 16)),
                                               cap=128)
     assert _digest(radii, resolved, colors) == CODING_RADII
+
+
+PERC_BUILD = "8ebfe4a180557028dba2290e82175da200ebe5b50ba08cfcf47bcad25e2009d3"
+
+
+def test_perc_build_internals_digest():
+    perc = PercWindow.build(LabelField(9), Window((0, 0), (769, 769)))
+    # chains three steps long to a special ancestor are part of what is pinned
+    assert perc.dist.max() == 3
+    assert _digest(perc.labels, perc.face, perc.parent, perc.ylabel, perc.special,
+                   perc.dist, perc.color, perc.req_lo, perc.req_hi) == PERC_BUILD
 
 
 def test_threegen_window_digest():
