@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .field import DEFAULT_BUDGET, BudgetExceeded
@@ -34,9 +34,29 @@ STREAM_PREFIX = "three2d"
 UNKNOWN = -1
 
 
-def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[int, np.ndarray]:
-    m = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
-    return connected_components(m, directed=False)
+def _index_dtype(n: int):
+    """int32 when every vertex id of an n-vertex graph fits in it."""
+    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
+
+
+def _components(nbr: np.ndarray) -> tuple[int, np.ndarray]:
+    """Connected components of the graph with padded neighbor matrix `nbr`.
+
+    Row v lists neighbors of v and -1 fills the unused slots; listing each
+    edge from one end suffices.  Ids number the components in order of
+    their least vertex.
+    """
+    n = len(nbr)
+    used = nbr >= 0
+    count = np.zeros(n, dtype=nbr.dtype)
+    for col in used.T:
+        count += col
+    indptr = np.zeros(n + 1, dtype=nbr.dtype)
+    np.cumsum(count, out=indptr[1:])
+    indices = nbr[used]
+    del nbr, used, count
+    graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    return connected_components(graph, directed=False)
 
 
 def diagonal_rule(du: float, bprime: int) -> int:
@@ -71,7 +91,7 @@ class PercWindow:
         nx, ny = (int(e) for e in window.extent)
         if diag.shape != (nx - 1, ny - 1):
             raise ValueError("diagonal grid must have one entry per unit square")
-        self.nclusters, labels = _components(nx * ny, *self._diag_edges(diag, ny))
+        self.nclusters, labels = _components(self._diag_neighbors(diag, nx, ny))
         self.labels = labels.reshape(nx, ny)
 
         rim = np.zeros((nx, ny), dtype=bool)
@@ -88,27 +108,50 @@ class PercWindow:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def _diag_edges(diag: np.ndarray, ny: int):
-        i, j = np.nonzero(diag == 0)
-        rows = [i * ny + j]
-        cols = [(i + 1) * ny + (j + 1)]
-        i, j = np.nonzero(diag == 1)
-        rows.append((i + 1) * ny + j)
-        cols.append(i * ny + (j + 1))
-        return np.concatenate(rows), np.concatenate(cols)
+    def _diag_neighbors(diag: np.ndarray, nx: int, ny: int) -> np.ndarray:
+        # each drawn diagonal listed from its lower end: slot 0 of (i, j)
+        # holds the rising diagonal of square (i, j), slot 1 of (i + 1, j)
+        # the falling one
+        vid = np.arange(nx * ny, dtype=_index_dtype(nx * ny)).reshape(nx, ny)
+        nbr = np.full((nx, ny, 2), -1, dtype=vid.dtype)
+        nbr[:-1, :-1, 0] = np.where(diag == 0, vid[1:, 1:], -1)
+        nbr[1:, :-1, 1] = np.where(diag == 1, vid[:-1, 1:], -1)
+        return nbr.reshape(nx * ny, 2)
 
     @classmethod
     def build(cls, field, window: Window) -> "PercWindow":
         axes = window.axes()
-        u = field.uniform_box(f"{STREAM_PREFIX}:u", axes)
-        b = field.coin_box(f"{STREAM_PREFIX}:b", axes).astype(np.int64)
+        diag, ties = cls._diagonals(field, axes)
         v = field.uniform_box(f"{STREAM_PREFIX}:v", axes)
-        w = field.coin_box(f"{STREAM_PREFIX}:w", axes).astype(np.int64)
+        w = field.coin_box(f"{STREAM_PREFIX}:w", axes)
+        del axes
+        return cls(window, diag, v, w, ties=ties)
+
+    @staticmethod
+    def _diagonals(field, axes) -> tuple[np.ndarray, int]:
+        """Diagonal of every unit square (the grid form of choose_diagonals)
+        and the number of exact ties."""
+        u = field.uniform_box(f"{STREAM_PREFIX}:u", axes)
+        b = field.coin_box(f"{STREAM_PREFIX}:b", axes)
         du = (u[:-1, :-1] + u[1:, 1:]) - (u[1:, :-1] + u[:-1, 1:])
         bprime = b[:-1, :-1] * b[1:, :-1] * b[1:, 1:] * b[:-1, 1:]
         val = du * bprime
-        diag = np.where(val > 0, 0, 1).astype(np.int8)
-        return cls(window, diag, v, w, ties=int((val == 0).sum()))
+        return np.where(val > 0, 0, 1).astype(np.int8), int((val == 0).sum())
+
+    @staticmethod
+    def _face_neighbors(diag: np.ndarray) -> np.ndarray:
+        # each gluing listed from its west or south triangle: slot 0 of an
+        # east triangle holds the west triangle of the square to the east,
+        # slot 1 of a north triangle the south triangle of the square above
+        nsx, nsy = diag.shape
+        ntri = 2 * nsx * nsy
+        tri = np.arange(ntri, dtype=_index_dtype(ntri)).reshape(nsx, nsy, 2)
+        nbr = np.full((nsx, nsy, 2, 2), -1, dtype=tri.dtype)
+        nbr[:-1, :, 1, 0] = tri[1:, :, 0]
+        south = tri[:, 1:, 1] - diag[:, 1:]
+        nbr[:, :-1, 0, 1] = np.where(diag[:, :-1] == 0, south, -1)
+        nbr[:, :-1, 1, 1] = np.where(diag[:, :-1] == 1, south, -1)
+        return nbr.reshape(ntri, 2)
 
     def _build_faces(self, nx: int, ny: int) -> None:
         # triangle 2*sq+0 touches the square's west side, 2*sq+1 its east
@@ -117,11 +160,8 @@ class PercWindow:
         # drawn diagonal.
         nsx, nsy = nx - 1, ny - 1
         diag = self.diag
+        self.nfaces, self.face = _components(self._face_neighbors(diag))
         sq = np.arange(nsx * nsy).reshape(nsx, nsy)
-        rows = [2 * sq[:-1, :].ravel() + 1, 2 * sq[:, :-1].ravel() + diag[:, :-1].ravel()]
-        cols = [2 * sq[1:, :].ravel(), 2 * sq[:, 1:].ravel() + 1 - diag[:, 1:].ravel()]
-        self.nfaces, self.face = _components(
-            2 * nsx * nsy, np.concatenate(rows), np.concatenate(cols))
 
         open_tris = np.concatenate([
             2 * sq[0, :], 2 * sq[-1, :] + 1,
@@ -129,32 +169,25 @@ class PercWindow:
         self.face_open = np.bincount(self.face[open_tris],
                                      minlength=self.nfaces) > 0
 
-        # top-right corner (lexicographic by (y, x)) of every face
+        # top-right corner (lexicographic by (y, x), key j*nx + i) of every
+        # face: a square's north-east corner tops its east triangle, and its
+        # west triangle too under a rising diagonal; under a falling one the
+        # north-west corner, one key lower, tops the west triangle
         i, j = np.indices((nsx, nsy))
-        key = {
-            "s1": j * nx + i, "s2": j * nx + (i + 1),
-            "s3": (j + 1) * nx + (i + 1), "s4": (j + 1) * nx + i,
-        }
-        main = diag == 0
-        west = np.maximum(key["s1"], np.where(main, np.maximum(key["s4"], key["s3"]),
-                                              np.maximum(key["s2"], key["s4"])))
-        east = np.where(main, np.maximum(key["s1"], np.maximum(key["s2"], key["s3"])),
-                        np.maximum(key["s2"], np.maximum(key["s3"], key["s4"])))
+        ne = (j + 1) * nx + (i + 1)
         face_key = np.full(self.nfaces, -1, dtype=np.int64)
-        np.maximum.at(face_key, self.face[2 * sq.ravel()], west.ravel())
-        np.maximum.at(face_key, self.face[2 * sq.ravel() + 1], east.ravel())
+        np.maximum.at(face_key, self.face, np.stack([ne - diag, ne], axis=-1).ravel())
         self.face_key = face_key
 
         # square-index bounding box of every face
-        both = np.concatenate([self.face[2 * sq.ravel()], self.face[2 * sq.ravel() + 1]])
-        si = np.concatenate([i.ravel(), i.ravel()])
-        sj = np.concatenate([j.ravel(), j.ravel()])
+        si = np.repeat(i.ravel(), 2)
+        sj = np.repeat(j.ravel(), 2)
         self.face_lo = np.full((self.nfaces, 2), max(nsx, nsy), dtype=np.int64)
         self.face_hi = np.full((self.nfaces, 2), -1, dtype=np.int64)
-        np.minimum.at(self.face_lo[:, 0], both, si)
-        np.minimum.at(self.face_lo[:, 1], both, sj)
-        np.maximum.at(self.face_hi[:, 0], both, si)
-        np.maximum.at(self.face_hi[:, 1], both, sj)
+        np.minimum.at(self.face_lo[:, 0], self.face, si)
+        np.minimum.at(self.face_lo[:, 1], self.face, sj)
+        np.maximum.at(self.face_hi[:, 0], self.face, si)
+        np.maximum.at(self.face_hi[:, 1], self.face, sj)
 
     def _build_parents(self, nx: int, ny: int) -> None:
         ncl = self.nclusters
@@ -188,13 +221,20 @@ class PercWindow:
 
     def _build_labels(self, vlabel: np.ndarray, wlabel: np.ndarray,
                       nx: int, ny: int) -> None:
+        # Each cluster's sign comes from its anchor: the vertex of largest v,
+        # ties to the top-right key j*nx + i.  One scatter-max takes each
+        # cluster's largest v, a second the largest key among the vertices
+        # that reach it.
         flat = self.labels.ravel()
-        i, j = np.indices((nx, ny))
-        order = np.lexsort(((j * nx + i).ravel(), vlabel.ravel(), flat))
-        last = np.nonzero(np.diff(flat[order], append=-1))[0]
-        anchor = order[last]  # max-v vertex (ties to top-right) per cluster
-        self.ylabel = np.zeros(self.nclusters, dtype=np.int64)
-        self.ylabel[flat[anchor]] = wlabel.ravel()[anchor]
+        v = vlabel.ravel()
+        vmax = np.empty(self.nclusters, dtype=v.dtype)
+        vmax[flat] = v
+        np.maximum.at(vmax, flat, v)
+        at_max = np.nonzero(v == vmax[flat])[0]
+        i, j = np.divmod(at_max, ny)
+        anchor = np.full(self.nclusters, -1, dtype=np.int64)
+        np.maximum.at(anchor, flat[at_max], j * nx + i)
+        self.ylabel = wlabel[anchor % nx, anchor // nx].astype(np.int64)
 
         p = np.where(self.parent == UNKNOWN, 0, self.parent)
         self.special_known = self.closed & (self.parent != UNKNOWN) & self.closed[p]
@@ -207,45 +247,54 @@ class PercWindow:
         # the per-vertex query to certify the same answer: the cluster and
         # every chain ancestor padded by 1, their parent-extraction faces as
         # square indices padded by (1, 2), and the special ancestor's parent.
+        #
+        # Chains are walked by pointer jumping.  A cluster that is known and
+        # not special steps to its parent; every other cluster is a
+        # terminal.  Each cluster carries its pointer, the number of steps
+        # it stands for and the min/max of the boxes it passed over; a round
+        # doubles every live pointer's reach.  At the end each cluster
+        # combines with its terminal: a special terminal gives the distance
+        # and closes the box with its own parent, any other leaves the
+        # cluster unknown.
         ncl = self.nclusters
-        color = np.zeros(ncl, dtype=np.int64)
-        dist = np.full(ncl, UNKNOWN, dtype=np.int64)  # steps to special ancestor
         base_lo = np.minimum(self.cluster_lo - 1,
                              self.face_lo[self.cluster_face] - 1)
         base_hi = np.maximum(self.cluster_hi + 1,
                              self.face_hi[self.cluster_face] + 2)
-        req_lo = np.zeros((ncl, 2), dtype=np.int64)
-        req_hi = np.zeros((ncl, 2), dtype=np.int64)
-        for c in range(ncl):
-            chain = []
-            cur = c
-            while dist[cur] == UNKNOWN and self.special_known[cur] \
-                    and not self.special[cur]:
-                chain.append(cur)
-                cur = int(self.parent[cur])
-            if dist[cur] != UNKNOWN:
-                base = dist[cur]
-            elif self.special_known[cur] and self.special[cur]:
-                base = dist[cur] = 0
-                p = self.parent[cur]
-                req_lo[cur] = np.minimum(base_lo[cur], self.cluster_lo[p] - 1)
-                req_hi[cur] = np.maximum(base_hi[cur], self.cluster_hi[p] + 1)
-            else:
-                continue  # chain leaves the window; everything on it stays unknown
-            for step, k in enumerate(reversed(chain), start=1):
-                dist[k] = base + step
-                p = self.parent[k]
-                req_lo[k] = np.minimum(base_lo[k], req_lo[p])
-                req_hi[k] = np.maximum(base_hi[k], req_hi[p])
-        known = dist != UNKNOWN
+        live = self.special_known & ~self.special
+        nxt = np.where(live, self.parent, np.arange(ncl))
+        steps = live.astype(np.int64)
+        big = np.iinfo(np.int64).max
+        lo = np.where(live[:, None], base_lo, big)
+        hi = np.where(live[:, None], base_hi, -big)
+        for _ in range((ncl - 1).bit_length() + 1):
+            act = np.nonzero(live[nxt])[0]
+            if not act.size:
+                break
+            to = nxt[act]
+            steps[act] += steps[to]
+            lo[act] = np.minimum(lo[act], lo[to])
+            hi[act] = np.maximum(hi[act], hi[to])
+            nxt[act] = nxt[to]
+        if live[nxt].any():
+            raise RuntimeError("cluster parents form a cycle")
+
+        sp = np.nonzero(self.special)[0]
+        term_lo = np.zeros((ncl, 2), dtype=np.int64)
+        term_hi = np.zeros((ncl, 2), dtype=np.int64)
+        term_lo[sp] = np.minimum(base_lo[sp], self.cluster_lo[self.parent[sp]] - 1)
+        term_hi[sp] = np.maximum(base_hi[sp], self.cluster_hi[self.parent[sp]] + 1)
+        known = self.special[nxt]
+        dist = np.where(known, steps, UNKNOWN)  # steps to special ancestor
+        self.req_lo = np.where(known[:, None], np.minimum(lo, term_lo[nxt]), 0)
+        self.req_hi = np.where(known[:, None], np.maximum(hi, term_hi[nxt]), 0)
+        color = np.zeros(ncl, dtype=np.int64)
         color[known & (dist == 0)] = 1
         color[known & (dist % 2 == 1)] = 2
         color[known & (dist != 0) & (dist % 2 == 0)] = 3
         self.dist = dist
         self.color = color
         self.color_known = known
-        self.req_lo = req_lo
-        self.req_hi = req_hi
 
     # -- queries -----------------------------------------------------------
 
