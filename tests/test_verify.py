@@ -1,7 +1,10 @@
-"""Audits and oracles: properness, nets, heights, collision probabilities."""
+"""Audits and oracles: properness, nets, heights, collision probabilities.
+
+The height-step correlation diagnostic and the collision-probability
+enumerators live here, beside the only tests that use them."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
@@ -15,12 +18,9 @@ from ffcolor.verify import (
     check_net,
     height_delta,
     height_step,
-    min_collision_probability,
-    min_collision_r1_partition,
     radius_tail_csv,
     radius_tail_rows,
     rectangle_circuit,
-    rho_estimate,
     survival_points,
 )
 
@@ -201,6 +201,54 @@ def test_heights_skip_unresolved_cells():
 # rho diagnostic
 
 
+def rho_probes(r: int) -> list[tuple[tuple, tuple]]:
+    """Fixed probe family: pairs of same-orientation edges with midpoint-sum
+    separation >= 2r; both orientations, both sides, 8 anchor offsets."""
+    probes = []
+    for axis in (0, 1):
+        e = (1, 0) if axis == 0 else (0, 1)
+        for side in (1, -1):
+            for extra in range(4):
+                for perp in (0, 1):
+                    dx = side * (r + extra)
+                    anchor = (dx, perp) if axis == 0 else (perp, dx)
+                    probes.append((e, anchor))
+    return probes
+
+
+def rho_estimate(colorfn, r: int, samples: int) -> float:
+    """Empirical max covariance of height steps over the probe family.
+
+    colorfn(seed) must return a proper-3-colored grid covering
+    [-r-6, r+6]^2 relative to its center; the center is taken at
+    shape // 2.  Probes whose edges hit non-proper cells are skipped.
+    """
+    if r < 1:
+        raise ValueError("r >= 1")
+    probes = rho_probes(r)
+    obs = {i: ([], []) for i in range(len(probes))}
+    for seed in range(samples):
+        grid = np.asarray(colorfn(seed))
+        cx, cy = grid.shape[0] // 2, grid.shape[1] // 2
+        for i, (e, anchor) in enumerate(probes):
+            try:
+                h1 = height_step(grid[cx, cy], grid[cx + e[0], cy + e[1]])
+                ax, ay = cx + anchor[0], cy + anchor[1]
+                h2 = height_step(grid[ax, ay], grid[ax + e[0], ay + e[1]])
+            except (ValueError, IndexError):
+                continue
+            obs[i][0].append(h1)
+            obs[i][1].append(h2)
+    best = 0.0
+    for h1s, h2s in obs.values():
+        if len(h1s) < 2:
+            continue
+        a, b = np.array(h1s, dtype=float), np.array(h2s, dtype=float)
+        cov = float(np.mean(a * b) - np.mean(a) * np.mean(b))
+        best = max(best, cov)
+    return best
+
+
 def test_rho_periodic_is_zero():
     def colorfn(seed):
         return _periodic(30, 30)
@@ -215,6 +263,52 @@ def test_rho_rejects_bad_r():
 
 # ---------------------------------------------------------------------------
 # collision oracle
+
+
+def min_collision_probability(r: int, q: int, base_size: int) -> Fraction:
+    """Exact min over all f: B^r -> [q] of P[f(U_1..U_r) = f(U_2..U_{r+1})],
+    U iid uniform on base_size atoms.  Full enumeration."""
+    if r < 1 or q < 1 or base_size < 1:
+        raise ValueError("r, q, base_size must be positive")
+    n_inputs = base_size ** r
+    n_funcs = q ** n_inputs
+    if n_funcs > 10 ** 6:
+        raise ValueError(f"enumeration of {n_funcs} functions is infeasible")
+    # index of (x_2..x_r, b) given index of (x_1..x_r): drop the leading digit
+    shift = [[(x % (base_size ** (r - 1))) * base_size + b
+              for b in range(base_size)] for x in range(n_inputs)]
+    best = None
+    for fi in range(n_funcs):
+        f = []
+        t = fi
+        for _ in range(n_inputs):
+            f.append(t % q)
+            t //= q
+        hits = sum(1 for x in range(n_inputs) for b in range(base_size)
+                   if f[x] == f[shift[x][b]])
+        p = Fraction(hits, base_size ** (r + 1))
+        if best is None or p < best:
+            best = p
+    return best
+
+
+def min_collision_r1_partition(q: int, base_size: int) -> Fraction:
+    """r=1 closed form: min over partitions of the atoms into <= q classes
+    of sum (k/B)^2.  Independent check for the enumerator."""
+    best = None
+    for cuts in combinations_with_replacement(range(base_size + 1), q - 1):
+        parts = []
+        prev = 0
+        for c in sorted(cuts):
+            parts.append(c - prev)
+            prev = c
+        parts.append(base_size - prev)
+        if any(p < 0 for p in parts):
+            continue
+        val = sum(Fraction(p, base_size) ** 2 for p in parts)
+        if best is None or val < best:
+            best = val
+    return best
 
 
 def test_collision_base_cases():
