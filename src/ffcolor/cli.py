@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tiling seed-density multiplier, in (0, 1]")
     c.add_argument("--margin", type=_NONNEGATIVE, default=64,
                    help="context margin (threegen, baseline4)")
-    c.add_argument("--radius-budget", type=int, default=None,
+    c.add_argument("--radius-budget", type=_NONNEGATIVE, default=None,
                    help="fail (exit 3) if any read leaves this 1-norm "
                         "radius around the window center")
     c.set_defaults(fn=cmd_color)
@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--image", required=True)
     v.add_argument("--kind", default="coloring",
                    choices=("coloring", "three-coloring", "net"))
-    v.add_argument("--m", type=int, default=1)
+    v.add_argument("--m", type=_POSITIVE, default=1)
     v.add_argument("--norm", default="l1", choices=("l1", "linf"))
     v.add_argument("--json", default=None, help="also write the report as JSON")
     v.set_defaults(fn=cmd_verify)

@@ -397,11 +397,17 @@ def test_sft_missing_specfile_is_config_error(tmp_path):
      "--density-scale", "inf", "--out", "OUT"],
     ["color", "--construction", "threegen", "--window", "0,0,8,8",
      "--density-scale", "1e6", "--out", "OUT"],
+    ["verify", "--image", "IMG", "--m", "0"],
+    ["verify", "--image", "IMG", "--m", "-1"],
+    ["color", "--construction", "tower", "--window", "0,0,4,4",
+     "--radius-budget", "-1", "--out", "OUT"],
 ])
 def test_bad_numeric_flag_exits_2(tmp_path, argv):
     spec = tmp_path / "c3.txt"
     spec.write_text(COL3)
-    subs = {"SPEC": spec, "OUT": tmp_path / "out"}
+    img = tmp_path / "img.ppm"
+    write_ppm(img, np.array([[1, 2], [2, 1]]))
+    subs = {"SPEC": spec, "IMG": img, "OUT": tmp_path / "out"}
     with pytest.raises(SystemExit) as e:
         run(*[subs.get(a, a) for a in argv])
     assert e.value.code == 2
