@@ -1,7 +1,10 @@
 """Diagonal percolation three-coloring: rule oracles, genealogy, radii."""
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffcolor.field import BudgetExceeded, LabelField, PerturbedField, tracked
 from ffcolor.lattice import Window
@@ -286,6 +289,159 @@ def test_relabeling_values_order_preserving_keeps_colors():
     squashed = PercWindow(win, diag, v ** 3, w)
     assert np.array_equal(base.color, squashed.color)
     assert np.array_equal(base.color_known, squashed.color_known)
+
+
+# -- oracles for the vectorized passes ---------------------------------------
+
+
+@st.composite
+def diag_configs(draw):
+    """A window, diagonals and labels for the PercWindow constructor.
+
+    The diagonals start as concentric diamonds around a random point, so
+    clusters nest many levels deep even in small windows, and a drawn share
+    of squares (up to all, at share 1/2) is flipped at random.  The anchor
+    values v take only 2 or 3 values, so ties within a cluster are common.
+    """
+    nx_, ny_ = draw(st.integers(3, 40)), draw(st.integers(3, 40))
+    flip = draw(st.sampled_from([0.0, 0.02, 0.1, 0.5]))
+    nvals = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cx, cy = rng.integers(0, nx_), rng.integers(0, ny_)
+    a, b = np.indices((nx_ - 1, ny_ - 1))
+    # the falling diagonal where the square lies north-east or south-west
+    # of the center, the rising one elsewhere: every diamond ring is drawn
+    diag = ((a + 0.5 > cx) == (b + 0.5 > cy)).astype(np.int8)
+    diag ^= (rng.random(diag.shape) < flip).astype(np.int8)
+    v = rng.integers(0, nvals, (nx_, ny_)).astype(float)
+    w = rng.choice([-1, 1], (nx_, ny_))
+    origin = tuple(int(c) for c in rng.integers(-50, 50, 2))
+    return Window(origin, (nx_, ny_)), diag, v, w
+
+
+def _lexsort_ylabel(perc, vlabel, wlabel):
+    # sign of each cluster's max-v vertex, ties to the top-right key j*nx + i
+    nx_, ny_ = perc.labels.shape
+    flat = perc.labels.ravel()
+    i, j = np.indices((nx_, ny_))
+    order = np.lexsort(((j * nx_ + i).ravel(), vlabel.ravel(), flat))
+    last = np.nonzero(np.diff(flat[order], append=-1))[0]
+    anchor = order[last]
+    ylabel = np.zeros(perc.nclusters, dtype=np.int64)
+    ylabel[flat[anchor]] = wlabel.ravel()[anchor]
+    return ylabel
+
+
+def _chain_walk(perc):
+    """Distance to the nearest special ancestor and the requirement box of
+    every cluster, one cluster at a time up its parent chain."""
+    ncl = perc.nclusters
+    dist = np.full(ncl, UNKNOWN, dtype=np.int64)
+    base_lo = np.minimum(perc.cluster_lo - 1, perc.face_lo[perc.cluster_face] - 1)
+    base_hi = np.maximum(perc.cluster_hi + 1, perc.face_hi[perc.cluster_face] + 2)
+    req_lo = np.zeros((ncl, 2), dtype=np.int64)
+    req_hi = np.zeros((ncl, 2), dtype=np.int64)
+    for c in range(ncl):
+        chain = []
+        cur = c
+        while dist[cur] == UNKNOWN and perc.special_known[cur] \
+                and not perc.special[cur]:
+            chain.append(cur)
+            cur = int(perc.parent[cur])
+        if dist[cur] != UNKNOWN:
+            base = dist[cur]
+        elif perc.special_known[cur] and perc.special[cur]:
+            base = dist[cur] = 0
+            p = perc.parent[cur]
+            req_lo[cur] = np.minimum(base_lo[cur], perc.cluster_lo[p] - 1)
+            req_hi[cur] = np.maximum(base_hi[cur], perc.cluster_hi[p] + 1)
+        else:
+            continue
+        for step, k in enumerate(reversed(chain), start=1):
+            dist[k] = base + step
+            p = perc.parent[k]
+            req_lo[k] = np.minimum(base_lo[k], req_lo[p])
+            req_hi[k] = np.maximum(base_hi[k], req_hi[p])
+    color = np.where(dist == UNKNOWN, 0,
+                     np.where(dist == 0, 1, np.where(dist % 2 == 1, 2, 3)))
+    return dist, color, req_lo, req_hi
+
+
+def test_anchor_and_chain_passes_match_oracles():
+    deepest = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(diag_configs())
+    def check(config):
+        window, diag, v, w = config
+        perc = PercWindow(window, diag, v, w)
+        ylabel = _lexsort_ylabel(perc, v, w)
+        p = np.where(perc.parent == UNKNOWN, 0, perc.parent)
+        special = perc.special_known & (ylabel == 1) & (ylabel[p] == -1)
+        assert np.array_equal(perc.ylabel, ylabel)
+        assert np.array_equal(perc.special, special)
+        dist, color, req_lo, req_hi = _chain_walk(perc)
+        assert np.array_equal(perc.dist, dist)
+        assert np.array_equal(perc.color, color)
+        assert np.array_equal(perc.req_lo, req_lo)
+        assert np.array_equal(perc.req_hi, req_hi)
+        deepest.append(int(dist.max()))
+
+    check()
+    assert max(deepest) >= 2
+
+
+def _numbered_partition(n, edges):
+    """Component id per vertex, ids in order of each component's least vertex."""
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    ids = np.empty(n, dtype=np.int64)
+    for k, comp in enumerate(sorted(nx.connected_components(g), key=min)):
+        ids[list(comp)] = k
+    return ids
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(diag_configs())
+def test_cluster_and_face_partitions_match_networkx(config):
+    window, diag, v, w = config
+    perc = PercWindow(window, diag, v, w)
+    nx_, ny_ = window.extent
+    nsx, nsy = diag.shape
+    d = diag.tolist()
+    # vertex (i, j) is i*ny + j; each square joins the ends of its diagonal
+    edges = []
+    for i in range(nsx):
+        for j in range(nsy):
+            if d[i][j] == 0:
+                edges.append((i * ny_ + j, (i + 1) * ny_ + j + 1))
+            else:
+                edges.append(((i + 1) * ny_ + j, i * ny_ + j + 1))
+    labels = _numbered_partition(nx_ * ny_, edges)
+    assert np.array_equal(perc.labels.ravel(), labels)
+    assert perc.nclusters == labels.max() + 1
+    # triangle 2*s is the west one of square s = i*nsy + j, 2*s + 1 the
+    # east one; the north side lies in triangle diag, the south in 1 - diag
+    glue = []
+    for i in range(nsx):
+        for j in range(nsy):
+            s = i * nsy + j
+            if i + 1 < nsx:
+                glue.append((2 * s + 1, 2 * (s + nsy)))
+            if j + 1 < nsy:
+                glue.append((2 * s + d[i][j], 2 * (s + 1) + 1 - d[i][j + 1]))
+    faces = _numbered_partition(2 * nsx * nsy, glue)
+    assert np.array_equal(perc.face, faces)
+    assert perc.nfaces == faces.max() + 1
+
+
+def test_parent_cycle_raises_instead_of_hanging():
+    perc = PercWindow.build(LabelField(13), Window((0, 0), (129, 129)))
+    a, b = np.nonzero(perc.special_known & ~perc.special)[0][:2]
+    perc.parent[a], perc.parent[b] = b, a
+    with pytest.raises(RuntimeError):
+        perc._build_colors()
 
 
 # -- per-vertex queries and radii --------------------------------------------
