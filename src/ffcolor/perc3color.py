@@ -16,11 +16,18 @@ each square is two triangles separated by its diagonal, triangles glue
 across undrawn lattice sides, and the face just north of a cluster's
 topmost-rightmost vertex has its outer boundary inside exactly one cluster,
 the parent; the face's topmost-rightmost corner lies on that boundary.
+
+The build is array passes only.  Clusters and faces are the connected
+components of two graphs, each written as a padded neighbor matrix listing
+every edge from one end and handed to scipy as CSR, with int32 ids while
+they fit.  A cluster's sign anchor takes two scatter-max passes: the
+cluster's largest v, then the largest top-right key j*nx + i among the
+vertices reaching it.  The distance to the nearest special ancestor, and
+the requirement box gathered along the way, come from pointer jumping up
+the parent chains, a logarithmic number of rounds over all clusters at once.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -35,7 +42,7 @@ UNKNOWN = -1
 
 
 def _index_dtype(n: int):
-    """int32 when every vertex id of an n-vertex graph fits in it."""
+    """int32 when every value in 0..n fits in it, else int64."""
     return np.int32 if n <= np.iinfo(np.int32).max else np.int64
 
 
@@ -48,13 +55,13 @@ def _components(nbr: np.ndarray) -> tuple[int, np.ndarray]:
     """
     n = len(nbr)
     used = nbr >= 0
-    count = np.zeros(n, dtype=nbr.dtype)
+    count = np.zeros(n, dtype=_index_dtype(nbr.size))
     for col in used.T:
         count += col
-    indptr = np.zeros(n + 1, dtype=nbr.dtype)
+    indptr = np.zeros(n + 1, dtype=count.dtype)
     np.cumsum(count, out=indptr[1:])
     indices = nbr[used]
-    del nbr, used, count
+    del nbr, used, count  # the caller hands over nbr; free it before scipy copies
     graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
     return connected_components(graph, directed=False)
 
@@ -107,24 +114,13 @@ class PercWindow:
 
     # -- construction ------------------------------------------------------
 
-    @staticmethod
-    def _diag_neighbors(diag: np.ndarray, nx: int, ny: int) -> np.ndarray:
-        # each drawn diagonal listed from its lower end: slot 0 of (i, j)
-        # holds the rising diagonal of square (i, j), slot 1 of (i + 1, j)
-        # the falling one
-        vid = np.arange(nx * ny, dtype=_index_dtype(nx * ny)).reshape(nx, ny)
-        nbr = np.full((nx, ny, 2), -1, dtype=vid.dtype)
-        nbr[:-1, :-1, 0] = np.where(diag == 0, vid[1:, 1:], -1)
-        nbr[1:, :-1, 1] = np.where(diag == 1, vid[:-1, 1:], -1)
-        return nbr.reshape(nx * ny, 2)
-
     @classmethod
     def build(cls, field, window: Window) -> "PercWindow":
         axes = window.axes()
         diag, ties = cls._diagonals(field, axes)
         v = field.uniform_box(f"{STREAM_PREFIX}:v", axes)
         w = field.coin_box(f"{STREAM_PREFIX}:w", axes)
-        del axes
+        del axes  # not needed while the constructor runs
         return cls(window, diag, v, w, ties=ties)
 
     @staticmethod
@@ -137,6 +133,17 @@ class PercWindow:
         bprime = b[:-1, :-1] * b[1:, :-1] * b[1:, 1:] * b[:-1, 1:]
         val = du * bprime
         return np.where(val > 0, 0, 1).astype(np.int8), int((val == 0).sum())
+
+    @staticmethod
+    def _diag_neighbors(diag: np.ndarray, nx: int, ny: int) -> np.ndarray:
+        # each drawn diagonal listed from its lower end: slot 0 of (i, j)
+        # holds the rising diagonal of square (i, j), slot 1 of (i + 1, j)
+        # the falling one
+        vid = np.arange(nx * ny, dtype=_index_dtype(nx * ny)).reshape(nx, ny)
+        nbr = np.full((nx, ny, 2), -1, dtype=vid.dtype)
+        nbr[:-1, :-1, 0] = np.where(diag == 0, vid[1:, 1:], -1)
+        nbr[1:, :-1, 1] = np.where(diag == 1, vid[:-1, 1:], -1)
+        return nbr.reshape(nx * ny, 2)
 
     @staticmethod
     def _face_neighbors(diag: np.ndarray) -> np.ndarray:
