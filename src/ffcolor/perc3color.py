@@ -56,7 +56,7 @@ def _components(nbr: np.ndarray) -> tuple[int, np.ndarray]:
     n = len(nbr)
     used = nbr >= 0
     count = np.zeros(n, dtype=_index_dtype(nbr.size))
-    for col in used.T:
+    for col in used.T:  # column by column: far faster than sum(axis=1)
         count += col
     indptr = np.zeros(n + 1, dtype=count.dtype)
     np.cumsum(count, out=indptr[1:])
@@ -235,7 +235,7 @@ class PercWindow:
         flat = self.labels.ravel()
         v = vlabel.ravel()
         vmax = np.empty(self.nclusters, dtype=v.dtype)
-        vmax[flat] = v
+        vmax[flat] = v  # any member's v starts the max, in v's own dtype
         np.maximum.at(vmax, flat, v)
         at_max = np.nonzero(v == vmax[flat])[0]
         i, j = np.divmod(at_max, ny)
