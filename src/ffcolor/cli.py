@@ -333,9 +333,11 @@ def cmd_stats(args) -> int:
 
 def _load_spec(path):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ConfigError(str(e))
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path} is not UTF-8 text: {e}")
     try:
         return parse_spec(text)
     except ValueError as e:

@@ -33,6 +33,29 @@ in a dict, so a scalar read does one `mix64` per coordinate and no FNV pass.
 This is safe because a label is a pure function of (seed, stream, coords): the
 start value depends on nothing else, a field's seed is fixed when it is made,
 and the cache is per field, so fields of different seeds never share an entry.
+
+The bulk hash works per axis prefix.  The label at (c0, ..., c_{d-1}) is the
+chain mix64(...mix64(mix64(start ^ c0) ^ c1)... ^ c_{d-1}), so its first i
+links depend on c0..c_{i-1} alone.  `u64_grid` therefore mixes axis i at the
+broadcast shape of axes 0..i, not at the shape of the whole box: the leading
+axis of an `np.ix_` box is mixed once per row, and every site of that row
+starts its chain from the same, exactly shared, prefix value.  Each link is
+the same uint64 arithmetic as the scalar `mix64`, so the result is bit for
+bit the scalar path's.
+
+Boxes of more than _BLOCK = 2^15 labels are finished in blocks of
+leading-axis rows of about that many labels.  One block and its scratch
+buffer for the shifted copies take 256 KiB each, so every in-place step of
+the mix works in a core's L2 cache instead of streaming the whole box
+through memory once per step.  Smaller boxes (the 2-4-site family and tower
+reads) take a plain in-place path with no block bookkeeping.
+
+A Bernoulli(p) test can skip the float conversion.  `uniform` is
+(u64 >> 11) * 2^-53, exactly, and p * 2^53 is exact too, so for p in [0, 1)
+uniform < p  <=>  u64 >> 11 < ceil(p * 2^53)  <=>  u64 < ceil(p * 2^53) << 11,
+where the threshold is at most (2^53 - 1) << 11 and fits in a uint64.  At
+p = 1 every label passes, and the threshold 2^64 does not fit, so that case
+needs its own branch.
 """
 
 from __future__ import annotations
@@ -77,14 +100,66 @@ def stream_key(stream: str) -> int:
     return h
 
 
+_U30, _U27, _U31, _U11, _U63 = (np.uint64(s) for s in (30, 27, 31, 11, 63))
+_UM1, _UM2 = np.uint64(_M1), np.uint64(_M2)
+
+# labels per block of the blocked hash: the block and its scratch buffer
+# (256 KiB each) stay in a core's L2 cache
+_BLOCK = 1 << 15
+
+
 def _mix64_arr(h: np.ndarray) -> np.ndarray:
-    h = h.astype(np.uint64, copy=True)
-    h ^= h >> np.uint64(30)
-    h *= np.uint64(_M1)
-    h ^= h >> np.uint64(27)
-    h *= np.uint64(_M2)
-    h ^= h >> np.uint64(31)
+    """`mix64` of every entry of a uint64 array, in place; returns h.
+
+    A uint64 scalar (the hash of 0-d axes) is rebound, not changed, so
+    callers keep the return value.
+    """
+    h ^= h >> _U30
+    h *= _UM1
+    h ^= h >> _U27
+    h *= _UM2
+    h ^= h >> _U31
     return h
+
+
+def _mix64_block(h: np.ndarray, tmp: np.ndarray) -> None:
+    """`_mix64_arr` with the shifted copies written into `tmp` (h's shape)."""
+    np.right_shift(h, _U30, out=tmp)
+    h ^= tmp
+    h *= _UM1
+    np.right_shift(h, _U27, out=tmp)
+    h ^= tmp
+    h *= _UM2
+    np.right_shift(h, _U31, out=tmp)
+    h ^= tmp
+
+
+def _hash_blocked(h, axes: list, shape: tuple) -> np.ndarray:
+    """Finish the hash chain from state `h` over `axes`, as a new array.
+
+    The axes whose running broadcast shape is still smaller than `shape` are
+    mixed at that smaller shape; the rest are mixed into the output in blocks
+    of leading-axis rows of about _BLOCK labels, through one scratch buffer.
+    """
+    k, cur = 0, ()
+    while (cur := np.broadcast_shapes(cur, axes[k].shape)) != shape:
+        h = _mix64_arr(axes[k] ^ h)
+        k += 1
+    row = math.prod(shape[1:])
+    rows = max(1, _BLOCK // row)
+    out = np.empty(shape, dtype=np.uint64)
+    scratch = np.empty(rows * row, dtype=np.uint64)
+    h = np.broadcast_to(h, shape)
+    first, *rest = (np.broadcast_to(a, shape) for a in axes[k:])
+    for r in range(0, shape[0], rows):
+        block = out[r:r + rows]
+        tmp = scratch[:block.size].reshape(block.shape)
+        np.bitwise_xor(h[r:r + rows], first[r:r + rows], out=block)
+        _mix64_block(block, tmp)
+        for a in rest:
+            block ^= a[r:r + rows]
+            _mix64_block(block, tmp)
+    return out
 
 
 # The input is a new array from a bulk primitive, so a helper may convert it
@@ -93,20 +168,26 @@ def _mix64_arr(h: np.ndarray) -> np.ndarray:
 
 def _uniform_arr(h: np.ndarray) -> np.ndarray:
     # top 53 bits -> [0, 1)
-    h >>= np.uint64(11)
+    h >>= _U11
     u = h.astype(np.float64)
     u *= 2.0**-53
     return u
 
 
 def _coin_arr(h: np.ndarray) -> np.ndarray:
-    return np.where((h >> np.uint64(63)) == 0, 1, -1).astype(np.int8)
+    # top bit 0 -> +1, 1 -> -1
+    h >>= _U63
+    c = h.astype(np.int8)
+    c *= -2
+    c += 1
+    return c
 
 
 def _discrete_arr(u: np.ndarray, n: int) -> np.ndarray:
     u *= n
     k = np.ceil(u, out=u).astype(np.int64)
-    return np.clip(k, 1, n, out=k)
+    np.maximum(k, 1, out=k)
+    return np.minimum(k, n, out=k)
 
 
 class BudgetExceeded(Exception):
@@ -174,12 +255,22 @@ class LabelField:
     # -- vectorized path (bit-identical to the scalar path) ----------------
 
     def u64_grid(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
-        """Hash broadcast coordinate arrays; axes[i] is the i-th coordinate."""
-        shape = np.broadcast_shapes(*(np.shape(a) for a in axes))
-        h = np.full(shape, self._start(stream), dtype=np.uint64)
+        """Hash broadcast coordinate arrays; axes[i] is the i-th coordinate.
+
+        Returns a new array of the full broadcast shape.  Each axis is mixed
+        at its running broadcast shape, so the leading axis of an `np.ix_`
+        box is mixed once per row; boxes above one block go through
+        `_hash_blocked`.
+        """
+        axes = [np.asarray(a, dtype=np.int64).view(np.uint64) for a in axes]
+        h = np.uint64(self._start(stream))
+        if math.prod(a.size for a in axes) > _BLOCK:
+            shape = np.broadcast_shapes(*(a.shape for a in axes))
+            if math.prod(shape) > _BLOCK:
+                return _hash_blocked(h, axes, shape)
         for a in axes:
-            h = _mix64_arr(h ^ np.asarray(a, dtype=np.int64).astype(np.uint64))
-        return h
+            h = _mix64_arr(a ^ h)
+        return np.asarray(h)
 
     def uniform_grid(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
         return _uniform_arr(self.u64_grid(stream, axes))

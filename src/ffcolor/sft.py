@@ -10,7 +10,7 @@ into a finite-range factor of iid labels.
 """
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd
 
 import numpy as np
@@ -258,6 +258,18 @@ def build_cycle_plan(spec: SftSpec, w=None) -> CyclePlan:
     return CyclePlan(w, m, cycles)
 
 
+@lru_cache(maxsize=64)
+def _kind_and_plan(spec: SftSpec, w: tuple | None) -> tuple[str, CyclePlan | None]:
+    """`classify(spec)`, and the cycle plan when the spec is non-lattice.
+
+    A pure function of (spec, w), built once: it costs three overlap graphs
+    and their strong components, a third of a short window's `generate`.
+    Every call gets the same plan object, which `generate` only reads.
+    """
+    kind = classify(spec)
+    return kind, build_cycle_plan(spec, w) if kind == "non-lattice" else None
+
+
 class LatticeRefusal(Exception):
     """The subshift admits no mixing process, so no iid-driven generator."""
 
@@ -282,11 +294,10 @@ def generate(spec: SftSpec, field, window: Window, *, w=None,
     of its word.  `reach` holds each site's distance to the farther of its
     two anchoring net points (the block reach on top of the net process).
     """
-    kind = classify(spec)
-    if kind != "non-lattice":
+    kind, plan = _kind_and_plan(spec, None if w is None else tuple(w))
+    if plan is None:
         raise LatticeRefusal(
             f"{kind} subshift: no mixing process lies in it, refusing")
-    plan = build_cycle_plan(spec, w)
     span = plan.net_spacing
     net = MNet(1, span, "l1", field, stream_prefix=stream_prefix)
     core_lo = int(window.origin[0])

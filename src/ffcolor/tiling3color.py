@@ -24,6 +24,7 @@ radius cap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -115,7 +116,12 @@ def hexgraph() -> HexGraph:
 # -- center discovery -------------------------------------------------------
 
 def _bernoulli_points(field, stream: str, lo, hi, p: float) -> np.ndarray:
-    """All vertices of [lo, hi) whose uniform label falls below p."""
+    """All vertices of [lo, hi) whose uniform label falls below p (p <= 1).
+
+    The test runs on the raw u64 label: for p < 1, uniform < p exactly when
+    u64 < ceil(p * 2^53) << 11 (see the field module), and p = 1 takes every
+    vertex.
+    """
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
     d = lo.size
@@ -123,14 +129,15 @@ def _bernoulli_points(field, stream: str, lo, hi, p: float) -> np.ndarray:
         return np.empty((0, d), dtype=np.int64)
     tail = int(np.prod(hi[1:] - lo[1:], dtype=np.int64)) if d > 1 else 1
     rows = max(1, _SCAN_CHUNK // max(1, tail))
+    below = np.uint64(math.ceil(p * 2.0**53) << 11) if p < 1 else None
     hits = []
     for x0 in range(int(lo[0]), int(hi[0]), rows):
         x1 = min(x0 + rows, int(hi[0]))
         ranges = [np.arange(x0, x1)] + [np.arange(lo[i], hi[i]) for i in range(1, d)]
-        axes = np.ix_(*ranges)
-        u = field.uniform_box(stream, axes)
-        idx = np.argwhere(u < p)
-        if idx.size:
+        h = field.u64_box(stream, np.ix_(*ranges))
+        flat = np.flatnonzero(h < below) if below is not None else np.arange(h.size)
+        if flat.size:
+            idx = np.stack(np.unravel_index(flat, h.shape), axis=1)
             idx[:, 0] += x0
             idx[:, 1:] += lo[1:]
             hits.append(idx)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -376,6 +377,89 @@ def test_sft_generate_writes_members_and_refuses_lattice(tmp_path):
 
 def test_sft_missing_specfile_is_config_error(tmp_path):
     assert run("sft", "classify", tmp_path / "absent.txt") == 2
+
+
+def test_non_utf8_specfile_is_config_error(tmp_path, capsys):
+    spec = tmp_path / "bad.txt"
+    spec.write_bytes(b"\xff\xfe\n")
+    assert run("sft", "classify", spec) == 2
+    assert run("sft", "generate", spec, "--length", "10", "--out", tmp_path / "o") == 2
+    assert "not UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _exit_code(argv) -> int:
+    """main's return value, or argparse's exit code."""
+    try:
+        return run(*argv)
+    except SystemExit as e:
+        return e.code
+
+
+@st.composite
+def _spec_text(draw) -> bytes:
+    """A head line and words of mostly the head's length, letters near 1..q."""
+    q, k = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    word = st.lists(st.integers(0, 3), min_size=k, max_size=k)
+    words = draw(st.lists(word | st.lists(st.integers(-1, 4), max_size=4), max_size=9))
+    lines = [f"{q} {k}"] + [" ".join(map(str, w)) for w in words]
+    return "\n".join(lines).encode()
+
+
+SPEC_BYTES = st.one_of(st.binary(max_size=48), _spec_text())
+
+
+@given(SPEC_BYTES, st.sampled_from(["classify", "generate"]))
+@settings(max_examples=150, deadline=None)
+def test_sft_never_raises_on_random_spec_bytes(fuzz_dir, raw, command):
+    spec = fuzz_dir / "spec.txt"
+    spec.write_bytes(raw)
+    argv = ["sft", command, spec]
+    if command == "generate":
+        argv += ["--length", "40", "--out", fuzz_dir / "letters.txt"]
+    assert _exit_code(argv) in (0, 2, 4)
+
+
+_WILD = st.one_of(st.integers(-2**65, 2**65),
+                  st.sampled_from([2**62 - 5, 2**62, -2**62 + 1, 2**63,
+                                   "", " ", "x", "1.5", "+3", "1_0", "0x10"]))
+
+
+def _window_text(d: int):
+    """Free text, 2d small integers, or about 2d of them with wild entries."""
+    def splice(args):
+        parts, wild = args
+        for i, v in wild:
+            parts[i % len(parts)] = v
+        return ",".join(map(str, parts))
+    exact = st.lists(st.integers(-2, 8), min_size=2 * d, max_size=2 * d)
+    near = st.lists(st.integers(-2, 8), min_size=2 * d - 1, max_size=2 * d + 1)
+    wild = st.lists(st.tuples(st.integers(0, 2 * d), _WILD), min_size=1, max_size=2)
+    return st.one_of(st.text(alphabet="0123456789,-+ x_.", max_size=24),
+                     exact.map(lambda parts: ",".join(map(str, parts))),
+                     st.tuples(near, wild).map(splice))
+
+
+WINDOW_ARGS = st.sampled_from([("tower", 1), ("tower", 2), ("baseline4", 2)]).flatmap(
+    lambda c: st.tuples(st.just(c), _window_text(c[1])))
+
+
+@given(WINDOW_ARGS)
+@settings(max_examples=150, deadline=None)
+def test_color_never_raises_on_random_window_strings(fuzz_dir, args):
+    # a window the parser accepts is colored in full; the site cap is
+    # lowered here only so that such a window stays small
+    (name, d), text = args
+    with mock.patch.object(cli, "MAX_WINDOW_SITES", 64):
+        code = _exit_code(["color", "--construction", name, "--d", d,
+                           f"--window={text}", "--margin", "8",
+                           "--out", fuzz_dir / "run"])
+    assert code in (0, 2, 4)
 
 
 @pytest.mark.parametrize("argv", [

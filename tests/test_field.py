@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from ffcolor.field import (
     PerturbedField,
     Tracker,
     TrackedField,
+    _BLOCK,
     mix64,
     stream_key,
     tracked,
@@ -237,3 +240,114 @@ def test_cached_stream_state_keeps_every_scalar_read(reads):
         assert fields[i].u64(stream, c) == h
         assert tracked_fields[i].u64(stream, c) == h
         assert fields[i].u64_grid(stream, [np.array([x]) for x in c])[0] == h
+
+
+# -- the bulk hash against the scalar reads ---------------------------------------
+
+# shapes around the hash's block of _BLOCK = 2^15 labels: just below, at and
+# just above it (7·31·151, 2^15, 3²·11·331), and one whose last block of
+# rows is short (257 rows of 129)
+BLOCK_SHAPES = [(_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,),
+                (217, 151), (128, 256), (99, 331), (257, 129),
+                (7, 31, 151), (32, 32, 32), (9, 11, 331), (3, 257, 43)]
+LAYOUTS = ("ix", "flat", "indices", "mixed")
+
+
+def _layout(shape, bases, layout, forms=()):
+    """Coordinate axes of the box bases + [0, shape) in one of four layouts.
+
+    `mixed` is an (n, 1) column for the first coordinate, then each other
+    coordinate over the remaining sites as an (m,) row, or a (1, m) row where
+    `forms` says True.
+    """
+    ranges = [np.arange(n, dtype=np.int64) + b for n, b in zip(shape, bases)]
+    if layout == "ix":
+        return list(np.ix_(*ranges))
+    grids = [g + r[0] for g, r in zip(np.indices(shape, dtype=np.int64), ranges)]
+    if layout == "indices":
+        return grids
+    if layout == "flat":
+        return [g.ravel() for g in grids]
+    n = shape[0]
+    rest = [g.reshape(n, -1)[0] for g in grids[1:]]
+    forms = list(forms) + [False] * len(rest)
+    return [ranges[0][:, None]] + [r[None, :] if row else r for r, row in zip(rest, forms)]
+
+
+def _assert_fresh(out, axes, shape, dtype):
+    assert isinstance(out, np.ndarray) and out.dtype == dtype and out.shape == shape
+    assert out.flags.writeable and out.flags.owndata
+    assert not any(np.shares_memory(out, a) for a in axes)
+
+
+def _check_bulk_reads(axes, seed, n, picks=None):
+    """Every bulk read of `axes` against the scalar reads, site by site.
+
+    u64 is checked at every site; the derived reads, which convert the u64
+    array in place, at the sites `picks` (all sites when None).
+    """
+    f = LabelField(seed)
+    shape = np.broadcast_shapes(*(a.shape for a in axes))
+    sites = list(zip(*(a.ravel().tolist() for a in np.broadcast_arrays(*axes))))
+    picks = range(len(sites)) if picks is None else picks
+    h = f.u64_box("u", axes)
+    _assert_fresh(h, axes, shape, np.uint64)
+    assert h.ravel().tolist() == [f.u64("u", c) for c in sites]
+    again = f.u64_box("u", axes)
+    assert not np.shares_memory(h, again) and np.array_equal(h, again)
+    for kind, extra, dtype in (("uniform", (), np.float64), ("coin", (), np.int8),
+                               ("discrete", (n,), np.int64)):
+        got = getattr(f, f"{kind}_box")("u", axes, *extra)
+        _assert_fresh(got, axes, shape, dtype)
+        flat = got.ravel()
+        assert [flat[i] for i in picks] == [getattr(f, kind)("u", sites[i], *extra)
+                                             for i in picks], kind
+    # a tracked read records the bounding box and its site count
+    lo = tuple(int(a.min()) for a in axes)
+    hi = tuple(int(a.max()) for a in axes)
+    tf = TrackedField(f, Tracker(lo, Budget(radius_cap=2**70)))
+    assert np.array_equal(tf.u64_box("u", axes), h)
+    assert tf.tracker.boxes == {"u": [(lo, hi)]}
+    assert tf.tracker.access_count == math.prod(b - a + 1 for a, b in zip(lo, hi))
+    # a perturbed read takes base inside a recorded box and point, alt elsewhere
+    t = Tracker(lo, Budget(radius_cap=2**70))
+    t.record_box("u", lo, tuple((a + b) // 2 for a, b in zip(lo, hi)))
+    t.record("u", sites[-1])
+    p = PerturbedField(f, t, LabelField(seed ^ 1))
+    merged = p.u64_box("u", axes)
+    _assert_fresh(merged, axes, shape, np.uint64)
+    flat = merged.ravel()
+    assert [flat[i] for i in picks] == [p.u64("u", sites[i]) for i in picks]
+    assert flat[-1] == h.ravel()[-1]
+
+
+_base = st.one_of(st.integers(-10**6, 10**6), st.integers(2**62 - 2**20, 2**62),
+                  st.integers(-2**62, -2**62 + 2**20))
+
+
+@st.composite
+def _small_box(draw):
+    d = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(1, 9), min_size=d, max_size=d)))
+    bases = draw(st.lists(_base, min_size=d, max_size=d))
+    forms = draw(st.lists(st.booleans(), min_size=d - 1, max_size=d - 1))
+    return _layout(shape, bases, draw(st.sampled_from(LAYOUTS)), forms)
+
+
+@given(_small_box(), st.integers(0, 2**64 - 1), st.integers(1, 1000))
+@settings(max_examples=150, deadline=None)
+def test_bulk_reads_match_scalar_reads(axes, seed, n):
+    _check_bulk_reads(axes, seed, n)
+
+
+# in 1-d the ix, flat and indices layouts are the same (n,) axis
+@pytest.mark.parametrize("shape,layout", [
+    (shape, layout) for shape in BLOCK_SHAPES for layout in LAYOUTS
+    if len(shape) > 1 or layout in ("flat", "mixed")], ids=str)
+def test_bulk_reads_match_scalar_reads_at_block_edges(shape, layout):
+    # offsets near +2^62 and -2^62; the derived reads at 64 sites
+    i = BLOCK_SHAPES.index(shape)
+    bases = [(-1) ** (i + j) * (2**62 - 2**16) for j in range(len(shape))]
+    size = math.prod(shape)
+    picks = sorted({0, size - 1, *np.random.default_rng(i).integers(0, size, 62).tolist()})
+    _check_bulk_reads(_layout(shape, bases, layout, forms=[True]), 2**64 - 1 - i, 479, picks)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ffcolor import sft
 from ffcolor.field import LabelField
 from ffcolor.lattice import Window
 from ffcolor.sft import (CyclePlan, LatticeRefusal, OverlapGraph, SftSpec,
@@ -172,6 +173,36 @@ def test_generate_refuses_lattice_and_empty():
     with pytest.raises(LatticeRefusal):
         generate(SftSpec(3, 2, ((1, 2), (2, 3))), LabelField(5),
                  Window((0,), (50,)))
+
+
+def test_generate_builds_each_plan_once(monkeypatch):
+    calls = []
+
+    def counted(name):
+        real = getattr(sft, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in ("classify", "build_cycle_plan"):
+        monkeypatch.setattr(sft, name, counted(name))
+    sft._kind_and_plan.cache_clear()
+    spec = SftSpec(5, 2, ((1, 2), (2, 3), (3, 1), (2, 4), (4, 5), (5, 1)))
+    runs = [generate(spec, LabelField(s), Window((0,), (300,))) for s in (1, 2, 1)]
+    assert calls == ["classify", "build_cycle_plan"]
+    sft._kind_and_plan.cache_clear()
+    fresh = generate(spec, LabelField(1), Window((0,), (300,)))
+    assert np.array_equal(runs[0].letters, fresh.letters)
+    assert np.array_equal(runs[2].letters, fresh.letters)
+    refused = coloring_spec(2)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(LatticeRefusal) as e:
+            generate(refused, LabelField(5), Window((0,), (50,)))
+        messages.append(str(e.value))
+    assert messages[0] == messages[1] == "lattice subshift: no mixing process lies in it, refusing"
 
 
 # -- membership ------------------------------------------------------------------

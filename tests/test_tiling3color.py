@@ -1,5 +1,7 @@
 """Tests for the multiscale-tiling 3-coloring of Z^d."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.ndimage import binary_dilation
@@ -8,9 +10,9 @@ from ffcolor.field import (Budget, BudgetExceeded, LabelField, PerturbedField,
                            Tracker, TrackedField)
 from ffcolor.lattice import Window
 from ffcolor.tiling3color import (HEX_VERTICES, ScaleSystem, TileForest,
-                                  build_tiles, centers, hexgraph, phase_color,
-                                  three_color_general, threegen_window,
-                                  translate_phase)
+                                  _bernoulli_points, build_tiles, centers,
+                                  hexgraph, phase_color, three_color_general,
+                                  threegen_window, translate_phase)
 
 
 # -- scales and the hexagon ---------------------------------------------------
@@ -83,6 +85,45 @@ def test_center_thinning_matches_bruteforce_1d():
             if not np.any((np.abs(w - x) <= 52) & (w != x))]
     assert got == [x for x in keep if 0 <= x < 9000]
     assert len(got) >= 10
+
+
+# p = 0, 1, 2^-53, an exact multiple k·2^-53, the next float above it, a
+# subnormal, and the level-1 and level-2 center densities of the benchmark
+THRESHOLD_PS = [0.0, 1.0, 2.0**-53, (2**51 + 3) * 2.0**-53,
+                np.nextafter((2**51 + 3) * 2.0**-53, 1.0), 5e-324,
+                ScaleSystem(2, 1 / 32).density(1), ScaleSystem(2, 1 / 32).density(2)]
+
+
+class _FixedLabels:
+    """A field whose every u64 box holds the given labels, in order."""
+
+    def __init__(self, labels):
+        self.labels = np.asarray(labels, dtype=np.uint64)
+
+    def u64_box(self, stream, axes):
+        return self.labels.reshape(np.broadcast_shapes(*(a.shape for a in axes))).copy()
+
+    uniform_box = LabelField.uniform_box
+
+
+@pytest.mark.parametrize("p", THRESHOLD_PS)
+def test_bernoulli_threshold_is_uniform_below_p(p):
+    # labels on both sides of the integer threshold and of its neighbours
+    k = math.ceil(p * 2.0**53)
+    edges = {0, 1, 2**11 - 1, 2**11, 2**64 - 2**11, 2**64 - 1}
+    for t in ((k - 1) << 11, k << 11, (k + 1) << 11):
+        edges |= {t - 1, t, t + 1}
+    labels = sorted(x for x in edges if 0 <= x < 2**64)
+    stub = _FixedLabels(labels)
+    got = _bernoulli_points(stub, "w", (0,), (len(labels),), p).ravel()
+    want = np.flatnonzero(stub.uniform_box("w", [np.arange(len(labels))]) < p)
+    assert got.tolist() == want.tolist()
+    # and on a real box, against the float comparison of the uniform labels
+    f = LabelField(31)
+    lo, hi = np.array([-40, 2**62 - 300]), np.array([260, 2**62])
+    got = _bernoulli_points(f, "tiling:w:1", lo, hi, p)
+    u = f.uniform_box("tiling:w:1", np.ix_(np.arange(lo[0], hi[0]), np.arange(lo[1], hi[1])))
+    assert np.array_equal(got, np.argwhere(u < p) + lo)
 
 
 @pytest.mark.parametrize("scale", [13.5, 1e6, float("inf"), float("nan")])
