@@ -169,17 +169,13 @@ class FiniteGraph:
         if e.size and (e.min() < 0 or e.max() >= n):
             raise ValueError(f"edge endpoints must lie in 0..{n - 1}")
         # entry 2i is edge i seen from its first end, entry 2i + 1 from its
-        # second; column c takes each vertex's first entry not yet placed
+        # second; a stable sort by vertex keeps each row in entry order
         src, dst = e.ravel(), e[:, ::-1].ravel()
-        nbr = np.full((n, np.bincount(src, minlength=n).max(initial=0)), -1,
-                      dtype=np.int64)
-        todo = np.ones(src.size, dtype=bool)
-        for c in range(nbr.shape[1]):
-            first = np.full(n, src.size)
-            np.minimum.at(first, src[todo], np.flatnonzero(todo))
-            first = first[first < src.size]
-            nbr[src[first], c] = dst[first]
-            todo[first] = False
+        order = np.argsort(src, kind="stable")
+        src, dst = src[order], dst[order]
+        deg = np.bincount(src, minlength=n)
+        nbr = np.full((n, deg.max(initial=0)), -1, dtype=np.int64)
+        nbr[src, np.arange(src.size) - (np.cumsum(deg) - deg)[src]] = dst
         return cls(n, nbr)
 
     @property

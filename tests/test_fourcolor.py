@@ -2,15 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from ffcolor.field import (Budget, BudgetExceeded, LabelField, PerturbedField,
                            TrackedField, Tracker, tracked)
 from ffcolor.lattice import Window
-from ffcolor.fourcolor import (BoxSystem, assign_radii, audit_faces,
-                               audit_sign_clusters, baseline_percolation_4color,
-                               baseline_window, checkerboard_4color, choose_M,
-                               fixture_net, four_color_window, net_coloring,
-                               sign_process, sign_window, PHASE_STREAM)
+from ffcolor.fourcolor import (BoxSystem, CANDIDATES_PER_CELL, CAND_STREAM,
+                               ORDER_STREAM, _cluster_phases, assign_radii,
+                               audit_faces, audit_sign_clusters,
+                               baseline_percolation_4color, baseline_window,
+                               checkerboard_4color, choose_M, fixture_net,
+                               four_color_window, net_coloring, sign_process,
+                               sign_window, PHASE_STREAM)
 from ffcolor.verify import check_coloring
 
 M2, C2, CP2 = choose_M(2)
@@ -323,6 +328,22 @@ def test_four_window_perturbation_stability():
     assert first.valid.all()
 
 
+def test_four_window_tracker_record_pinned():
+    # the access record of one tracked window: order labels stay scalar reads
+    # (a box over scattered centers would cover ~7e8 labels), the candidate
+    # table and phases stay one box each
+    tr = Tracker((16, 16), Budget(radius_cap=10**9, access_cap=10**9))
+    four_color_window(TrackedField(LabelField(23), tr), Window((0, 0), (32, 32)))
+    assert tr.access_count == 4922
+    assert tr.radius == 31369
+    assert {k: len(v) for k, v in tr.points.items()} == {"four:order": 98}
+    assert tr.boxes == {
+        "fixture:boxnet:pos": [((-7, -7, 0, 0), (6, 6, 5, 1))],
+        "fixture:boxnet:prio": [((-7, -7, 0), (6, 6, 5))],
+        "four:phase": [((-2, -2), (33, 33))],
+    }
+
+
 # ---------------------------------------------------------------------------
 # percolation baseline
 
@@ -374,3 +395,273 @@ def test_baseline_rejects_other_dimensions():
         baseline_percolation_4color((0, 0, 0), LabelField(1))
     with pytest.raises(ValueError):
         baseline_window(LabelField(1), Window((0, 0, 0), (8, 8, 8)))
+
+
+def test_baseline_window_breaks_phase_ties_like_the_query():
+    # with phases cut to their top 3 bits, ties are everywhere; the window
+    # anchor must be the query's max (u, x): the last tied site in raster order
+    top3 = np.uint64(0xE000000000000000)
+
+    class TiedPhases(LabelField):
+        def u64(self, stream, coords):
+            h = super().u64(stream, coords)
+            return h & int(top3) if stream.endswith("phase") else h
+
+        def u64_grid(self, stream, axes):
+            h = super().u64_grid(stream, axes)
+            return h & top3 if stream.endswith("phase") else h
+
+    checked = 0
+    for seed in range(6):
+        fld = TiedPhases(seed)
+        win = Window((0, 0), (24, 24))
+        cols, valid = baseline_window(fld, win, margin=40)
+        for v in win:
+            if valid[v]:
+                assert baseline_percolation_4color(v, fld) == cols[v], (seed, v)
+                checked += 1
+    assert checked > 3000
+
+
+# ---------------------------------------------------------------------------
+# oracles: the one-at-a-time loops the array passes replaced
+
+
+def _ref_fixture_net(field, lo, hi, M, *, ensure=None, stream=CAND_STREAM):
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
+    d = len(lo)
+    cell_lo = lo // M
+    cell_hi = (hi - 1) // M
+    ranges = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(cell_lo, cell_hi)]
+    grids = np.meshgrid(*ranges, np.arange(CANDIDATES_PER_CELL, dtype=np.int64),
+                        indexing="ij")
+    cells = [g.ravel() for g in grids[:d]]
+    cand = grids[d].ravel()
+    axes = [c[:, None] for c in cells] + [cand[:, None], np.arange(d)[None, :]]
+    offs = field.discrete_box(stream + ":pos", axes, M) - 1
+    pos = np.stack(cells, axis=1) * M + offs
+    prio = field.uniform_box(stream + ":prio", [*cells, cand])
+    kept = np.empty_like(pos)
+    k = 0
+    for i in np.argsort(-prio, kind="stable"):
+        p = pos[i]
+        if k and (np.abs(kept[:k] - p).max(axis=1) <= M).any():
+            continue
+        kept[k] = p
+        k += 1
+    kept = kept[:k]
+    if ensure is not None:
+        elo = np.asarray(ensure[0], dtype=np.int64)
+        ehi = np.asarray(ensure[1], dtype=np.int64)
+        shape = tuple(int(x) for x in ehi - elo)
+        covered = np.zeros(shape, dtype=bool)
+
+        def paint(p):
+            sl = tuple(slice(max(int(p[a] - M - elo[a]), 0),
+                             min(int(p[a] + M + 1 - elo[a]), shape[a]))
+                       for a in range(d))
+            if all(s.start < s.stop for s in sl):
+                covered[sl] = True
+
+        for p in kept:
+            paint(p)
+        while not covered.all():
+            gap = elo + np.array(
+                np.unravel_index(int(np.argmax(~covered)), shape), dtype=np.int64)
+            kept = np.vstack([kept, gap[None, :]])
+            paint(gap)
+    return kept[np.lexsort(kept.T[::-1])]
+
+
+def _ref_net_coloring(centers, reach, field, stream=ORDER_STREAM):
+    centers = np.asarray(centers, dtype=np.int64)
+    n = len(centers)
+    prio = np.array([field.uniform(stream, tuple(int(x) for x in c)) for c in centers])
+    colors = np.zeros(n, dtype=np.int64)
+    for i in np.argsort(-prio, kind="stable"):
+        dist = np.abs(centers - centers[i]).max(axis=1)
+        dist[i] = reach + 1
+        used = {int(c) for c in colors[dist <= reach]} - {0}
+        c = 1
+        while c in used:
+            c += 1
+        colors[i] = c
+    return colors
+
+
+def _ref_prohibited(s, t, rt, M):
+    d = len(s)
+    out = set()
+    ext_lo = t - rt
+    ext_hi = t + rt
+    for a in range(d):
+        for level in (int(t[a]) + rt, int(t[a]) - rt - 1):
+            for base in (level - int(s[a]), int(s[a]) - 1 - level):
+                for r in range(max(base - 3, M), min(base + 3, 2 * M - 1) + 1):
+                    ok = True
+                    for i in range(d):
+                        if i == a:
+                            continue
+                        gap = max(0, int(ext_lo[i]) - (int(s[i]) + r),
+                                  (int(s[i]) - r) - int(ext_hi[i]))
+                        if gap > 2:
+                            ok = False
+                            break
+                    if ok:
+                        out.add(r)
+    return out
+
+
+def _ref_least_radius(s, prev_centers, prev_radii, M):
+    bad = set()
+    for t, rt in zip(prev_centers, prev_radii):
+        bad |= _ref_prohibited(s, t, int(rt), M)
+    for r in range(M, 2 * M):
+        if r not in bad:
+            return r
+    raise AssertionError("no admissible radius in [M, 2M); packing bound violated")
+
+
+def _ref_assign_radii(centers, colors, M):
+    centers = np.asarray(centers, dtype=np.int64)
+    colors = np.asarray(colors, dtype=np.int64)
+    n = centers.shape[0]
+    reach = 4 * M + 3
+    for i in range(n):
+        dist = np.abs(centers - centers[i]).max(axis=1)
+        dist[i] = reach + 1
+        if (dist <= M).any():
+            raise ValueError("centers violate hard-core packing at scale M")
+        if ((dist <= reach) & (colors == colors[i])).any():
+            raise ValueError(f"net coloring not proper at reach {reach}")
+    radii = np.zeros(n, dtype=np.int64)
+    fixed = np.zeros(n, dtype=bool)
+    for j in np.unique(colors):
+        cls = np.nonzero(colors == j)[0]
+        chosen = {}
+        for i in cls:
+            dist = np.abs(centers - centers[i]).max(axis=1)
+            near = np.nonzero(fixed & (dist <= 4 * M + 2))[0]
+            chosen[int(i)] = _ref_least_radius(centers[i], centers[near], radii[near], M)
+        for i, r in chosen.items():
+            radii[i] = r
+        fixed[cls] = True
+    return radii
+
+
+def _ref_cluster_phases(values, u, *, bound=None, forbidden=None):
+    shape = values.shape
+    nd = values.ndim
+    parity = np.zeros(shape, dtype=np.int8)
+    valid = np.ones(shape, dtype=bool)
+    structure = ndimage.generate_binary_structure(nd, 1)
+    coords = np.indices(shape)
+    rim = np.ones(shape, dtype=bool)
+    if all(e > 2 for e in shape):
+        rim[tuple(slice(1, -1) for _ in range(nd))] = False
+    if forbidden is not None and forbidden.any():
+        rim |= ndimage.binary_dilation(forbidden, structure=structure)
+        valid &= ~forbidden
+    for val in np.unique(values):
+        mask = values == val
+        lab, nlab = ndimage.label(mask, structure=structure)
+        if nlab == 0:
+            continue
+        if bound is not None:
+            for sl in ndimage.find_objects(lab):
+                if sl is not None and any(s.stop - s.start - 1 > bound for s in sl):
+                    raise BudgetExceeded("radius", bound, "cluster",
+                                         tuple(int(s.start) for s in sl))
+        wpos = np.asarray(ndimage.maximum_position(
+            u, labels=lab, index=np.arange(1, nlab + 1)), dtype=np.int64)
+        wpos = wpos.reshape(nlab, nd)
+        ok = np.ones(nlab + 1, dtype=bool)
+        ok[np.unique(lab[rim & mask])] = False
+        inmask = lab > 0
+        l = lab[inmask]
+        dist = np.zeros(l.shape, dtype=np.int64)
+        for a in range(nd):
+            dist += np.abs(coords[a][inmask] - wpos[l - 1, a])
+        parity[inmask] = (dist % 2).astype(np.int8)
+        valid[inmask] &= ok[l]
+    return parity, valid
+
+
+def _outcome(fn, *args, **kwargs):
+    """The bytes of fn's arrays, or the type and message of what it raised."""
+    try:
+        out = fn(*args, **kwargs)
+    except (AssertionError, ValueError, BudgetExceeded) as e:
+        return type(e).__name__, str(e)
+    out = out if isinstance(out, tuple) else (out,)
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in out)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.integers(-300, 300),
+       st.integers(1, 320), st.booleans())
+def test_fixture_net_matches_thinning_loop(seed, d, corner, size, ensure):
+    m = 40
+    if d == 3:
+        size = size // 2 + 1
+    lo = np.array([corner, -corner // 2, corner // 3][:d])
+    hi = lo + size + np.arange(d) * 7
+    kw = {}
+    if ensure:
+        kw["ensure"] = (lo + size // 4, hi - size // 4)
+        if (kw["ensure"][1] <= kw["ensure"][0]).any():
+            kw["ensure"] = (lo, hi)
+    fld = LabelField(seed)
+    got = fixture_net(fld, lo, hi, m, **kw)
+    want = _ref_fixture_net(fld, lo, hi, m, **kw)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.integers(1, 60),
+       st.sampled_from([2, 3]), st.sampled_from(["net", "random", "clustered"]))
+def test_net_coloring_and_radii_match_loops(seed, m, n, d, kind):
+    rng = np.random.default_rng(seed)
+    fld = LabelField(seed)
+    if kind == "net":
+        # a hard-core net at scale m, colored at reach 4m + 3
+        centers = fixture_net(fld, (0,) * d, (12 * m,) * d, m)
+    else:
+        spread = 4 * m if kind == "clustered" else 30 * m
+        centers = rng.integers(-spread, spread, size=(n, d))
+    reach = 4 * m + 3
+    colors = net_coloring(centers, reach, fld)
+    assert np.array_equal(colors, _ref_net_coloring(centers, reach, fld))
+    if kind == "random":
+        colors = rng.integers(1, 4, size=len(centers))
+    assert (_outcome(assign_radii, centers, colors, m)
+            == _outcome(_ref_assign_radii, centers, colors, m))
+
+
+def test_radii_oracle_covers_every_outcome():
+    # the cases the hypothesis test above must reach: radii, both ValueErrors
+    # and a crowded class with no free radius left
+    outcomes = set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        for m, spread in ((2, 6), (3, 40), (5, 200)):
+            centers = np.unique(rng.integers(-spread, spread, size=(12, 2)), axis=0)
+            for colors in (net_coloring(centers, 4 * m + 3, LabelField(seed)),
+                           rng.integers(1, 4, size=len(centers))):
+                got = _outcome(assign_radii, centers, colors, m)
+                assert got == _outcome(_ref_assign_radii, centers, colors, m)
+                outcomes.add(got[1].split()[0] if isinstance(got[0], str) else "radii")
+    assert outcomes == {"radii", "centers", "net", "no"}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(40,), (9, 11), (2, 7), (5, 6, 4)]),
+       st.sampled_from([None, 0.05, 0.3]), st.sampled_from([None, 1, 3, 50]))
+def test_cluster_phases_match_maximum_position(seed, shape, forbid, bound):
+    rng = np.random.default_rng(seed)
+    values = rng.integers(1, 3, size=shape)
+    u = rng.permutation(values.size).reshape(shape) / values.size  # untied
+    forbidden = None if forbid is None else rng.random(shape) < forbid
+    assert (_outcome(_cluster_phases, values, u, bound=bound, forbidden=forbidden)
+            == _outcome(_ref_cluster_phases, values, u, bound=bound, forbidden=forbidden))
