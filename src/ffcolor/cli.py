@@ -1,6 +1,9 @@
 """Command-line surface: render colorings to images, audit outputs, tabulate
 coding-radius tails, and classify or generate one-dimensional subshift runs.
 
+`CONSTRUCTIONS` is the one place a construction is declared: `color` runs its
+window engine, `stats` its demand engine, and both read their choices from it.
+
 Every command is a pure function of (seed, flags, package version): reruns are
 byte-identical.  Exit codes: 0 ok, 1 audit failure, 2 config error, 3 budget
 exhaustion, 4 refusal.
@@ -10,10 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from .field import Budget, BudgetExceeded, LabelField, Tracker, TrackedField, \
     tracked
 from .fourcolor import baseline_percolation_4color, baseline_window, four_color_window
 from .lattice import LatticeSpec, Window, WindowGraph
-from .perc3color import coding_radii, three2d_window
+from .perc3color import coding_radii, three_color_2d
 from .reduction import tower_color_at, tower_coloring
 from .sft import LatticeRefusal, choose_base, classify, generate, parse_spec, \
     recurrence_gcd, verify_membership
@@ -47,10 +50,6 @@ PALETTE = {
     5: (142, 202, 230),
 }
 _RGB = np.array([PALETTE[i] for i in range(6)], dtype=np.uint8)
-
-COLOR_DIMS = {"tower": (1, 2), "four": (2,), "three2d": (2,),
-              "threegen": (1, 2), "baseline4": (2,)}
-STATS_CONSTRUCTIONS = ("tower", "three2d", "threegen", "baseline4")
 
 # A window larger than this could not be held in memory as one array, and
 # coordinates beyond COORD_LIMIT would wrap in the int64 arrays of the window
@@ -164,46 +163,66 @@ def _parse_window(text: str, d: int) -> Window:
     return window
 
 
-def _run_color(args, field, window):
-    """(colors, valid, radii-or-None, constants) for one construction."""
-    name = args.construction
-    if name == "tower":
-        wg = WindowGraph.build(window, 1, "l1")
-        tw = tower_coloring(wg, field, kmax=args.kmax)
-        colors = tw.colors.reshape(window.extent)
-        valid = (~tw.tainted & wg.interior).reshape(window.extent)
-        consts = {"delta": tw.delta, "kmax": tw.kmax,
-                  "n_k": [tw.seq.n_k(k) for k in range(1, tw.kmax + 1)],
-                  "fallback_count": tw.fallback_count}
-        return colors, valid, None, consts
-    if name == "four":
-        fc = four_color_window(field, window)
-        return fc.colors, fc.valid, None, {"M": fc.M, "C": fc.C, "Cprime": fc.Cprime}
-    if name == "three2d":
-        radii, resolved, colors, _ = coding_radii(field, window, cap=args.cap)
-        tails = [int(r) if ok else None
-                 for r, ok in zip(radii.ravel(), resolved.ravel())]
-        return colors, resolved, tails, {"cap": args.cap, "start_half": 4}
-    if name == "threegen":
-        colors, valid, forest = threegen_window(
-            field, window, maxlevel=args.maxlevel,
-            density_scale=args.density_scale, margin=args.margin)
-        levels = {str(j): len(p) for j, p in forest.levels.items()}
-        return colors, valid, None, {"maxlevel": args.maxlevel,
-                                     "density_scale": args.density_scale,
-                                     "margin": args.margin, "levels": levels}
-    fc = baseline_window(field, window, margin=args.margin)
-    return fc[0], fc[1], None, {"margin": args.margin}
+def _tower(args, field, window):
+    wg = WindowGraph.build(window, 1, "l1")
+    tw = tower_coloring(wg, field, kmax=args.kmax)
+    consts = {"delta": tw.delta, "kmax": tw.kmax, "fallback_count": tw.fallback_count,
+              "n_k": [tw.seq.n_k(k) for k in range(1, tw.kmax + 1)]}
+    return (tw.colors.reshape(window.extent),
+            (~tw.tainted & wg.interior).reshape(window.extent), None, consts)
 
 
-def _check_dims(args) -> None:
-    dims = COLOR_DIMS[args.construction]
-    if args.d not in dims:
-        raise ConfigError(f"{args.construction} runs on d in {dims}, not d={args.d}")
+def _four(args, field, window):
+    fc = four_color_window(field, window)
+    return fc.colors, fc.valid, None, {"M": fc.M, "C": fc.C, "Cprime": fc.Cprime}
+
+
+def _three2d(args, field, window):
+    radii, resolved, colors, _ = coding_radii(field, window, cap=args.cap)
+    tails = [int(r) if ok else None for r, ok in zip(radii.ravel(), resolved.ravel())]
+    return colors, resolved, tails, {"cap": args.cap, "start_half": 4}
+
+
+def _threegen(args, field, window):
+    consts = {k: vars(args)[k] for k in ("maxlevel", "density_scale", "margin")}
+    colors, valid, forest = threegen_window(field, window, **consts)
+    consts["levels"] = {str(j): len(p) for j, p in forest.levels.items()}
+    return colors, valid, None, consts
+
+
+class Construction(NamedTuple):
+    """`window(args, field, window)` -> (colors, valid, radii-or-None, constants);
+    `demand(args, field, v)` answers one site, censored past `args.cap`, or is
+    None.  Engines are looked up by name at call time, so tests can spy on them."""
+    dims: tuple
+    window: Callable
+    demand: Callable | None
+
+
+CONSTRUCTIONS = {
+    "tower": Construction((1, 2), _tower, lambda args, f, v: tower_color_at(
+        f, v, LatticeSpec(args.d, 1, "l1"))),
+    "four": Construction((2,), _four, None),
+    "three2d": Construction((2,), _three2d, lambda args, f, v: three_color_2d(
+        v, f, radius_cap=args.cap)),
+    "threegen": Construction((1, 2), _threegen, lambda args, f, v: three_color_general(
+        v, args.d, f, density_scale=args.density_scale, radius_cap=args.cap)),
+    "baseline4": Construction(
+        (2,), lambda args, f, w: (*baseline_window(f, w, margin=args.margin), None,
+                                  {"margin": args.margin}),
+        lambda args, f, v: baseline_percolation_4color(v, f)),
+}
+
+
+def _construction(args) -> Construction:
+    entry = CONSTRUCTIONS[args.construction]
+    if args.d not in entry.dims:
+        raise ConfigError(f"{args.construction} runs on d in {entry.dims}, not d={args.d}")
+    return entry
 
 
 def cmd_color(args) -> int:
-    _check_dims(args)
+    entry = _construction(args)
     window = _parse_window(args.window, args.d)
     field = LabelField(args.seed)
     if args.radius_budget is not None:
@@ -212,9 +231,8 @@ def cmd_color(args) -> int:
             center, Budget(radius_cap=args.radius_budget)))
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    img_path = prefix.parent / (prefix.name + ".ppm")
-    csv_path = prefix.parent / (prefix.name + ".radii.csv")
-    json_path = prefix.parent / (prefix.name + ".json")
+    img_path, csv_path, json_path = (prefix.parent / (prefix.name + ext)
+                                     for ext in (".ppm", ".radii.csv", ".json"))
     manifest = {
         "version": __version__, "command": "color",
         "construction": args.construction, "d": args.d, "seed": args.seed,
@@ -222,7 +240,7 @@ def cmd_color(args) -> int:
         "palette": {str(k): list(v) for k, v in PALETTE.items()},
     }
     try:
-        colors, valid, radii, consts = _run_color(args, field, window)
+        colors, valid, radii, consts = entry.window(args, field, window)
     except BudgetExceeded as e:
         manifest["budget_exceeded"] = {"kind": e.kind, "limit": e.limit,
                                        "stream": e.stream, "where": list(e.where)}
@@ -286,36 +304,15 @@ def _sample_vertices(seed: int, n: int, d: int, span: int = 1_000_000):
             for row in rng.integers(-span, span, size=(n, d))]
 
 
-def _stats_radii(args, field) -> list:
-    name = args.construction
-    if name == "three2d":
-        side = math.isqrt(args.samples - 1) + 1
-        radii, resolved, _, _ = coding_radii(
-            field, Window((0, 0), (side, side)), cap=args.cap)
-        return [int(r) if ok else None
-                for r, ok in zip(radii.ravel(), resolved.ravel())][:args.samples]
-    if name == "tower":
-        spec = LatticeSpec(args.d, 1, "l1")
-        query = lambda f, v: tower_color_at(f, v, spec)
-    elif name == "baseline4":
-        query = lambda f, v: baseline_percolation_4color(v, f)
-    else:
-        query = lambda f, v: three_color_general(
-            v, args.d, f, density_scale=args.density_scale, radius_cap=args.cap)
-    budget = Budget(radius_cap=args.cap)
-    out = []
+def cmd_stats(args) -> int:
+    demand, field = _construction(args).demand, LabelField(args.seed)
+    radii = []
     for v in _sample_vertices(args.seed, args.samples, args.d):
         try:
-            out.append(tracked(lambda f: query(f, v), field, v, budget).radius)
+            radii.append(tracked(lambda f: demand(args, f, v), field, v,
+                                 Budget(radius_cap=args.cap)).radius)
         except BudgetExceeded:
-            out.append(None)
-    return out
-
-
-def cmd_stats(args) -> int:
-    _check_dims(args)
-    field = LabelField(args.seed)
-    radii = _stats_radii(args, field)
+            radii.append(None)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(radius_tail_csv(radii, args.cap))
@@ -323,8 +320,7 @@ def cmd_stats(args) -> int:
         lines = ["r,survival"]
         lines += [f"{r},{s}" for r, s in survival_points(radii, args.cap)]
         Path(args.plot).write_text("\n".join(lines) + "\n")
-    censored = sum(1 for r in radii if r is None)
-    print(f"wrote {out} ({len(radii)} queries, {censored} censored at "
+    print(f"wrote {out} ({len(radii)} queries, {radii.count(None)} censored at "
           f"cap {args.cap})")
     return EXIT_OK
 
@@ -381,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("color", help="color a window; write image + manifest")
-    c.add_argument("--construction", required=True, choices=sorted(COLOR_DIMS))
+    c.add_argument("--construction", required=True, choices=sorted(CONSTRUCTIONS))
     c.add_argument("--d", type=int, default=2)
     c.add_argument("--window", required=True,
                    help="origin then extents, comma-separated (half-open box); "
@@ -413,8 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--json", default=None, help="also write the report as JSON")
     v.set_defaults(fn=cmd_verify)
 
-    s = sub.add_parser("stats", help="coding-radius survival table")
-    s.add_argument("--construction", required=True, choices=STATS_CONSTRUCTIONS)
+    table = ("survival table of the tracked radii of the demand engine at independent "
+             "sites in [-10^6, 10^6)^d; a query past --cap is censored")
+    s = sub.add_parser("stats", help=table, description=table)
+    s.add_argument("--construction", required=True,
+                   choices=[n for n, c in CONSTRUCTIONS.items() if c.demand])
     s.add_argument("--d", type=int, default=2)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--samples", type=_POSITIVE, default=1000)

@@ -233,10 +233,6 @@ class SetFamily:
         e = element - 1
         return bool((int(self.words[row - 1, e >> 6]) >> (e & 63)) & 1)
 
-    def row_bits(self, row: int) -> np.ndarray:
-        return np.unpackbits(
-            self.words[row - 1].view(np.uint8), bitorder="little")[: self.ground]
-
     def digest(self) -> str:
         return digest_bits(
             np.unpackbits(self.words.view(np.uint8), axis=None, bitorder="little"))
@@ -302,18 +298,3 @@ def build_cover_free_family(n: int, ground: int, delta: int, field,
     """
     return SetFamily.build(field, delta, level, ground=ground, nsets=n,
                            allow_infeasible=allow_infeasible)
-
-
-def sample_tuples(field, nsets: int, delta: int, count: int, stream: str = "family:audit") -> np.ndarray:
-    """count distinct-entry (delta+1)-tuples of rows in [1, nsets], deterministic."""
-    out = np.empty((count, delta + 1), dtype=np.int64)
-    for t in range(count):
-        seen: list[int] = []
-        i = 0
-        while len(seen) < delta + 1:
-            r = field.discrete(stream, (t, i), nsets)
-            i += 1
-            if r not in seen:
-                seen.append(r)
-        out[t] = seen
-    return out

@@ -508,7 +508,7 @@ def four_color_window(field, window: Window) -> FourColoring:
 
     signs, covered = sign_window(zwin, boxes, colors)
     two = np.where(signs > 0, 1, 2)
-    u = field.uniform_box(PHASE_STREAM, zwin.axes())
+    u = field.uniform_box(PHASE_STREAM, zwin.ix_axes())
     forbidden = ~covered if not covered.all() else None
     x4, valid = checkerboard_4color(two, u, forbidden=forbidden)
 
@@ -555,8 +555,7 @@ def baseline_window(field, window: Window, *, margin: int = 64):
     """
     if window.d != 2:
         raise ValueError("baseline runs on the planar lattice")
-    big = window.grow(margin)
-    axes = big.axes()
+    axes = window.grow(margin).ix_axes()
     signs = field.coin_box(BASE_SIGN_STREAM, axes)
     u = field.uniform_box(BASE_PHASE_STREAM, axes)
     parity, valid = _cluster_phases(signs, u)

@@ -22,14 +22,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 
-def l1(v: Sequence[int]) -> int:
-    return sum(abs(int(c)) for c in v)
-
-
-def linf(v: Sequence[int]) -> int:
-    return max(abs(int(c)) for c in v)
-
-
 def ball_offsets(d: int, r: int, norm: str = "l1") -> list[tuple[int, ...]]:
     """All offsets with |x| <= r in the given norm, origin included."""
     if norm == "linf":
@@ -54,13 +46,6 @@ def ball_size(d: int, r: int, norm: str = "l1") -> int:
     # sum over k of C(d,k) 2^k C(r,k): choose k axes that are nonzero... via
     # standard lattice-point count of the cross-polytope
     return sum(comb(d, k) * 2**k * comb(r, k) for k in range(0, min(d, r) + 1))
-
-
-def sphere_offsets(d: int, r: int, norm: str = "l1") -> list[tuple[int, ...]]:
-    if r == 0:
-        return [(0,) * d]
-    dist = l1 if norm == "l1" else linf
-    return [off for off in ball_offsets(d, r, norm) if dist(off) == r]
 
 
 @lru_cache(maxsize=None)
@@ -118,6 +103,10 @@ class Window:
         """Broadcastable coordinate arrays, one per axis, shape = extents."""
         grids = np.indices(self.extent)
         return [grids[i] + self.origin[i] for i in range(self.d)]
+
+    def ix_axes(self) -> tuple[np.ndarray, ...]:
+        """The coordinates of `axes()` as an `np.ix_` box of one range per axis."""
+        return np.ix_(*(np.arange(o, o + e) for o, e in zip(self.origin, self.extent)))
 
     def index(self, v: Sequence[int]) -> int:
         idx = 0
@@ -199,14 +188,6 @@ class FiniteGraph:
         src, dst = np.nonzero(self.neighbor_matrix >= 0)[0], self.indices
         mask = src < dst
         return np.stack([src[mask], dst[mask]], axis=1)
-
-
-def path_graph(n: int) -> FiniteGraph:
-    return FiniteGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n: int) -> FiniteGraph:
-    return FiniteGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 @dataclass

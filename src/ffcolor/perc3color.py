@@ -312,22 +312,9 @@ class PercWindow:
             raise ValueError(f"{tuple(v)} outside window")
         return i, j
 
-    def cluster_of(self, v) -> tuple[np.ndarray, bool]:
-        """Vertices (absolute coordinates) of v's cluster and its closed flag."""
-        i, j = self._index(v)
-        cid = int(self.labels[i, j])
-        ii, jj = np.nonzero(self.labels == cid)
-        coords = np.stack([ii + self.window.origin[0],
-                           jj + self.window.origin[1]], axis=1)
-        return coords, bool(self.closed[cid])
-
     def cluster_id(self, v) -> int:
         i, j = self._index(v)
         return int(self.labels[i, j])
-
-    def parent_of(self, cid: int) -> int:
-        """Cluster id of the surrounding adjacent cluster, or UNKNOWN."""
-        return int(self.parent[cid])
 
     def colors_grid(self) -> tuple[np.ndarray, np.ndarray]:
         grid = self.color[self.labels]

@@ -584,9 +584,3 @@ class MNet(LongRangeColoring):
         f = field if field is not None else self.field
         wg = WindowGraph.build(window, self.spec.m, self.spec.norm)
         return net_window(wg, f, kmax=self.kmax, stream_prefix=self.prefix)
-
-
-def net_packing_bound(d: int, m: int, c: int, norm: str = "l1") -> int:
-    """Net points within distance c*m of a site fit disjoint m/2-balls."""
-    half = m // 2
-    return ball_size(d, c * m + half, norm) // max(ball_size(d, half, norm), 1)

@@ -53,11 +53,6 @@ class SftSpec:
     def __contains__(self, w) -> bool:
         return tuple(w) in set(self.words)
 
-    def to_text(self) -> str:
-        lines = [f"{self.q} {self.k}"]
-        lines += [" ".join(str(a) for a in w) for w in self.words]
-        return "\n".join(lines) + "\n"
-
 
 def parse_spec(text: str) -> SftSpec:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 from ffcolor import cli
 from ffcolor.cli import PALETTE, _sample_vertices, main, read_ppm, write_ppm
-from ffcolor.field import Budget, LabelField, tracked
+from ffcolor.field import Budget, BudgetExceeded, LabelField, tracked
+from ffcolor.fourcolor import baseline_percolation_4color
 from ffcolor.lattice import LatticeSpec, Window
+from ffcolor.perc3color import three_color_2d
 from ffcolor.reduction import MNet, tower_color_at
 from ffcolor.tiling3color import three_color_general
 from ffcolor.verify import radius_tail_csv
@@ -193,6 +195,16 @@ def test_radius_budget_exit_and_flagged_manifest(tmp_path):
     assert not (tmp_path / "bud.ppm").exists()
 
 
+@pytest.mark.parametrize("name,d", [(n, d) for n, c in cli.CONSTRUCTIONS.items()
+                                    for d in c.dims])
+def test_color_then_verify_round_trip(tmp_path, name, d):
+    window = ",".join(["0"] * d + ["12"] * d)
+    assert run("color", "--construction", name, "--d", d, f"--window={window}",
+               "--out", tmp_path / "run") == 0
+    kind = "three-coloring" if d == 2 and name in ("three2d", "threegen") else "coloring"
+    assert run("verify", "--image", tmp_path / "run.ppm", "--kind", kind) == 0
+
+
 def test_tower_d2_manifest_carries_color_counts(tmp_path):
     out = tmp_path / "tw"
     assert run("color", "--construction", "tower", "--d", "2",
@@ -298,16 +310,32 @@ def test_stats_rerun_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_stats_tower_tabulates_tracked_coding_radius(tmp_path):
+@pytest.mark.parametrize("name,d,seed,samples,cap,query", [
+    pytest.param("tower", 1, 4, 100, 512,
+                 lambda f, v: tower_color_at(f, v, LatticeSpec(1, 1, "l1")), id="tower"),
+    pytest.param("baseline4", 2, 4, 100, 64,
+                 lambda f, v: baseline_percolation_4color(v, f), id="baseline4"),
+    pytest.param("three2d", 2, 3, 20, 64,
+                 lambda f, v: three_color_2d(v, f, radius_cap=64), id="three2d"),
+    pytest.param("threegen", 2, 1, 3, 256, lambda f, v: three_color_general(
+        v, 2, f, density_scale=1 / 32, radius_cap=256), id="threegen"),
+])
+def test_stats_tabulates_tracked_coding_radius(tmp_path, name, d, seed, samples, cap,
+                                               query):
+    # the table is the demand engine's tracked radius at each sampled site
     out = tmp_path / "t.csv"
-    assert run("stats", "--construction", "tower", "--d", "1",
-               "--samples", "100", "--seed", "4", "--out", out) == 0
-    spec, fld = LatticeSpec(1, 1, "l1"), LabelField(4)
-    radii = [tracked(lambda f: tower_color_at(f, v, spec), fld, v,
-                     Budget(radius_cap=512)).radius
-             for v in _sample_vertices(4, 100, 1)]
-    assert out.read_text() == radius_tail_csv(radii, 512)
-    assert max(radii) > 3  # above every resolving level, so not a level
+    assert run("stats", "--construction", name, "--d", d, "--samples", samples,
+               "--cap", cap, "--seed", seed, "--out", out) == 0
+    fld, radii = LabelField(seed), []
+    for v in _sample_vertices(seed, samples, d):
+        try:
+            radii.append(tracked(lambda f: query(f, v), fld, v,
+                                 Budget(radius_cap=cap)).radius)
+        except BudgetExceeded:
+            radii.append(None)
+    assert out.read_text() == radius_tail_csv(radii, cap)
+    if name == "tower":
+        assert max(radii) > 3  # above every resolving level, so not a level
 
 
 def test_stats_checks_dims_and_runs_threegen_in_1d(tmp_path, monkeypatch):

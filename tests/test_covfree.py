@@ -25,9 +25,27 @@ from ffcolor.covfree import (
     exact_floor_exp,
     feasible_levels,
     first_color_count,
-    sample_tuples,
 )
 from ffcolor.field import LabelField, Tracker, TrackedField
+
+
+def sample_tuples(field, nsets: int, delta: int, count: int) -> np.ndarray:
+    """count distinct-entry (delta+1)-tuples of rows in [1, nsets], deterministic."""
+    out = np.empty((count, delta + 1), dtype=np.int64)
+    for t in range(count):
+        seen: list[int] = []
+        i = 0
+        while len(seen) < delta + 1:
+            r = field.discrete("family:audit", (t, i), nsets)
+            i += 1
+            if r not in seen:
+                seen.append(r)
+        out[t] = seen
+    return out
+
+
+def row_bits(fam: SetFamily, row: int) -> np.ndarray:
+    return np.unpackbits(fam.words[row - 1].view(np.uint8), bitorder="little")[: fam.ground]
 
 FROZEN = {
     1: (6, 8, 16, 256),
@@ -134,7 +152,7 @@ def test_family_determinism_and_stream_separation():
 def test_contains_matches_row_bits():
     fam = build_cover_free_family(10, 130, 2, LabelField(3))
     for row in (1, 4, 10):
-        bits = fam.row_bits(row)
+        bits = row_bits(fam, row)
         assert len(bits) == 130
         for el in (1, 2, 63, 64, 65, 129, 130):
             assert fam.contains(row, el) == bool(bits[el - 1])
@@ -199,7 +217,7 @@ def test_membership_rate_is_fair_bits(seed, ground):
     fam = build_cover_free_family(4, ground, 3, LabelField(seed),
                                   allow_infeasible=True)
     total = 4 * ground
-    ones = int(sum(fam.row_bits(r).sum() for r in range(1, 5)))
+    ones = int(sum(row_bits(fam, r).sum() for r in range(1, 5)))
     sd = math.sqrt(total * 0.25)
     assert abs(ones - total / 2) <= 5 * sd + 1
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from ffcolor.field import (Budget, BudgetExceeded, LabelField, PerturbedField,
+from ffcolor.field import (Budget, BudgetExceeded, LabelField,
                            TrackedField, Tracker, tracked)
 from ffcolor.lattice import Window
 from ffcolor.fourcolor import (BoxSystem, CANDIDATES_PER_CELL, CAND_STREAM,
@@ -317,17 +317,6 @@ def test_four_window_at_box_seam():
     assert np.isin(colors[core], (1, 2)).any()  # multi-vertex cluster split
 
 
-def test_four_window_perturbation_stability():
-    base = LabelField(23)
-    alt = LabelField(24)
-    win = Window((0, 0), (32, 32))
-    tr = Tracker((16, 16), Budget(radius_cap=10**9, access_cap=10**9))
-    first = four_color_window(TrackedField(base, tr), win)
-    second = four_color_window(PerturbedField(base, tr, alt), win)
-    assert np.array_equal(first.colors, second.colors)
-    assert first.valid.all()
-
-
 def test_four_window_tracker_record_pinned():
     # the access record of one tracked window: order labels stay scalar reads
     # (a box over scattered centers would cover ~7e8 labels), the candidate
@@ -355,14 +344,6 @@ def test_baseline_window_proper():
     assert np.isin(cols[valid], (1, 2, 3, 4)).all()
 
 
-def test_baseline_pointwise_matches_window():
-    fld = LabelField(2)
-    cols, valid = baseline_window(fld, Window((0, 0), (40, 40)))
-    for v in [(0, 0), (39, 39), (7, 21), (20, 20), (3, 38), (18, 2)]:
-        if valid[v]:
-            assert baseline_percolation_4color(v, fld) == cols[v]
-
-
 def test_baseline_singleton_cluster():
     fld = LabelField(2)
     pick = None
@@ -378,16 +359,6 @@ def test_baseline_singleton_cluster():
                  fld, pick, Budget())
     assert ev.value in (1, 3)  # the vertex is its own phase anchor
     assert ev.radius <= 2
-
-
-def test_baseline_perturbation_stability():
-    base = LabelField(31)
-    alt = LabelField(32)
-    for i in range(50):
-        v = (29 * i % 211, 47 * i % 199)
-        ev = tracked(lambda f: baseline_percolation_4color(v, f),
-                     base, v, Budget())
-        assert baseline_percolation_4color(v, PerturbedField(base, ev.tracker, alt)) == ev.value
 
 
 def test_baseline_rejects_other_dimensions():

@@ -13,13 +13,16 @@ from ffcolor.lattice import (
     WindowGraph,
     ball_offsets,
     ball_size,
-    cycle_graph,
-    l1,
-    linf,
     nonzero_offsets,
-    path_graph,
-    sphere_offsets,
 )
+
+
+def l1(v):
+    return sum(abs(int(c)) for c in v)
+
+
+def linf(v):
+    return max(abs(int(c)) for c in v)
 
 
 @given(st.integers(1, 4), st.integers(0, 6))
@@ -38,12 +41,6 @@ def test_ball_size_known_values():
     assert ball_size(3, 1, "l1") == 7
     assert ball_size(2, 2, "l1") == 13
     assert ball_size(1, 5, "l1") == 11
-
-
-def test_sphere_offsets():
-    s = sphere_offsets(2, 2, "l1")
-    assert len(s) == 8
-    assert all(l1(o) == 2 for o in s)
 
 
 def test_window_roundtrip_and_iteration():
@@ -80,9 +77,11 @@ def test_finite_graph_from_edges():
 
 
 def test_path_and_cycle():
-    assert path_graph(5).max_degree == 2
-    assert path_graph(5).degree(0) == 1
-    assert cycle_graph(5).degree(0) == 2
+    path = FiniteGraph.from_edges(5, [(i, i + 1) for i in range(4)])
+    cycle = FiniteGraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    assert path.max_degree == 2
+    assert path.degree(0) == 1
+    assert cycle.degree(0) == 2
 
 
 def test_window_graph_degrees_l1():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffcolor.field import BudgetExceeded, LabelField, PerturbedField, tracked
+from ffcolor.field import BudgetExceeded, LabelField, tracked
 from ffcolor.lattice import Window
 from ffcolor.perc3color import (
     UNKNOWN,
@@ -17,6 +17,14 @@ from ffcolor.perc3color import (
     three2d_window,
     three_color_2d,
 )
+
+
+def cluster_of(perc, v):
+    """Vertices (absolute coordinates) of v's cluster and its closed flag."""
+    cid = perc.cluster_id(v)
+    ii, jj = np.nonzero(perc.labels == cid)
+    coords = np.stack([ii + perc.window.origin[0], jj + perc.window.origin[1]], axis=1)
+    return coords, bool(perc.closed[cid])
 
 
 def parity_grid(window):
@@ -101,10 +109,10 @@ def test_cluster_of_reports_closed_flag():
     rim[[0, -1], :] = True
     rim[:, [0, -1]] = True
     open_ids = set(labels[rim].tolist())
-    coords, closed = perc.cluster_of((16, 16))
+    coords, closed = cluster_of(perc, (16, 16))
     assert closed == (labels[16, 16] not in open_ids)
     assert all(labels[i, j] == labels[16, 16] for i, j in coords)
-    coords, closed = perc.cluster_of((0, 5))
+    coords, closed = cluster_of(perc, (0, 5))
     assert not closed
 
 
@@ -137,10 +145,10 @@ def _diamond_config():
 
 def test_singleton_parent_is_surrounding_diamond():
     perc = _diamond_config()
-    coords, closed = perc.cluster_of((4, 4))
+    coords, closed = cluster_of(perc, (4, 4))
     assert closed and len(coords) == 1
     cid = perc.cluster_id((4, 4))
-    pid = perc.parent_of(cid)
+    pid = int(perc.parent[cid])
     assert pid == perc.cluster_id((5, 4)) == perc.cluster_id((3, 4)) \
         == perc.cluster_id((4, 5)) == perc.cluster_id((4, 3))
     assert pid != cid
@@ -447,23 +455,6 @@ def test_parent_cycle_raises_instead_of_hanging():
 # -- per-vertex queries and radii --------------------------------------------
 
 
-def test_survey_matches_demand_driven_query():
-    f = LabelField(3)
-    radii, resolved, colors, _ = coding_radii(f, Window((0, 0), (40, 40)), cap=256)
-    picks = [tuple(map(int, p)) for p in np.argwhere(resolved)[:4]]
-    assert picks, "window holds no resolved vertex; enlarge it"
-    rng = np.random.default_rng(0)
-    picks += [(int(a), int(b)) for a, b in rng.integers(0, 40, (12, 2))]
-    for v in picks:
-        try:
-            c, r = three_color_2d(v, f, radius_cap=256)
-            assert resolved[v]
-            assert colors[v] == c
-            assert radii[v] == r
-        except BudgetExceeded:
-            assert not resolved[v]
-
-
 def test_window_schedule_does_not_change_answers():
     f = LabelField(3)
     radii, resolved, colors, _ = coding_radii(f, Window((0, 0), (48, 48)), cap=256)
@@ -481,30 +472,6 @@ def test_radius_cap_raises_budget_error():
     with pytest.raises(BudgetExceeded) as err:
         three_color_2d((0, 0), f, radius_cap=8)
     assert err.value.kind == "radius"
-
-
-def test_tracked_query_and_perturbation_replay():
-    from ffcolor.field import Budget, Tracker, TrackedField
-
-    base = LabelField(3)
-    radii, resolved, colors, _ = coding_radii(base, Window((0, 0), (48, 48)),
-                                              cap=256)
-    picks = [tuple(map(int, p)) for p in np.argwhere(resolved)[:3]]
-    picks += [(0, 0)] if not resolved[0, 0] else []
-    alt = LabelField(999)
-    for v in picks:
-        tr = Tracker(v, Budget(radius_cap=256, access_cap=10**9))
-        tf = TrackedField(base, tr)
-        try:
-            first = three_color_2d(v, tf, radius_cap=256)
-        except BudgetExceeded:
-            first = "censored"
-        pf = PerturbedField(base, tr, alt)
-        try:
-            replay = three_color_2d(v, pf, radius_cap=256)
-        except BudgetExceeded:
-            replay = "censored"
-        assert first == replay
 
 
 def test_survival_tail_is_a_decreasing_power_law():

@@ -14,14 +14,7 @@ from hypothesis import strategies as st
 
 from ffcolor.covfree import ColorSequence, build_cover_free_family
 from ffcolor.field import Budget, BudgetExceeded, LabelField, PerturbedField, tracked
-from ffcolor.lattice import (
-    FiniteGraph,
-    LatticeSpec,
-    Window,
-    WindowGraph,
-    cycle_graph,
-    path_graph,
-)
+from ffcolor.lattice import FiniteGraph, LatticeSpec, Window, WindowGraph, ball_size
 from ffcolor.reduction import (
     INF,
     LongRangeColoring,
@@ -33,10 +26,23 @@ from ffcolor.reduction import (
     dilate_mask,
     elimination_sweep,
     greedy_fallback,
-    net_packing_bound,
     net_window,
     tower_coloring,
 )
+
+
+def path_graph(n: int) -> FiniteGraph:
+    return FiniteGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle_graph(n: int) -> FiniteGraph:
+    return FiniteGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def net_packing_bound(d: int, m: int, c: int, norm: str = "l1") -> int:
+    """Net points within distance c*m of a site fit disjoint m/2-balls."""
+    half = m // 2
+    return ball_size(d, c * m + half, norm) // max(ball_size(d, half, norm), 1)
 
 
 def eliminate_color(x, a, g):

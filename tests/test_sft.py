@@ -19,7 +19,8 @@ PETAL = SftSpec(6, 2, ((1, 2), (2, 3), (3, 1), (2, 4), (4, 5), (5, 6), (6, 1)))
 def test_spec_roundtrip():
     spec = coloring_spec(3)
     assert len(spec.words) == 6
-    again = parse_spec(spec.to_text())
+    lines = [f"{spec.q} {spec.k}"] + [" ".join(map(str, w)) for w in spec.words]
+    again = parse_spec("\n".join(lines) + "\n")
     assert again == spec
     assert (1, 2) in again and (1, 1) not in again
 
