@@ -12,19 +12,30 @@ non-spatial (shared global tables such as set-family bits) count against the
 access budget but not the radius.
 
 Field protocol: every field (LabelField, TrackedField, PerturbedField) answers
-the scalar reads `u64`, `uniform`, `coin`, `discrete` and the bulk reads
-`u64_box`, `uniform_box`, `coin_box`, `discrete_box`, which take broadcast
-coordinate axes.  Constructions call only these names.  The `*_grid` methods
-are LabelField's raw vectorized hash, which the bulk reads of every field
-bottom out in.
+the scalar reads `u64`, `uniform`, `coin`, `discrete`, the point-list read
+`u64_points`, and the bulk reads `u64_box`, `uniform_box`, `coin_box`,
+`discrete_box`, which take broadcast coordinate axes.  Constructions call only
+these names.  The `*_grid` methods are LabelField's raw vectorized hash, which
+the bulk reads of every field bottom out in.
 
 One rule keeps the fields in step: a field overrides only its `u64`
-primitives (`u64`, `u64_grid`, `u64_box`), and every derived read is
-LabelField's.  `uniform`, `coin` and `discrete` are elementwise functions of
-the `u64` value, computed in LabelField alone, so a tracked read records
-exactly one access and a perturbed read picks base or alt once, at the `u64`.
+primitives (`u64`, `u64_points`, `u64_grid`, `u64_box`), and every derived
+read is LabelField's.  A field that overrides `u64` overrides `u64_points`
+too, or a point list would be hashed past its override.  `uniform`, `coin`
+and `discrete` are elementwise functions of the `u64` value, computed in
+LabelField alone, so a tracked read records exactly one access and a
+perturbed read picks base or alt once, at the `u64`.
 The bulk primitives return a new array on every call, which the derived reads
 convert in place.
+
+`u64_points` reads a list of scattered points, such as one frontier of a
+cluster search, and returns Python ints.  A tracked point list is recorded in
+one pass: its access count, its points and its 1-norm reach, so a query that
+reads its labels a list at a time records exactly what its scalar reads
+would.  The points are hashed in Python with the scalar chain.  A demand
+query's lists are small (about nine points per frontier in the baseline
+query), and one numpy pass costs more per call in array set-up than it saves
+in hashing.
 
 Stream state is cached.  `stream_key` is memoized per stream name (the
 package uses a few dozen names; the memo is bounded all the same), and each
@@ -237,6 +248,19 @@ class LabelField:
             h = mix64(h ^ (int(c) & MASK64))
         return h
 
+    def u64_points(self, stream: str, points: Sequence[tuple]) -> list[int]:
+        """`u64` at each point of a list of int tuples, as a list of ints."""
+        start = self._starts.get(stream)
+        if start is None:
+            start = self._start(stream)
+        out = []
+        for p in points:
+            h = start
+            for c in p:
+                h = mix64(h ^ (c & MASK64))
+            out.append(h)
+        return out
+
     def uniform(self, stream: str, coords: Sequence[int]) -> float:
         # top 53 bits -> [0, 1)
         return (self.u64(stream, coords) >> 11) * 2.0**-53
@@ -338,6 +362,31 @@ class Tracker:
                     raise BudgetExceeded("radius", self.budget.radius_cap, stream, coords)
                 self.radius = r
 
+    def record_points(self, stream: str, points: Sequence[tuple],
+                      spatial: bool = True) -> None:
+        """Record a list of points at once, as `record` on each of them would
+        count, keep and bound them; points must be tuples of Python ints."""
+        if not points:
+            return
+        self.access_count += len(points)
+        if self.access_count > self.budget.access_cap:
+            first = len(points) - (self.access_count - self.budget.access_cap)
+            raise BudgetExceeded("access", self.budget.access_cap, stream, points[first])
+        pts = self.points.get(stream)
+        if pts is None:
+            pts = self.points[stream] = set()
+        pts.update(points)
+        if spatial:
+            o = self.origin
+            reach = [sum(map(abs, map(sub, p, o))) for p in points]
+            r = max(reach)
+            if r > self.radius:
+                cap = self.budget.radius_cap
+                if r > cap:
+                    far = next(p for p, q in zip(points, reach) if q > cap)
+                    raise BudgetExceeded("radius", cap, stream, far)
+                self.radius = r
+
     def record_box(self, stream: str, lo: Sequence[int], hi: Sequence[int],
                    spatial: bool = True) -> None:
         """Record an inclusive coordinate box [lo, hi]."""
@@ -379,10 +428,11 @@ def is_spatial(stream: str) -> bool:
 class TrackedField:
     """LabelField wrapper that records every access into a Tracker.
 
-    Only the primitives have bodies here: `u64` records one point and `u64_box`
-    the bounding box it covers.  The derived reads are LabelField's own
-    functions, bound by name, so each records exactly once, through them.  Not
-    a LabelField subclass: the raw `*_grid` reads would skip `base`.
+    Only the primitives have bodies here: `u64` records one point,
+    `u64_points` its list of points and `u64_box` the bounding box it covers.
+    The derived reads are LabelField's own functions, bound by name, so each
+    records exactly once, through them.  Not a LabelField subclass: the raw
+    `*_grid` reads would skip `base`.
     """
 
     def __init__(self, base: LabelField, tracker: Tracker):
@@ -394,6 +444,10 @@ class TrackedField:
         c = tuple(map(int, coords))
         self.tracker.record(stream, c, is_spatial(stream))
         return self.base.u64(stream, c)
+
+    def u64_points(self, stream: str, points: Sequence[tuple]) -> list[int]:
+        self.tracker.record_points(stream, points, is_spatial(stream))
+        return self.base.u64_points(stream, points)
 
     def u64_box(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
         lo = [int(np.min(a)) for a in axes]
@@ -430,6 +484,9 @@ class PerturbedField(LabelField):
     def u64(self, stream: str, coords: Sequence[int]) -> int:
         c = tuple(int(x) for x in coords)
         return self._pick(stream, c).u64(stream, c)
+
+    def u64_points(self, stream: str, points: Sequence[tuple]) -> list[int]:
+        return [self.u64(stream, p) for p in points]
 
     def u64_grid(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
         return self._merge(stream, axes, self.base.u64_grid(stream, axes),

@@ -28,8 +28,8 @@ centers of a window takes about 0.1 ms.
 Cluster phases label every value once and pick each cluster's anchor by
 one scatter: the site of largest phase label, and on a tie the last one in
 raster order, which is the largest coordinate tuple.  That is the rule of
-the per-site query, `max(cluster, key=(u, x))`, so window and query agree
-even where phase labels tie.
+the per-site query, the largest (phase, x) pair over its cluster, so window
+and query agree even where phase labels tie.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 from scipy import ndimage
 
 from .field import BudgetExceeded
-from .lattice import FiniteGraph, LatticeSpec, Window
+from .lattice import FiniteGraph, Window, nonzero_offsets
 from .reduction import _greedy
 from .verify import AuditReport
 
@@ -53,7 +53,7 @@ BASE_PHASE_STREAM = "baseline4:phase"
 CANDIDATES_PER_CELL = 6  # fixture_net candidate positions per M-cell
 CONTEXT_SCALE = 6  # four_color_window pads its net region by this many M
 BASELINE_MAX_SITES = 1_000_000  # baseline query: largest sign cluster explored
-_PLANE = LatticeSpec(2, 1, "l1")
+_PLANE_STEPS = nonzero_offsets(2, 1)  # the baseline query's neighbor offsets
 
 
 def choose_M(d: int) -> tuple[int, int, int]:
@@ -521,30 +521,45 @@ def four_color_window(field, window: Window) -> FourColoring:
 def baseline_percolation_4color(v, field) -> int:
     """Percolation four-coloring of the plane, queried at one vertex.
 
-    Fair +-1 coins per site; the sign cluster of v is explored fully, and
-    the color is 1 (plus signs) or 3 (minus signs) plus the parity of the
-    1-norm distance to the cluster's max-phase vertex.
+    Fair +-1 coins per site: the sign is the coin's top bit.  The sign
+    cluster of v is explored level by level.  Each frontier's unseen
+    neighbors have their coins read in one `u64_points` call, and those of
+    v's sign form the next frontier.  The phases of the whole cluster are
+    then read in one call.  The color is 1 (plus signs) or 3 (minus signs)
+    plus the parity of the 1-norm distance to the cluster's anchor: its
+    vertex of largest phase label, and on a tie the largest coordinate
+    tuple.
+
+    The labels read are the cluster and its outer boundary, a set that does
+    not depend on the order of exploration, so the value, the tracked radius
+    and the access count are those of any other complete exploration.
     """
     v = tuple(int(x) for x in v)
     if len(v) != 2:
         raise ValueError("baseline runs on the planar lattice")
-    sv = field.coin(BASE_SIGN_STREAM, v)
-    stack = [v]
+    top = field.u64(BASE_SIGN_STREAM, v) >> 63
     seen = {v}
-    cluster = []
-    while stack:
-        x = stack.pop()
-        cluster.append(x)
+    cluster = [v]
+    frontier = [v]
+    while frontier:
+        fresh = []
+        for x, y in frontier:
+            for dx, dy in _PLANE_STEPS:
+                nb = (x + dx, y + dy)
+                if nb not in seen:
+                    seen.add(nb)
+                    fresh.append(nb)
+        coins = field.u64_points(BASE_SIGN_STREAM, fresh)
+        frontier = [nb for nb, h in zip(fresh, coins) if h >> 63 == top]
+        cluster += frontier
         if len(cluster) > BASELINE_MAX_SITES:
-            raise BudgetExceeded("access", BASELINE_MAX_SITES, BASE_SIGN_STREAM, x)
-        for nb in _PLANE.neighbors(x):
-            if nb not in seen:
-                seen.add(nb)
-                if field.coin(BASE_SIGN_STREAM, nb) == sv:
-                    stack.append(nb)
-    w = max(cluster, key=lambda x: (field.uniform(BASE_PHASE_STREAM, x), x))
+            raise BudgetExceeded("access", BASELINE_MAX_SITES, BASE_SIGN_STREAM,
+                                 cluster[BASELINE_MAX_SITES])
+    phases = field.u64_points(BASE_PHASE_STREAM, cluster)
+    # h >> 11 orders sites as their uniform phase (h >> 11) * 2^-53 does
+    _, w = max(zip([h >> 11 for h in phases], cluster))
     par = (abs(v[0] - w[0]) + abs(v[1] - w[1])) % 2
-    return (1 if sv > 0 else 3) + par
+    return 1 + 2 * top + par
 
 
 def baseline_window(field, window: Window, *, margin: int = 64):

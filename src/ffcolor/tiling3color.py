@@ -34,7 +34,7 @@ from scipy.spatial import cKDTree
 
 from .field import BudgetExceeded, DEFAULT_BUDGET
 from .lattice import Window
-from .verify import AuditReport, check_coloring
+from .verify import AuditReport
 
 SCALE_BASE = 13
 HEX_DIAMETER = 3
@@ -691,26 +691,6 @@ class TileForest:
                     cur = self.tiles[cur].parent
                 if cur is None:
                     rep.add("descendant-gap", (t.center, self.tiles[int(tid)].center))
-
-    def audit_coloring(self) -> AuditReport:
-        """Properness of the painted colors plus the homomorphism edge check."""
-        colors, valid = self.colors_grid()
-        rep = check_coloring(colors, valid=valid,
-                             window=Window(tuple(self.lo), tuple(self.hi - self.lo)),
-                             construction="threegen")
-        hexg = hexgraph()
-        edges = 0
-        for t in self.tiles:
-            if t.parent is None:
-                continue
-            qa, qb = self.g.get(t.tid), self.g.get(t.parent)
-            if qa is None or qb is None:
-                continue
-            edges += 1
-            if not hexg.adjacent(qa, qb):
-                rep.add("not-homomorphism", (t.center, self.tiles[t.parent].center))
-        rep.stats["forest_edges_checked"] = edges
-        return rep
 
 
 # -- field-driven construction ----------------------------------------------

@@ -8,7 +8,7 @@ from scipy import ndimage
 
 from ffcolor.field import (Budget, BudgetExceeded, LabelField,
                            TrackedField, Tracker, tracked)
-from ffcolor.lattice import Window
+from ffcolor.lattice import LatticeSpec, Window
 from ffcolor.fourcolor import (BoxSystem, CANDIDATES_PER_CELL, CAND_STREAM,
                                ORDER_STREAM, _cluster_phases, assign_radii,
                                audit_faces, audit_sign_clusters,
@@ -368,20 +368,26 @@ def test_baseline_rejects_other_dimensions():
         baseline_window(LabelField(1), Window((0, 0, 0), (8, 8, 8)))
 
 
+# with phases cut to their top 3 bits, ties are everywhere
+_TOP3 = np.uint64(0xE000000000000000)
+
+
+class TiedPhases(LabelField):
+    def u64(self, stream, coords):
+        h = super().u64(stream, coords)
+        return h & int(_TOP3) if stream.endswith("phase") else h
+
+    def u64_points(self, stream, points):
+        return [self.u64(stream, p) for p in points]
+
+    def u64_grid(self, stream, axes):
+        h = super().u64_grid(stream, axes)
+        return h & _TOP3 if stream.endswith("phase") else h
+
+
 def test_baseline_window_breaks_phase_ties_like_the_query():
-    # with phases cut to their top 3 bits, ties are everywhere; the window
-    # anchor must be the query's max (u, x): the last tied site in raster order
-    top3 = np.uint64(0xE000000000000000)
-
-    class TiedPhases(LabelField):
-        def u64(self, stream, coords):
-            h = super().u64(stream, coords)
-            return h & int(top3) if stream.endswith("phase") else h
-
-        def u64_grid(self, stream, axes):
-            h = super().u64_grid(stream, axes)
-            return h & top3 if stream.endswith("phase") else h
-
+    # the window anchor must be the query's max (u, x): the last tied site in
+    # raster order
     checked = 0
     for seed in range(6):
         fld = TiedPhases(seed)
@@ -392,6 +398,68 @@ def test_baseline_window_breaks_phase_ties_like_the_query():
                 assert baseline_percolation_4color(v, fld) == cols[v], (seed, v)
                 checked += 1
     assert checked > 3000
+
+
+def _dfs_baseline(v, field):
+    """The one-site-at-a-time query the level-by-level one replaced: a
+    depth-first search with a scalar read per label."""
+    v = tuple(int(x) for x in v)
+    sv = field.coin("baseline4:sign", v)
+    stack = [v]
+    seen = {v}
+    cluster = []
+    while stack:
+        x = stack.pop()
+        cluster.append(x)
+        for nb in LatticeSpec(2, 1, "l1").neighbors(x):
+            if nb not in seen:
+                seen.add(nb)
+                if field.coin("baseline4:sign", nb) == sv:
+                    stack.append(nb)
+    w = max(cluster, key=lambda x: (field.uniform("baseline4:phase", x), x))
+    par = (abs(v[0] - w[0]) + abs(v[1] - w[1])) % 2
+    return (1 if sv > 0 else 3) + par
+
+
+def _tracked_outcome(query, field, v, budget):
+    try:
+        ev = tracked(lambda f: query(v, f), field, v, budget)
+    except BudgetExceeded as e:
+        return e.kind
+    t = ev.tracker
+    assert not t.boxes
+    return ev.value, t.radius, t.access_count, t.points
+
+
+def _sites(seed, n):
+    rng = np.random.default_rng(seed)
+    return [tuple(map(int, p)) for p in rng.integers(-10**6, 10**6, size=(n, 2))]
+
+
+@pytest.mark.parametrize("make,seeds,n", [(LabelField, range(5), 210),
+                                         (TiedPhases, range(2), 100)],
+                         ids=["labels", "tied-phases"])
+def test_baseline_query_matches_scalar_dfs(make, seeds, n):
+    # same value, tracked radius, access count and points at every site
+    for seed in seeds:
+        fld = make(seed)
+        for v in _sites(seed, n):
+            want = _tracked_outcome(_dfs_baseline, fld, v, Budget())
+            assert _tracked_outcome(baseline_percolation_4color, fld, v,
+                                    Budget()) == want, (seed, v)
+
+
+def test_baseline_query_censors_like_scalar_dfs():
+    budget = Budget(radius_cap=3)
+    censored = 0
+    for seed in range(3):
+        fld = LabelField(seed)
+        for v in _sites(seed, 100):
+            want = _tracked_outcome(_dfs_baseline, fld, v, budget)
+            assert _tracked_outcome(baseline_percolation_4color, fld, v,
+                                    budget) == want, (seed, v)
+            censored += want == "radius"
+    assert 0 < censored < 300
 
 
 # ---------------------------------------------------------------------------
