@@ -9,7 +9,9 @@ four, baseline4, three2d and threegen window digests and the demand-engine
 digests were computed before the lattice adjacency became a padded neighbor
 matrix.  None has been recomputed since.  The percolation build's internal
 arrays (cluster and face ids, parents, sign labels, chain distances, colors
-and requirement boxes) were pinned before the build was vectorized.
+and requirement boxes) were pinned before the build was vectorized.  The
+tile forests, with their clumps and colors, were pinned before clumps and
+window colors were read from the forest's paint grid.
 
 A digest covers each array's dtype, shape and bytes, in the order listed.  A
 demand digest covers one (value, radius, access_count) row per query site,
@@ -28,7 +30,8 @@ from ffcolor.lattice import FiniteGraph, LatticeSpec, Window, WindowGraph
 from ffcolor.perc3color import PercWindow, coding_radii, three_color_2d
 from ffcolor.reduction import NetQuery, net_window, tower_color_at, tower_coloring
 from ffcolor.sft import coloring_spec, generate
-from ffcolor.tiling3color import threegen_window
+from ffcolor.tiling3color import HEX_VERTICES, SCALE_BASE, TileForest, \
+    threegen_window
 
 
 def _digest(*arrays) -> str:
@@ -137,6 +140,46 @@ def test_threegen_window_digest():
     colors, valid, _ = threegen_window(LabelField(3), Window((-40, 10), (96, 80)),
                                        maxlevel=2, density_scale=1 / 32, margin=32)
     assert _digest(colors, valid) == THREEGEN_WINDOW
+
+
+def _spaced_centers(rng, d, j, hi, tries):
+    # seeded candidates in [0, hi)^d, each kept if it clears the 4*13^j spacing
+    sep = 4 * SCALE_BASE ** j
+    pts = np.empty((0, d), dtype=np.int64)
+    for p in rng.integers(0, hi, size=(tries, d)):
+        if len(pts) == 0 or np.abs(pts - p).sum(axis=1).min() > sep:
+            pts = np.vstack([pts, p])
+    return pts
+
+
+# (d, region side, candidate draws per level): dense level-1 balls, so most
+# higher tiles absorb several clumps, and a few also merge a clump that only
+# the tile's 1-neighborhood brings within distance 2
+FORESTS = [(1, 20000, (4000, 200, 20)), (2, 1600, (4000, 100))]
+TILE_FORESTS = "40f1a5ec2b0afc766b26b6fcd98e09c192c1b2e820cadd1e5f9cd8f1555a2061"
+
+
+def test_tile_forest_digest():
+    arrays, merged = [], 0
+    for d, side, tries in FORESTS:
+        rng = np.random.default_rng(0)
+        by_level = {j: _spaced_centers(rng, d, j, side, n)
+                    for j, n in enumerate(tries, start=1)}
+        forest = TileForest(d, (0,) * d, (side,) * d, by_level,
+                            coin_fn=lambda c: 1 if sum(c) % 3 == 0 else -1,
+                            h_fn=lambda c: HEX_VERTICES[sum(c) % 6])
+        for t in forest.tiles:
+            parent = -1 if t.parent is None else t.parent
+            arrays += [np.array([t.level, parent], dtype=np.int64),
+                       np.array(t.center, dtype=np.int64), t.lo, t.mask,
+                       np.array(t.children, dtype=np.int64),
+                       np.array(sorted(t.clump_members), dtype=np.int64)]
+            merged += len(t.clump_members) > 1
+        forest.assign_colorings(root_closure=True)
+        # a window reaching past the paint grid on every side
+        arrays += forest.colors_grid(Window((-400,) * d, (side + 800,) * d))
+    assert merged >= 10
+    assert _digest(*arrays) == TILE_FORESTS
 
 
 SITES = [(0, 0), (17, -5), (-123456, 98765), (999_999, -3)]
