@@ -350,7 +350,7 @@ def sign_window(window: Window, boxes: BoxSystem,
     Returns (signs, covered); signs is 0 where no box covers the vertex.
     Asserts that no vertex is covered by two boxes of equal net color.
     """
-    axes = window.axes()
+    axes = window.ix_axes()
     shape = tuple(window.extent)
     lo = np.asarray(window.origin, dtype=np.int64)
     hi = lo + np.asarray(window.extent, dtype=np.int64) - 1

@@ -99,13 +99,11 @@ class Window:
     def contains(self, v: Sequence[int]) -> bool:
         return all(o <= c < o + e for c, o, e in zip(v, self.origin, self.extent))
 
-    def axes(self) -> list[np.ndarray]:
-        """Broadcastable coordinate arrays, one per axis, shape = extents."""
-        grids = np.indices(self.extent)
-        return [grids[i] + self.origin[i] for i in range(self.d)]
-
     def ix_axes(self) -> tuple[np.ndarray, ...]:
-        """The coordinates of `axes()` as an `np.ix_` box of one range per axis."""
+        """The window's coordinates as an `np.ix_` box of one range per axis.
+
+        The ranges broadcast to the extents, and the C order of that
+        broadcast is the window's vertex order."""
         return np.ix_(*(np.arange(o, o + e) for o, e in zip(self.origin, self.extent)))
 
     def index(self, v: Sequence[int]) -> int:
@@ -205,7 +203,6 @@ class WindowGraph:
     window: Window
     graph: FiniteGraph
     interior: np.ndarray
-    coords: np.ndarray  # (n, d) int64
     m: int
     norm: str
 
@@ -221,9 +218,5 @@ class WindowGraph:
                         for o, e in zip(off, window.extent))
             nbr[box + (j,)] = idx[box] + int(np.dot(off, step))
         nbr = nbr.reshape(window.size, len(offs))
-        coords = np.stack([a.ravel() for a in window.axes()], axis=1).astype(np.int64)
         return cls(window, FiniteGraph(window.size, nbr), (nbr >= 0).all(axis=1),
-                   coords, m, norm)
-
-    def axes(self) -> list[np.ndarray]:
-        return [self.coords[:, i] for i in range(self.window.d)]
+                   m, norm)

@@ -116,11 +116,10 @@ class PercWindow:
 
     @classmethod
     def build(cls, field, window: Window) -> "PercWindow":
-        axes = window.axes()
+        axes = window.ix_axes()
         diag, ties = cls._diagonals(field, axes)
         v = field.uniform_box(f"{STREAM_PREFIX}:v", axes)
         w = field.coin_box(f"{STREAM_PREFIX}:w", axes)
-        del axes  # not needed while the constructor runs
         return cls(window, diag, v, w, ties=ties)
 
     @staticmethod

@@ -69,11 +69,13 @@ def _as_parts(g):
 
     A bare FiniteGraph is taken as the whole object of study: labels are keyed
     by vertex index and nothing is tainted by truncation.  A WindowGraph is a
-    view of the lattice: labels are keyed by lattice coordinates and vertices
-    missing neighbors get full=False.
+    view of the lattice: labels are keyed by lattice coordinates, read as a
+    box over the window and raveled to vertex order, and vertices missing
+    neighbors get full=False.
     """
     if isinstance(g, WindowGraph):
-        return g.graph, g.axes(), g.interior.copy(), ball_size(g.window.d, g.m, g.norm) - 1
+        return (g.graph, g.window.ix_axes(), g.interior.copy(),
+                ball_size(g.window.d, g.m, g.norm) - 1)
     axes = [np.arange(g.n, dtype=np.int64)]
     return g, axes, np.ones(g.n, dtype=bool), max(g.max_degree, 1)
 

@@ -22,7 +22,7 @@ from .reduction import MNet
 
 __all__ = [
     "SftSpec", "OverlapGraph", "CyclePlan", "LatticeRefusal", "GeneratedRun",
-    "coloring_spec", "parse_spec", "overlap_graph", "recurrence_gcd",
+    "coloring_spec", "parse_spec", "recurrence_gcd",
     "classify", "choose_base", "frobenius_threshold", "build_cycle_plan",
     "generate", "verify_membership",
 ]
@@ -111,10 +111,6 @@ class OverlapGraph:
 
     def component(self, i: int) -> list[int]:
         return [j for j in range(len(self.words)) if self.scc[j] == self.scc[i]]
-
-
-def overlap_graph(spec: SftSpec) -> OverlapGraph:
-    return OverlapGraph(spec)
 
 
 def recurrence_gcd(spec: SftSpec, w, graph: OverlapGraph | None = None) -> int:

@@ -7,6 +7,12 @@ excluded).  Level-1 tiles are exactly the balls; a higher tile is the
 tiles.  Tiles form a forest (a lower tile contained in that union becomes a
 child), and clumps are the components of tiles at set distance <= 2.
 
+Tile masks are disjoint: the center spacing keeps level-1 balls apart, and
+every later mask is cut to cells no earlier tile holds.  So one paint grid of
+tile ids records the whole tiling, each cell painted by exactly the tile whose
+mask holds it, and the clumps near a new tile and the colors of a window are
+both read through that grid.
+
 Colors come from a graph homomorphism of the forest into the six-vertex
 graph of two-color checkerboards: a fair coin per tile marks "special" tiles
 (own coin heads, next two ancestors tails), each special tile draws a uniform
@@ -80,7 +86,6 @@ class HexGraph:
     """
 
     def __init__(self):
-        self.vertices = HEX_VERTICES
         self.index = {q: i for i, q in enumerate(HEX_VERTICES)}
         self._paths = {}
         n = len(HEX_VERTICES)
@@ -221,12 +226,6 @@ def _mask_reach(mask: np.ndarray, lo: np.ndarray, center) -> int:
     return int(np.broadcast_to(dist, mask.shape)[mask].max())
 
 
-def _mask_min_dist(mask: np.ndarray, lo: np.ndarray, center) -> int:
-    """Min 1-norm distance from center to a True cell."""
-    dist = _center_dist(mask.shape, lo, center)
-    return int(np.broadcast_to(dist, mask.shape)[mask].min())
-
-
 class Tile:
     __slots__ = ("tid", "level", "center", "lo", "mask", "parent", "children",
                  "clump_members")
@@ -250,12 +249,6 @@ class Tile:
         return int(self.mask.sum())
 
 
-def _box_gap(alo, ahi, blo, bhi) -> int:
-    """1-norm distance between two boxes given by inclusive corner pairs."""
-    gaps = np.maximum(0, np.maximum(alo - bhi, blo - ahi))
-    return int(gaps.sum())
-
-
 class TileForest:
     """All tiles a family of per-level centers generates, with audits.
 
@@ -263,7 +256,9 @@ class TileForest:
     depend on center spacing (partition, parent links, clump geometry) hold
     exactly for the truncated system, while coverage is whatever the balls
     reach.  `region` bounds the coverage/coloring box; masks may extend past
-    it and the paint grid is sized to hold them all.
+    it and the paint grid is sized to hold them all.  Each grid cell holds the
+    id of exactly the tile whose mask holds it (-1 where none does), so "some
+    member's mask meets these cells" is a lookup of those cells in the grid.
     """
 
     def __init__(self, d: int, region_lo, region_hi, centers_by_level: dict,
@@ -282,7 +277,9 @@ class TileForest:
         self.overlaps = 0
         self._alloc_grid()
         self._dsu: list[int] = []
-        self._clump_data: dict[int, dict] = {}
+        # members of each clump, keyed by its root: the clump's one tile of
+        # top level, since a level-j tile only absorbs lower clumps
+        self._clumps: dict[int, list[int]] = {}
         for j in sorted(self.levels):
             self._build_level(j)
         self._coin_cache: dict[int, int] = {}
@@ -333,15 +330,9 @@ class TileForest:
         return a
 
     def _merge_into(self, root: int, other: int) -> None:
-        other = self._find(other)
-        if other == root:
-            return
+        """Merge the clump rooted at `other` into the one rooted at `root`."""
         self._dsu[other] = root
-        dst, src = self._clump_data[root], self._clump_data.pop(other)
-        dst["members"].extend(src["members"])
-        dst["lo"] = np.minimum(dst["lo"], src["lo"])
-        dst["hi"] = np.maximum(dst["hi"], src["hi"])
-        dst["max_level"] = max(dst["max_level"], src["max_level"])
+        self._clumps[root].extend(self._clumps.pop(other))
 
     def _new_tile(self, level: int, center, lo, mask) -> Tile:
         tile = Tile(len(self.tiles), level, tuple(int(c) for c in center),
@@ -349,9 +340,7 @@ class TileForest:
         self.tiles.append(tile)
         self._paint(tile)
         self._dsu.append(tile.tid)
-        self._clump_data[tile.tid] = {
-            "members": [tile.tid], "lo": tile.lo.copy(), "hi": tile.hi.copy(),
-            "max_level": level}
+        self._clumps[tile.tid] = [tile.tid]
         return tile
 
     def _build_level(self, j: int) -> None:
@@ -359,32 +348,16 @@ class TileForest:
         r = SCALE_BASE ** j
         if j == 1:
             for c in pts:
-                tile = self._new_tile(1, c, c - r, _ball_mask(self.d, r).copy())
-                tile.clump_members = (tile.tid,)
+                self._new_tile(1, c, c - r, _ball_mask(self.d, r).copy())
             return
         for c in pts:
             self._build_tile(j, c, r)
 
-    def _clumps_near_ball(self, c: np.ndarray, r: int, j: int) -> list[int]:
-        """Roots of sub-level-j clumps with a member within distance 2 of
-        ball(c, r)."""
-        out = []
-        for root, data in self._clump_data.items():
-            if data["max_level"] >= j:
-                continue
-            if _box_gap(data["lo"], data["hi"] - 1, c, c) > r + 2:
-                continue
-            hit = False
-            for tid in data["members"]:
-                t = self.tiles[tid]
-                if _box_gap(t.lo, t.hi - 1, c, c) > r + 2:
-                    continue
-                if _mask_min_dist(t.mask, t.lo, c) <= r + 2:
-                    hit = True
-                    break
-            if hit:
-                out.append(root)
-        return out
+    def _clump_roots(self, tids: np.ndarray, j: int) -> list[int]:
+        """Roots, ascending, of the clumps below level j that own these
+        paint-grid entries; unpainted entries (-1) belong to no clump."""
+        roots = {self._find(int(t)) for t in np.unique(tids[tids >= 0])}
+        return sorted(r for r in roots if self.tiles[r].level < j)
 
     def _build_tile(self, j: int, c: np.ndarray, r: int) -> None:
         half = r + 3 * SCALE_BASE ** (j - 1) + 8
@@ -393,10 +366,12 @@ class TileForest:
         box = np.zeros(shape, dtype=bool)
         ball = _ball_mask(self.d, r)
         box[tuple(slice(half - r, half + r + 1) for _ in range(self.d))] = ball
+        sub = self.grid[self._grid_slices(lo, shape)]
 
-        absorbed = self._clumps_near_ball(c, r, j)
-        member_tiles = [tid for root in absorbed
-                        for tid in self._clump_data[root]["members"]]
+        # every sub-level clump with a member within distance 2 of the ball
+        reach = tuple(slice(half - r - 2, half + r + 3) for _ in range(self.d))
+        absorbed = self._clump_roots(sub[reach][_ball_mask(self.d, r + 2)], j)
+        member_tiles = [tid for root in absorbed for tid in self._clumps[root]]
         for tid in member_tiles:
             t = self.tiles[tid]
             rel = t.lo - lo
@@ -407,7 +382,6 @@ class TileForest:
 
         s_mask = box
         t_mask = ndimage.binary_dilation(s_mask, structure=_l1_structure(self.d))
-        sub = self.grid[self._grid_slices(lo, shape)]
         t_mask &= sub < 0
         inside_s = sub[s_mask]
         candidates = sorted(set(inside_s[inside_s >= 0].tolist()))
@@ -428,34 +402,9 @@ class TileForest:
         # the new clump: this tile plus every sub-level clump within distance 2
         near = ndimage.binary_dilation(t_mask, structure=_l1_structure(self.d),
                                        iterations=2)
-        root = self._find(tile.tid)
-        snapshot = [tile.tid]
-        for other in list(self._clump_data):
-            if other == root:
-                continue
-            data = self._clump_data[other]
-            if data["max_level"] >= j:
-                continue
-            if _box_gap(data["lo"], data["hi"] - 1, lo, lo + np.asarray(shape) - 1) > 2:
-                continue
-            touch = False
-            for tid in data["members"]:
-                t = self.tiles[tid]
-                ilo = np.maximum(t.lo, lo)
-                ihi = np.minimum(t.hi, lo + np.asarray(shape))
-                if np.any(ilo >= ihi):
-                    continue
-                a = t.mask[tuple(slice(int(x), int(y)) for x, y in
-                                 zip(ilo - t.lo, ihi - t.lo))]
-                b = near[tuple(slice(int(x), int(y)) for x, y in
-                               zip(ilo - lo, ihi - lo))]
-                if np.any(a & b):
-                    touch = True
-                    break
-            if touch:
-                snapshot.extend(data["members"])
-                self._merge_into(root, other)
-        tile.clump_members = tuple(snapshot)
+        for other in self._clump_roots(sub[near], j):
+            self._merge_into(tile.tid, other)
+        tile.clump_members = tuple(self._clumps[tile.tid])
 
     # -- lookups -------------------------------------------------------------
 
@@ -466,9 +415,6 @@ class TileForest:
         if np.any(rel < 0) or np.any(rel >= self.grid.shape):
             return -1
         return int(self.grid[tuple(rel)])
-
-    def roots(self) -> list[int]:
-        return [t.tid for t in self.tiles if t.parent is None]
 
     def coin(self, tid: int) -> int:
         if tid not in self._coin_cache:
@@ -561,31 +507,28 @@ class TileForest:
 
     def colors_grid(self, window: Window | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
-        """(colors, valid) over `window` (default: the forest region)."""
+        """(colors, valid) over `window` (default: the forest region).
+
+        One lookup through the paint grid: row t of the board holds tile t's
+        colors on cells of even and of odd coordinate sum, and a cell reads
+        entry 2 * id + parity of the flattened board.  Id -1 (unpainted)
+        reads the last row, which holds zeros; so does a tile without a
+        coloring.  Cells outside the grid read as unpainted.  Colors are
+        1..3, so a cell is valid exactly where its color is nonzero.
+        """
         if window is None:
             window = Window(tuple(self.lo), tuple(self.hi - self.lo))
         lo = np.asarray(window.origin, dtype=np.int64)
-        shape = tuple(window.extent)
-        colors = np.zeros(shape, dtype=np.int8)
-        valid = np.zeros(shape, dtype=bool)
-        hi = lo + np.asarray(shape)
-        parity0 = np.indices(shape).sum(axis=0)
-        parity = (parity0 + int(lo.sum())) % 2
-        for t in self.tiles:
-            q = self.g.get(t.tid)
-            if q is None:
-                continue
-            ilo = np.maximum(t.lo, lo)
-            ihi = np.minimum(t.hi, hi)
-            if np.any(ilo >= ihi):
-                continue
-            msk = t.mask[tuple(slice(int(x), int(y)) for x, y in
-                               zip(ilo - t.lo, ihi - t.lo))]
-            dst = tuple(slice(int(x), int(y)) for x, y in zip(ilo - lo, ihi - lo))
-            pick = np.where(parity[dst] == 0, q[0], q[1])
-            colors[dst] = np.where(msk, pick, colors[dst])
-            valid[dst] |= msk
-        return colors, valid
+        ids = np.full(window.extent, -1, dtype=np.int32)
+        ilo = np.maximum(lo, self.grid_lo)
+        ihi = np.minimum(lo + window.extent, self.grid_lo + self.grid.shape)
+        if np.all(ilo < ihi):
+            ids[tuple(map(slice, ilo - lo, ihi - lo))] = \
+                self.grid[self._grid_slices(ilo, ihi - ilo)]
+        board = np.zeros((len(self.tiles) + 1, 2), dtype=np.int8)
+        board[list(self.g)] = np.reshape([q or (0, 0) for q in self.g.values()], (-1, 2))
+        colors = board.ravel()[2 * ids + (sum(window.ix_axes()) & 1)]
+        return colors, colors > 0
 
     # -- audits --------------------------------------------------------------
 
@@ -653,12 +596,7 @@ class TileForest:
         rep.stats["region_cells"] = int(np.prod(shape))
         rep.stats["ball_covered"] = int(cover.sum())
         rep.stats["tiled"] = int(tiled.sum())
-        count = int(missing.sum())
-        if count:
-            rep.stats["violations_total"] = rep.stats.get("violations_total", 0) \
-                + count - min(count, 20)
-            for idx in np.argwhere(missing)[:20]:
-                rep.add("uncovered-ball-vertex", tuple(idx + self.lo))
+        rep.add_mask("uncovered-ball-vertex", missing, lambda idx: tuple(idx + self.lo))
 
     def _audit_adjacency(self, rep: AuditReport) -> None:
         for t in self.tiles:

@@ -35,6 +35,15 @@ class AuditReport:
         if len(self.violations) < VIOLATION_CAP:
             self.violations.append((kind, where))
 
+    def add_mask(self, kind: str, bad: np.ndarray, where) -> None:
+        """Count every True cell of `bad` in the total, and record the first
+        ones that fit under the cap, each at `where(index row)`."""
+        count = int(np.count_nonzero(bad))
+        self.stats["violations_total"] = self.stats.get("violations_total", 0) + count
+        room = VIOLATION_CAP - len(self.violations)
+        if count and room > 0:
+            self.violations.extend((kind, where(idx)) for idx in np.argwhere(bad)[:room])
+
     def to_json(self) -> dict:
         return {
             "construction": self.construction,
@@ -96,24 +105,24 @@ def check_coloring(colors: np.ndarray, m: int = 1, norm: str = "l1",
         src, dst = _shift_slices(colors.shape, off)
         both = ok[src] & ok[dst]
         checked += int(both.sum())
-        bad = both & (colors[src] == colors[dst])
-        for idx in np.argwhere(bad)[:VIOLATION_CAP]:
-            base = tuple(int(i) + max(-o, 0) for i, o in zip(idx, off))
-            other = tuple(b + o for b, o in zip(base, off))
-            rep.add("proper", (_abs(base, window), _abs(other, window)))
-        extra = int(bad.sum()) - len(np.argwhere(bad)[:VIOLATION_CAP])
-        if extra > 0:
-            rep.stats["violations_total"] = rep.stats.get("violations_total", 0) + extra
+        rep.add_mask("proper", both & (colors[src] == colors[dst]),
+                     lambda idx: _pair(idx, off, window))
     rep.stats.setdefault("violations_total", 0)
     rep.stats["pairs_checked"] = checked
     rep.stats["cells_valid"] = int(ok.sum())
     return rep
 
 
-def _abs(idx: tuple, window: Window | None) -> tuple:
-    if window is None:
-        return idx
-    return tuple(i + o for i, o in zip(idx, window.origin))
+def _abs(idx, window: Window | None) -> tuple:
+    """A grid index as a tuple of ints, shifted by the window's origin."""
+    origin = (0,) * len(idx) if window is None else window.origin
+    return tuple(int(i) + o for i, o in zip(idx, origin))
+
+
+def _pair(idx, off, window: Window | None) -> tuple:
+    """The two cells of a shifted-slice violation at `idx`, `off` apart."""
+    base = tuple(int(i) + max(-o, 0) for i, o in zip(idx, off))
+    return _abs(base, window), _abs(tuple(b + o for b, o in zip(base, off)), window)
 
 
 def check_net(indicator: np.ndarray, m: int = 1, norm: str = "l1",
@@ -128,11 +137,8 @@ def check_net(indicator: np.ndarray, m: int = 1, norm: str = "l1",
     rep = AuditReport(construction, window)
     for off in _positive_offsets(d, m, norm):
         src, dst = _shift_slices(j.shape, off)
-        bad = j[src] & j[dst] & valid[src] & valid[dst]
-        for idx in np.argwhere(bad)[:VIOLATION_CAP]:
-            base = tuple(int(i) + max(-o, 0) for i, o in zip(idx, off))
-            rep.add("packing", (_abs(base, window),
-                                _abs(tuple(b + o for b, o in zip(base, off)), window)))
+        rep.add_mask("packing", j[src] & j[dst] & valid[src] & valid[dst],
+                     lambda idx: _pair(idx, off, window))
     offs = ball_offsets(d, m, norm)
     has_one = np.zeros(j.shape, dtype=bool)
     ball_ok = np.ones(j.shape, dtype=bool)
@@ -144,13 +150,7 @@ def check_net(indicator: np.ndarray, m: int = 1, norm: str = "l1",
         inside = np.zeros(j.shape, dtype=bool)
         inside[dst] = valid[src]
         ball_ok &= inside
-    uncovered = ball_ok & ~has_one
-    for idx in np.argwhere(uncovered)[:VIOLATION_CAP]:
-        rep.add("covering", _abs(tuple(int(i) for i in idx), window))
-    extra = int(uncovered.sum()) - min(int(uncovered.sum()), VIOLATION_CAP)
-    if extra > 0:
-        rep.stats["violations_total"] = rep.stats.get("violations_total", 0) + extra
-    rep.stats.setdefault("violations_total", 0)
+    rep.add_mask("covering", ball_ok & ~has_one, lambda idx: _abs(idx, window))
     rep.stats["ones"] = int((j & valid).sum())
     rep.stats["checkable_cells"] = int(ball_ok.sum())
     return rep
@@ -218,12 +218,10 @@ def check_heights(colors: np.ndarray, valid: np.ndarray | None = None,
     hy, oky = _steps_grid(colors, 1)   # (nx, ny-1) steps along y
     sq_valid = valid[:-1, :-1] & valid[1:, :-1] & valid[:-1, 1:] & valid[1:, 1:]
     sq_proper = okx[:, :-1] & okx[:, 1:] & oky[:-1, :] & oky[1:, :]
-    for idx in np.argwhere(sq_valid & ~sq_proper)[:VIOLATION_CAP]:
-        rep.add("non-proper-edge", _abs(tuple(int(i) for i in idx), window))
+    rep.add_mask("non-proper-edge", sq_valid & ~sq_proper, lambda idx: _abs(idx, window))
     circ = hx[:, :-1] + hy[1:, :] - hx[:, 1:] - hy[:-1, :]
-    bad = sq_valid & sq_proper & (circ != 0)
-    for idx in np.argwhere(bad)[:VIOLATION_CAP]:
-        rep.add("circulation", _abs(tuple(int(i) for i in idx), window))
+    rep.add_mask("circulation", sq_valid & sq_proper & (circ != 0),
+                 lambda idx: _abs(idx, window))
     checked = int((sq_valid & sq_proper).sum())
     rng = np.random.default_rng(rng_seed)
     done = 0
@@ -245,7 +243,6 @@ def check_heights(colors: np.ndarray, valid: np.ndarray | None = None,
         checked += 1
         if delta != 0:
             rep.add("circulation-rect", ((x0, y0), (x1, y1)))
-    rep.stats.setdefault("violations_total", 0)
     rep.stats["circuits_checked"] = checked
     rep.stats["rectangles_checked"] = done
     return rep
@@ -253,9 +250,6 @@ def check_heights(colors: np.ndarray, valid: np.ndarray | None = None,
 
 # ---------------------------------------------------------------------------
 # radius tails
-
-
-CENSORED = None  # marker for budget-exceeded queries
 
 
 def radius_tail_rows(radii: list, cap: int) -> list[tuple[str, int, int, str]]:

@@ -309,7 +309,7 @@ def test_four_window_at_box_seam():
     win = Window((seam[0] - 8, seam[1] - 8), (16, 16)).grow(2)
     signs, covered = sign_window(win, out.boxes, out.net_colors)
     assert covered.all()
-    u = fld.uniform_grid(PHASE_STREAM, win.axes())
+    u = fld.uniform_grid(PHASE_STREAM, win.ix_axes())
     colors, valid = checkerboard_4color(np.where(signs > 0, 1, 2), u)
     core = (slice(2, -2), slice(2, -2))
     assert valid[core].all()

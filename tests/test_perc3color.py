@@ -56,7 +56,7 @@ def test_diagonal_rule_from_raw_labels_and_sign_flip_invariance():
     # flipped: the four-coin product is unchanged, so the diagonals are too
     f = LabelField(33)
     win = Window((0, 0), (40, 40))
-    axes = win.axes()
+    axes = win.ix_axes()
     u = f.uniform_grid("three2d:u", axes)
     b = f.coin_grid("three2d:b", axes).astype(np.int64)
     du = (u[:-1, :-1] + u[1:, 1:]) - (u[1:, :-1] + u[:-1, 1:])
@@ -285,7 +285,7 @@ def test_window_coloring_is_proper_on_resolved_vertices():
 def test_relabeling_values_order_preserving_keeps_colors():
     f = LabelField(23)
     win = Window((0, 0), (65, 65))
-    axes = win.axes()
+    axes = win.ix_axes()
     u = f.uniform_grid("three2d:u", axes)
     b = f.coin_grid("three2d:b", axes).astype(np.int64)
     du = (u[:-1, :-1] + u[1:, 1:]) - (u[1:, :-1] + u[:-1, 1:])

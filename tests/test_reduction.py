@@ -398,7 +398,7 @@ def test_tower_demand_matches_window():
     rng = np.random.default_rng(0)
     idx = rng.choice(np.nonzero(~tw.tainted)[0], size=80, replace=False)
     for i in idx:
-        c, lv = q.color(tuple(wg.coords[i]))
+        c, lv = q.color(wg.window.vertex(i))
         assert c == tw.colors[i] and lv == tw.level[i]
 
 
@@ -410,7 +410,7 @@ def test_tower_demand_matches_window_d1_m2():
     for i in range(4, 296, 13):
         if tw.tainted[i]:
             continue
-        c, lv = q.color(tuple(wg.coords[i]))
+        c, lv = q.color(wg.window.vertex(i))
         assert c == tw.colors[i] and lv == tw.level[i]
 
 
@@ -552,7 +552,7 @@ def test_net_demand_matches_window():
     rng = np.random.default_rng(1)
     idx = rng.choice(np.nonzero(~nw.tainted)[0], size=80, replace=False)
     for i in idx:
-        assert nq.indicator(tuple(wg.coords[i])) == bool(nw.indicator[i])
+        assert nq.indicator(wg.window.vertex(i)) == bool(nw.indicator[i])
 
 
 def test_net_gap_law_d1():

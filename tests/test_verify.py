@@ -13,6 +13,7 @@ from ffcolor.field import LabelField
 from ffcolor.lattice import Window, WindowGraph
 from ffcolor.reduction import net_window, tower_coloring
 from ffcolor.verify import (
+    VIOLATION_CAP,
     check_coloring,
     check_heights,
     check_net,
@@ -73,6 +74,18 @@ def test_violation_coordinates_are_absolute():
     rep = check_coloring(x, m=1, window=win)
     assert rep.violations[0][1][0] == (10, 20)
     assert rep.violations[0][1][1] == (10, 21)
+
+
+@pytest.mark.parametrize("audit, total", [
+    (check_coloring, 2 * 200 * 199),
+    (lambda g: check_net(g.astype(bool)), 2 * 200 * 199),
+    (lambda g: check_heights(g, rectangles=0), 199 * 199),
+], ids=["coloring", "net-packing", "heights-non-proper"])
+def test_totals_stay_exact_past_the_violation_cap(audit, total):
+    # every edge of a constant grid violates, far more often than the cap
+    rep = audit(np.ones((200, 200), dtype=int))
+    assert rep.stats["violations_total"] == total
+    assert len(rep.violations) == VIOLATION_CAP
 
 
 # ---------------------------------------------------------------------------
