@@ -272,15 +272,23 @@ def cmd_verify(args) -> int:
     that covering balls of radius m fit inside it.  `three-coloring` stays
     2-d: its height check walks unit squares.  For a 2-d window one row high
     the 1-d reading changes no packing or properness verdict, since those
-    compare pairs within the row."""
+    compare pairs within the row.  With `--valid`, the mask image's color-0
+    pixels are left out of the audit, as tainted or unresolved cells."""
     colors = read_ppm(args.image)
+    valid = np.ones(colors.shape, dtype=bool)
+    if args.valid is not None:
+        mask = read_ppm(args.valid)
+        if mask.shape != colors.shape:
+            raise ConfigError(f"mask is {mask.shape[0]}x{mask.shape[1]} pixels, "
+                              f"image {colors.shape[0]}x{colors.shape[1]}")
+        valid = mask > 0
     if colors.shape[1] == 1 and args.kind != "three-coloring":
-        colors = colors[:, 0]
+        colors, valid = colors[:, 0], valid[:, 0]
     if args.kind == "net":
-        rep = check_net(colors > 0, m=args.m, norm=args.norm,
+        rep = check_net(colors > 0, m=args.m, norm=args.norm, valid=valid,
                         construction="net")
     else:
-        valid = colors > 0
+        valid = valid & (colors > 0)
         rep = check_coloring(colors, m=args.m, norm=args.norm, valid=valid,
                              construction=args.kind)
         if args.kind == "three-coloring":
@@ -406,6 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("coloring", "three-coloring", "net"))
     v.add_argument("--m", type=_POSITIVE, default=1)
     v.add_argument("--norm", default="l1", choices=("l1", "linf"))
+    v.add_argument("--valid", default=None, metavar="MASK.ppm",
+                   help="palette image of the same size; its color-0 pixels are "
+                        "left out of the audit")
     v.add_argument("--json", default=None, help="also write the report as JSON")
     v.set_defaults(fn=cmd_verify)
 

@@ -7,7 +7,9 @@ graph-generic pass reads only that matrix.  A lattice window writes column j
 of its matrix straight from the j-th offset of `nonzero_offsets`, with -1
 where that neighbor falls outside the window, and an interior mask marks the
 vertices whose full neighborhood lies inside it.  The demand engines take
-their neighbor lists from the same cached offsets.
+their neighbors from the same cached offsets: `LatticeSpec.neighbors` is the
+one neighbor rule, and the tower and net queries build each site's list
+through it once per query and keep it.
 """
 
 from __future__ import annotations

@@ -20,11 +20,17 @@ the parent; the face's topmost-rightmost corner lies on that boundary.
 The build is array passes only.  Clusters and faces are the connected
 components of two graphs, each written as a padded neighbor matrix listing
 every edge from one end and handed to scipy as CSR, with int32 ids while
-they fit.  A cluster's sign anchor takes two scatter-max passes: the
-cluster's largest v, then the largest top-right key j*nx + i among the
-vertices reaching it.  The distance to the nearest special ancestor, and
-the requirement box gathered along the way, come from pointer jumping up
-the parent chains, a logarithmic number of rounds over all clusters at once.
+they fit.  The face graph is over vertical lattice sides, not triangles:
+the two triangles on either side of a vertical side always glue, so each
+side is one node and the horizontal sides are the edges, half the nodes of
+the triangle graph.  Nodes are numbered so that ids follow least triangles,
+and clusters and faces alike are numbered by least member, i-major, so each
+one's least i is that of its first member.  A cluster's sign anchor takes
+two scatter-max passes: the cluster's largest v, then the largest top-right
+key j*nx + i among the vertices reaching it.  The distance to the nearest
+special ancestor, and the requirement box gathered along the way, come from
+pointer jumping up the parent chains, a logarithmic number of rounds over
+all clusters at once.
 """
 
 from __future__ import annotations
@@ -64,6 +70,13 @@ def _components(nbr: np.ndarray) -> tuple[int, np.ndarray]:
     del nbr, used, count  # the caller hands over nbr; free it before scipy copies
     graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
     return connected_components(graph, directed=False)
+
+
+def _first_members(ids: np.ndarray) -> np.ndarray:
+    """Position of each id's first entry, for ids numbered in order of first
+    appearance (as `_components` numbers them, by least vertex)."""
+    top = np.maximum.accumulate(ids)
+    return np.flatnonzero(np.concatenate(([True], top[1:] != top[:-1])))
 
 
 def diagonal_rule(du: float, bprime: int) -> int:
@@ -145,35 +158,61 @@ class PercWindow:
         return nbr.reshape(nx * ny, 2)
 
     @staticmethod
-    def _face_neighbors(diag: np.ndarray) -> np.ndarray:
-        # each gluing listed from its west or south triangle: slot 0 of an
-        # east triangle holds the west triangle of the square to the east,
-        # slot 1 of a north triangle the south triangle of the square above
+    def _side_ids(nsx: int, nsy: int) -> np.ndarray:
+        """Node id of every vertical lattice side (x, j) of the face graph.
+
+        Side (x, j) holds the east triangle of square (x - 1, j) and the west
+        triangle of square (x, j), which always glue across it.  Its id is
+        x*nsy + j, except that columns 0 and 1 interleave as 2j + x: ids then
+        follow each side's least triangle, so components keep the ids of the
+        triangle graph.
+        """
+        nside = (nsx + 1) * nsy
+        side = np.arange(nside, dtype=_index_dtype(nside)).reshape(nsx + 1, nsy)
+        side[:2] = side[:2].reshape(nsy, 2).T
+        return side
+
+    @staticmethod
+    def _face_neighbors(diag: np.ndarray, side: np.ndarray) -> np.ndarray:
+        # the horizontal lattice sides glue the vertical ones; each gluing is
+        # listed from its south end, slot 0 through the west triangle of the
+        # square below it, slot 1 through the east one
         nsx, nsy = diag.shape
-        ntri = 2 * nsx * nsy
-        tri = np.arange(ntri, dtype=_index_dtype(ntri)).reshape(nsx, nsy, 2)
-        nbr = np.full((nsx, nsy, 2, 2), -1, dtype=tri.dtype)
-        nbr[:-1, :, 1, 0] = tri[1:, :, 0]
-        south = tri[:, 1:, 1] - diag[:, 1:]
-        nbr[:, :-1, 0, 1] = np.where(diag[:, :-1] == 0, south, -1)
-        nbr[:, :-1, 1, 1] = np.where(diag[:, :-1] == 1, south, -1)
-        return nbr.reshape(ntri, 2)
+        south = np.where(diag[:, 1:] == 0, side[1:, 1:], side[:-1, 1:])
+        nbr = np.full((nsx + 1, nsy, 2), -1, dtype=side.dtype)
+        nbr[:-1, :-1, 0] = np.where(diag[:, :-1] == 0, south, -1)
+        nbr[1:, :-1, 1] = np.where(diag[:, :-1] == 1, south, -1)
+        # rows in id order: only the two interleaved columns move
+        nbr[:2] = nbr[:2].swapaxes(0, 1).reshape(2, nsy, 2)
+        return nbr.reshape(-1, 2)
 
     def _build_faces(self, nx: int, ny: int) -> None:
         # triangle 2*sq+0 touches the square's west side, 2*sq+1 its east
         # side; the north side belongs to triangle `diag`, the south side to
         # `1 - diag`.  Triangles glue across lattice sides, never across the
-        # drawn diagonal.
+        # drawn diagonal, so each face is a union of vertical sides.
         nsx, nsy = nx - 1, ny - 1
         diag = self.diag
-        self.nfaces, self.face = _components(self._face_neighbors(diag))
-        sq = np.arange(nsx * nsy).reshape(nsx, nsy)
+        side = self._side_ids(nsx, nsy)
+        self.nfaces, side_face = _components(self._face_neighbors(diag, side))
+        side_face = side_face[side]
+        del side  # the build's peak memory is set here: free temporaries early
+        self.face = np.stack([side_face[:-1], side_face[1:]], axis=-1).ravel()
 
-        open_tris = np.concatenate([
-            2 * sq[0, :], 2 * sq[-1, :] + 1,
-            2 * sq[:, 0] + 1 - diag[:, 0], 2 * sq[:, -1] + diag[:, -1]])
-        self.face_open = np.bincount(self.face[open_tris],
-                                     minlength=self.nfaces) > 0
+        # open faces hold a rim side: the outer vertical sides, or the side
+        # holding the triangle on a rim square's outer horizontal side
+        x = np.arange(nsx)
+        rim = np.concatenate([side_face[0], side_face[-1],
+                              side_face[x + 1 - diag[:, 0], 0],
+                              side_face[x + diag[:, -1], -1]])
+        del side_face
+        self.face_open = np.bincount(rim, minlength=self.nfaces) > 0
+
+        # square-index bounding box of every face; faces are numbered by
+        # least triangle, i-major, so a face's least i is its first triangle's
+        self.face_lo = np.full((self.nfaces, 2), max(nsx, nsy), dtype=np.int64)
+        self.face_hi = np.full((self.nfaces, 2), -1, dtype=np.int64)
+        self.face_lo[:, 0] = _first_members(self.face) // (2 * nsy)
 
         # top-right corner (lexicographic by (y, x), key j*nx + i) of every
         # face: a square's north-east corner tops its east triangle, and its
@@ -184,13 +223,10 @@ class PercWindow:
         face_key = np.full(self.nfaces, -1, dtype=np.int64)
         np.maximum.at(face_key, self.face, np.stack([ne - diag, ne], axis=-1).ravel())
         self.face_key = face_key
+        del ne
 
-        # square-index bounding box of every face
         si = np.repeat(i.ravel(), 2)
         sj = np.repeat(j.ravel(), 2)
-        self.face_lo = np.full((self.nfaces, 2), max(nsx, nsy), dtype=np.int64)
-        self.face_hi = np.full((self.nfaces, 2), -1, dtype=np.int64)
-        np.minimum.at(self.face_lo[:, 0], self.face, si)
         np.minimum.at(self.face_lo[:, 1], self.face, sj)
         np.maximum.at(self.face_hi[:, 0], self.face, si)
         np.maximum.at(self.face_hi[:, 1], self.face, sj)
@@ -206,7 +242,7 @@ class PercWindow:
 
         self.cluster_lo = np.full((ncl, 2), max(nx, ny), dtype=np.int64)
         self.cluster_hi = np.full((ncl, 2), -1, dtype=np.int64)
-        np.minimum.at(self.cluster_lo[:, 0], flat, i.ravel())
+        self.cluster_lo[:, 0] = _first_members(flat) // ny  # ids by least vertex
         np.minimum.at(self.cluster_lo[:, 1], flat, j.ravel())
         np.maximum.at(self.cluster_hi[:, 0], flat, i.ravel())
         np.maximum.at(self.cluster_hi[:, 1], flat, j.ravel())

@@ -309,6 +309,18 @@ class TowerQuery:
     Elimination recurses only into neighbors whose pre-color is strictly
     larger, which reproduces the largest-first cascade exactly; the walk is
     collected iteratively so long chains cannot blow the stack.
+
+    A query keeps, per site, its one uniform and its neighbor list.  The
+    uniform is read through the field the first time any level needs the
+    site's base label, and each level's label ceil(n_k * u), clipped to
+    [n_k] as `discrete_box` computes it, is derived from it when that level
+    first needs it.  Neighbor lists come from `LatticeSpec.neighbors`, once
+    per site.  Neither memo adds, drops or reorders a read: each site's
+    uniform is read once, at its first use, so the value, the tracked
+    points, the access count, the radius and any budget overrun are those
+    of reading every label where it is first needed.  The per-level memos
+    (labels, reduced values z, colors x) are one dict per level keyed by
+    site, so a lookup hashes the site alone.
     """
 
     def __init__(self, field, spec: LatticeSpec, kmax: int = 3,
@@ -320,28 +332,38 @@ class TowerQuery:
         self.seq = color_sequence(self.delta, self.kmax)
         self.kmax = min(self.kmax, self.seq.kmax)
         self.prefix = stream_prefix
-        self._labels: dict[tuple, tuple[int, ...]] = {}
-        self._z: dict[tuple, int] = {}
-        self._x: dict[tuple, int] = {}
+        self._ustream = f"{stream_prefix}:u"
+        self._n = (0,) + self.seq.n[:self.kmax]  # n_k at index k
+        self._u: dict[tuple, float] = {}
+        self._nbrs: dict[tuple, list[tuple]] = {}
+        # per-level memos, indexed [k] (labels, x) or [k][i] (z), keyed by site
+        levels = range(self.kmax + 1)
+        self._labels: list[dict[tuple, int]] = [{} for _ in levels]
+        self._z: list[list[dict[tuple, int]]] = [[{} for _ in levels] for _ in levels]
+        self._x: list[dict[tuple, int]] = [{} for _ in levels]
         self._rows: dict[tuple, np.ndarray] = {}
         self._fb: dict[tuple, int] = {}
 
-    def _label_row(self, v) -> tuple[int, ...]:
-        """Site v's base label at every level k (entry k), from its one uniform:
-        ceil(n_k * u) clipped to [n_k], as `discrete_box` computes it.
-        """
-        row = self._labels.get(v)
-        if row is None:
-            u = float(self.fld.uniform(f"{self.prefix}:u", v))
-            ns = self.seq.n[:self.kmax]
-            row = self._labels[v] = (0,) + tuple(min(max(math.ceil(nk * u), 1), nk)
-                                                 for nk in ns)
-        return row
+    def neighbors(self, v) -> list[tuple]:
+        """`spec.neighbors(v)`, built once per site and query."""
+        nb = self._nbrs.get(v)
+        if nb is None:
+            nb = self._nbrs[v] = self.spec.neighbors(v)
+        return nb
+
+    def _label(self, k: int, v) -> int:
+        u = self._u.get(v)
+        if u is None:
+            u = self._u[v] = self.fld.uniform(self._ustream, v)
+        nk = self._n[k]
+        lab = self._labels[k][v] = min(max(math.ceil(nk * u), 1), nk)
+        return lab
 
     def _base(self, k: int, v) -> int:
-        mine = self._label_row(v)[k]
-        for u in self.spec.neighbors(v):
-            if self._label_row(u)[k] == mine:
+        labels = self._labels[k]  # every label is >= 1, so `or` reads a miss
+        mine = labels.get(v) or self._label(k, v)
+        for u in self.neighbors(v):
+            if (labels.get(u) or self._label(k, u)) == mine:
                 return INF
         return mine
 
@@ -353,9 +375,10 @@ class TowerQuery:
         return self._rows[key]
 
     def _zval(self, k: int, i: int, v) -> int:
-        key = (k, i, v)
-        if key in self._z:
-            return self._z[key]
+        memo = self._z[k][i]
+        out = memo.get(v)
+        if out is not None:
+            return out
         if i == k:
             out = self._base(k, v)
         else:
@@ -364,12 +387,12 @@ class TowerQuery:
                 out = INF
             else:
                 rest = self._row(i, mine).copy()
-                for u in self.spec.neighbors(v):
+                for u in self.neighbors(v):
                     zu = self._zval(k, i + 1, u)
                     if zu != INF:
                         rest &= ~self._row(i, zu)
                 out = int(least_members(rest[None])[0])
-        self._z[key] = out
+        memo[v] = out
         return out
 
     def _w(self, k: int, v) -> int:
@@ -382,12 +405,14 @@ class TowerQuery:
     def _xval(self, k: int, v) -> int:
         if k == 0:
             return INF
-        key = (k, v)
-        if key in self._x:
-            return self._x[key]
+        xk = self._x[k]
+        x = xk.get(v)
+        if x is not None:
+            return x
         w = self._w(k, v)
-        if w == INF or w <= self.delta + 1:
-            self._x[key] = w
+        top = self.delta + 1
+        if w == INF or w <= top:
+            xk[v] = w
             return w
         # closure of strictly-increasing pre-color walks, then resolve downward
         need = {v: w}
@@ -395,11 +420,11 @@ class TowerQuery:
         while stack:
             a = stack.pop()
             wa = need[a]
-            for u in self.spec.neighbors(a):
-                if u in need or (k, u) in self._x:
+            for u in self.neighbors(a):
+                if u in need or u in xk:
                     continue
                 wu = self._w(k, u)
-                if wu == INF or wu <= self.delta + 1:
+                if wu == INF or wu <= top:
                     continue
                 if wu == wa:
                     raise AssertionError("adjacent equal pre-colors")
@@ -408,14 +433,14 @@ class TowerQuery:
                     stack.append(u)
         for a in sorted(need, key=need.get, reverse=True):
             seen = set()
-            for u in self.spec.neighbors(a):
-                xu = self._x.get((k, u))
+            for u in self.neighbors(a):
+                xu = xk.get(u)
                 if xu is None:  # pending neighbors above delta+1 do not block
                     wu = self._w(k, u)
-                    xu = wu if wu <= self.delta + 1 else INF
+                    xu = wu if wu <= top else INF
                 seen.add(xu)
-            self._x[(k, a)] = _least_absent(seen)
-        return self._x[key]
+            xk[a] = _least_absent(seen)
+        return xk[v]
 
     def _fallback(self, v) -> int:
         if v in self._fb:
@@ -426,7 +451,7 @@ class TowerQuery:
         stack = [v]
         while stack:
             a = stack.pop()
-            for u in self.spec.neighbors(a):
+            for u in self.neighbors(a):
                 if u in region or u in border:
                     continue
                 xu = self._xval(self.kmax, u)
@@ -437,7 +462,7 @@ class TowerQuery:
                     border[u] = xu
         for a in sorted(region, key=region.get, reverse=True):
             self._fb[a] = _least_absent(
-                {self._fb.get(u, border.get(u, INF)) for u in self.spec.neighbors(a)})
+                {self._fb.get(u, border.get(u, INF)) for u in self.neighbors(a)})
         return self._fb[v]
 
     def color(self, v) -> tuple[int, int]:
@@ -503,7 +528,6 @@ class NetQuery:
     def __init__(self, field, spec: LatticeSpec, kmax: int = 3,
                  stream_prefix: str = "net"):
         self.tower = TowerQuery(field, spec, kmax, stream_prefix)
-        self.spec = spec
         self._one: dict[tuple, bool] = {}
         self._xc: dict[tuple, int] = {}
 
@@ -527,7 +551,7 @@ class NetQuery:
         while stack:
             a = stack.pop()
             xa = need[a]
-            for u in self.spec.neighbors(a):
+            for u in self.tower.neighbors(a):
                 if u in need or u in self._one:
                     continue
                 xu = self._color(u)
@@ -539,7 +563,7 @@ class NetQuery:
         for a in sorted(need, key=need.get, reverse=True):
             xa = need[a]
             ok = True
-            for u in self.spec.neighbors(a):
+            for u in self.tower.neighbors(a):
                 xu = self._color(u)
                 if xu == 1 or (xu > xa and self._one[u]):
                     ok = False

@@ -278,6 +278,38 @@ def test_verify_net_flags_covering_gap(tmp_path):
     assert set(kinds) == {"covering"}
 
 
+def test_verify_valid_mask_leaves_tainted_cells_out(tmp_path):
+    f = LabelField(6)
+    nw = MNet(1, 2, "l1", f).window(Window((0,), (400,)), f)
+    # the whole window, its tainted sites written as 0: their net points are
+    # missing, so the cells beside them fail covering unless the mask drops them
+    img, mask = tmp_path / "net.ppm", tmp_path / "mask.ppm"
+    write_ppm(img, np.where(nw.indicator & ~nw.tainted, 1, 0))
+    write_ppm(mask, np.where(nw.tainted, 0, 1))
+    assert run("verify", "--image", img, "--kind", "net", "--m", "2",
+               "--json", tmp_path / "bare.json") == 1
+    rep = json.loads((tmp_path / "bare.json").read_text())
+    assert {v["kind"] for v in rep["violations_sample"]} == {"covering"}
+    assert sorted(v["at"][0] for v in rep["violations_sample"]) == \
+        [2, 3, 394, 395, 396, 397]
+    assert run("verify", "--image", img, "--kind", "net", "--m", "2",
+               "--valid", mask, "--json", tmp_path / "masked.json") == 0
+    rep = json.loads((tmp_path / "masked.json").read_text())
+    assert rep["stats"]["checkable_cells"] > 300
+    # a coloring audit reads the same mask
+    assert run("verify", "--image", img, "--m", "2", "--valid", mask) == 0
+
+
+def test_verify_mask_of_another_size_exits_2(tmp_path):
+    img, mask = tmp_path / "img.ppm", tmp_path / "mask.ppm"
+    write_ppm(img, np.indices((8, 6)).sum(axis=0) % 2 + 1)
+    write_ppm(mask, np.ones((6, 8), dtype=int))
+    assert run("verify", "--image", img, "--valid", mask) == 2
+    assert run("verify", "--image", img, "--valid", tmp_path / "absent.ppm") == 2
+    write_ppm(mask, np.ones((8, 6), dtype=int))
+    assert run("verify", "--image", img, "--valid", mask) == 0
+
+
 # -- stats -----------------------------------------------------------------------
 
 def test_stats_survival_is_nonincreasing_with_censor_marker(tmp_path):

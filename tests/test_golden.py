@@ -11,11 +11,15 @@ matrix.  None has been recomputed since.  The percolation build's internal
 arrays (cluster and face ids, parents, sign labels, chain distances, colors
 and requirement boxes) were pinned before the build was vectorized.  The
 tile forests, with their clumps and colors, were pinned before clumps and
-window colors were read from the forest's paint grid.
+window colors were read from the forest's paint grid.  The tower and net
+demand engines at the levels that matter (2, 3 and the greedy fallback), with
+every label each query read, were pinned before `TowerQuery` kept one
+uniform and one neighbor list per site.
 
 A digest covers each array's dtype, shape and bytes, in the order listed.  A
 demand digest covers one (value, radius, access_count) row per query site,
-each answered under `tracked` by a fresh engine.
+each answered under `tracked` by a fresh engine.  A level digest adds the
+tower level to each row, and hashes every stream's read points, sorted.
 """
 
 import hashlib
@@ -28,7 +32,8 @@ from ffcolor.fourcolor import baseline_percolation_4color, baseline_window, \
     four_color_window
 from ffcolor.lattice import FiniteGraph, LatticeSpec, Window, WindowGraph
 from ffcolor.perc3color import PercWindow, coding_radii, three_color_2d
-from ffcolor.reduction import NetQuery, net_window, tower_color_at, tower_coloring
+from ffcolor.reduction import NetQuery, TowerQuery, net_window, tower_color_at, \
+    tower_coloring
 from ffcolor.sft import coloring_spec, generate
 from ffcolor.tiling3color import HEX_VERTICES, SCALE_BASE, TileForest, \
     threegen_window
@@ -209,3 +214,63 @@ def test_demand_digest(name):
         ev = tracked(lambda f: query(f, v), LabelField(seed), v)
         rows.append((int(ev.value), ev.radius, ev.access_count))
     assert _digest(np.array(rows, dtype=np.int64)) == want
+
+
+# the line at seed 18 reaches levels 2 and 3 and the greedy fallback (see
+# tests/test_reduction.py); the planar sites are untainted sites of an 80²
+# window at the origin, seed 5, that levels 0, 2 and 3 decide under the
+# tower's stream prefix (24 sites) or the net's (16 sites)
+_LINE = LatticeSpec(1, 1, "l1")
+LINE_SITES = [(x,) for x in range(-150, 150)]
+PLANE_SITES = [
+    (-35, 8), (-35, 12), (-35, 13), (-34, -26), (-34, -25), (-34, 4), (-34, 8),
+    (-33, 4), (-32, 31), (-32, 32), (-31, -8), (-30, -8), (-30, 16), (-30, 17),
+    (-28, -29), (-27, -29), (-27, -1), (-27, 0), (-27, 14), (-27, 15),
+    (-25, -32), (-24, -32), (-23, -23), (-23, -22), (-21, 13), (-20, -22),
+    (-20, 13), (-19, -22), (-18, 30), (-15, -1), (-15, 0), (-15, 16), (-15, 17),
+    (-6, 14), (-5, 14), (-4, 14), (-3, 14), (3, 20), (3, 21), (29, -31)]
+
+
+def _tower_levels(spec):
+    return lambda f, v: TowerQuery(f, spec).color(v)
+
+
+def _net_levels(spec):
+    def query(f, v):
+        q = NetQuery(f, spec)
+        one = q.indicator(v)
+        return one, q.tower.color(v)[1]  # memoized: reads no further label
+    return query
+
+
+DEMAND_LEVELS = {
+    "tower-line": ("7b869e9a6f888088f6abe95d4ce113395f41ac7014d5299ae2423ba9386de407",
+                   18, LINE_SITES, _tower_levels(_LINE)),
+    "net-line": ("e4ed42474c343e2050d1307e33b654b169c6537a7a381917043738d209b8b322",
+                 18, LINE_SITES, _net_levels(_LINE)),
+    "tower-plane": ("de91cb4fd803efdad5ee14c826f7c15d1eb501730427a506591cda779eefe3b4",
+                    5, PLANE_SITES, _tower_levels(_PLANE)),
+    "net-plane": ("345297511dda82a7e634201457283168a40b70bf7ba9f371b29869d9eb1a8806",
+                  5, PLANE_SITES, _net_levels(_PLANE)),
+}
+
+
+def _points_digest(tracker) -> np.ndarray:
+    h = hashlib.sha256()
+    for stream in sorted(tracker.points):
+        h.update(f"{stream}:{sorted(tracker.points[stream])}".encode())
+    return np.frombuffer(h.digest(), dtype=np.uint8)
+
+
+@pytest.mark.parametrize("name", sorted(DEMAND_LEVELS))
+def test_demand_level_digest(name):
+    want, seed, sites, query = DEMAND_LEVELS[name]
+    rows, points = [], []
+    for v in sites:
+        ev = tracked(lambda f: query(f, v), LabelField(seed), v)
+        value, level = ev.value
+        rows.append((int(value), level, ev.radius, ev.access_count))
+        points.append(_points_digest(ev.tracker))
+    levels = {r[1] for r in rows}
+    assert {0, 2, 3} <= levels
+    assert _digest(np.array(rows, dtype=np.int64), np.array(points)) == want

@@ -442,6 +442,12 @@ def test_cluster_and_face_partitions_match_networkx(config):
     faces = _numbered_partition(2 * nsx * nsy, glue)
     assert np.array_equal(perc.face, faces)
     assert perc.nfaces == faces.max() + 1
+    # least i of every cluster (vertex rows) and face (square rows)
+    for ids, rows, lo in ((labels, np.repeat(np.arange(nx_), ny_), perc.cluster_lo),
+                          (faces, np.repeat(np.arange(nsx), 2 * nsy), perc.face_lo)):
+        least = np.full(ids.max() + 1, rows.max() + 1)
+        np.minimum.at(least, ids, rows)
+        assert np.array_equal(lo[:, 0], least)
 
 
 def test_parent_cycle_raises_instead_of_hanging():
