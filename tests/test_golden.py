@@ -14,12 +14,16 @@ tile forests, with their clumps and colors, were pinned before clumps and
 window colors were read from the forest's paint grid.  The tower and net
 demand engines at the levels that matter (2, 3 and the greedy fallback), with
 every label each query read, were pinned before `TowerQuery` kept one
-uniform and one neighbor list per site.
+uniform and one neighbor list per site.  The audit reports of
+`check_heights` and `audit_sign_clusters` were pinned before rectangles were
+judged from running sums and cluster spans from one scatter pass.
 
 A digest covers each array's dtype, shape and bytes, in the order listed.  A
 demand digest covers one (value, radius, access_count) row per query site,
 each answered under `tracked` by a fresh engine.  A level digest adds the
 tower level to each row, and hashes every stream's read points, sorted.
+An audit digest covers the repr of each report's verdict, violation list and
+stats, so the types of the entries are pinned too.
 """
 
 import hashlib
@@ -28,15 +32,17 @@ import numpy as np
 import pytest
 
 from ffcolor.field import LabelField, tracked
-from ffcolor.fourcolor import baseline_percolation_4color, baseline_window, \
-    four_color_window
+from ffcolor.fourcolor import audit_sign_clusters, baseline_percolation_4color, \
+    baseline_window, four_color_window
 from ffcolor.lattice import FiniteGraph, LatticeSpec, Window, WindowGraph
-from ffcolor.perc3color import PercWindow, coding_radii, three_color_2d
+from ffcolor.perc3color import PercWindow, coding_radii, three2d_window, \
+    three_color_2d
 from ffcolor.reduction import NetQuery, TowerQuery, net_window, tower_color_at, \
     tower_coloring
 from ffcolor.sft import coloring_spec, generate
 from ffcolor.tiling3color import HEX_VERTICES, SCALE_BASE, TileForest, \
     threegen_window
+from ffcolor.verify import VIOLATION_CAP, check_heights
 
 
 def _digest(*arrays) -> str:
@@ -274,3 +280,133 @@ def test_demand_level_digest(name):
     levels = {r[1] for r in rows}
     assert {0, 2, 3} <= levels
     assert _digest(np.array(rows, dtype=np.int64), np.array(points)) == want
+
+
+def _report_digest(*reports) -> str:
+    h = hashlib.sha256()
+    for rep in reports:
+        h.update(repr((rep.passed, rep.violations, rep.stats)).encode())
+    return h.hexdigest()
+
+
+def _mutated(colors, valid, step):
+    # every step-th valid cell takes the next color: improper edges, and
+    # rings whose steps no longer cancel
+    out = colors.copy()
+    at = np.flatnonzero(valid)[::step]
+    out.flat[at] = out.flat[at] % 3 + 1
+    return out
+
+
+# a ring of eight cells around an unresolved center whose height steps sum to
+# 6; tiled, its rings make rectangles with proper boundaries and nonzero
+# circulation
+VORTEX = np.array([[1, 2, 1], [2, 0, 3], [3, 1, 2]])
+
+
+def _periodic(nx, ny):
+    return (np.add.outer(np.arange(nx), 2 * np.arange(ny)) % 3) + 1
+
+
+def _height_reports(colors, valid):
+    return [check_heights(colors, valid, rectangles=r, rng_seed=s)
+            for r, s in ((0, 0), (7, 1), (100, 0))]
+
+
+def _three2d_heights():
+    reports = []
+    for seed in (1, 5):
+        colors, valid, _ = three2d_window(LabelField(seed), Window((-10, 3), (96, 96)),
+                                          margin=64)
+        reports += _height_reports(colors, valid)
+        reports += _height_reports(_mutated(colors, valid, 5), valid)
+        reports += _height_reports(colors, None)
+    return reports
+
+
+def _threegen_heights():
+    colors, valid, _ = threegen_window(LabelField(3), Window((-40, 10), (96, 80)),
+                                       maxlevel=2, density_scale=1 / 32, margin=32)
+    return (_height_reports(colors, valid) + _height_reports(colors, None)
+            + _height_reports(_mutated(colors, valid, 7), valid))
+
+
+def _synthetic_heights():
+    holes = _periodic(40, 30)
+    holes[5:9, 11] = 0
+    holes[20, 3:25:4] = 0
+    improper = _periodic(17, 23)
+    improper[8, 8] = improper[8, 9]
+    sparse = np.random.default_rng(3).random((25, 25)) < 0.9
+    reports = []
+    for colors, valid in ((_periodic(40, 30), None), (holes, None),
+                          (improper, None), (_periodic(25, 25), sparse),
+                          (np.tile(VORTEX, (5, 4)), None), (VORTEX, None),
+                          (_periodic(1, 9), None), (_periodic(9, 2), None)):
+        reports += _height_reports(colors, valid)
+    return reports
+
+
+def _over_cap_heights():
+    # a constant grid: every unit square has four improper edges
+    rep = check_heights(np.full((120, 100), 2))
+    assert rep.stats["violations_total"] > VIOLATION_CAP
+    return [rep]
+
+
+def _sign_reports(signs):
+    return [audit_sign_clusters(signs, bound=b) for b in (0, 1, 2)]
+
+
+def _four_signs():
+    reports = []
+    for seed, window in ((3, Window((-20, 7), (48, 40))), (8, Window((5, 5), (40, 56)))):
+        signs = four_color_window(LabelField(seed), window).signs
+        reports += _sign_reports(signs)
+        grown = signs.copy()
+        grown[10:13, 4:9] = 1  # one plus cluster at least 3 by 5
+        grown[30, :] = -1      # one minus row across the grid
+        reports += _sign_reports(grown)
+    return reports
+
+
+def _random_signs():
+    rng = np.random.default_rng(12)
+    reports = []
+    for shape in ((60,), (30, 41), (9, 8, 7)):
+        signs = np.where(rng.random(shape) < 0.5, 1, -1).astype(np.int8)
+        signs[rng.random(shape) < 0.1] = 0
+        reports += _sign_reports(signs)
+    return reports
+
+
+def _over_cap_signs():
+    # vertical trominoes: 180 * 60 clusters, each spanning 2 rows
+    x, y = np.indices((180, 180))
+    rep = audit_sign_clusters(np.where((x + y // 3) % 2 == 0, 1, -1))
+    assert rep.stats["violations_total"] > VIOLATION_CAP
+    return [rep]
+
+
+AUDIT_REPORTS = {
+    "heights-three2d": ("198a01af3e0b5715f9ecfed27fd84fc62a262133ccc7df1f29419e7a0a8e4678",
+                        _three2d_heights),
+    "heights-threegen": ("8bc2ebbe5d5c4a5f40db17595fff4fb9fe73f3eef0c60b8b342fe69d2d5fee00",
+                         _threegen_heights),
+    "heights-synthetic": ("9229e019bde5a0e55fea14d23b939d795e35947d04bbebfcd22f10ca887bd35c",
+                          _synthetic_heights),
+    "heights-over-cap": ("6d6da7027df4af3b506d1a2f77a4c13b89ae28210fa540786e51b484baf33370",
+                         _over_cap_heights),
+    "signs-four": ("69543bc56a568d313d9e095fc1b924569ae63086581d691747325868c6e0f49c",
+                   _four_signs),
+    "signs-random": ("4ea87816263a6cd1e7116db97a977e60500e552512024e0e8eaefc4e9039913d",
+                     _random_signs),
+    "signs-over-cap": ("d0b640203014e90ea3f25dfe895e74bbdabcea1e46c3d2b1a401b8a59a76a4c1",
+                       _over_cap_signs),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AUDIT_REPORTS))
+def test_audit_report_digest(name):
+    want, build = AUDIT_REPORTS[name]
+    assert _report_digest(*build()) == want
