@@ -389,18 +389,23 @@ def audit_sign_clusters(signs: np.ndarray, *, bound: int = 1) -> AuditReport:
     for val in (1, -1):
         lab, nlab = ndimage.label(signs == val, structure=structure)
         checked += nlab
-        for sl in ndimage.find_objects(lab):
-            if sl is None:
-                continue
-            span = [s.stop - s.start - 1 for s in sl]
-            if max(span) > bound:
-                rep.add("cluster-diameter",
-                        (int(val), tuple(int(s.start) for s in sl), tuple(span)))
+        at = np.flatnonzero(lab)
+        ids = lab.ravel()[at] - 1
+        # each cluster's least and largest index along every axis
+        lo = np.full((signs.ndim, nlab), max(signs.shape), dtype=np.int64)
+        hi = np.full((signs.ndim, nlab), -1, dtype=np.int64)
+        for a, pos in enumerate(np.unravel_index(at, signs.shape)):
+            np.minimum.at(lo[a], ids, pos)
+            np.maximum.at(hi[a], ids, pos)
+        span = hi - lo
+        for i in np.flatnonzero(span.max(axis=0) > bound):
+            rep.add("cluster-diameter",
+                    (int(val), tuple(lo[:, i].tolist()), tuple(span[:, i].tolist())))
     rep.stats["clusters_checked"] = checked
     return rep
 
 
-def _cluster_phases(values: np.ndarray, u: np.ndarray, *, bound: int | None = None,
+def _cluster_phases(values: np.ndarray, u: np.ndarray, *,
                     forbidden: np.ndarray | None = None):
     """Per-vertex parity of the 1-norm distance to the anchor of its
     equal-value cluster: the vertex of largest u, and on a tie the last one
@@ -408,8 +413,7 @@ def _cluster_phases(values: np.ndarray, u: np.ndarray, *, bound: int | None = No
 
     Vertices whose cluster touches the grid rim (or a forbidden vertex, or
     one of its lattice neighbors) are marked invalid: the cluster might
-    extend past what the grid shows.  With bound set, any cluster spanning
-    more than bound raises a budget error.
+    extend past what the grid shows.
     """
     shape = values.shape
     nd = values.ndim
@@ -423,11 +427,6 @@ def _cluster_phases(values: np.ndarray, u: np.ndarray, *, bound: int | None = No
         lab += part  # 0 off the mask
         lab += mask * n
         n += k
-    if bound is not None:
-        for sl in ndimage.find_objects(lab):
-            if sl is not None and any(s.stop - s.start - 1 > bound for s in sl):
-                raise BudgetExceeded("radius", bound, "cluster",
-                                     tuple(int(s.start) for s in sl))
     flat = lab.ravel()
     uf = u.ravel()
     best = np.full(n + 1, uf.min(initial=0), dtype=uf.dtype)
@@ -452,7 +451,6 @@ def _cluster_phases(values: np.ndarray, u: np.ndarray, *, bound: int | None = No
 
 
 def checkerboard_4color(values: np.ndarray, u: np.ndarray, *,
-                        bound: int | None = None,
                         forbidden: np.ndarray | None = None):
     """Four-coloring of a {1,2}-valued grid with bounded equal-value clusters.
 
@@ -464,7 +462,7 @@ def checkerboard_4color(values: np.ndarray, u: np.ndarray, *,
     check = values if forbidden is None else values[~forbidden]
     if not np.isin(check, (1, 2)).all():
         raise ValueError("values must be 1 or 2")
-    parity, valid = _cluster_phases(values, u, bound=bound, forbidden=forbidden)
+    parity, valid = _cluster_phases(values, u, forbidden=forbidden)
     colors = values + 1 + (1 - 2 * parity.astype(np.int64))
     return np.where(valid, colors, 0), valid
 

@@ -65,7 +65,7 @@ class LatticeSpec:
     m: int = 1
     norm: str = "l1"
 
-    @property
+    @cached_property
     def degree(self) -> int:
         return ball_size(self.d, self.m, self.norm) - 1
 

@@ -109,6 +109,9 @@ class PercWindow:
         self.diag = diag
         self.ties = ties
         nx, ny = (int(e) for e in window.extent)
+        if min(nx, ny) < 2:
+            raise ValueError(f"window extent {window.extent} has no unit square: "
+                             "each extent must be at least 2")
         if diag.shape != (nx - 1, ny - 1):
             raise ValueError("diagonal grid must have one entry per unit square")
         self.nclusters, labels = _components(self._diag_neighbors(diag, nx, ny))

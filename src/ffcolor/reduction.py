@@ -336,10 +336,11 @@ class TowerQuery:
         self._n = (0,) + self.seq.n[:self.kmax]  # n_k at index k
         self._u: dict[tuple, float] = {}
         self._nbrs: dict[tuple, list[tuple]] = {}
-        # per-level memos, indexed [k] (labels, x) or [k][i] (z), keyed by site
+        # per-level memos, indexed [k] (labels, x) or [k][i - 1] for the
+        # 1 <= i <= k that z takes, keyed by site
         levels = range(self.kmax + 1)
         self._labels: list[dict[tuple, int]] = [{} for _ in levels]
-        self._z: list[list[dict[tuple, int]]] = [[{} for _ in levels] for _ in levels]
+        self._z: list[list[dict[tuple, int]]] = [[{} for _ in range(k)] for k in levels]
         self._x: list[dict[tuple, int]] = [{} for _ in levels]
         self._rows: dict[tuple, np.ndarray] = {}
         self._fb: dict[tuple, int] = {}
@@ -375,7 +376,7 @@ class TowerQuery:
         return self._rows[key]
 
     def _zval(self, k: int, i: int, v) -> int:
-        memo = self._z[k][i]
+        memo = self._z[k][i - 1]
         out = memo.get(v)
         if out is not None:
             return out

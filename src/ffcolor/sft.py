@@ -250,15 +250,15 @@ def build_cycle_plan(spec: SftSpec, w=None) -> CyclePlan:
 
 
 @lru_cache(maxsize=64)
-def _kind_and_plan(spec: SftSpec, w: tuple | None) -> tuple[str, CyclePlan | None]:
+def _kind_and_plan(spec: SftSpec) -> tuple[str, CyclePlan | None]:
     """`classify(spec)`, and the cycle plan when the spec is non-lattice.
 
-    A pure function of (spec, w), built once: it costs three overlap graphs
+    A pure function of the spec, built once: it costs three overlap graphs
     and their strong components, a third of a short window's `generate`.
     Every call gets the same plan object, which `generate` only reads.
     """
     kind = classify(spec)
-    return kind, build_cycle_plan(spec, w) if kind == "non-lattice" else None
+    return kind, build_cycle_plan(spec) if kind == "non-lattice" else None
 
 
 class LatticeRefusal(Exception):
@@ -276,8 +276,7 @@ class GeneratedRun:
     reach: np.ndarray
 
 
-def generate(spec: SftSpec, field, window: Window, *, w=None,
-             stream_prefix: str = "net") -> GeneratedRun:
+def generate(spec: SftSpec, field, window: Window) -> GeneratedRun:
     """A sample of the subshift on a window, anchored on an m-net.
 
     Net points carry the base word; each gap is spliced with the fixed
@@ -285,12 +284,12 @@ def generate(spec: SftSpec, field, window: Window, *, w=None,
     of its word.  `reach` holds each site's distance to the farther of its
     two anchoring net points (the block reach on top of the net process).
     """
-    kind, plan = _kind_and_plan(spec, None if w is None else tuple(w))
+    kind, plan = _kind_and_plan(spec)
     if plan is None:
         raise LatticeRefusal(
             f"{kind} subshift: no mixing process lies in it, refusing")
     span = plan.net_spacing
-    net = MNet(1, span, "l1", field, stream_prefix=stream_prefix)
+    net = MNet(1, span, "l1", field)
     core_lo = int(window.origin[0])
     core_n = int(window.extent[0])
     pad = 4 * (span + 1)

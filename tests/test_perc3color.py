@@ -514,3 +514,9 @@ def test_three_color_2d_rejects_wrong_dimension():
     f = LabelField(3)
     with pytest.raises(ValueError):
         three_color_2d((1, 2, 3), f)
+
+
+@pytest.mark.parametrize("extent", [(1, 5), (5, 1), (1, 1)])
+def test_window_without_unit_squares_is_refused(extent):
+    with pytest.raises(ValueError, match=rf"extent \({extent[0]}, {extent[1]}\)"):
+        three2d_window(LabelField(0), Window((0, 0), extent), margin=0)

@@ -1,13 +1,17 @@
 """Audits and oracles: properness, nets, heights, collision probabilities.
 
-The height-step correlation diagnostic and the collision-probability
-enumerators live here, beside the only tests that use them."""
+The height-step correlation diagnostic, the collision-probability
+enumerators and the rectangle boundary walk that `check_heights` is compared
+against live here, beside the only tests that use them."""
 
+import decimal
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffcolor.field import LabelField
 from ffcolor.lattice import Window, WindowGraph
@@ -17,11 +21,9 @@ from ffcolor.verify import (
     check_coloring,
     check_heights,
     check_net,
-    height_delta,
     height_step,
     radius_tail_csv,
     radius_tail_rows,
-    rectangle_circuit,
     survival_points,
 )
 
@@ -124,6 +126,57 @@ def test_net_output_passes_audit():
 # heights
 
 
+def height_delta(colors: np.ndarray, path) -> int:
+    """Sum of height steps along a lattice path given as index tuples."""
+    colors = np.asarray(colors)
+    total = 0
+    for u, v in zip(path, path[1:]):
+        if sum(abs(a - b) for a, b in zip(u, v)) != 1:
+            raise ValueError(f"path step {u}->{v} is not a lattice edge")
+        total += height_step(colors[tuple(u)], colors[tuple(v)])
+    return total
+
+
+def rectangle_circuit(lo: tuple[int, int], hi: tuple[int, int]) -> list[tuple[int, int]]:
+    """Closed boundary walk of the rectangle [lo, hi], counterclockwise."""
+    (x0, y0), (x1, y1) = lo, hi
+    path = [(x, y0) for x in range(x0, x1 + 1)]
+    path += [(x1, y) for y in range(y0 + 1, y1 + 1)]
+    path += [(x, y1) for x in range(x1 - 1, x0 - 1, -1)]
+    path += [(x0, y) for y in range(y1 - 1, y0 - 1, -1)]
+    return path
+
+
+def _walk_rectangles(colors, valid, rectangles, rng_seed):
+    """The sampled rectangles of `check_heights`, drawn one at a time and
+    walked around: (number checked, corners of those with nonzero
+    circulation)."""
+    nx, ny = colors.shape
+    if valid is None:
+        valid = np.ones(colors.shape, dtype=bool)
+    valid = valid & (colors > 0)
+    rng = np.random.default_rng(rng_seed)
+    done, bad = 0, []
+    for _ in range(rectangles * 20):
+        if done >= rectangles or nx < 2 or ny < 2:
+            break
+        x0, x1 = sorted(rng.integers(0, nx, 2).tolist())
+        y0, y1 = sorted(rng.integers(0, ny, 2).tolist())
+        if x0 == x1 or y0 == y1:
+            continue
+        circuit = rectangle_circuit((x0, y0), (x1, y1))
+        if not all(valid[p] for p in circuit):
+            continue
+        try:
+            delta = height_delta(colors, circuit)
+        except ValueError:
+            continue
+        done += 1
+        if delta != 0:
+            bad.append(((x0, y0), (x1, y1)))
+    return done, bad
+
+
 def test_height_step_values():
     assert height_step(1, 2) == 1
     assert height_step(2, 3) == 1
@@ -208,6 +261,43 @@ def test_heights_skip_unresolved_cells():
     valid[2, 2] = False
     rep = check_heights(x, valid=valid)
     assert rep.passed
+
+
+# a ring of eight cells around an unresolved center whose height steps sum to
+# 6: rectangles along tiled copies of it have proper boundaries and nonzero
+# circulation
+_VORTEX = np.array([[1, 2, 1], [2, 0, 3], [3, 1, 2]])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 30),
+       st.sampled_from(["periodic", "vortex", "random"]), st.sampled_from([0, 0.02, 0.2]),
+       st.sampled_from([0, 0.02, 0.2]), st.sampled_from(["none", "sparse", "full", "one"]),
+       st.sampled_from([0, 7, 100]))
+def test_rectangles_match_boundary_walk(seed, nx, ny, base, zeros, improper, mask,
+                                        rectangles):
+    rng = np.random.default_rng(seed)
+    if base == "periodic":
+        a, b = rng.integers(1, 3, size=2)
+        colors = (np.add.outer(a * np.arange(nx), b * np.arange(ny)) % 3) + 1
+    elif base == "vortex":
+        colors = np.tile(_VORTEX, (nx // 3 + 1, ny // 3 + 1))[:nx, :ny]
+    else:
+        colors = rng.integers(1, 4, size=(nx, ny))
+    colors = np.where(rng.random((nx, ny)) < zeros, 0, colors)
+    # copy a cell onto its successor along x: an improper edge
+    at = np.argwhere(rng.random((nx - 1, ny)) < improper)
+    colors[at[:, 0] + 1, at[:, 1]] = colors[at[:, 0], at[:, 1]]
+    valid = {"none": None, "sparse": rng.random((nx, ny)) < 0.9,
+             "full": np.ones((nx, ny), dtype=bool),
+             "one": np.arange(nx * ny).reshape(nx, ny) != rng.integers(nx * ny)}[mask]
+    rep = check_heights(colors, valid, rectangles=rectangles, rng_seed=seed)
+    done, bad = _walk_rectangles(colors, valid, rectangles, seed)
+    squares = check_heights(colors, valid, rectangles=0).stats["circuits_checked"]
+    assert rep.stats["rectangles_checked"] == done
+    assert rep.stats["circuits_checked"] == squares + done
+    assert [w for k, w in rep.violations if k == "circulation-rect"] == bad
+    assert rep.stats["violations_total"] == len(rep.violations)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +459,14 @@ def test_radius_tail_csv_schema():
     lines = csv.strip().split("\n")
     assert lines[0] == "r,count_gt,total,survival"
     assert lines[-1].startswith(">16,")
+
+
+def test_radius_tail_keeps_the_callers_decimal_precision():
+    want = radius_tail_csv([3, 5, 5, None, 12, 3], cap=64)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 7
+        assert radius_tail_csv([3, 5, 5, None, 12, 3], cap=64) == want
+        assert decimal.getcontext().prec == 7
 
 
 def test_survival_points_for_fits():
