@@ -28,7 +28,6 @@ from .covfree import (
 )
 from .reduction import (
     AlmostColoring,
-    LongRangeColoring,
     MNet,
     NetQuery,
     NetWindow,
@@ -60,7 +59,6 @@ __all__ = [
     "color_sequence",
     "cover_free_constant",
     "AlmostColoring",
-    "LongRangeColoring",
     "MNet",
     "NetQuery",
     "NetWindow",

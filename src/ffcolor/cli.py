@@ -392,7 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "write --window=-8,-8,16,16 when the origin is negative")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", default="out/run", help="output path prefix")
-    c.add_argument("--kmax", type=_POSITIVE, default=3, help="tower levels")
+    c.add_argument("--kmax", type=_POSITIVE, default=3,
+                   help="tower levels asked for; the tower stops early where the "
+                        "color sequence ends or a level's set family would pass "
+                        "the bit cap, and the manifest records the kmax used")
     c.add_argument("--cap", type=_POSITIVE, default=512, help="radius cap (three2d)")
     c.add_argument("--maxlevel", type=_POSITIVE, default=2, help="tiling levels")
     c.add_argument("--density-scale", type=_UNIT_REAL, default=1 / 32,

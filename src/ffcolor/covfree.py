@@ -156,6 +156,17 @@ def feasible_levels(delta: int, kmax: int) -> int:
     return k
 
 
+@lru_cache(maxsize=None)
+def tower_schedule(delta: int, kmax: int) -> ColorSequence:
+    """The tower's color counts n_1..n_K for degree `delta`, asked for kmax
+    levels: K is where the sequence ends or the next reduction family would
+    pass FAMILY_BIT_CAP, if that comes first.  Both tower engines read their
+    levels from here."""
+    if kmax < 1:
+        raise ValueError("the tower needs kmax >= 1")
+    return color_sequence(delta, min(kmax, feasible_levels(delta, kmax)))
+
+
 def family_rows(field, stream: str, rows, ground: int) -> np.ndarray:
     """Packed words of the 0-based `rows` of a family over [ground].
 

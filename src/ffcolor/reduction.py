@@ -34,6 +34,21 @@ Level k of the tower only decides sites still unresolved after level k-1
 collisions over the whole window, but reduction step i computes only the
 (i-1)-fold dilation of the unresolved set, which is all the values there
 depend on.
+
+Entry points, one per engine:
+
+* tower: `tower_coloring(g, field)` on a window or finite graph, and
+  `TowerQuery(field, spec).color(v)` (or `tower_color_at`) on demand;
+* net: `net_window(g, field)` and `NetQuery(field, spec).indicator(v)`;
+* `almost_coloring`, `elimination_sweep` and `greedy_fallback` are the
+  window engine's stages, public so they can be tested and traced alone.
+
+The degree Delta is always the input's own (the lattice spec's, or a bare
+graph's maximum degree), and both tower engines take their levels n_1..n_K
+from one cached `covfree.tower_schedule(Delta, kmax)`.  `MNet` is a thin
+window-only handle on `net_window` for a lattice given by (d, m, norm): the
+subshift sampler draws its nets through `MNet.window`, and that name is where
+span tracing counts the sampler's net draws.
 """
 
 from __future__ import annotations
@@ -44,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covfree import ColorSequence, SetFamily, color_sequence, family_rows, \
-    feasible_levels, least_members
+    least_members, tower_schedule
 from .lattice import FiniteGraph, LatticeSpec, Window, WindowGraph, ball_size
 
 INF = 0  # sentinel for "no color" / infinity
@@ -65,7 +80,7 @@ def dilate_mask(mask: np.ndarray, nbr: np.ndarray) -> np.ndarray:
 
 
 def _as_parts(g):
-    """(graph, label axes, full-degree mask, default delta) for either input.
+    """(graph, label axes, full-degree mask, degree delta) for either input.
 
     A bare FiniteGraph is taken as the whole object of study: labels are keyed
     by vertex index and nothing is tainted by truncation.  A WindowGraph is a
@@ -91,50 +106,33 @@ class AlmostColoring:
     delta: int
 
 
-class FamilyCache:
-    """Set families per reduction level, built once and shared across levels."""
-
-    def __init__(self, field, delta: int, seq: ColorSequence):
-        self.field = field
-        self.delta = delta
-        self.seq = seq
-        self._fams: dict[int, SetFamily] = {}
-
-    def family(self, i: int) -> SetFamily:
-        if i not in self._fams:
-            self._fams[i] = SetFamily.build(
-                self.field, self.delta, i,
-                ground=self.seq.n_k(i), nsets=self.seq.n_k(i + 1))
-        return self._fams[i]
-
-
-def almost_coloring(g, k: int, seq: ColorSequence | None = None,
-                    cache: FamilyCache | None = None, field=None,
-                    stream: str = "tower:u", delta: int | None = None,
-                    trace: list | None = None, *,
-                    need: np.ndarray | None = None) -> AlmostColoring:
+def almost_coloring(g, k: int, field, seq: ColorSequence | None = None,
+                    stream: str = "tower:u", trace: list | None = None, *,
+                    need: np.ndarray | None = None,
+                    families: dict[int, SetFamily] | None = None) -> AlmostColoring:
     """Level-k almost coloring: labels in [n_k], collisions to infinity, then
     k-1 set-family reductions down to [n_1].  Adjacent finite values never
     agree, at any intermediate level (each value excludes the whole set its
     neighbor picked from).  If `trace` is a list, the intermediate value
     arrays are appended, levels k down to 1.
 
+    Delta is g's degree and `seq` defaults to color_sequence(Delta, k).
+    `families` maps each reduction step i to its family; steps missing from
+    it are built into it, so levels sharing one field and `seq` can share
+    one dict.
+
     `need` is a vertex mask, all vertices by default.  Reduction step i then
     runs only on the (i-1)-fold dilation of `need`, which is all that the
     values on `need` depend on, so values are exact only on `need`; elsewhere
     they may read INF.
     """
-    graph, axes, _, ddef = _as_parts(g)
-    if delta is None:
-        delta = cache.delta if cache is not None else ddef
+    graph, axes, _, delta = _as_parts(g)
     if seq is None:
-        seq = cache.seq if cache is not None else color_sequence(delta, k)
-    if field is None and cache is not None:
-        field = cache.field
+        seq = color_sequence(delta, k)
     if k > seq.kmax:
         raise ValueError(f"level {k} beyond materialized sequence {seq.n}")
-    if cache is None:
-        cache = FamilyCache(field, delta, seq)
+    if families is None:
+        families = {}
     nbr = graph.neighbor_matrix
     z = np.asarray(field.discrete_box(stream, axes, seq.n_k(k)), dtype=np.int64).ravel()
     collide = (_gather(z, nbr, INF) == z[:, None]).any(axis=1)
@@ -148,7 +146,10 @@ def almost_coloring(g, k: int, seq: ColorSequence | None = None,
             mask = dilate_mask(mask, nbr)
         rows.append(slice(None) if mask is None else np.flatnonzero(mask))
     for i in range(k - 1, 0, -1):
-        fam = cache.family(i)
+        fam = families.get(i)
+        if fam is None:
+            fam = families[i] = SetFamily.build(
+                field, delta, i, ground=seq.n_k(i), nsets=seq.n_k(i + 1))
         ext = np.vstack([np.zeros((1, fam.nwords), dtype=np.uint64), fam.words])
         r = rows[i - 1]
         own = ext[z[r]]
@@ -260,29 +261,26 @@ class TowerWindow:
     fallback_count: int
 
 
-def tower_coloring(g, field, delta: int | None = None, kmax: int = 3,
+def tower_coloring(g, field, kmax: int = 3,
                    stream_prefix: str = "tower") -> TowerWindow:
-    """Stack almost colorings over levels 1..kmax, eliminating oversized
-    colors after each level; a greedy fallback colors whatever is still
-    unresolved.  Output is a proper (delta+1)-coloring of g.
+    """Stack almost colorings over the levels of `tower_schedule(delta,
+    kmax)`, eliminating oversized colors after each level; a greedy fallback
+    colors whatever is still unresolved.  Output is a proper
+    (delta+1)-coloring of g, delta being g's degree.
     """
-    graph, axes, full, ddef = _as_parts(g)
-    if delta is None:
-        delta = ddef
-    kmax = min(kmax, feasible_levels(delta, kmax))
-    seq = color_sequence(delta, kmax)
-    kmax = min(kmax, seq.kmax)
-    cache = FamilyCache(field, delta, seq)
+    graph, axes, full, delta = _as_parts(g)
+    seq = tower_schedule(delta, kmax)
+    families: dict[int, SetFamily] = {}
     nbr = graph.neighbor_matrix
 
     x = np.zeros(graph.n, dtype=np.int64)
     level = np.zeros(graph.n, dtype=np.int64)
     xtaint = np.zeros(graph.n, dtype=bool)
     ytaint = ~full
-    for k in range(1, kmax + 1):
+    for k in range(1, seq.kmax + 1):
         # level k only decides sites unresolved so far
-        y = almost_coloring(g, k, seq, cache, field, stream=f"{stream_prefix}:u",
-                            need=x == INF).values
+        y = almost_coloring(g, k, field, seq, f"{stream_prefix}:u",
+                            need=x == INF, families=families).values
         if k > 1:
             ytaint = dilate_mask(ytaint, nbr)  # (k-1)-fold dilation of ~full
         w = np.where(x > 0, x, np.where(y > 0, y + delta + 1, INF))
@@ -296,7 +294,7 @@ def tower_coloring(g, field, delta: int | None = None, kmax: int = 3,
     ftaint = xtaint.copy()
     x, fb = greedy_fallback(x, graph, prio, taint=ftaint)
     tainted = ftaint | (fb & ~full)
-    return TowerWindow(x, level, tainted, delta, kmax, seq, fb_needed)
+    return TowerWindow(x, level, tainted, delta, seq.kmax, seq, fb_needed)
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +322,15 @@ class TowerQuery:
     """
 
     def __init__(self, field, spec: LatticeSpec, kmax: int = 3,
-                 stream_prefix: str = "tower", delta: int | None = None):
+                 stream_prefix: str = "tower"):
         self.fld = field
         self.spec = spec
-        self.delta = spec.degree if delta is None else delta
-        self.kmax = min(kmax, feasible_levels(self.delta, kmax))
-        self.seq = color_sequence(self.delta, self.kmax)
-        self.kmax = min(self.kmax, self.seq.kmax)
-        self.prefix = stream_prefix
+        self.delta = spec.degree
+        self.seq = tower_schedule(self.delta, kmax)
+        self.kmax = self.seq.kmax
         self._ustream = f"{stream_prefix}:u"
-        self._n = (0,) + self.seq.n[:self.kmax]  # n_k at index k
+        self._pstream = f"{stream_prefix}:prio"
+        self._n = (0,) + self.seq.n  # n_k at index k
         self._u: dict[tuple, float] = {}
         self._nbrs: dict[tuple, list[tuple]] = {}
         # per-level memos, indexed [k] (labels, x) or [k][i - 1] for the
@@ -446,8 +443,7 @@ class TowerQuery:
     def _fallback(self, v) -> int:
         if v in self._fb:
             return self._fb[v]
-        prio_stream = f"{self.prefix}:prio"
-        region = {v: float(self.fld.uniform(prio_stream, v))}
+        region = {v: float(self.fld.uniform(self._pstream, v))}
         border: dict[tuple, int] = {}
         stack = [v]
         while stack:
@@ -457,7 +453,7 @@ class TowerQuery:
                     continue
                 xu = self._xval(self.kmax, u)
                 if xu == INF:
-                    region[u] = float(self.fld.uniform(prio_stream, u))
+                    region[u] = float(self.fld.uniform(self._pstream, u))
                     stack.append(u)
                 else:
                     border[u] = xu
@@ -476,9 +472,8 @@ class TowerQuery:
         return self._fallback(v), 0
 
 
-def tower_color_at(field, v, spec: LatticeSpec, kmax: int = 3,
-                   stream_prefix: str = "tower") -> tuple[int, int]:
-    return TowerQuery(field, spec, kmax, stream_prefix).color(v)
+def tower_color_at(field, v, spec: LatticeSpec, kmax: int = 3) -> tuple[int, int]:
+    return TowerQuery(field, spec, kmax).color(v)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +488,7 @@ class NetWindow:
     q: int
 
 
-def net_window(g, field, kmax: int = 3, stream_prefix: str = "net") -> NetWindow:
+def net_window(g, field, kmax: int = 3) -> NetWindow:
     """m-net on a window: greedy independent set scanned by color class.
 
     Original 1's always stand (no two are adjacent); each later class q, q-1,
@@ -501,7 +496,7 @@ def net_window(g, field, kmax: int = 3, stream_prefix: str = "net") -> NetWindow
     vertex recolored away from its class has a 1-neighbor from that moment
     on, so it can never join later: scanning original classes once is exact.
     """
-    tw = tower_coloring(g, field, kmax=kmax, stream_prefix=stream_prefix)
+    tw = tower_coloring(g, field, kmax, "net")
     graph, _, full, _ = _as_parts(g)
     q = tw.delta + 1
     x = tw.colors
@@ -526,22 +521,15 @@ def net_window(g, field, kmax: int = 3, stream_prefix: str = "net") -> NetWindow
 class NetQuery:
     """Demand evaluation of the net indicator at single sites."""
 
-    def __init__(self, field, spec: LatticeSpec, kmax: int = 3,
-                 stream_prefix: str = "net"):
-        self.tower = TowerQuery(field, spec, kmax, stream_prefix)
+    def __init__(self, field, spec: LatticeSpec, kmax: int = 3):
+        self.tower = TowerQuery(field, spec, kmax, "net")
         self._one: dict[tuple, bool] = {}
-        self._xc: dict[tuple, int] = {}
-
-    def _color(self, v) -> int:
-        if v not in self._xc:
-            self._xc[v] = self.tower.color(v)[0]
-        return self._xc[v]
 
     def indicator(self, v) -> bool:
         v = tuple(int(c) for c in v)
         if v in self._one:
             return self._one[v]
-        xv = self._color(v)
+        xv = self.tower.color(v)[0]
         if xv == 1:
             self._one[v] = True
             return True
@@ -555,7 +543,7 @@ class NetQuery:
             for u in self.tower.neighbors(a):
                 if u in need or u in self._one:
                     continue
-                xu = self._color(u)
+                xu = self.tower.color(u)[0]
                 if xu == 1:
                     self._one[u] = True
                 elif xu > xa:
@@ -565,7 +553,7 @@ class NetQuery:
             xa = need[a]
             ok = True
             for u in self.tower.neighbors(a):
-                xu = self._color(u)
+                xu = self.tower.color(u)[0]
                 if xu == 1 or (xu > xa and self._one[u]):
                     ok = False
                     break
@@ -574,40 +562,18 @@ class NetQuery:
 
 
 # ---------------------------------------------------------------------------
-# lattice process wrappers
+# lattice process handle
 
 
-class LongRangeColoring:
-    """Coloring of Z^d where sites within norm-distance m always differ,
-    using q = |ball(m)| colors."""
-
-    def __init__(self, d: int, m: int, norm: str = "l1", field=None,
-                 kmax: int = 3, stream_prefix: str = "net"):
-        self.spec = LatticeSpec(d, m, norm)
-        self.q = self.spec.degree + 1
-        self.field = field
-        self.kmax = kmax
-        self.prefix = stream_prefix
-
-    def at(self, v, field=None) -> tuple[int, int]:
-        f = field if field is not None else self.field
-        return tower_color_at(f, v, self.spec, self.kmax, self.prefix)
-
-    def window(self, window: Window, field=None) -> TowerWindow:
-        f = field if field is not None else self.field
-        wg = WindowGraph.build(window, self.spec.m, self.spec.norm)
-        return tower_coloring(wg, f, kmax=self.kmax, stream_prefix=self.prefix)
-
-
-class MNet(LongRangeColoring):
+class MNet:
     """Indicator process of an m-net of Z^d: 1's pairwise farther than m,
-    every site within m of a 1."""
+    every site within m of a 1.  `window` runs `net_window` on the window's
+    range-m graph."""
 
-    def at(self, v, field=None) -> bool:
-        f = field if field is not None else self.field
-        return NetQuery(f, self.spec, self.kmax, self.prefix).indicator(v)
+    def __init__(self, d: int, m: int, norm: str = "l1", kmax: int = 3):
+        self.spec = LatticeSpec(d, m, norm)
+        self.kmax = kmax
 
-    def window(self, window: Window, field=None) -> NetWindow:
-        f = field if field is not None else self.field
+    def window(self, window: Window, field) -> NetWindow:
         wg = WindowGraph.build(window, self.spec.m, self.spec.norm)
-        return net_window(wg, f, kmax=self.kmax, stream_prefix=self.prefix)
+        return net_window(wg, field, self.kmax)

@@ -289,7 +289,7 @@ def generate(spec: SftSpec, field, window: Window) -> GeneratedRun:
         raise LatticeRefusal(
             f"{kind} subshift: no mixing process lies in it, refusing")
     span = plan.net_spacing
-    net = MNet(1, span, "l1", field)
+    net = MNet(1, span, "l1")
     core_lo = int(window.origin[0])
     core_n = int(window.extent[0])
     pad = 4 * (span + 1)

@@ -151,6 +151,13 @@ def _bernoulli_points(field, stream: str, lo, hi, p: float) -> np.ndarray:
     return np.concatenate(hits).astype(np.int64)
 
 
+def _close_pairs(pts: np.ndarray, r: int) -> np.ndarray:
+    """Index pairs of points at 1-norm distance <= r.  The tree holds offsets
+    from the points' least corner: float64 is exact on those, while absolute
+    coordinates past 2^53 would round and merge nearby points."""
+    return cKDTree(pts - pts.min(axis=0)).query_pairs(r, p=1.0, output_type="ndarray")
+
+
 def centers(field, j: int, lo, hi, *, density_scale: float = 1.0) -> np.ndarray:
     """Level-j centers inside [lo, hi), in lexicographic order.
 
@@ -175,7 +182,7 @@ def centers(field, j: int, lo, hi, *, density_scale: float = 1.0) -> np.ndarray:
     if not core.any():
         return np.empty((0, d), dtype=np.int64)
     crowded = np.zeros(len(pts), dtype=bool)
-    pairs = cKDTree(pts).query_pairs(pad, p=1.0, output_type="ndarray")
+    pairs = _close_pairs(pts, pad)
     if len(pairs):
         crowded[pairs.ravel()] = True
     keep = pts[core & ~crowded]
@@ -292,8 +299,7 @@ class TileForest:
     def _check_spacing(self, j: int, pts: np.ndarray) -> None:
         if len(pts) < 2:
             return
-        pairs = cKDTree(pts).query_pairs(4 * SCALE_BASE ** j, p=1.0,
-                                         output_type="ndarray")
+        pairs = _close_pairs(pts, 4 * SCALE_BASE ** j)
         if len(pairs):
             a, b = pts[pairs[0][0]], pts[pairs[0][1]]
             raise ValueError(

@@ -171,8 +171,10 @@ def height_step(a: int, b: int) -> int:
 
 
 def _steps_grid(colors: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized height steps along an axis: (values, properness mask)."""
-    r = np.diff(colors, axis=axis) % 3
+    """Vectorized height steps along an axis: (values, properness mask).
+    Colors are widened to int64 first: a difference taken in an unsigned
+    dtype wraps, and the wrapped value is wrong mod 3."""
+    r = np.diff(colors.astype(np.int64, copy=False), axis=axis) % 3
     return np.where(r == 1, 1, -1), r != 0
 
 

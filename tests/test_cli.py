@@ -253,7 +253,7 @@ def test_verify_three_coloring_checks_heights(tmp_path):
 
 def test_verify_net_flags_covering_gap(tmp_path):
     f = LabelField(6)
-    nw = MNet(1, 2, "l1", f).window(Window((0,), (400,)), f)
+    nw = MNet(1, 2, "l1").window(Window((0,), (400,)), f)
     # The image must be a window of the net, so take the longest contiguous
     # untainted run; closing up the tainted gaps would join distant points.
     edges = np.flatnonzero(np.diff(np.r_[0, ~nw.tainted, 0].astype(np.int8)))
@@ -280,7 +280,7 @@ def test_verify_net_flags_covering_gap(tmp_path):
 
 def test_verify_valid_mask_leaves_tainted_cells_out(tmp_path):
     f = LabelField(6)
-    nw = MNet(1, 2, "l1", f).window(Window((0,), (400,)), f)
+    nw = MNet(1, 2, "l1").window(Window((0,), (400,)), f)
     # the whole window, its tainted sites written as 0: their net points are
     # missing, so the cells beside them fail covering unless the mask drops them
     img, mask = tmp_path / "net.ppm", tmp_path / "mask.ppm"

@@ -25,6 +25,7 @@ from ffcolor.covfree import (
     exact_floor_exp,
     feasible_levels,
     first_color_count,
+    tower_schedule,
 )
 from ffcolor.field import LabelField, Tracker, TrackedField
 
@@ -105,6 +106,14 @@ def test_feasible_levels():
     assert feasible_levels(10, 3) == 1  # level-2 family alone would be > 2 Gbit
     seq = color_sequence(10, 2)
     assert seq.n_k(1) * seq.n_k(2) > FAMILY_BIT_CAP
+
+
+def test_tower_schedule_clamps_to_feasible_levels():
+    assert tower_schedule(4, 3) == color_sequence(4, 3)
+    assert tower_schedule(10, 3) == color_sequence(10, 1)
+    assert tower_schedule(1, 50).kmax < 50  # the sequence itself ends first
+    with pytest.raises(ValueError):
+        tower_schedule(4, 0)
 
 
 def test_build_rejects_infeasible_counts():

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffcolor.covfree import ColorSequence, build_cover_free_family
+from ffcolor.covfree import ColorSequence, build_cover_free_family, feasible_levels, \
+    tower_schedule
 from ffcolor.field import Budget, BudgetExceeded, LabelField, PerturbedField, tracked
 from ffcolor.lattice import FiniteGraph, LatticeSpec, Window, WindowGraph, ball_size
 from ffcolor.reduction import (
     INF,
-    LongRangeColoring,
     MNet,
     NetQuery,
     TowerQuery,
@@ -37,6 +37,10 @@ def path_graph(n: int) -> FiniteGraph:
 
 def cycle_graph(n: int) -> FiniteGraph:
     return FiniteGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete_graph(n: int) -> FiniteGraph:
+    return FiniteGraph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def net_packing_bound(d: int, m: int, c: int, norm: str = "l1") -> int:
@@ -110,7 +114,7 @@ def test_window_infinite_fraction_within_bound():
     # interior fraction of unresolved sites obeys P <= delta/n_k + 3 sigma
     fld = LabelField(99)
     wg = WindowGraph.build(Window((0, 0), (128, 128)), 1, "l1")
-    ac = almost_coloring(wg, 1, field=fld, delta=4)
+    ac = almost_coloring(wg, 1, field=fld)
     inner = wg.interior
     n = int(inner.sum())
     frac = float((ac.values[inner] == INF).mean())
@@ -122,7 +126,7 @@ def test_adjacent_finite_values_distinct_every_level():
     fld = LabelField(5)
     wg = WindowGraph.build(Window((0, 0), (48, 48)), 1, "l1")
     trace: list = []
-    almost_coloring(wg, 3, field=fld, delta=4, trace=trace)
+    almost_coloring(wg, 3, field=fld, trace=trace)
     el = wg.graph.edge_list()
     assert len(trace) == 3
     for z in trace:
@@ -144,7 +148,7 @@ def test_infinity_conservation_with_clean_family():
     fld = LabelField(seed)
     wg = WindowGraph.build(Window((0,), (3000,)), 1, "l1")  # degree 2 = delta
     trace: list = []
-    almost_coloring(wg, 2, seq=seq, field=fld, delta=2, trace=trace)
+    almost_coloring(wg, 2, seq=seq, field=fld, trace=trace)
     z2, z1 = trace
     assert (z2 == INF).any()  # collisions do happen at this scale
     assert np.array_equal(z1 == INF, z2 == INF)
@@ -390,6 +394,36 @@ def test_tower_unresolved_rate_per_level():
     assert frac <= bound + 3 * math.sqrt(bound * (1 - bound) / n)
 
 
+# (window-engine input, demand-engine spec of the same degree, expected delta)
+SCHEDULE_CASES = [
+    pytest.param(cycle_graph(7), LatticeSpec(1, 1, "l1"), 2, id="bare-graph"),
+    pytest.param(WindowGraph.build(Window((0,), (50,)), 1, "l1"),
+                 LatticeSpec(1, 1, "l1"), 2, id="1d-l1"),
+    pytest.param(WindowGraph.build(Window((0, 0), (12, 12)), 1, "l1"),
+                 LatticeSpec(2, 1, "l1"), 4, id="2d-l1"),
+    pytest.param(WindowGraph.build(Window((0, 0), (12, 12)), 1, "linf"),
+                 LatticeSpec(2, 1, "linf"), 8, id="2d-linf"),
+    pytest.param(WindowGraph.build(Window((0,), (40,)), 5, "l1"),
+                 LatticeSpec(1, 5, "l1"), 10, id="1d-m5-cut"),
+    pytest.param(complete_graph(11), LatticeSpec(1, 5, "l1"), 10, id="bare-graph-cut"),
+]
+
+
+@pytest.mark.parametrize("g, spec, delta", SCHEDULE_CASES)
+def test_tower_engines_share_one_schedule(g, spec, delta):
+    fld = LabelField(3)
+    tower_schedule.cache_clear()
+    tw = tower_coloring(g, fld)
+    q = TowerQuery(fld, spec)
+    assert tw.delta == q.delta == delta
+    assert tw.kmax == q.kmax == min(3, feasible_levels(delta, 3))
+    assert tw.seq is q.seq and len(tw.seq.n) == tw.kmax
+    info = tower_schedule.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    if delta == 10:
+        assert tw.kmax == 1  # the level-2 family alone would pass the bit cap
+
+
 def test_tower_demand_matches_window():
     fld = LabelField(12345)
     wg = WindowGraph.build(Window((-20, -20), (40, 40)), 1, "l1")
@@ -479,9 +513,9 @@ def test_tower_budget_enforced():
 
 def test_long_range_window_distinct_within_m():
     fld = LabelField(21)
-    lr = LongRangeColoring(1, 2, "l1", fld)
-    assert lr.q == 5
-    tw = lr.window(Window((0,), (400,)))
+    tw = tower_coloring(WindowGraph.build(Window((0,), (400,)), 2, "l1"), fld,
+                        stream_prefix="net")
+    assert tw.delta + 1 == 5
     c = tw.colors
     for i in range(400):
         for j in range(i + 1, min(i + 3, 400)):
@@ -490,9 +524,9 @@ def test_long_range_window_distinct_within_m():
 
 def test_long_range_linf_blocks_distinct():
     fld = LabelField(22)
-    lr = LongRangeColoring(2, 1, "linf", fld)
-    assert lr.q == 9
-    tw = lr.window(Window((0, 0), (40, 40)))
+    tw = tower_coloring(WindowGraph.build(Window((0, 0), (40, 40)), 1, "linf"), fld,
+                        stream_prefix="net")
+    assert tw.delta + 1 == 9
     grid = tw.colors.reshape(40, 40)
     ok = ~tw.tainted.reshape(40, 40)
     for i in range(38):
@@ -558,8 +592,7 @@ def test_net_demand_matches_window():
 def test_net_gap_law_d1():
     # consecutive 1's on the line sit at distance m+1 .. 2m+1
     for m in (1, 2, 5):
-        net = MNet(1, m, "l1", LabelField(31 + m))
-        nw = net.window(Window((0,), (4000,)))
+        nw = MNet(1, m, "l1").window(Window((0,), (4000,)), LabelField(31 + m))
         ones = np.nonzero(nw.indicator)[0]
         for a, b in zip(ones, ones[1:]):
             if nw.tainted[a:b + 1].any():

@@ -151,6 +151,36 @@ def test_center_thinning_matches_bruteforce_2d():
     assert len(got) >= 10
 
 
+def test_centers_exact_far_from_the_origin():
+    # at 2^61 float64 steps by 512, so a tree on absolute coordinates merges
+    # nearby candidates; the thinning must match the exact int64 rule there
+    lo = np.full(2, 2**61 + 12345, dtype=np.int64)
+    hi = lo + 200
+    pad = 4 * 13
+    found = 0
+    for seed in range(8):
+        f = LabelField(seed)
+        got = centers(f, 1, lo, hi, density_scale=0.05)
+        w = _bernoulli_points(f, "tiling:w:1", lo - pad, hi + pad,
+                              ScaleSystem(2, 0.05).density(1))
+        dist = np.abs(w[:, None, :] - w[None, :, :]).sum(axis=2)
+        alone = (dist <= pad).sum(axis=1) == 1
+        core = np.all((w >= lo) & (w < hi), axis=1)
+        want = w[alone & core]
+        assert got.tolist() == want[np.lexsort(want.T[::-1])].tolist(), seed
+        found += len(got)
+    assert found > 0
+
+
+def test_center_spacing_exact_far_from_the_origin():
+    fns = dict(coin_fn=lambda c: -1, h_fn=lambda c: (1, 2))
+    x = 2**61 + 12345
+    with pytest.raises(ValueError):
+        TileForest(1, (x,), (x + 60,), {1: [(x,), (x + 52,)]}, **fns)
+    forest = TileForest(1, (x,), (x + 60,), {1: [(x,), (x + 53,)]}, **fns)
+    assert len(forest.tiles) == 2
+
+
 def test_center_density_matches_bernoulli_rate():
     f = LabelField(7)
     ax = np.arange(1000)

@@ -207,6 +207,19 @@ def test_check_heights_periodic_passes():
     assert rep.passed and rep.stats["circuits_checked"] > 120
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int8])
+def test_check_heights_same_report_in_any_integer_dtype(dtype):
+    # (x - y) % 3 + 1 is proper with zero circulation; a corrupted copy is not
+    proper = np.subtract.outer(np.arange(6), np.arange(6)) % 3 + 1
+    bad = _periodic(8, 8)
+    bad[3, 3] = bad[3, 4]
+    bad[5, 1] = 0
+    for x in (proper, bad):
+        want = check_heights(x.astype(np.int64)).to_json()
+        assert check_heights(x.astype(dtype)).to_json() == want
+    assert check_heights(proper.astype(dtype)).passed
+
+
 def test_check_heights_flags_corruption():
     x = _periodic(8, 8)
     x[3, 3] = x[3, 4]  # break properness
