@@ -16,12 +16,16 @@ demand engines at the levels that matter (2, 3 and the greedy fallback), with
 every label each query read, were pinned before `TowerQuery` kept one
 uniform and one neighbor list per site.  The audit reports of
 `check_heights` and `audit_sign_clusters` were pinned before rectangles were
-judged from running sums and cluster spans from one scatter pass.
+judged from running sums and cluster spans from one scatter pass.  The
+tile centers, with every Bernoulli candidate their scans found, and the
+tracked reads of threegen queries were pinned while each scan still hashed
+its whole box, in chunks of at most 2^22 labels.
 
 A digest covers each array's dtype, shape and bytes, in the order listed.  A
 demand digest covers one (value, radius, access_count) row per query site,
-each answered under `tracked` by a fresh engine.  A level digest adds the
-tower level to each row, and hashes every stream's read points, sorted.
+each answered under `tracked` by a fresh engine; the threegen rows also hash
+every stream's read boxes, sorted.  A level digest adds the tower level to
+each row, and hashes every stream's read points, sorted.
 An audit digest covers the repr of each report's verdict, violation list and
 stats, so the types of the entries are pinned too.
 """
@@ -31,7 +35,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from ffcolor.field import LabelField, tracked
+from ffcolor.field import BudgetExceeded, LabelField, tracked
 from ffcolor.fourcolor import audit_sign_clusters, baseline_percolation_4color, \
     baseline_window, four_color_window
 from ffcolor.lattice import FiniteGraph, LatticeSpec, Window, WindowGraph
@@ -40,8 +44,8 @@ from ffcolor.perc3color import PercWindow, coding_radii, three2d_window, \
 from ffcolor.reduction import NetQuery, TowerQuery, net_window, tower_color_at, \
     tower_coloring
 from ffcolor.sft import coloring_spec, generate
-from ffcolor.tiling3color import HEX_VERTICES, SCALE_BASE, TileForest, \
-    threegen_window
+from ffcolor.tiling3color import HEX_VERTICES, SCALE_BASE, ScaleSystem, TileForest, \
+    _bernoulli_points, centers, three_color_general, threegen_window
 from ffcolor.verify import VIOLATION_CAP, check_heights
 
 
@@ -153,6 +157,39 @@ def test_threegen_window_digest():
     assert _digest(colors, valid) == THREEGEN_WINDOW
 
 
+# (seed, level, lo, hi, density_scale): levels 1-3 at d = 1, levels 1 and 2
+# at d = 2, level 1 at d = 3; the d = 2 level-2 scan and the d = 3 scan hash
+# more than 2^22 labels each, and two boxes lie near +-2^62.  At scale 13
+# the d = 1 level-1 density is 1: every site is a candidate, and none survives.
+_FAR = 2**62
+CENTER_CASES = [
+    (4, 1, (0,), (20000,), 1 / 8),
+    (4, 2, (-5000,), (60000,), 1 / 8),
+    (4, 3, (-100000,), (300000,), 1 / 8),
+    (6, 1, (_FAR - 5000,), (_FAR + 5000,), 1 / 8),
+    (6, 1, (-40,), (-10,), 13.0),
+    (7, 1, (-300, -200), (300, 400), 1 / 32),
+    (14, 2, (-400, -400), (400, 400), 1 / 32),
+    (8, 1, (_FAR - 300, -_FAR), (_FAR + 300, -_FAR + 500), 1 / 32),
+    (14, 1, (0, 0, 0), (60, 60, 60), 1 / 64),
+]
+CENTERS = "2e02225a7c7f448d44d6d19bcf397a23ca599dc75ab27acf1320be8394a993f2"
+
+
+def test_centers_digest():
+    arrays, found = [], 0
+    for seed, j, lo, hi, scale in CENTER_CASES:
+        f = LabelField(seed)
+        lo, hi = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+        pad = 4 * SCALE_BASE ** j
+        got = centers(f, j, lo, hi, density_scale=scale)
+        arrays += [got, _bernoulli_points(f, f"tiling:w:{j}", lo - pad, hi + pad,
+                                          ScaleSystem(lo.size, scale).density(j))]
+        found += len(got)
+    assert found >= 20
+    assert _digest(*arrays) == CENTERS
+
+
 def _spaced_centers(rng, d, j, hi, tries):
     # seeded candidates in [0, hi)^d, each kept if it clears the 4*13^j spacing
     sep = 4 * SCALE_BASE ** j
@@ -199,6 +236,16 @@ SITES = [(0, 0), (17, -5), (-123456, 98765), (999_999, -3)]
 THREE2D_SITES = [(0, 3), (32, 10), (38, 8)]
 _PLANE = LatticeSpec(2, 1, "l1")
 
+
+def _threegen_query(f, v):
+    # no site resolves below six tile levels, so each query reads stages 1
+    # and 2 and is censored at stage 3: -3 stands for that censoring
+    try:
+        return three_color_general(v, 2, f, density_scale=1 / 8, radius_cap=2048)[0]
+    except BudgetExceeded as e:
+        return -int(e.stream.rsplit(":", 1)[1])
+
+
 DEMAND = {
     "tower": ("67390bf96ff921a0082bed8fce99cdb8857b5021c79b6ac024950806759f0fe9",
               5, SITES, lambda f, v: tower_color_at(f, v, _PLANE)[0]),
@@ -209,17 +256,30 @@ DEMAND = {
     "three2d": ("83b45a5bd67bc4283fe026000e0ba86a1f2c9239e2b68bd7d1e6a675f5e47d62",
                 3, THREE2D_SITES,
                 lambda f, v: three_color_2d(v, f, radius_cap=256)[0]),
+    "threegen": ("3b422874502e52fd5b5c98fcafc6cde8fa55f1b0b04152747d077c6ea4ee6e22",
+                 5, SITES + [(_FAR - 7, 3 - _FAR)], _threegen_query),
 }
+
+
+def _sorted_digest(by_stream: dict) -> np.ndarray:
+    h = hashlib.sha256()
+    for stream in sorted(by_stream):
+        h.update(f"{stream}:{sorted(by_stream[stream])}".encode())
+    return np.frombuffer(h.digest(), dtype=np.uint8)
 
 
 @pytest.mark.parametrize("name", sorted(DEMAND))
 def test_demand_digest(name):
     want, seed, sites, query = DEMAND[name]
-    rows = []
+    rows, boxes = [], []
     for v in sites:
         ev = tracked(lambda f: query(f, v), LabelField(seed), v)
         rows.append((int(ev.value), ev.radius, ev.access_count))
-    assert _digest(np.array(rows, dtype=np.int64)) == want
+        boxes.append(_sorted_digest(ev.tracker.boxes))
+    arrays = [np.array(rows, dtype=np.int64)]
+    if name == "threegen":
+        arrays.append(np.array(boxes))
+    assert _digest(*arrays) == want
 
 
 # the line at seed 18 reaches levels 2 and 3 and the greedy fallback (see
@@ -261,13 +321,6 @@ DEMAND_LEVELS = {
 }
 
 
-def _points_digest(tracker) -> np.ndarray:
-    h = hashlib.sha256()
-    for stream in sorted(tracker.points):
-        h.update(f"{stream}:{sorted(tracker.points[stream])}".encode())
-    return np.frombuffer(h.digest(), dtype=np.uint8)
-
-
 @pytest.mark.parametrize("name", sorted(DEMAND_LEVELS))
 def test_demand_level_digest(name):
     want, seed, sites, query = DEMAND_LEVELS[name]
@@ -276,7 +329,7 @@ def test_demand_level_digest(name):
         ev = tracked(lambda f: query(f, v), LabelField(seed), v)
         value, level = ev.value
         rows.append((int(value), level, ev.radius, ev.access_count))
-        points.append(_points_digest(ev.tracker))
+        points.append(_sorted_digest(ev.tracker.points))
     levels = {r[1] for r in rows}
     assert {0, 2, 3} <= levels
     assert _digest(np.array(rows, dtype=np.int64), np.array(points)) == want
