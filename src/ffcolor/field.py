@@ -13,15 +13,18 @@ access budget but not the radius.
 
 Field protocol: every field (LabelField, TrackedField, PerturbedField) answers
 the scalar reads `u64`, `uniform`, `coin`, `discrete`, the point-list read
-`u64_points`, and the bulk reads `u64_box`, `uniform_box`, `coin_box`,
-`discrete_box`, which take broadcast coordinate axes.  Constructions call only
-these names.  The `*_grid` methods are LabelField's raw vectorized hash, which
-the bulk reads of every field bottom out in.
+`u64_points`, the bulk reads `u64_box`, `uniform_box`, `coin_box`,
+`discrete_box`, and the threshold scan `u64_below`; the bulk reads and the
+scan take broadcast coordinate axes.  Constructions call only these names.
+The `*_grid` methods are LabelField's raw vectorized hash, which the bulk
+reads of every field bottom out in.  An empty box reads as an empty result
+and records nothing.
 
 One rule keeps the fields in step: a field overrides only its `u64`
-primitives (`u64`, `u64_points`, `u64_grid`, `u64_box`), and every derived
-read is LabelField's.  A field that overrides `u64` overrides `u64_points`
-too, or a point list would be hashed past its override.  `uniform`, `coin`
+primitives (`u64`, `u64_points`, `u64_grid`, `u64_box`, `u64_below`), and
+every derived read is LabelField's.  A field that overrides `u64` overrides
+`u64_points` and `u64_below` too, or a point list or a scan would be hashed
+past its override.  `uniform`, `coin`
 and `discrete` are elementwise functions of the `u64` value, computed in
 LabelField alone, so a tracked read records exactly one access and a
 perturbed read picks base or alt once, at the `u64`.
@@ -67,6 +70,21 @@ uniform < p  <=>  u64 >> 11 < ceil(p * 2^53)  <=>  u64 < ceil(p * 2^53) << 11,
 where the threshold is at most (2^53 - 1) << 11 and fits in a uint64.  At
 p = 1 every label passes, and the threshold 2^64 does not fit, so that case
 needs its own branch.
+
+`u64_below(stream, axes, below)` runs that test over a box without building
+its labels: it returns the flat indices, in C order, of the labels below
+`below`.  A box above one block goes through the same blocked loop as the
+bulk hash, into one reused block and scratch buffer, and keeps only each
+block's hits.  Each block is tested before its last xorshift.  Write s for a
+label's state before the final step h = s ^ (s >> 31), and nb for
+below.bit_length().  Then  h < below  implies  s < 2^nb:
+  s >> 31 is shorter than s (or both are 0), so the xor keeps the highest
+  set bit of s and sets none above it: h and s have the same bit length.
+  h < below gives bitlen(h) <= nb, so bitlen(s) <= nb, and s < 2^nb.
+So only the states up to 2^nb - 1 are finished and compared with `below`;
+every other label of the block is at least 2^nb, above it.  At the center
+densities of the tile scans, that leaves about 2^-12 of the sites at level 1
+and 2^-19 at level 2.
 """
 
 from __future__ import annotations
@@ -133,24 +151,32 @@ def _mix64_arr(h: np.ndarray) -> np.ndarray:
     return h
 
 
-def _mix64_block(h: np.ndarray, tmp: np.ndarray) -> None:
-    """`_mix64_arr` with the shifted copies written into `tmp` (h's shape)."""
+def _premix_block(h: np.ndarray, tmp: np.ndarray) -> None:
+    """Every step of `mix64` but the final xorshift, on h in place, with the
+    shifted copies written into `tmp` (h's shape)."""
     np.right_shift(h, _U30, out=tmp)
     h ^= tmp
     h *= _UM1
     np.right_shift(h, _U27, out=tmp)
     h ^= tmp
     h *= _UM2
+
+
+def _finish_block(h: np.ndarray, tmp: np.ndarray) -> None:
+    """The final xorshift of `mix64`, on h in place, through `tmp`."""
     np.right_shift(h, _U31, out=tmp)
     h ^= tmp
 
 
-def _hash_blocked(h, axes: list, shape: tuple) -> np.ndarray:
-    """Finish the hash chain from state `h` over `axes`, as a new array.
+def _premixed_blocks(h, axes: list, shape: tuple, out: np.ndarray | None = None):
+    """Run the hash chain from state `h` over `axes` in blocks; yield
+    (flat index of the block's first label, block, scratch) per block.
 
     The axes whose running broadcast shape is still smaller than `shape` are
-    mixed at that smaller shape; the rest are mixed into the output in blocks
-    of leading-axis rows of about _BLOCK labels, through one scratch buffer.
+    mixed at that smaller shape; the rest are mixed block by block, each block
+    being leading-axis rows of about _BLOCK labels.  A yielded block holds the
+    chain up to the final xorshift of its last link.  Blocks are views of
+    `out` when it is given, else of one buffer reused for every block.
     """
     k, cur = 0, ()
     while (cur := np.broadcast_shapes(cur, axes[k].shape)) != shape:
@@ -158,18 +184,28 @@ def _hash_blocked(h, axes: list, shape: tuple) -> np.ndarray:
         k += 1
     row = math.prod(shape[1:])
     rows = max(1, _BLOCK // row)
-    out = np.empty(shape, dtype=np.uint64)
     scratch = np.empty(rows * row, dtype=np.uint64)
+    buf = np.empty(rows * row, dtype=np.uint64) if out is None else None
     h = np.broadcast_to(h, shape)
     first, *rest = (np.broadcast_to(a, shape) for a in axes[k:])
     for r in range(0, shape[0], rows):
-        block = out[r:r + rows]
+        n = min(rows, shape[0] - r)
+        block = out[r:r + n] if buf is None else buf[:n * row].reshape((n,) + shape[1:])
         tmp = scratch[:block.size].reshape(block.shape)
-        np.bitwise_xor(h[r:r + rows], first[r:r + rows], out=block)
-        _mix64_block(block, tmp)
+        np.bitwise_xor(h[r:r + n], first[r:r + n], out=block)
         for a in rest:
-            block ^= a[r:r + rows]
-            _mix64_block(block, tmp)
+            _premix_block(block, tmp)
+            _finish_block(block, tmp)
+            block ^= a[r:r + n]
+        _premix_block(block, tmp)
+        yield r * row, block, tmp
+
+
+def _hash_blocked(h, axes: list, shape: tuple) -> np.ndarray:
+    """Finish the hash chain from state `h` over `axes`, as a new array."""
+    out = np.empty(shape, dtype=np.uint64)
+    for _, block, tmp in _premixed_blocks(h, axes, shape, out):
+        _finish_block(block, tmp)
     return out
 
 
@@ -312,6 +348,30 @@ class LabelField:
     def u64_box(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
         return self.u64_grid(stream, axes)
 
+    def u64_below(self, stream: str, axes: Sequence[np.ndarray], below: int) -> np.ndarray:
+        """Flat indices, in C order over the broadcast shape of `axes`, of the
+        labels whose u64 is below `below` (an int in [0, 2^64)).
+
+        A box above one block is hashed block by block into one reused
+        buffer, and only each block's hits are kept.  A block is first tested
+        before its final xorshift, and only the candidates that test passes
+        are finished (see the module docstring).
+        """
+        below = np.uint64(below)
+        shape = np.broadcast_shapes(*(np.shape(a) for a in axes))
+        if math.prod(shape) <= _BLOCK:
+            return np.flatnonzero(self.u64_grid(stream, axes) < below)
+        top = np.uint64((1 << int(below).bit_length()) - 1)
+        axes = [np.asarray(a, dtype=np.int64).view(np.uint64) for a in axes]
+        hits = []
+        for at, block, _ in _premixed_blocks(np.uint64(self._start(stream)), axes, shape):
+            flat = block.reshape(-1)
+            cand = np.flatnonzero(flat <= top)
+            h = flat[cand]
+            h ^= h >> _U31
+            hits.append(cand[h < below] + at)
+        return np.concatenate(hits)
+
     def uniform_box(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
         return _uniform_arr(self.u64_box(stream, axes))
 
@@ -429,7 +489,8 @@ class TrackedField:
     """LabelField wrapper that records every access into a Tracker.
 
     Only the primitives have bodies here: `u64` records one point,
-    `u64_points` its list of points and `u64_box` the bounding box it covers.
+    `u64_points` its list of points, and `u64_box` and `u64_below` the
+    bounding box they scan.
     The derived reads are LabelField's own functions, bound by name, so each
     records exactly once, through them.  Not a LabelField subclass: the raw
     `*_grid` reads would skip `base`.
@@ -449,11 +510,20 @@ class TrackedField:
         self.tracker.record_points(stream, points, is_spatial(stream))
         return self.base.u64_points(stream, points)
 
+    def _record_box(self, stream: str, axes: Sequence[np.ndarray]) -> None:
+        """Record the bounding box of a bulk read; an empty read records nothing."""
+        if all(np.size(a) for a in axes):
+            lo = [int(np.min(a)) for a in axes]
+            hi = [int(np.max(a)) for a in axes]
+            self.tracker.record_box(stream, lo, hi, spatial=is_spatial(stream))
+
     def u64_box(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
-        lo = [int(np.min(a)) for a in axes]
-        hi = [int(np.max(a)) for a in axes]
-        self.tracker.record_box(stream, lo, hi, spatial=is_spatial(stream))
+        self._record_box(stream, axes)
         return self.base.u64_grid(stream, axes)
+
+    def u64_below(self, stream: str, axes: Sequence[np.ndarray], below: int) -> np.ndarray:
+        self._record_box(stream, axes)
+        return self.base.u64_below(stream, axes, below)
 
     uniform = LabelField.uniform
     coin = LabelField.coin
@@ -491,6 +561,9 @@ class PerturbedField(LabelField):
     def u64_grid(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
         return self._merge(stream, axes, self.base.u64_grid(stream, axes),
                            self.alt.u64_grid(stream, axes))
+
+    def u64_below(self, stream: str, axes: Sequence[np.ndarray], below: int) -> np.ndarray:
+        return np.flatnonzero(self.u64_grid(stream, axes) < np.uint64(below))
 
     def _merge(self, stream: str, axes, base_vals: np.ndarray, alt_vals: np.ndarray):
         bc = np.broadcast_arrays(*[np.asarray(a) for a in axes])

@@ -45,7 +45,6 @@ from .verify import AuditReport
 SCALE_BASE = 13
 HEX_DIAMETER = 3
 STREAM_PREFIX = "tiling"
-_SCAN_CHUNK = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -121,34 +120,24 @@ def hexgraph() -> HexGraph:
 # -- center discovery -------------------------------------------------------
 
 def _bernoulli_points(field, stream: str, lo, hi, p: float) -> np.ndarray:
-    """All vertices of [lo, hi) whose uniform label falls below p (p <= 1).
+    """All vertices of [lo, hi) whose uniform label falls below p (p <= 1),
+    in lexicographic order, from one bulk read of the box.
 
-    The test runs on the raw u64 label: for p < 1, uniform < p exactly when
-    u64 < ceil(p * 2^53) << 11 (see the field module), and p = 1 takes every
-    vertex.
+    For p < 1, uniform < p exactly when u64 < ceil(p * 2^53) << 11 (see the
+    field module), so `u64_below` finds the hits block by block without
+    building the box's labels.  At p = 1 every vertex is a hit, and one
+    `u64_box` read records the box.
     """
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
-    d = lo.size
     if np.any(hi <= lo):
-        return np.empty((0, d), dtype=np.int64)
-    tail = int(np.prod(hi[1:] - lo[1:], dtype=np.int64)) if d > 1 else 1
-    rows = max(1, _SCAN_CHUNK // max(1, tail))
-    below = np.uint64(math.ceil(p * 2.0**53) << 11) if p < 1 else None
-    hits = []
-    for x0 in range(int(lo[0]), int(hi[0]), rows):
-        x1 = min(x0 + rows, int(hi[0]))
-        ranges = [np.arange(x0, x1)] + [np.arange(lo[i], hi[i]) for i in range(1, d)]
-        h = field.u64_box(stream, np.ix_(*ranges))
-        flat = np.flatnonzero(h < below) if below is not None else np.arange(h.size)
-        if flat.size:
-            idx = np.stack(np.unravel_index(flat, h.shape), axis=1)
-            idx[:, 0] += x0
-            idx[:, 1:] += lo[1:]
-            hits.append(idx)
-    if not hits:
-        return np.empty((0, d), dtype=np.int64)
-    return np.concatenate(hits).astype(np.int64)
+        return np.empty((0, lo.size), dtype=np.int64)
+    axes = np.ix_(*map(np.arange, lo, hi))
+    if p < 1:
+        flat = field.u64_below(stream, axes, math.ceil(p * 2.0**53) << 11)
+    else:
+        flat = np.arange(field.u64_box(stream, axes).size)
+    return np.stack(np.unravel_index(flat, tuple(hi - lo)), axis=1) + lo
 
 
 def _close_pairs(pts: np.ndarray, r: int) -> np.ndarray:

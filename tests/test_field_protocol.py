@@ -1,10 +1,12 @@
 """The field protocol: names that span tracing patches stay defined where it
-looks for them, every field answers the same scalar, point-list and bulk
-reads, and a tracked read records through its `u64` primitive exactly once."""
+looks for them, every field answers the same scalar, point-list, bulk and
+below-threshold reads, and a tracked read records through its `u64` primitive
+exactly once."""
 
 import importlib
 import importlib.util
 import inspect
+import math
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffcolor import field as field_mod
-from ffcolor.field import (Budget, BudgetExceeded, LabelField, PerturbedField, Tracker,
-                           TrackedField, untracked)
+from ffcolor.field import (_BLOCK, _M1, _M2, MASK64, Budget, BudgetExceeded, LabelField,
+                           PerturbedField, Tracker, TrackedField, untracked)
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -89,12 +91,35 @@ def test_tracked_discrete_refuses_n0_before_recording():
 
 
 def test_every_field_that_overrides_u64_overrides_u64_points():
-    # an inherited u64_points would hash past the override: a perturbed or
-    # tracked field would answer a point list unlike its own scalar reads
+    # an inherited u64_points or u64_below would hash past the override: a
+    # perturbed or tracked field would answer a point list or a threshold
+    # scan unlike its own scalar and box reads
     fields = [cls for _, cls in inspect.getmembers(field_mod, inspect.isclass)
               if cls.__module__ == field_mod.__name__ and "u64" in vars(cls)]
     assert {c.__name__ for c in fields} >= {"LabelField", "TrackedField", "PerturbedField"}
     assert [c.__name__ for c in fields if "u64_points" not in vars(c)] == []
+    assert [c.__name__ for c in fields if "u64_below" not in vars(c)] == []
+
+
+EMPTY_AXES = [[np.arange(0)], [np.arange(3)[:, None], np.arange(5, 5)[None, :]],
+              [np.zeros((2, 0, 1), dtype=np.int64), np.arange(4)[None, None, :],
+               np.arange(2)[:, None, None]]]
+
+
+@pytest.mark.parametrize("axes", EMPTY_AXES, ids=["1d", "2d", "3d"])
+def test_empty_bulk_reads_return_empty_and_record_nothing(axes):
+    base = LabelField(5)
+    shape = np.broadcast_shapes(*(a.shape for a in axes))
+    fields = _fields(base)
+    for name, fld in fields.items():
+        for kind, extra in READS:
+            got = getattr(fld, f"{kind}_box")("s", axes, *extra)
+            want = getattr(base, f"{kind}_grid")("s", axes, *extra)
+            assert got.shape == shape and got.dtype == want.dtype, (name, kind)
+        got = fld.u64_below("s", axes, 2**63)
+        assert got.shape == (0,) and got.dtype == np.intp, name
+    tr = fields["TrackedField"].tracker
+    assert (tr.access_count, tr.points, tr.radius, tr.boxes) == (0, {}, 0, {})
 
 
 COORD = st.one_of(st.integers(-40, 40), st.integers(-2**40, 2**40),
@@ -174,3 +199,120 @@ def test_point_reads_over_a_cap_raise_budget_exceeded(case, stream, access_cap,
     except BudgetExceeded:
         got = BudgetExceeded
     assert got == want
+
+
+# -- u64_below: the flat indices of the labels below a threshold ---------------
+
+# a pre-final state s (the chain before the last xorshift) and its label
+# s ^ (s >> 31) have the same bit length, so label < below forces
+# s < 2^below.bit_length(); u64_below finishes only such states
+def _final(s: int) -> int:
+    return s ^ (s >> 31)
+
+
+def _unshift(y: int, k: int) -> int:
+    # inverse of y = x ^ (x >> k) on 64 bits
+    x = y
+    for _ in range(64 // k + 1):
+        x = y ^ (x >> k)
+    return x
+
+
+def _unpremix(s: int) -> int:
+    # the input of mix64 whose state before the final xorshift is s
+    s = _unshift((s * pow(_M2, -1, 2**64)) & MASK64, 27)
+    return _unshift((s * pow(_M1, -1, 2**64)) & MASK64, 30)
+
+
+BELOW = [0, 1, 2**11, 2**33 - 1, 2**33, 2**33 + 1, 2**40, 2**52 + 5,
+         2**63 - 1, 2**63, 2**64 - 2**11]
+
+
+def _edge_states(below: int) -> list[int]:
+    # around 2^31 and 2^33, where the shifted copy starts and stops meeting
+    # the top bits, around 2^nb, the prefilter's bound, and the states whose
+    # labels lie just below, at and just above the threshold
+    nb = below.bit_length()
+    states = {below - 1, below, below + 1}
+    states |= {_unshift(t, 31) for t in (below - 1, below, below + 1) if 0 <= t <= MASK64}
+    for e in {31, 33, nb, min(nb + 1, 64)}:
+        for t in (2**e - 1, 2**e, 2**e + 1, 2**e - 2**31, 2**e + 2**31):
+            states |= {t, t ^ (2**31 - 1)}
+    return sorted(x for x in states if 0 <= x <= MASK64)
+
+
+@pytest.mark.parametrize("below", BELOW)
+def test_prefilter_keeps_every_label_below_the_threshold(below):
+    bound = 2 ** below.bit_length()
+    states = _edge_states(below)
+    for s in states:
+        assert _final(s).bit_length() == s.bit_length()
+        if _final(s) < below:
+            assert s < bound, (hex(s), hex(below))
+    # and end to end: a 1-d box whose chains reach exactly these pre-final
+    # states, padded past one block, scanned like the raw grid
+    f = LabelField(8)
+    start = f._start("s")
+    picked = [_unpremix(s) ^ start for s in states]
+    assert [field_mod.mix64(c ^ start) for c in picked] == [_final(s) for s in states]
+    coords = np.array(picked + list(range(_BLOCK)), dtype=np.uint64).view(np.int64)
+    got = f.u64_below("s", [coords], below)
+    assert got.tolist() == np.flatnonzero(f.u64_grid("s", [coords]) < below).tolist()
+    assert got[got < len(states)].tolist() == \
+        [i for i, s in enumerate(states) if _final(s) < below]
+
+
+# boxes below, at and above one block of _BLOCK labels
+BELOW_SHAPES = [(7,), (_BLOCK + 3,), (9, 13), (1, _BLOCK + 1), (_BLOCK + 1, 1), (203, 167),
+                (3, 4, 5), (1, 1, _BLOCK + 2), (33, 34, 35), (2, 150, 111)]
+THRESHOLDS = st.one_of(st.sampled_from(BELOW), st.integers(0, 63).map(lambda k: 1 << k),
+                       st.integers(0, 2**64 - 1))
+
+
+@st.composite
+def below_reads(draw):
+    shape = draw(st.sampled_from(BELOW_SHAPES))
+    bases = draw(st.lists(st.one_of(st.integers(-50, 50), st.integers(2**62 - 99, 2**62),
+                                    st.integers(-2**62, -2**62 + 99)),
+                          min_size=len(shape), max_size=len(shape)))
+    ranges = [np.arange(n, dtype=np.int64) + b for n, b in zip(shape, bases)]
+    if draw(st.booleans()):
+        axes = list(np.ix_(*ranges))
+    else:  # full-shape axes: every axis is mixed block by block
+        axes = [g + r[0] for g, r in zip(np.indices(shape, dtype=np.int64), ranges)]
+    return axes, draw(THRESHOLDS)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(below_reads(), st.integers(0, 2**64 - 1))
+def test_u64_below_equals_flatnonzero_of_the_box(read, alt_seed):
+    axes, below = read
+    base = LabelField(5)
+    lo = tuple(int(a.min()) for a in axes)
+    mid = tuple((int(a.min()) + int(a.max())) // 2 for a in axes)
+    half = Tracker(lo, UNCAPPED)
+    half.record_box("s", lo, mid)  # base answers in this corner, alt elsewhere
+    fields = {"LabelField": base, "TrackedField": TrackedField(base, Tracker(lo, UNCAPPED)),
+              "PerturbedField": PerturbedField(base, half, LabelField(alt_seed)),
+              "untracked": untracked(base)}
+    for name, fld in fields.items():
+        raw = fld.u64_grid if name == "PerturbedField" else base.u64_grid
+        want = np.flatnonzero(raw("s", axes) < below)
+        got = fld.u64_below("s", axes, below)
+        assert got.dtype == np.intp and got.tolist() == want.tolist(), name
+
+
+@pytest.mark.parametrize("axes", [list(np.ix_(np.arange(-3, 5), np.arange(10, 16))),
+                                  list(np.ix_(np.arange(190), np.arange(-90, 90))),
+                                  [np.arange(2**40, 2**40 + _BLOCK + 9)]],
+                         ids=["small", "blocked", "1d"])
+@pytest.mark.parametrize("stream", ["s", "family:s"])
+def test_tracked_u64_below_records_what_u64_box_records(axes, stream):
+    origin = (7,) * len(axes)
+    records = []
+    for read in (lambda f: f.u64_box(stream, axes), lambda f: f.u64_below(stream, axes, 2**60)):
+        tr = Tracker(origin, UNCAPPED)
+        read(TrackedField(LabelField(5), tr))
+        records.append((tr.access_count, tr.radius, tr.boxes, tr.points))
+    assert records[0] == records[1]
+    assert records[1][0] == math.prod(np.broadcast_shapes(*(a.shape for a in axes)))

@@ -104,6 +104,9 @@ class _FixedLabels:
     def u64_box(self, stream, axes):
         return self.labels.reshape(np.broadcast_shapes(*(a.shape for a in axes))).copy()
 
+    def u64_below(self, stream, axes, below):
+        return np.flatnonzero(self.u64_box(stream, axes) < below)
+
     uniform_box = LabelField.uniform_box
 
 
