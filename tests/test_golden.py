@@ -19,7 +19,10 @@ uniform and one neighbor list per site.  The audit reports of
 judged from running sums and cluster spans from one scatter pass.  The
 tile centers, with every Bernoulli candidate their scans found, and the
 tracked reads of threegen queries were pinned while each scan still hashed
-its whole box, in chunks of at most 2^22 labels.
+its whole box, in chunks of at most 2^22 labels.  The box pipeline's kept
+centers (ensure fills included), net colors and radii, and the reports of
+`audit_faces`, were pinned while the thinning kept color class 1 of a full
+greedy coloring and face pairs were judged by one broadcast per row block.
 
 A digest covers each array's dtype, shape and bytes, in the order listed.  A
 demand digest covers one (value, radius, access_count) row per query site,
@@ -31,13 +34,15 @@ stats, so the types of the entries are pinned too.
 """
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from ffcolor.field import BudgetExceeded, LabelField, tracked
-from ffcolor.fourcolor import audit_sign_clusters, baseline_percolation_4color, \
-    baseline_window, four_color_window
+from ffcolor.fourcolor import CONTEXT_SCALE, BoxSystem, assign_radii, audit_faces, \
+    audit_sign_clusters, baseline_percolation_4color, baseline_window, choose_M, \
+    fixture_net, four_color_window, net_coloring
 from ffcolor.lattice import FiniteGraph, LatticeSpec, Window, WindowGraph
 from ffcolor.perc3color import PercWindow, coding_radii, three2d_window, \
     three_color_2d
@@ -149,6 +154,81 @@ def test_perc_build_internals_digest():
     assert perc.dist.max() == 3
     assert _digest(perc.labels, perc.face, perc.parent, perc.ylabel, perc.special,
                    perc.dist, perc.color, perc.req_lo, perc.req_hi) == PERC_BUILD
+
+
+# the net region four_color_window builds around a window, with its ensure box
+def _four_region(window, M):
+    zwin = window.grow(2)
+    zlo = np.asarray(zwin.origin, dtype=np.int64)
+    zhi = zlo + np.asarray(zwin.extent, dtype=np.int64)
+    margin = CONTEXT_SCALE * M + 6
+    return zlo - margin, zhi + margin, (zlo, zhi)
+
+
+def _small_region(d, M):
+    # ten (d = 2) or six (d = 3) M-cells a side; the ensure box leaves two
+    # cells of context on each side, and at these scales fills occur
+    lo = np.array([-3 * M, -2 * M, M][:d], dtype=np.int64)
+    hi = lo + (10 if d == 2 else 6) * M
+    return lo, hi, (lo + 2 * M, hi - 2 * M)
+
+
+class TiedPriorities(LabelField):
+    """Candidate priorities and net order labels cut to their top 3 bits."""
+
+    _CUT = 0xE000000000000000
+
+    def _tied(self, stream):
+        return stream.endswith((":prio", ":order"))
+
+    def u64(self, stream, coords):
+        h = super().u64(stream, coords)
+        return h & self._CUT if self._tied(stream) else h
+
+    def u64_points(self, stream, points):
+        return [self.u64(stream, p) for p in points]
+
+    def u64_grid(self, stream, axes):
+        h = super().u64_grid(stream, axes)
+        return h & np.uint64(self._CUT) if self._tied(stream) else h
+
+
+# (field, M, (lo, hi, ensure)): the regions of three 2-D four windows and one
+# 3-D one at the real scale, and small scales where ensure fills occur
+_M2, _M3 = choose_M(2)[0], choose_M(3)[0]
+BOX_CASES = [
+    (LabelField(3), _M2, _four_region(Window((-20, 7), (48, 40)), _M2)),
+    (LabelField(8), _M2, _four_region(Window((5, 5), (40, 56)), _M2)),
+    (LabelField(1), _M3, _four_region(Window((0, 0, 0), (4, 4, 4)), _M3)),
+    (LabelField(0), 200, _small_region(2, 200)),
+    (LabelField(5), 200, _small_region(2, 200)),
+    (LabelField(0), 400, _small_region(3, 400)),
+    (LabelField(4), 400, _small_region(3, 400)),
+    (TiedPriorities(2), _M2, _four_region(Window((100, -50), (32, 32)), _M2)),
+    (TiedPriorities(3), 200, _small_region(2, 200)),
+]
+BOX_PIPELINE = "f0b2b1efb37161553789940a54d64e99ac58de2395841ca6f467b800a4205854"
+
+
+@lru_cache(maxsize=1)
+def _box_systems():
+    # (boxes, net colors, kept count before fills) per case, built once
+    out = []
+    for fld, M, (lo, hi, ensure) in BOX_CASES:
+        centers = fixture_net(fld, lo, hi, M, ensure=ensure)
+        colors = net_coloring(centers, 4 * M + 3, fld)
+        out.append((BoxSystem(centers, assign_radii(centers, colors, M), M), colors,
+                    len(fixture_net(fld, lo, hi, M))))
+    return out
+
+
+def test_box_pipeline_digest():
+    arrays, fills = [], 0
+    for boxes, colors, unfilled in _box_systems():
+        arrays += [boxes.centers, colors, boxes.radii]
+        fills += len(boxes) - unfilled
+    assert fills >= 10
+    assert _digest(*arrays) == BOX_PIPELINE
 
 
 def test_threegen_window_digest():
@@ -441,7 +521,46 @@ def _over_cap_signs():
     return [rep]
 
 
+def _clean_faces():
+    reports = [audit_faces(boxes) for boxes, _, _ in _box_systems()]
+    assert all(rep.passed for rep in reports)
+    return reports
+
+
+def _mutated_faces():
+    # radii moved by -3..3 and centers by -1..1: close faces, both kinds
+    rng = np.random.default_rng(6)
+    reports = []
+    for boxes, _, _ in _box_systems():
+        n, d = boxes.centers.shape
+        reports.append(audit_faces(BoxSystem(
+            boxes.centers, boxes.radii + rng.integers(-3, 4, n), boxes.M)))
+        reports.append(audit_faces(BoxSystem(
+            boxes.centers + rng.integers(-1, 2, (n, d)), boxes.radii, boxes.M)))
+    assert sum(not rep.passed for rep in reports) >= 10
+    return reports
+
+
+def _over_cap_faces():
+    # 160 boxes in a row, 3 apart, with equal radii: all their faces across
+    # the row lie on two lines, so nearly every pair of them is too close
+    reports = []
+    for d in (2, 3):
+        centers = np.zeros((160, d), dtype=np.int64)
+        centers[:, 0] = 3 * np.arange(160)
+        rep = audit_faces(BoxSystem(centers, np.full(160, 50), 50))
+        assert rep.stats["violations_total"] > VIOLATION_CAP
+        reports.append(rep)
+    return reports
+
+
 AUDIT_REPORTS = {
+    "faces-clean": ("6a092a87888dbf6059202ad446d80853a4f8932de944959094ba11d6e684d7df",
+                     _clean_faces),
+    "faces-mutated": ("7e0e8874eb4dbccddabb1796d2a0ed4d982a21045bc0d2aef2bc4022a44a8f37",
+                       _mutated_faces),
+    "faces-over-cap": ("7e70e819d6761aaa4a5f424499fe09353c67787ece2cf06235b3ac427c112544",
+                        _over_cap_faces),
     "heights-three2d": ("198a01af3e0b5715f9ecfed27fd84fc62a262133ccc7df1f29419e7a0a8e4678",
                         _three2d_heights),
     "heights-threegen": ("8bc2ebbe5d5c4a5f40db17595fff4fb9fe73f3eef0c60b8b342fe69d2d5fee00",
