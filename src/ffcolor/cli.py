@@ -202,7 +202,7 @@ class Construction(NamedTuple):
 CONSTRUCTIONS = {
     "tower": Construction((1, 2), _tower, lambda args, f, v: tower_color_at(
         f, v, LatticeSpec(args.d, 1, "l1"))),
-    "four": Construction((2,), _four, None),
+    "four": Construction((2, 3), _four, None),
     "three2d": Construction((2,), _three2d, lambda args, f, v: three_color_2d(
         v, f, radius_cap=args.cap)),
     "threegen": Construction((1, 2), _threegen, lambda args, f, v: three_color_general(
@@ -248,8 +248,11 @@ def cmd_color(args) -> int:
         print(f"budget exhausted: {e}", file=sys.stderr)
         return EXIT_BUDGET
     colors = np.where(valid, colors, 0)
-    write_ppm(img_path, colors)
-    outputs = {"image": img_path.name, "radii": None}
+    # a pixmap holds a line or a plane; a grid of more axes has the manifest only
+    outputs = {"image": None, "radii": None}
+    if colors.ndim <= 2:
+        write_ppm(img_path, colors)
+        outputs["image"] = img_path.name
     if radii is not None:
         csv_path.write_text(radius_tail_csv(radii, args.cap))
         outputs["radii"] = csv_path.name
@@ -259,7 +262,8 @@ def cmd_color(args) -> int:
         "valid_fraction": float(valid.mean()), "color_counts": counts,
     })
     _write_json(json_path, manifest)
-    print(f"wrote {img_path} ({valid.mean():.1%} of cells resolved)")
+    print(f"wrote {img_path if outputs['image'] else json_path} "
+          f"({valid.mean():.1%} of cells resolved)")
     return EXIT_OK
 
 

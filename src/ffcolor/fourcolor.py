@@ -13,17 +13,22 @@ The baseline assigns fair +-1 coins per site and checkerboards the
 (+)-clusters with {1,2} and the (-)-clusters with {3,4}; both cluster types
 are subcritical on the planar lattice, so per-site queries terminate.
 
-Every pass is an array pass.  The net thinning and the net coloring are
-sequential greedy colorings, so both run as `reduction._greedy` over a
-padded neighbor matrix: the candidates' conflict graph (sup-distance <= M),
-whose kept set is color class 1, and the net graph.  Box radii are chosen
-one color class at a time; each class scatters the radius values that the
-faces of its already-fixed neighbors prohibit into one mask and takes the
-least free value per row.  Near pairs of centers come from a pairwise scan
-in blocks of 256 rows, so memory stays O(256 n) rather than n x n.  A k-d
-tree would need `scipy.spatial`, whose import alone adds about 0.07 s to
-start-up (2-vCPU host, warm file cache); the scan over the hundred or so
-centers of a window takes about 0.1 ms.
+Every pass is an array pass over a padded neighbor matrix.  The net
+thinning keeps the greedy independent set of the candidates' conflict graph
+(sup-distance <= M) in decreasing priority order, computed by
+`reduction.greedy_independent_set` in keep/drop rounds; the graph is built
+from the candidates' offsets within their cells, one comparison per axis.
+The net coloring is a sequential greedy coloring of the net graph, run as
+`reduction._greedy`; its order labels are read in one `u64_points` call.
+Box radii are chosen one color class at a time: the face geometry of every
+near pair is computed once, and each class adds its fixed radii, scatters
+the values they prohibit into one mask and takes the least free value per
+row.  Near pairs of centers come from a pairwise scan in blocks of 256 rows,
+so memory stays O(256 n) rather than n x n.  A k-d tree would need
+`scipy.spatial`, whose import alone adds about 0.07 s to start-up (2-vCPU
+host, warm file cache); the scan over the hundred or so centers of a window
+takes about 0.1 ms.  The face audit pairs faces by sorted level along their
+axis, so it measures only faces at most 3 levels apart.
 
 Cluster phases label every value once and pick each cluster's anchor by
 one scatter: the site of largest phase label, and on a tie the last one in
@@ -42,7 +47,7 @@ from scipy import ndimage
 
 from .field import BudgetExceeded
 from .lattice import FiniteGraph, Window, nonzero_offsets
-from .reduction import _greedy
+from .reduction import _greedy, greedy_independent_set
 from .verify import AuditReport
 
 CAND_STREAM = "fixture:boxnet"
@@ -103,8 +108,9 @@ def fixture_net(field, lo, hi, M: int, *, ensure=None,
 
     Draws CANDIDATES_PER_CELL candidate positions in every M-cell meeting the
     region (a non-spatial table read keyed by cell index) and keeps candidates in
-    decreasing priority order, dropping any within distance M of a kept
-    one.  Greedy thinning is maximal over the candidates, not the lattice,
+    decreasing priority order (ties by index), dropping any within distance
+    M of a kept one: the greedy independent set of their conflict graph.
+    Greedy thinning is maximal over the candidates, not the lattice,
     so rare coverage pockets can survive; with ensure=(elo, ehi) every
     vertex of that subregion is additionally brought within M of a center
     by filling lexicographically first gap vertices.  A gap vertex is
@@ -128,12 +134,10 @@ def fixture_net(field, lo, hi, M: int, *, ensure=None,
     pos = np.stack(cells, axis=1) * M + offs
     prio = field.uniform_box(stream + ":prio", [*cells, cand])
 
-    # a candidate takes color 1 iff no conflicting candidate of higher
-    # priority did: color class 1 is the kept set
-    x = np.zeros(len(pos), dtype=np.int64)
-    _greedy(x, _candidate_graph(pos, [len(r) for r in ranges], M),
-            np.argsort(-prio, kind="stable"), None)
-    kept = pos[x == 1]
+    # the kept set of the thinning: decreasing priority, ties by index
+    keep = greedy_independent_set(_candidate_graph(offs, [len(r) for r in ranges]),
+                                  np.arange(len(pos)), prio)
+    kept = pos[keep]
     if ensure is not None:
         elo = np.asarray(ensure[0], dtype=np.int64)
         ehi = np.asarray(ensure[1], dtype=np.int64)
@@ -141,13 +145,11 @@ def fixture_net(field, lo, hi, M: int, *, ensure=None,
         covered = np.zeros(shape, dtype=bool)
 
         def paint(p):
-            sl = tuple(slice(max(int(p[a] - M - elo[a]), 0),
-                             min(int(p[a] + M + 1 - elo[a]), shape[a]))
-                       for a in range(d))
-            if all(s.start < s.stop for s in sl):
-                covered[sl] = True
+            covered[tuple(slice(max(int(p[a] - M - elo[a]), 0), int(p[a] + M + 1 - elo[a]))
+                          for a in range(d))] = True
 
-        for p in kept:
+        # only centers within M of the ensure box paint any of it
+        for p in kept[((kept >= elo - M) & (kept < ehi + M)).all(axis=1)]:
             paint(p)
         while not covered.all():
             gap = elo + np.array(
@@ -157,37 +159,52 @@ def fixture_net(field, lo, hi, M: int, *, ensure=None,
     return kept[np.lexsort(kept.T[::-1])]
 
 
-def _candidate_graph(pos: np.ndarray, ncell, M: int) -> FiniteGraph:
+def _candidate_graph(offs: np.ndarray, ncell) -> FiniteGraph:
     """Conflict graph of fixture_net candidates: edges at distance <= M.
 
     Candidates are laid out cell-major, CANDIDATES_PER_CELL per M-cell, and
-    each lies in its own cell, so a conflict is at most one cell away along
-    every axis.  Column block j holds the candidates of the cell at the j-th
-    offset in {-1, 0, 1}^d, -1 where that cell leaves the region or the pair
-    is farther than M apart, as `WindowGraph.build` writes its columns.
+    `offs` holds each one's offset in [0, M) from its cell's least corner,
+    so a conflict is at most one cell away along every axis.  Column block j
+    holds the candidates of the cell at the j-th step in {-1, 0, 1}^d, -1
+    where that cell leaves the region or the pair is farther than M apart,
+    as `WindowGraph.build` writes its columns.
+
+    Along an axis where the cells are a step e apart, the coordinates of
+    candidates p and q differ by e M + q_a - p_a with both offsets in
+    [0, M), so they are within M iff e q_a <= e p_a: always when e = 0,
+    and otherwise by one comparison of offsets, with no distance and no M.
+    The blocks are read from the cell grid padded by one cell, so every
+    step is one slice and the test one broadcast per axis.
     """
     k = CANDIDATES_PER_CELL
-    n = len(pos)
-    idx = np.arange(n).reshape(*ncell, k)
-    offs = list(product((-1, 0, 1), repeat=len(ncell)))
-    nbr = np.full((*ncell, k, len(offs), k), -1, dtype=np.int64)
-    for j, off in enumerate(offs):
-        # the cells whose neighbor cell at this offset is inside the region
-        box = tuple(slice(max(-o, 0), min(e, e - o)) for o, e in zip(off, ncell))
-        src = tuple(slice(max(o, 0), min(e, e + o)) for o, e in zip(off, ncell))
-        nbr[box + (slice(None), j)] = idx[src][..., None, :]
-    nbr = nbr.reshape(n, -1)
-    cut = nbr == np.arange(n)[:, None]
-    for a in range(pos.shape[1]):
-        cut |= np.abs(pos[nbr, a] - pos[:, a, None]) > M
-    nbr[cut] = -1
-    return FiniteGraph(n, nbr)
+    n, d = offs.shape
+    steps = np.array(list(product((-1, 0, 1), repeat=d)), dtype=np.int64)
+
+    def shifted(a, fill):
+        # (*ncell, steps, k): a's entries at each cell's neighbor cells
+        rimmed = np.full([e + 2 for e in ncell] + [k], fill, dtype=np.int64)
+        rimmed[(slice(1, -1),) * d] = a.reshape(*ncell, k)
+        return np.stack([rimmed[tuple(slice(1 + e, 1 + e + c) for e, c in zip(step, ncell))]
+                         for step in steps.tolist()], axis=d)
+
+    idx = shifted(np.arange(n), -1)[..., None, :, :]
+    near = idx >= 0
+    for a in range(d):
+        e, u = steps[:, a], offs[:, a]
+        near = near & ((shifted(u, 0) * e[:, None])[..., None, :, :]
+                       <= (u.reshape(*ncell, k, 1) * e)[..., None])
+    ar = np.arange(k)
+    near[..., ar, len(steps) // 2, ar] = False  # a candidate is not its own neighbor
+    # the neighbor's index where near, -1 elsewhere
+    nbr = (idx + 1) * near
+    nbr -= 1
+    return FiniteGraph(n, nbr.reshape(n, -1))
 
 
 def _near_pairs(centers: np.ndarray, reach: int):
     """(i, j, dist) for every ordered pair i != j of centers at sup-distance
-    <= reach, i-major and j increasing.  Scans 256 rows at a time, as
-    `audit_faces` does, so memory stays O(256 n)."""
+    <= reach, i-major and j increasing.  Scans 256 rows at a time, so
+    memory stays O(256 n)."""
     n = len(centers)
     parts = []
     for start in range(0, n, 256):
@@ -208,42 +225,22 @@ def net_coloring(centers: np.ndarray, reach: int, field,
     """Greedy proper coloring of the net graph with edges at distance <= reach.
 
     Centers take the least color unused among already-colored neighbors, in
-    decreasing order of a dedicated uniform label at the center.  Labels are
-    read one center at a time: a bulk read over scattered centers would be
-    recorded as their bounding box.
+    decreasing order of a dedicated uniform label at the center, and on a
+    tie in the order of the rows.  The labels are read in one `u64_points`
+    call, which records the scattered centers as points (a bulk read would
+    be recorded as their bounding box), and are converted as
+    `field.uniform` converts one label, so ties are those of the floats.
     """
     centers = np.asarray(centers, dtype=np.int64)
     n = len(centers)
-    prio = np.array([field.uniform(stream, tuple(int(x) for x in c)) for c in centers])
+    h = np.array(field.u64_points(stream, list(map(tuple, centers.tolist()))),
+                 dtype=np.uint64)
+    prio = (h >> np.uint64(11)) * 2.0**-53
     i, j, _ = _near_pairs(centers, reach)
-    graph = FiniteGraph.from_edges(n, np.stack([i, j], axis=1)[i < j])
     colors = np.zeros(n, dtype=np.int64)
-    _greedy(colors, graph, np.argsort(-prio, kind="stable"), None)
+    _greedy(colors, FiniteGraph.from_edges(n, np.stack([i, j], axis=1)[i < j]),
+            np.arange(n), prio, None, later_first=False)
     return colors
-
-
-def _banned_radii(s: np.ndarray, t: np.ndarray, rt: np.ndarray, M: int):
-    """Radius values that faces of the fixed boxes (t, rt) prohibit for new
-    boxes at s, one pair per row: (r, hit), both (pairs, d, 2, 2, 7).
-
-    Along axis a, a fixed face sits at level t_a + rt or t_a - rt - 1 and a
-    new face at s_a + r or s_a - r - 1; unit level intervals are within
-    distance 2 iff their starts differ by <= 3, so each (level, side) names
-    7 candidate values r.  Along every other axis i the two faces span
-    [t_i - rt, t_i + rt] and [s_i - r, s_i + r], within distance 2 iff
-    r >= |t_i - s_i| - rt - 2.  A hit is a candidate in [M, 2M) that meets
-    this bound on every other axis.
-    """
-    d = s.shape[1]
-    rt = rt[:, None]
-    off = np.abs(t - s)
-    least = np.stack([np.delete(off, a, axis=1).max(axis=1, initial=0)
-                      for a in range(d)], axis=1) - rt - 2
-    level = np.stack([t + rt, t - rt - 1], axis=2)[:, :, :, None]
-    sa = s[:, :, None, None]
-    r = np.concatenate([level - sa, sa - 1 - level], axis=3)[..., None] \
-        + np.arange(-3, 4)
-    return r, (r >= np.maximum(least, M)[:, :, None, None, None]) & (r < 2 * M)
 
 
 def assign_radii(centers: np.ndarray, colors: np.ndarray, M: int) -> np.ndarray:
@@ -253,10 +250,23 @@ def assign_radii(centers: np.ndarray, colors: np.ndarray, M: int) -> np.ndarray:
     are independent because equal-colored centers are more than 4M+3 apart.
     A radius is allowable when no face of its box comes within distance 2 of
     a face of the same direction on an already-fixed box.
+
+    For a new box at s and a fixed one (t, rt), along axis a a fixed face
+    sits at level t_a + rt or t_a - rt - 1 and a new face at s_a + r or
+    s_a - r - 1; unit level intervals are within distance 2 iff their starts
+    differ by <= 3, so each (level, side) names 7 candidate values
+    r = b + e rt + k, k in [-3, 3], with b one of t_a - s_a,
+    s_a - t_a - 1, t_a - s_a - 1 and s_a - t_a, and e = +1, -1, -1, +1.
+    Along every other axis i the two faces span [t_i - rt, t_i + rt] and
+    [s_i - r, s_i + r], within distance 2 iff r >= |t_i - s_i| - rt - 2.  A
+    candidate in [M, 2M) that meets this bound on every other axis is
+    prohibited.  The terms without rt are computed once for every near
+    pair; each class adds its fixed radii and scatters its prohibitions
+    into one mask, then takes the least free value per row.
     """
     centers = np.asarray(centers, dtype=np.int64)
     colors = np.asarray(colors, dtype=np.int64)
-    n = centers.shape[0]
+    n, d = centers.shape
     reach = 4 * M + 3
     i, j, dist = _near_pairs(centers, reach)
     packing = np.zeros(n, dtype=bool)
@@ -268,22 +278,42 @@ def assign_radii(centers: np.ndarray, colors: np.ndarray, M: int) -> np.ndarray:
         if packing[bad[0]]:
             raise ValueError("centers violate hard-core packing at scale M")
         raise ValueError(f"net coloring not proper at reach {reach}")
-    # only boxes of a lower color are fixed when a class is chosen
-    near = (dist <= 4 * M + 2) & (colors[j] < colors[i])
+    # only boxes of a lower color are fixed when a class is chosen; pairs
+    # are grouped by the class of their new box
+    near = np.flatnonzero((dist <= 4 * M + 2) & (colors[j] < colors[i]))
+    near = near[np.argsort(colors[i[near]], kind="stable")]
     i, j = i[near], j[near]
-    radii = np.zeros(n, dtype=np.int64)
-    row = np.zeros(n, dtype=np.int64)
-    for c in np.unique(colors):
-        cls = np.flatnonzero(colors == c)
-        row[cls] = np.arange(len(cls))
-        p = colors[i] == c
-        r, hit = _banned_radii(centers[i[p]], centers[j[p]], radii[j[p]], M)
-        banned = np.zeros((len(cls), M), dtype=bool)
-        banned[np.broadcast_to(row[i[p]].reshape(-1, 1, 1, 1, 1), r.shape)[hit],
-               r[hit] - M] = True
+    delta = centers[j] - centers[i]
+    off = np.abs(delta)
+    other = np.stack([np.delete(off, a, axis=1).max(axis=1, initial=0)
+                      for a in range(d)], axis=1) - 2
+    base = np.stack([delta, -delta - 1, delta - 1, -delta], axis=2)[..., None] \
+        + np.arange(-3, 4)
+    sign = np.array([1, -1, -1, 1])[:, None]
+    # classes in increasing order, each one's members in increasing order,
+    # and each center's row in its class
+    by_class = np.argsort(colors, kind="stable")
+    classes, first, size = np.unique(colors[by_class], return_index=True,
+                                     return_counts=True)
+    row = np.empty(n, dtype=np.int64)
+    row[by_class] = np.arange(n) - np.repeat(first, size)
+    spot = (row[i] * M - M)[:, None, None, None]
+    # a class without near pairs keeps the least radius
+    radii = np.full(n, M, dtype=np.int64)
+    start = np.searchsorted(colors[i], classes)
+    stop = np.append(start[1:], len(i))
+    for c, k, a, b in zip(first.tolist(), size.tolist(), start.tolist(), stop.tolist()):
+        if a == b:
+            continue
+        rt = radii[j[a:b]]
+        r = base[a:b] + sign * rt[:, None, None, None]
+        hit = (r >= np.maximum(other[a:b] - rt[:, None], M)[:, :, None, None]) \
+            & (r < 2 * M)
+        banned = np.zeros((k, M), dtype=bool)
+        banned.ravel()[(r + spot[a:b])[hit]] = True
         if banned.all(axis=1).any():
             raise AssertionError("no admissible radius in [M, 2M); packing bound violated")
-        radii[cls] = M + np.argmin(banned, axis=1)
+        radii[by_class[c:c + k]] = M + np.argmin(banned, axis=1)
     return radii
 
 
@@ -303,26 +333,34 @@ def _faces_axis(boxes: BoxSystem, axis: int):
 
 
 def audit_faces(boxes: BoxSystem) -> AuditReport:
-    """Exhaustive check: same-direction faces pairwise more than distance 2."""
+    """Exhaustive check: same-direction faces pairwise more than distance 2.
+
+    A face perpendicular to an axis is two sites thick along it, so two of
+    them are within distance 2 only if their levels on that axis differ by
+    at most 3.  The faces are sorted by level, each is paired with those at
+    most 3 levels above it, and only those pairs are measured.  Violations
+    are recorded axis by axis, in increasing order of the face pair (i, j),
+    i < j, with exact totals.
+    """
     rep = AuditReport("faces", None)
     rep.stats["violations_total"] = 0
     for axis in range(boxes.d):
         lo, hi, owner = _faces_axis(boxes, axis)
         k = len(owner)
-        for start in range(0, k, 256):
-            blo = lo[start:start + 256]
-            bhi = hi[start:start + 256]
-            gap = np.maximum(blo[:, None, :] - hi[None, :, :],
-                             lo[None, :, :] - bhi[:, None, :])
-            near = np.maximum(gap, 0).max(axis=2) <= 2
-            ii, jj = np.nonzero(near)
-            for bi, j in zip(ii, jj):
-                i = start + bi
-                if i < j:
-                    rep.add("face-separation",
-                            (axis, int(owner[i]), int(owner[j]),
-                             tuple(int(x) for x in lo[i]),
-                             tuple(int(x) for x in lo[j])))
+        order = np.argsort(lo[:, axis], kind="stable")
+        level = lo[order, axis]
+        # the sorted positions p < q with level[q] - level[p] <= 3
+        count = np.searchsorted(level, level + 3, side="right") - np.arange(1, k + 1)
+        p = np.repeat(np.arange(k), count)
+        q = p + 1 + np.arange(len(p)) - np.repeat(np.cumsum(count) - count, count)
+        i, j = np.minimum(order[p], order[q]), np.maximum(order[p], order[q])
+        close = np.maximum(lo[i] - hi[j], lo[j] - hi[i]).max(axis=1) <= 2
+        at = np.lexsort((j[close], i[close]))
+        i, j = i[close][at].tolist(), j[close][at].tolist()
+        own, los = owner.tolist(), lo.tolist()
+        rep.add_rows("face-separation", len(i),
+                     lambda r: (axis, own[i[r]], own[j[r]], tuple(los[i[r]]),
+                                tuple(los[j[r]])))
     rep.stats["faces_checked"] = 2 * boxes.d * len(boxes)
     return rep
 

@@ -175,8 +175,36 @@ def _least_absent(seen) -> int:
     return c
 
 
-def _greedy(x: np.ndarray, g: FiniteGraph, order, taint: np.ndarray | None) -> None:
-    """Give each vertex of `order`, in turn, the least color absent among its
+def _ahead(nbr: np.ndarray, todo: np.ndarray, key: np.ndarray, later_first: bool):
+    """(rows, ahead, behind) for the vertices of `todo`, increasing indices:
+    `rows` is `nbr[todo]`, `ahead` marks its entries that are vertices of
+    `todo` coming first in the order of decreasing key, and `behind` holds
+    the entries that are vertices of `todo` coming later, n everywhere else.
+    Equal keys are ordered by index, the later vertex first if
+    `later_first`, else the earlier one.  Padding is neither.
+
+    This compares (key, index) pairs of neighbors directly, so it gives the
+    ranks a stable sort of `todo` would give without sorting it.
+    """
+    n = len(nbr)
+    if len(todo) == n:  # every vertex, in order
+        rows, pending = nbr, nbr >= 0
+    else:
+        rows = nbr[todo]
+        member = np.zeros(n + 1, dtype=bool)  # the last entry reads padding
+        member[todo] = True
+        pending = member[rows]
+    kn, kv = key[rows], key[todo][:, None]
+    tie = rows > todo[:, None] if later_first else rows < todo[:, None]
+    ahead = pending & ((kn > kv) | ((kn == kv) & tie))
+    pending &= ~ahead
+    return rows, ahead, n + (rows - n) * pending
+
+
+def _greedy(x: np.ndarray, g: FiniteGraph, todo: np.ndarray, key: np.ndarray,
+            taint: np.ndarray | None, later_first: bool = True) -> None:
+    """Give each vertex of `todo` (increasing indices), in decreasing order
+    of `key` (ties as in `_ahead`), the least color absent among its
     neighbors, in place.  If `taint` is given it is updated in place: a
     recolored vertex becomes tainted when any neighbor it consulted was.
 
@@ -185,34 +213,80 @@ def _greedy(x: np.ndarray, g: FiniteGraph, order, taint: np.ndarray | None) -> N
     count is 0.  A neighbor still pending blocks with its current value, as
     it would one vertex at a time.
     """
-    order = np.asarray(order, dtype=np.int64)
+    todo = np.asarray(todo, dtype=np.int64)
     nbr = g.neighbor_matrix
-    n, m = g.n, len(order)
+    n = g.n
     top = nbr.shape[1] + 1  # the least absent color is at most maxdeg + 1
     # n + 1 entries each, so the padding index -1 reads a neutral last entry:
-    # value 0 never blocks, rank m is never ahead, taint is False
-    val = np.append(x, INF).astype(np.int64)
-    rank = np.full(n + 1, m, dtype=np.int64)
-    rank[order] = np.arange(m)
-    tnt = np.append(taint if taint is not None else np.zeros(n, dtype=bool), False)
-    members = np.flatnonzero(rank[:n] < m)  # vertex order reads nbr in sequence
+    # value 0 never blocks, taint is False.  Values are clipped to
+    # [0, top] once, as they block: every color given is in [1, top].
+    val = np.clip(np.append(x, INF), INF, top).astype(np.int64)
+    tnt = None if taint is None else np.append(taint, False)
+    rows, ah, behind_of = _ahead(nbr, todo, np.asarray(key), later_first)
     ahead = np.zeros(n + 1, dtype=np.int64)
-    ahead[members] = (rank[nbr[members]] < rank[members, None]).sum(axis=1)
-    ready = members[ahead[members] == 0]
+    ahead[todo] = ah.sum(axis=1)
+    # the row of each vertex of todo; when todo is every vertex, the vertex
+    at = None if len(todo) == n else np.zeros(n + 1, dtype=np.int64)
+    if at is not None:
+        at[todo] = np.arange(len(todo))
+    line = np.arange(len(todo))[:, None]
+    ready = todo[ahead[todo] == 0]
     while len(ready):
-        vn = nbr[ready]
+        r = ready if at is None else at[ready]
+        vn = rows[r]
         seen = np.zeros((len(ready), top + 1), dtype=bool)
-        seen[np.arange(len(ready))[:, None], np.clip(val[vn], INF, top)] = True
-        seen[:, INF] = True
-        tnt[ready] |= tnt[vn].any(axis=1)
-        val[ready] = seen.argmin(axis=1)
-        rn = rank[vn]
-        behind = np.bincount(vn[(rn > rank[ready, None]) & (rn < m)], minlength=n + 1)
+        seen[line[:len(ready)], val[vn]] = True
+        if tnt is not None:
+            tnt[ready] |= tnt[vn].any(axis=1)
+        # the least color >= 1 absent; one of 1..top always is
+        val[ready] = seen[:, 1:].argmin(axis=1) + 1
+        # the padding's count n only falls below 0, so n is never ready
+        behind = np.bincount(behind_of[r].ravel(), minlength=n + 1)
         ahead -= behind
         ready = np.flatnonzero((behind > 0) & (ahead == 0))
-    x[order] = val[order]
+    x[todo] = val[todo]
     if taint is not None:
-        taint[order] = tnt[order]
+        taint[todo] = tnt[todo]
+
+
+def greedy_independent_set(g: FiniteGraph, todo: np.ndarray, key: np.ndarray,
+                           later_first: bool = False) -> np.ndarray:
+    """Mask of the independent set that random-order greedy keeps: each
+    vertex of `todo` (increasing indices), in decreasing order of `key`
+    (ties as in `_ahead`), is kept unless a neighbor was kept before it.
+    Vertices outside `todo` are neither kept nor consulted.  This is color
+    class 1 of `_greedy` from an all-zero start.
+
+    Runs in rounds, as the local simulation of Nguyen and Onak (FOCS 2008)
+    settles a vertex: a pending vertex is dropped as soon as a neighbor
+    ahead of it is kept, and kept once every neighbor ahead of it is
+    dropped.  `ahead[v]` counts v's neighbors ahead of it not yet dropped;
+    each round keeps the vertices whose count is 0, drops their pending
+    neighbors behind them, and takes those drops off the counts.  The rounds
+    follow chains of keep-then-drop decisions, far fewer than the longest
+    decreasing-key path a full greedy coloring waits for.
+    """
+    todo = np.asarray(todo, dtype=np.int64)
+    n = g.n
+    rows, ah, behind_of = _ahead(g.neighbor_matrix, todo, np.asarray(key), later_first)
+    ahead = np.zeros(n + 1, dtype=np.int64)
+    ahead[todo] = ah.sum(axis=1)
+    at = np.zeros(n + 1, dtype=np.int64)  # the row of each vertex of todo
+    at[todo] = np.arange(len(todo))
+    kept = np.zeros(n + 1, dtype=bool)
+    settled = np.zeros(n + 1, dtype=bool)
+    settled[n] = True  # padding is never dropped anew
+    keep = todo[ahead[todo] == 0]
+    while len(keep):
+        kept[keep] = settled[keep] = True
+        drop = np.unique(behind_of[at[keep]])
+        drop = drop[~settled[drop]]
+        settled[drop] = True
+        # the padding's count n only falls below 0, so n is never kept
+        gone = np.bincount(behind_of[at[drop]].ravel(), minlength=n + 1)
+        ahead -= gone
+        keep = np.flatnonzero((gone > 0) & (ahead == 0))
+    return kept[:n]
 
 
 def elimination_sweep(w: np.ndarray, g: FiniteGraph, floor: int,
@@ -225,8 +299,8 @@ def elimination_sweep(w: np.ndarray, g: FiniteGraph, floor: int,
     same-color vertices are never adjacent.  `taint` is updated as in `_greedy`.
     """
     x = w.astype(np.int64, copy=True)
-    todo = np.nonzero(x > floor)[0]
-    _greedy(x, g, todo[np.argsort(x[todo], kind="stable")][::-1], taint)
+    # largest color first, and the higher index first within a color
+    _greedy(x, g, np.flatnonzero(x > floor), x, taint)
     return x
 
 
@@ -239,8 +313,9 @@ def greedy_fallback(x: np.ndarray, g: FiniteGraph, prio: np.ndarray,
     Returns (colors, fallback mask).
     """
     x = x.copy()
-    un = np.nonzero(x == INF)[0]
-    _greedy(x, g, un[np.argsort(prio[un], kind="stable")][::-1], taint)
+    un = np.flatnonzero(x == INF)
+    # highest priority first, and the higher index first on a tie
+    _greedy(x, g, un, prio, taint)
     mask = np.zeros(len(x), dtype=bool)
     mask[un] = True
     return x, mask

@@ -35,6 +35,13 @@ class AuditReport:
         if len(self.violations) < VIOLATION_CAP:
             self.violations.append((kind, where))
 
+    def add_rows(self, kind: str, count: int, where) -> None:
+        """Count `count` violations in the total, and record the first ones
+        that fit under the cap, the r-th at `where(r)`."""
+        self.stats["violations_total"] = self.stats.get("violations_total", 0) + count
+        room = min(count, VIOLATION_CAP - len(self.violations))
+        self.violations.extend((kind, where(r)) for r in range(room))
+
     def add_mask(self, kind: str, bad: np.ndarray, where) -> None:
         """Count every True cell of `bad` in the total, and record the first
         ones that fit under the cap, each at `where(index row)`."""

@@ -201,6 +201,12 @@ def test_color_then_verify_round_trip(tmp_path, name, d):
     window = ",".join(["0"] * d + ["12"] * d)
     assert run("color", "--construction", name, "--d", d, f"--window={window}",
                "--out", tmp_path / "run") == 0
+    if d > 2:
+        # a pixmap holds at most a plane: a cube gets its manifest only
+        man = json.loads((tmp_path / "run.json").read_text())
+        assert man["outputs"]["image"] is None and man["valid_fraction"] == 1.0
+        assert not (tmp_path / "run.ppm").exists()
+        return
     kind = "three-coloring" if d == 2 and name in ("three2d", "threegen") else "coloring"
     assert run("verify", "--image", tmp_path / "run.ppm", "--kind", kind) == 0
 

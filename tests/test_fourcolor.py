@@ -666,6 +666,45 @@ def test_net_coloring_and_radii_match_loops(seed, m, n, d, kind):
             == _outcome(_ref_assign_radii, centers, colors, m))
 
 
+class TiedOrder(LabelField):
+    """Net order labels cut to their top 3 and low 11 bits: `uniform` drops
+    the low bits, so the floats tie everywhere and the raw labels hardly."""
+
+    def u64(self, stream, coords):
+        h = super().u64(stream, coords)
+        return h & (int(_TOP3) | 0x7FF) if stream == ORDER_STREAM else h
+
+    def u64_points(self, stream, points):
+        return [self.u64(stream, p) for p in points]
+
+
+def _tracked_net(coloring, field, centers, origin, cap):
+    """(colors, points, count, radius) of a tracked run, or what it raised."""
+    tr = Tracker(origin, Budget(radius_cap=cap))
+    try:
+        colors = coloring(centers, 4 * 40 + 3, TrackedField(field, tr))
+    except BudgetExceeded as e:
+        return e.kind, e.limit, e.stream, e.where
+    return colors.tobytes(), tr.points, tr.access_count, tr.radius
+
+
+@pytest.mark.parametrize("make", [LabelField, TiedOrder], ids=["labels", "tied"])
+def test_tracked_net_coloring_reads_like_the_scalar_loop(make):
+    # one batched read records the points, count and radius of one scalar
+    # read per center, and a cap among the centers stops both at one point
+    raised = 0
+    for seed in range(4):
+        fld = make(seed)
+        centers = fixture_net(fld, (-300, -200), (400, 500), 40)
+        origin = (17, -9)
+        reach = np.abs(centers - origin).sum(axis=1)
+        for cap in (10**9, int(np.median(reach)), int(reach.min())):
+            got = _tracked_net(net_coloring, fld, centers, origin, cap)
+            assert got == _tracked_net(_ref_net_coloring, fld, centers, origin, cap)
+            raised += got[0] == "radius"
+    assert raised == 8
+
+
 def test_radii_oracle_covers_every_outcome():
     # the cases the hypothesis test above must reach: radii, both ValueErrors
     # and a crowded class with no free radius left

@@ -24,8 +24,10 @@ from ffcolor.reduction import (
     tower_color_at,
     almost_coloring,
     dilate_mask,
+    _greedy,
     elimination_sweep,
     greedy_fallback,
+    greedy_independent_set,
     net_window,
     tower_coloring,
 )
@@ -323,6 +325,28 @@ def test_fallback_rounds_equal_sequential_loop(gx):
     got, fb = greedy_fallback(x, g, prio, taint=got_taint)
     assert np.array_equal(got, want) and np.array_equal(got_taint, want_taint)
     assert np.array_equal(fb, x == INF)
+
+
+@given(irregular_graphs(), st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_independent_set_is_class_one_of_greedy(gx, data):
+    # tied keys, isolated vertices, any subset of the vertices (none
+    # included) and either tie rule
+    g, _, prio, _ = gx
+    todo = np.flatnonzero(np.array(data.draw(
+        st.lists(st.booleans(), min_size=g.n, max_size=g.n)), dtype=bool))
+    later_first = data.draw(st.booleans())
+    x = np.zeros(g.n, dtype=np.int64)
+    _greedy(x, g, todo, prio, None, later_first)
+    got = greedy_independent_set(g, todo, prio, later_first)
+    assert got.dtype == bool and np.array_equal(got, x == 1)
+    # and the one-at-a-time pass: keep a vertex unless a neighbor is kept
+    order = (todo[np.argsort(prio[todo], kind="stable")][::-1] if later_first
+             else todo[np.argsort(-prio[todo], kind="stable")])
+    want = np.zeros(g.n, dtype=bool)
+    for v in order:
+        want[v] = not want[g.neighbors(v)].any()
+    assert np.array_equal(got, want)
 
 
 def test_sweep_rounds_equal_sequential_loop_on_window():

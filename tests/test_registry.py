@@ -62,11 +62,14 @@ WINDOW_VALUE = {
 
 # (name, d) -> (color flags beyond the defaults, largest extent per axis).
 # three2d runs at cap 256, not 512, so that a censored query stays affordable;
-# threegen's flags give its windows some covered sites.
+# threegen's flags give its windows some covered sites.  At d = 3 four's scale
+# M = 30,619 puts a small window inside one box, so that row checks the
+# pipeline's run and replay more than its seams.
 GATE = {
     ("tower", 1): ([], 48),
     ("tower", 2): ([], 20),
     ("four", 2): ([], 32),
+    ("four", 3): ([], 4),
     ("three2d", 2): (["--cap", "256"], 40),
     ("threegen", 1): (["--density-scale", "0.125", "--margin", "16"], 400),
     ("threegen", 2): (["--maxlevel", "1", "--margin", "16"], 160),
