@@ -136,7 +136,7 @@ def fixture_net(field, lo, hi, M: int, *, ensure=None,
 
     # the kept set of the thinning: decreasing priority, ties by index
     keep = greedy_independent_set(_candidate_graph(offs, [len(r) for r in ranges]),
-                                  np.arange(len(pos)), prio)
+                                  np.arange(len(pos)), prio, later_first=False)
     kept = pos[keep]
     if ensure is not None:
         elo = np.asarray(ensure[0], dtype=np.int64)
@@ -287,9 +287,15 @@ def assign_radii(centers: np.ndarray, colors: np.ndarray, M: int) -> np.ndarray:
     off = np.abs(delta)
     other = np.stack([np.delete(off, a, axis=1).max(axis=1, initial=0)
                       for a in range(d)], axis=1) - 2
-    base = np.stack([delta, -delta - 1, delta - 1, -delta], axis=2)[..., None] \
-        + np.arange(-3, 4)
-    sign = np.array([1, -1, -1, 1])[:, None]
+    base = np.stack([delta, -delta - 1, delta - 1, -delta], axis=2)
+    sign = np.array([1, -1, -1, 1])
+    # fixed radii lie in [M, 2M) too, so a (pair, axis, face pair) can
+    # prohibit a value only if its b lies in [-M - 2, M + 2] (e = +1) or in
+    # [2M - 3, 4M + 1] (e = -1); only those are kept, in pair order
+    pair, axis, face = np.nonzero(np.where(sign > 0, np.abs(base) <= M + 2,
+                                           (base >= 2 * M - 3) & (base <= 4 * M + 1)))
+    b, e = base[pair, axis, face], sign[face]
+    least = other[pair, axis]
     # classes in increasing order, each one's members in increasing order,
     # and each center's row in its class
     by_class = np.argsort(colors, kind="stable")
@@ -297,23 +303,23 @@ def assign_radii(centers: np.ndarray, colors: np.ndarray, M: int) -> np.ndarray:
                                      return_counts=True)
     row = np.empty(n, dtype=np.int64)
     row[by_class] = np.arange(n) - np.repeat(first, size)
-    spot = (row[i] * M - M)[:, None, None, None]
+    spot = (row[i[pair]] * M - M)[:, None]
+    fixed = j[pair]
     # a class without near pairs keeps the least radius
     radii = np.full(n, M, dtype=np.int64)
-    start = np.searchsorted(colors[i], classes)
-    stop = np.append(start[1:], len(i))
-    for c, k, a, b in zip(first.tolist(), size.tolist(), start.tolist(), stop.tolist()):
-        if a == b:
+    start = np.searchsorted(colors[i[pair]], classes)
+    stop = np.append(start[1:], len(pair))
+    for f, k, lo, hi in zip(first.tolist(), size.tolist(), start.tolist(), stop.tolist()):
+        if lo == hi:
             continue
-        rt = radii[j[a:b]]
-        r = base[a:b] + sign * rt[:, None, None, None]
-        hit = (r >= np.maximum(other[a:b] - rt[:, None], M)[:, :, None, None]) \
-            & (r < 2 * M)
+        rt = radii[fixed[lo:hi]]
+        r = (b[lo:hi] + e[lo:hi] * rt)[:, None] + np.arange(-3, 4)
+        hit = (r >= np.maximum(least[lo:hi] - rt, M)[:, None]) & (r < 2 * M)
         banned = np.zeros((k, M), dtype=bool)
-        banned.ravel()[(r + spot[a:b])[hit]] = True
+        banned.ravel()[(r + spot[lo:hi])[hit]] = True
         if banned.all(axis=1).any():
             raise AssertionError("no admissible radius in [M, 2M); packing bound violated")
-        radii[by_class[c:c + k]] = M + np.argmin(banned, axis=1)
+        radii[by_class[f:f + k]] = M + np.argmin(banned, axis=1)
     return radii
 
 

@@ -27,7 +27,10 @@ over a vertex order, and it runs in dependency rounds: a vertex waits only
 for its neighbors ahead of it in the order.  Each round takes every pending
 vertex with no pending neighbor ahead of it; two such vertices are never
 adjacent, so a round is an independent set, and each member sees exactly the
-neighbor values and taint the one-at-a-time pass would show it.
+neighbor values and taint the one-at-a-time pass would show it.  The order
+is never sorted: each vertex compares (key, index) pairs with its neighbors.
+`greedy_independent_set` is the same greedy cut to its first color class,
+the set random-order greedy keeps, settled in keep/drop rounds.
 
 Level k of the tower only decides sites still unresolved after level k-1
 (about delta/n_{k-1} of them).  Its almost coloring reads labels and tests
@@ -202,7 +205,7 @@ def _ahead(nbr: np.ndarray, todo: np.ndarray, key: np.ndarray, later_first: bool
 
 
 def _greedy(x: np.ndarray, g: FiniteGraph, todo: np.ndarray, key: np.ndarray,
-            taint: np.ndarray | None, later_first: bool = True) -> None:
+            taint: np.ndarray | None, *, later_first: bool) -> None:
     """Give each vertex of `todo` (increasing indices), in decreasing order
     of `key` (ties as in `_ahead`), the least color absent among its
     neighbors, in place.  If `taint` is given it is updated in place: a
@@ -225,14 +228,12 @@ def _greedy(x: np.ndarray, g: FiniteGraph, todo: np.ndarray, key: np.ndarray,
     rows, ah, behind_of = _ahead(nbr, todo, np.asarray(key), later_first)
     ahead = np.zeros(n + 1, dtype=np.int64)
     ahead[todo] = ah.sum(axis=1)
-    # the row of each vertex of todo; when todo is every vertex, the vertex
-    at = None if len(todo) == n else np.zeros(n + 1, dtype=np.int64)
-    if at is not None:
-        at[todo] = np.arange(len(todo))
+    at = np.zeros(n + 1, dtype=np.int64)  # the row of each vertex of todo
+    at[todo] = np.arange(len(todo))
     line = np.arange(len(todo))[:, None]
     ready = todo[ahead[todo] == 0]
     while len(ready):
-        r = ready if at is None else at[ready]
+        r = at[ready]
         vn = rows[r]
         seen = np.zeros((len(ready), top + 1), dtype=bool)
         seen[line[:len(ready)], val[vn]] = True
@@ -249,8 +250,8 @@ def _greedy(x: np.ndarray, g: FiniteGraph, todo: np.ndarray, key: np.ndarray,
         taint[todo] = tnt[todo]
 
 
-def greedy_independent_set(g: FiniteGraph, todo: np.ndarray, key: np.ndarray,
-                           later_first: bool = False) -> np.ndarray:
+def greedy_independent_set(g: FiniteGraph, todo: np.ndarray, key: np.ndarray, *,
+                           later_first: bool) -> np.ndarray:
     """Mask of the independent set that random-order greedy keeps: each
     vertex of `todo` (increasing indices), in decreasing order of `key`
     (ties as in `_ahead`), is kept unless a neighbor was kept before it.
@@ -273,20 +274,20 @@ def greedy_independent_set(g: FiniteGraph, todo: np.ndarray, key: np.ndarray,
     ahead[todo] = ah.sum(axis=1)
     at = np.zeros(n + 1, dtype=np.int64)  # the row of each vertex of todo
     at[todo] = np.arange(len(todo))
-    kept = np.zeros(n + 1, dtype=bool)
-    settled = np.zeros(n + 1, dtype=bool)
-    settled[n] = True  # padding is never dropped anew
+    state = np.zeros(n + 1, dtype=np.int8)  # 0 pending, 1 kept, 2 dropped
+    state[n] = 2  # padding is never dropped anew
     keep = todo[ahead[todo] == 0]
     while len(keep):
-        kept[keep] = settled[keep] = True
-        drop = np.unique(behind_of[at[keep]])
-        drop = drop[~settled[drop]]
-        settled[drop] = True
+        state[keep] = 1
+        hit = np.zeros(n + 1, dtype=bool)
+        hit[behind_of[at[keep]]] = True
+        drop = np.flatnonzero(hit & (state == 0))
+        state[drop] = 2
         # the padding's count n only falls below 0, so n is never kept
         gone = np.bincount(behind_of[at[drop]].ravel(), minlength=n + 1)
         ahead -= gone
         keep = np.flatnonzero((gone > 0) & (ahead == 0))
-    return kept[:n]
+    return state[:n] == 1
 
 
 def elimination_sweep(w: np.ndarray, g: FiniteGraph, floor: int,
@@ -300,7 +301,7 @@ def elimination_sweep(w: np.ndarray, g: FiniteGraph, floor: int,
     """
     x = w.astype(np.int64, copy=True)
     # largest color first, and the higher index first within a color
-    _greedy(x, g, np.flatnonzero(x > floor), x, taint)
+    _greedy(x, g, np.flatnonzero(x > floor), x, taint, later_first=True)
     return x
 
 
@@ -315,7 +316,7 @@ def greedy_fallback(x: np.ndarray, g: FiniteGraph, prio: np.ndarray,
     x = x.copy()
     un = np.flatnonzero(x == INF)
     # highest priority first, and the higher index first on a tie
-    _greedy(x, g, un, prio, taint)
+    _greedy(x, g, un, prio, taint, later_first=True)
     mask = np.zeros(len(x), dtype=bool)
     mask[un] = True
     return x, mask

@@ -337,8 +337,8 @@ def test_independent_set_is_class_one_of_greedy(gx, data):
         st.lists(st.booleans(), min_size=g.n, max_size=g.n)), dtype=bool))
     later_first = data.draw(st.booleans())
     x = np.zeros(g.n, dtype=np.int64)
-    _greedy(x, g, todo, prio, None, later_first)
-    got = greedy_independent_set(g, todo, prio, later_first)
+    _greedy(x, g, todo, prio, None, later_first=later_first)
+    got = greedy_independent_set(g, todo, prio, later_first=later_first)
     assert got.dtype == bool and np.array_equal(got, x == 1)
     # and the one-at-a-time pass: keep a vertex unless a neighbor is kept
     order = (todo[np.argsort(prio[todo], kind="stable")][::-1] if later_first
