@@ -179,12 +179,13 @@ def _least_absent(seen) -> int:
 
 
 def _ahead(nbr: np.ndarray, todo: np.ndarray, key: np.ndarray, later_first: bool):
-    """(rows, ahead, behind) for the vertices of `todo`, increasing indices:
-    `rows` is `nbr[todo]`, `ahead` marks its entries that are vertices of
-    `todo` coming first in the order of decreasing key, and `behind` holds
-    the entries that are vertices of `todo` coming later, n everywhere else.
-    Equal keys are ordered by index, the later vertex first if
-    `later_first`, else the earlier one.  Padding is neither.
+    """(at, rows, ahead, behind) for the vertices of `todo`, increasing
+    indices: `at[v]` is v's row in `rows`, which is `nbr[todo]`; `ahead[v]`
+    counts v's neighbors in `todo` that come first in the order of
+    decreasing key; `behind` holds each row's neighbors in `todo` that come
+    later, and n everywhere else.  Equal keys are ordered by index, the
+    later vertex first if `later_first`, else the earlier one.  Padding is
+    neither.  `at` and `ahead` have n + 1 entries, the last for padding.
 
     This compares (key, index) pairs of neighbors directly, so it gives the
     ranks a stable sort of `todo` would give without sorting it.
@@ -199,9 +200,13 @@ def _ahead(nbr: np.ndarray, todo: np.ndarray, key: np.ndarray, later_first: bool
         pending = member[rows]
     kn, kv = key[rows], key[todo][:, None]
     tie = rows > todo[:, None] if later_first else rows < todo[:, None]
-    ahead = pending & ((kn > kv) | ((kn == kv) & tie))
-    pending &= ~ahead
-    return rows, ahead, n + (rows - n) * pending
+    first = pending & ((kn > kv) | ((kn == kv) & tie))
+    pending &= ~first
+    at = np.zeros(n + 1, dtype=np.int64)
+    at[todo] = np.arange(len(todo))
+    ahead = np.zeros(n + 1, dtype=np.int64)
+    ahead[todo] = first.sum(axis=1)
+    return at, rows, ahead, n + (rows - n) * pending
 
 
 def _greedy(x: np.ndarray, g: FiniteGraph, todo: np.ndarray, key: np.ndarray,
@@ -225,11 +230,7 @@ def _greedy(x: np.ndarray, g: FiniteGraph, todo: np.ndarray, key: np.ndarray,
     # [0, top] once, as they block: every color given is in [1, top].
     val = np.clip(np.append(x, INF), INF, top).astype(np.int64)
     tnt = None if taint is None else np.append(taint, False)
-    rows, ah, behind_of = _ahead(nbr, todo, np.asarray(key), later_first)
-    ahead = np.zeros(n + 1, dtype=np.int64)
-    ahead[todo] = ah.sum(axis=1)
-    at = np.zeros(n + 1, dtype=np.int64)  # the row of each vertex of todo
-    at[todo] = np.arange(len(todo))
+    at, rows, ahead, behind_of = _ahead(nbr, todo, np.asarray(key), later_first)
     line = np.arange(len(todo))[:, None]
     ready = todo[ahead[todo] == 0]
     while len(ready):
@@ -269,11 +270,8 @@ def greedy_independent_set(g: FiniteGraph, todo: np.ndarray, key: np.ndarray, *,
     """
     todo = np.asarray(todo, dtype=np.int64)
     n = g.n
-    rows, ah, behind_of = _ahead(g.neighbor_matrix, todo, np.asarray(key), later_first)
-    ahead = np.zeros(n + 1, dtype=np.int64)
-    ahead[todo] = ah.sum(axis=1)
-    at = np.zeros(n + 1, dtype=np.int64)  # the row of each vertex of todo
-    at[todo] = np.arange(len(todo))
+    at, _, ahead, behind_of = _ahead(g.neighbor_matrix, todo, np.asarray(key),
+                                     later_first)
     state = np.zeros(n + 1, dtype=np.int8)  # 0 pending, 1 kept, 2 dropped
     state[n] = 2  # padding is never dropped anew
     keep = todo[ahead[todo] == 0]
