@@ -135,8 +135,7 @@ def fixture_net(field, lo, hi, M: int, *, ensure=None,
     prio = field.uniform_box(stream + ":prio", [*cells, cand])
 
     # the kept set of the thinning: decreasing priority, ties by index
-    keep = greedy_independent_set(_candidate_graph(offs, [len(r) for r in ranges]),
-                                  np.arange(len(pos)), prio, later_first=False)
+    keep = greedy_independent_set(_candidate_graph(offs, [len(r) for r in ranges]), prio)
     kept = pos[keep]
     if ensure is not None:
         elo = np.asarray(ensure[0], dtype=np.int64)

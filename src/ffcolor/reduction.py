@@ -191,13 +191,10 @@ def _ahead(nbr: np.ndarray, todo: np.ndarray, key: np.ndarray, later_first: bool
     ranks a stable sort of `todo` would give without sorting it.
     """
     n = len(nbr)
-    if len(todo) == n:  # every vertex, in order
-        rows, pending = nbr, nbr >= 0
-    else:
-        rows = nbr[todo]
-        member = np.zeros(n + 1, dtype=bool)  # the last entry reads padding
-        member[todo] = True
-        pending = member[rows]
+    rows = nbr[todo]
+    member = np.zeros(n + 1, dtype=bool)  # the last entry reads padding
+    member[todo] = True
+    pending = member[rows]
     kn, kv = key[rows], key[todo][:, None]
     tie = rows > todo[:, None] if later_first else rows < todo[:, None]
     first = pending & ((kn > kv) | ((kn == kv) & tie))
@@ -251,13 +248,11 @@ def _greedy(x: np.ndarray, g: FiniteGraph, todo: np.ndarray, key: np.ndarray,
         taint[todo] = tnt[todo]
 
 
-def greedy_independent_set(g: FiniteGraph, todo: np.ndarray, key: np.ndarray, *,
-                           later_first: bool) -> np.ndarray:
+def greedy_independent_set(g: FiniteGraph, key: np.ndarray) -> np.ndarray:
     """Mask of the independent set that random-order greedy keeps: each
-    vertex of `todo` (increasing indices), in decreasing order of `key`
-    (ties as in `_ahead`), is kept unless a neighbor was kept before it.
-    Vertices outside `todo` are neither kept nor consulted.  This is color
-    class 1 of `_greedy` from an all-zero start.
+    vertex, in decreasing order of `key` and the lower index first on a tie,
+    is kept unless a neighbor was kept before it.  This is color class 1 of
+    `_greedy` from an all-zero start.
 
     Runs in rounds, as the local simulation of Nguyen and Onak (FOCS 2008)
     settles a vertex: a pending vertex is dropped as soon as a neighbor
@@ -268,21 +263,21 @@ def greedy_independent_set(g: FiniteGraph, todo: np.ndarray, key: np.ndarray, *,
     follow chains of keep-then-drop decisions, far fewer than the longest
     decreasing-key path a full greedy coloring waits for.
     """
-    todo = np.asarray(todo, dtype=np.int64)
     n = g.n
-    at, _, ahead, behind_of = _ahead(g.neighbor_matrix, todo, np.asarray(key),
-                                     later_first)
+    # every vertex is in the order, so its row in `behind_of` is its index
+    _, _, ahead, behind_of = _ahead(g.neighbor_matrix, np.arange(n), np.asarray(key),
+                                    later_first=False)
     state = np.zeros(n + 1, dtype=np.int8)  # 0 pending, 1 kept, 2 dropped
     state[n] = 2  # padding is never dropped anew
-    keep = todo[ahead[todo] == 0]
+    keep = np.flatnonzero(ahead[:n] == 0)
     while len(keep):
         state[keep] = 1
         hit = np.zeros(n + 1, dtype=bool)
-        hit[behind_of[at[keep]]] = True
+        hit[behind_of[keep]] = True
         drop = np.flatnonzero(hit & (state == 0))
         state[drop] = 2
         # the padding's count n only falls below 0, so n is never kept
-        gone = np.bincount(behind_of[at[drop]].ravel(), minlength=n + 1)
+        gone = np.bincount(behind_of[drop].ravel(), minlength=n + 1)
         ahead -= gone
         keep = np.flatnonzero((gone > 0) & (ahead == 0))
     return state[:n] == 1

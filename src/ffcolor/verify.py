@@ -43,13 +43,14 @@ class AuditReport:
         self.violations.extend((kind, where(r)) for r in range(room))
 
     def add_mask(self, kind: str, bad: np.ndarray, where) -> None:
-        """Count every True cell of `bad` in the total, and record the first
-        ones that fit under the cap, each at `where(index row)`."""
+        """`add_rows` over the True cells of `bad`, each recorded at
+        `where(index row)`."""
         count = int(np.count_nonzero(bad))
-        self.stats["violations_total"] = self.stats.get("violations_total", 0) + count
         room = VIOLATION_CAP - len(self.violations)
-        if count and room > 0:
-            self.violations.extend((kind, where(idx)) for idx in np.argwhere(bad)[:room])
+        # only when rows are recorded: on a clean 1024^2 mask `argwhere`
+        # takes about 40 times as long as the count
+        idx = np.argwhere(bad)[:room] if count and room > 0 else None
+        self.add_rows(kind, count, lambda r: where(idx[r]))
 
     def to_json(self) -> dict:
         return {

@@ -361,21 +361,32 @@ def test_baseline_rejects_other_dimensions():
         baseline_window(LabelField(1), Window((0, 0, 0), (8, 8, 8)))
 
 
-# with phases cut to their top 3 bits, ties are everywhere
-_TOP3 = np.uint64(0xE000000000000000)
+# labels cut to their top 3 bits tie everywhere
+_TOP3 = 0xE000000000000000
 
 
-class TiedPhases(LabelField):
+class TiedLabels(LabelField):
+    """Labels of the streams ending in one of `suffixes`, cut to the bits
+    of `keep`; every other stream as in `LabelField`."""
+
+    def __init__(self, seed, suffixes, keep=_TOP3):
+        super().__init__(seed)
+        self.suffixes, self.keep = tuple(suffixes), keep
+
     def u64(self, stream, coords):
         h = super().u64(stream, coords)
-        return h & int(_TOP3) if stream.endswith("phase") else h
+        return h & self.keep if stream.endswith(self.suffixes) else h
 
     def u64_points(self, stream, points):
         return [self.u64(stream, p) for p in points]
 
     def u64_grid(self, stream, axes):
         h = super().u64_grid(stream, axes)
-        return h & _TOP3 if stream.endswith("phase") else h
+        return h & np.uint64(self.keep) if stream.endswith(self.suffixes) else h
+
+
+def tied_phases(seed):
+    return TiedLabels(seed, ["phase"])
 
 
 def test_baseline_window_breaks_phase_ties_like_the_query():
@@ -383,7 +394,7 @@ def test_baseline_window_breaks_phase_ties_like_the_query():
     # raster order
     checked = 0
     for seed in range(6):
-        fld = TiedPhases(seed)
+        fld = tied_phases(seed)
         win = Window((0, 0), (24, 24))
         cols, valid = baseline_window(fld, win, margin=40)
         for v in win:
@@ -430,7 +441,7 @@ def _sites(seed, n):
 
 
 @pytest.mark.parametrize("make,seeds,n", [(LabelField, range(5), 210),
-                                         (TiedPhases, range(2), 100)],
+                                         (tied_phases, range(2), 100)],
                          ids=["labels", "tied-phases"])
 def test_baseline_query_matches_scalar_dfs(make, seeds, n):
     # same value, tracked radius, access count and points at every site
@@ -666,16 +677,10 @@ def test_net_coloring_and_radii_match_loops(seed, m, n, d, kind):
             == _outcome(_ref_assign_radii, centers, colors, m))
 
 
-class TiedOrder(LabelField):
-    """Net order labels cut to their top 3 and low 11 bits: `uniform` drops
-    the low bits, so the floats tie everywhere and the raw labels hardly."""
-
-    def u64(self, stream, coords):
-        h = super().u64(stream, coords)
-        return h & (int(_TOP3) | 0x7FF) if stream == ORDER_STREAM else h
-
-    def u64_points(self, stream, points):
-        return [self.u64(stream, p) for p in points]
+def tied_order(seed):
+    # `uniform` drops the low bits, so the floats tie everywhere and the raw
+    # labels, which keep their low 11 bits, hardly
+    return TiedLabels(seed, [ORDER_STREAM], _TOP3 | 0x7FF)
 
 
 def _tracked_net(coloring, field, centers, origin, cap):
@@ -688,7 +693,7 @@ def _tracked_net(coloring, field, centers, origin, cap):
     return colors.tobytes(), tr.points, tr.access_count, tr.radius
 
 
-@pytest.mark.parametrize("make", [LabelField, TiedOrder], ids=["labels", "tied"])
+@pytest.mark.parametrize("make", [LabelField, tied_order], ids=["labels", "tied"])
 def test_tracked_net_coloring_reads_like_the_scalar_loop(make):
     # one batched read records the points, count and radius of one scalar
     # read per center, and a cap among the centers stops both at one point

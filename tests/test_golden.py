@@ -52,6 +52,7 @@ from ffcolor.sft import coloring_spec, generate
 from ffcolor.tiling3color import HEX_VERTICES, SCALE_BASE, ScaleSystem, TileForest, \
     _bernoulli_points, centers, three_color_general, threegen_window
 from ffcolor.verify import VIOLATION_CAP, check_heights
+from test_fourcolor import TiedLabels
 
 
 def _digest(*arrays) -> str:
@@ -173,24 +174,9 @@ def _small_region(d, M):
     return lo, hi, (lo + 2 * M, hi - 2 * M)
 
 
-class TiedPriorities(LabelField):
-    """Candidate priorities and net order labels cut to their top 3 bits."""
-
-    _CUT = 0xE000000000000000
-
-    def _tied(self, stream):
-        return stream.endswith((":prio", ":order"))
-
-    def u64(self, stream, coords):
-        h = super().u64(stream, coords)
-        return h & self._CUT if self._tied(stream) else h
-
-    def u64_points(self, stream, points):
-        return [self.u64(stream, p) for p in points]
-
-    def u64_grid(self, stream, axes):
-        h = super().u64_grid(stream, axes)
-        return h & np.uint64(self._CUT) if self._tied(stream) else h
+def tied_priorities(seed):
+    # candidate priorities and net order labels cut to their top 3 bits
+    return TiedLabels(seed, [":prio", ":order"])
 
 
 # (field, M, (lo, hi, ensure)): the regions of three 2-D four windows and one
@@ -204,8 +190,8 @@ BOX_CASES = [
     (LabelField(5), 200, _small_region(2, 200)),
     (LabelField(0), 400, _small_region(3, 400)),
     (LabelField(4), 400, _small_region(3, 400)),
-    (TiedPriorities(2), _M2, _four_region(Window((100, -50), (32, 32)), _M2)),
-    (TiedPriorities(3), 200, _small_region(2, 200)),
+    (tied_priorities(2), _M2, _four_region(Window((100, -50), (32, 32)), _M2)),
+    (tied_priorities(3), 200, _small_region(2, 200)),
 ]
 BOX_PIPELINE = "f0b2b1efb37161553789940a54d64e99ac58de2395841ca6f467b800a4205854"
 

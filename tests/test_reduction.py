@@ -327,26 +327,25 @@ def test_fallback_rounds_equal_sequential_loop(gx):
     assert np.array_equal(fb, x == INF)
 
 
-@given(irregular_graphs(), st.data())
+@given(irregular_graphs())
 @settings(max_examples=300, deadline=None, derandomize=True)
-def test_independent_set_is_class_one_of_greedy(gx, data):
-    # tied keys, isolated vertices, any subset of the vertices (none
-    # included) and either tie rule
+def test_independent_set_is_class_one_of_greedy(gx):
+    # tied keys, isolated vertices; ties go to the lower index
     g, _, prio, _ = gx
-    todo = np.flatnonzero(np.array(data.draw(
-        st.lists(st.booleans(), min_size=g.n, max_size=g.n)), dtype=bool))
-    later_first = data.draw(st.booleans())
     x = np.zeros(g.n, dtype=np.int64)
-    _greedy(x, g, todo, prio, None, later_first=later_first)
-    got = greedy_independent_set(g, todo, prio, later_first=later_first)
+    _greedy(x, g, np.arange(g.n), prio, None, later_first=False)
+    got = greedy_independent_set(g, prio)
     assert got.dtype == bool and np.array_equal(got, x == 1)
     # and the one-at-a-time pass: keep a vertex unless a neighbor is kept
-    order = (todo[np.argsort(prio[todo], kind="stable")][::-1] if later_first
-             else todo[np.argsort(-prio[todo], kind="stable")])
     want = np.zeros(g.n, dtype=bool)
-    for v in order:
+    for v in np.argsort(-prio, kind="stable"):
         want[v] = not want[g.neighbors(v)].any()
     assert np.array_equal(got, want)
+
+
+def test_independent_set_of_the_empty_graph():
+    got = greedy_independent_set(FiniteGraph.from_edges(0, []), np.zeros(0))
+    assert got.dtype == bool and got.shape == (0,)
 
 
 def test_sweep_rounds_equal_sequential_loop_on_window():
