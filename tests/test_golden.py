@@ -23,6 +23,8 @@ its whole box, in chunks of at most 2^22 labels.  The box pipeline's kept
 centers (ensure fills included), net colors and radii, and the reports of
 `audit_faces`, were pinned while the thinning kept color class 1 of a full
 greedy coloring and face pairs were judged by one broadcast per row block.
+The SFT runs (gaps included, with their count of net windows and one
+tracked run) were pinned while `generate` spliced one gap at a time.
 
 A digest covers each array's dtype, shape and bytes, in the order listed.  A
 demand digest covers one (value, radius, access_count) row per query site,
@@ -46,13 +48,14 @@ from ffcolor.fourcolor import CONTEXT_SCALE, BoxSystem, assign_radii, audit_face
 from ffcolor.lattice import FiniteGraph, LatticeSpec, Window, WindowGraph
 from ffcolor.perc3color import PercWindow, coding_radii, three2d_window, \
     three_color_2d
-from ffcolor.reduction import NetQuery, TowerQuery, net_window, tower_color_at, \
+from ffcolor.reduction import MNet, NetQuery, TowerQuery, net_window, tower_color_at, \
     tower_coloring
 from ffcolor.sft import coloring_spec, generate
 from ffcolor.tiling3color import HEX_VERTICES, SCALE_BASE, ScaleSystem, TileForest, \
     _bernoulli_points, centers, three_color_general, threegen_window
 from ffcolor.verify import VIOLATION_CAP, check_heights
 from test_fourcolor import TiedLabels
+from test_sft import ONE_LETTER, PETAL
 
 
 def _digest(*arrays) -> str:
@@ -122,6 +125,58 @@ def test_tower_bare_graph_digest():
 def test_sft_generate_digest():
     run = generate(coloring_spec(3), LabelField(11), Window((-100,), (250,)))
     assert _digest(run.letters, run.net_points, run.reach) == SFT
+
+
+# name: (digest, spec, seed, window (origin, extent), MNet.window calls); the
+# coloring windows at -100 start on a net point (the extent-1 one also ends on
+# one), and a tainted pad is doubled once in c3-pad and one-letter, twice in
+# petal
+SFT_RUNS = {
+    "c3-1": ("1be7eb21742ba4ac28146f4e4b49870df40dc8b29fbc81cecf0c9e6644567ae4",
+        coloring_spec(3), 11, (-100, 1), 1),
+    "c3-2": ("a9f08c706ccf3f86d9a2527819a21070ad953b4915bf347d3682233da91252df",
+        coloring_spec(3), 11, (-100, 2), 1),
+    "c3-125": ("a63dcb8165dfe3e4fb4d30f9d0b753747b0812108af00ebf286be820bf31830b",
+        coloring_spec(3), 11, (-100, 125), 1),
+    "c3-250": ("2d3314dd7a6e09c4c25b685a5fc9161a41becdca433df67345e80f7a30cf6a75",
+        coloring_spec(3), 11, (-100, 250), 1),
+    "c3-pad": ("691962bf129bf64e03c20e06fbf3654a95658f9cabdbbfbf24e2739b4ad46e81",
+        coloring_spec(3), 11, (-88, 125), 2),
+    "petal": ("28cc37eb74236c0420457bc533a8bcf5e01a625a0e2cc1f59009f636d9deb359",
+        PETAL, 4, (-50, 250), 3),
+    "one-letter": ("1cc193fd312b03b33668666ef939cec152e2b03419f05edc2359d76a6e02513e",
+        ONE_LETTER, 5, (0, 250), 2),
+}
+# (radius, access_count) of the c3-pad run under `tracked`, centered at -26
+SFT_TRACKED = (78, 1388)
+
+
+@pytest.fixture
+def mnet_calls(monkeypatch):
+    calls = []
+    real = MNet.window
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+    monkeypatch.setattr(MNet, "window", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(SFT_RUNS))
+def test_sft_run_digest(name, mnet_calls):
+    want, spec, seed, (origin, extent), n_calls = SFT_RUNS[name]
+    run = generate(spec, LabelField(seed), Window((origin,), (extent,)))
+    assert len(mnet_calls) == n_calls
+    assert _digest(run.letters, run.net_points, run.gaps, run.reach) == want
+
+
+def test_sft_tracked_run():
+    win = Window((-88,), (125,))
+    ev = tracked(lambda f: generate(coloring_spec(3), f, win), LabelField(11), (-26,))
+    assert (ev.radius, ev.access_count) == SFT_TRACKED
+    plain = generate(coloring_spec(3), LabelField(11), win)
+    assert np.array_equal(ev.value.letters, plain.letters)
 
 
 FOUR_WINDOW = "2b6f94b0a606d2d12c5b858b5dad9ce0e107da37a61cac0ec70b9090801015ac"

@@ -12,6 +12,7 @@ from ffcolor.sft import (CyclePlan, LatticeRefusal, OverlapGraph, SftSpec,
                          parse_spec, recurrence_gcd, verify_membership)
 
 PETAL = SftSpec(6, 2, ((1, 2), (2, 3), (3, 1), (2, 4), (4, 5), (5, 6), (6, 1)))
+ONE_LETTER = SftSpec(2, 1, ((1,), (2,)))
 
 
 # -- specs and parsing ---------------------------------------------------------
@@ -161,7 +162,7 @@ def test_generate_petal_spec():
 
 
 def test_generate_single_letter_windows():
-    spec = SftSpec(2, 1, ((1,), (2,)))
+    spec = ONE_LETTER
     assert classify(spec) == "non-lattice"
     run = generate(spec, LabelField(5), Window((0,), (400,)))
     assert verify_membership(run.letters, spec) == []
