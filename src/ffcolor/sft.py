@@ -10,7 +10,7 @@ into a finite-range factor of iid labels.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import gcd
 
 import numpy as np
@@ -49,9 +49,6 @@ class SftSpec:
                 raise ValueError(f"duplicate word {w}")
             seen.add(w)
         object.__setattr__(self, "words", tuple(sorted(self.words)))
-
-    def __contains__(self, w) -> bool:
-        return tuple(w) in set(self.words)
 
 
 def parse_spec(text: str) -> SftSpec:
@@ -214,6 +211,20 @@ class CyclePlan:
     def net_spacing(self) -> int:
         return max(self.m, 1)
 
+    @cached_property
+    def first_letters(self) -> np.ndarray:
+        """first_letters[t, off]: first letter of the word `off` steps into the
+        closed walk for gap t, an int16 table of shape (2*span + 2, 2*span + 1).
+
+        Rows below span+1 are unused and hold 0; column 0 of every gap row is
+        the base word's first letter.
+        """
+        span = self.net_spacing
+        out = np.zeros((2 * span + 2, 2 * span + 1), dtype=np.int16)
+        for t, cyc in self.cycles.items():
+            out[t, :t] = [y[0] for y in cyc[:t]]
+        return out
+
 
 def _lex_closed_walk(g: OverlapGraph, i: int, t: int) -> list[int]:
     """Least closed walk of length exactly t through word i."""
@@ -283,6 +294,14 @@ def generate(spec: SftSpec, field, window: Window) -> GeneratedRun:
     closed walk of its exact length, and every site emits the first letter
     of its word.  `reach` holds each site's distance to the farther of its
     two anchoring net points (the block reach on top of the net process).
+
+    The splice is three array passes over the core: each site p finds its
+    gap g by `searchsorted(net_points, p, side="right") - 1`, sits `off =
+    p - net_points[g]` steps into it, emits `plan.first_letters[t, off]` for
+    the gap's length t and reaches `max(off, t - off)`.  A net point has
+    off = 0: it emits the base word's first letter whether or not a gap
+    starts there, and its reach is 0, since it knows its word from its own
+    indicator alone.
     """
     kind, plan = _kind_and_plan(spec)
     if plan is None:
@@ -305,35 +324,51 @@ def generate(spec: SftSpec, field, window: Window) -> GeneratedRun:
     ones = np.flatnonzero(nw.indicator[a:b]) + lo + a
     if len(ones) < 2 or ones[0] > core_lo or ones[-1] < core_lo + core_n - 1:
         raise RuntimeError("net points do not bracket the window")
-    firsts = {t: np.array([y[0] for y in cyc], dtype=np.int16)
-              for t, cyc in plan.cycles.items()}
-    letters = np.zeros(core_n, dtype=np.int16)
-    reach = np.zeros(core_n, dtype=np.int32)
     gaps = np.diff(ones)
-    for i, t in zip(ones[:-1], gaps):
-        t = int(t)
-        if not span + 1 <= t <= 2 * span + 1:
-            raise RuntimeError(f"net gap {t} outside [{span + 1}, {2 * span + 1}]")
-        p0, p1 = max(int(i), core_lo), min(int(i) + t, core_lo + core_n)
-        if p0 >= p1:
-            continue
-        idx = np.arange(p0, p1)
-        letters[idx - core_lo] = firsts[t][idx - int(i)]
-        reach[idx - core_lo] = np.maximum(idx - int(i), int(i) + t - idx)
-    last = int(ones[-1])
-    if core_lo <= last < core_lo + core_n:
-        letters[last - core_lo] = plan.w[0]
-    # A net point knows its word from its own indicator alone.
-    inside = ones[(ones >= core_lo) & (ones < core_lo + core_n)]
-    reach[inside - core_lo] = 0
+    bad = (gaps < span + 1) | (gaps > 2 * span + 1)
+    if bad.any():
+        t = int(gaps[bad.argmax()])
+        raise RuntimeError(f"net gap {t} outside [{span + 1}, {2 * span + 1}]")
+    p = np.arange(core_lo, core_lo + core_n)
+    g = np.searchsorted(ones, p, side="right") - 1
+    off = p - ones[g]
+    # the last net point starts no gap; at off = 0 every gap row reads w[0]
+    t = np.append(gaps, span + 1)[g]
+    letters = plan.first_letters[t, off]
+    reach = np.where(off == 0, 0, np.maximum(off, t - off)).astype(np.int32)
     return GeneratedRun(letters, window, plan.w, plan.m, ones, gaps, reach)
 
 
+@lru_cache(maxsize=64)
+def _word_rows(spec: SftSpec) -> tuple[np.dtype, np.ndarray]:
+    """The letter type, and the spec's words as sorted k-letter void scalars.
+
+    Letters are stored in the least unsigned type that holds q + 1, and one
+    more word of k letters q + 1 is added: `verify_membership` maps every
+    letter outside 1..q to 0, so no window equals it, and the table is never
+    empty.
+    """
+    dt = np.min_scalar_type(spec.q + 1)
+    rows = np.array(spec.words + ((spec.q + 1,) * spec.k,), dtype=dt)
+    return dt, np.sort(rows.view(np.dtype((np.void, rows.itemsize * spec.k))).ravel())
+
+
 def verify_membership(x, spec: SftSpec) -> list[int]:
-    """Start offsets (0-based) of the length-k windows outside the word set."""
-    x = [int(a) for a in np.asarray(x).ravel()]
-    if len(x) < spec.k:
-        raise ValueError(f"need at least {spec.k} letters")
-    allowed = set(spec.words)
-    return [i for i in range(len(x) - spec.k + 1)
-            if tuple(x[i:i + spec.k]) not in allowed]
+    """Start offsets (0-based) of the length-k windows outside the word set.
+
+    Each window is one row of letters, compared whole with the sorted word
+    rows; a letter outside 1..q is read as 0, which no word holds.
+    """
+    x = np.asarray(x).ravel()
+    k = spec.k
+    n = len(x) - k + 1
+    if n < 1:
+        raise ValueError(f"need at least {k} letters")
+    dt, words = _word_rows(spec)
+    letters = np.where((x > 0) & (x < spec.q + 1), x, 0).astype(dt)
+    rows = np.empty((n, k), dtype=dt)
+    for j in range(k):
+        rows[:, j] = letters[j:j + n]
+    rows = rows.view(words.dtype).ravel()
+    pos = np.minimum(np.searchsorted(words, rows), len(words) - 1)
+    return np.flatnonzero(words[pos] != rows).tolist()

@@ -1,7 +1,11 @@
 """Tests for the one-dimensional subshift module."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffcolor import sft
 from ffcolor.field import LabelField
@@ -13,6 +17,12 @@ from ffcolor.sft import (CyclePlan, LatticeRefusal, OverlapGraph, SftSpec,
 
 PETAL = SftSpec(6, 2, ((1, 2), (2, 3), (3, 1), (2, 4), (4, 5), (5, 6), (6, 1)))
 ONE_LETTER = SftSpec(2, 1, ((1,), (2,)))
+# non-lattice specs with m = 0, 0, 1, 1, 3 (k = 3), 5 and 7
+SPLICE_SPECS = [
+    ONE_LETTER, SftSpec(2, 2, ((1, 1), (1, 2), (2, 1))), coloring_spec(3),
+    coloring_spec(4), coloring_spec(3, 3),
+    SftSpec(5, 2, ((1, 2), (2, 3), (3, 1), (2, 4), (4, 5), (5, 1))), PETAL,
+]
 
 
 # -- specs and parsing ---------------------------------------------------------
@@ -23,7 +33,7 @@ def test_spec_roundtrip():
     lines = [f"{spec.q} {spec.k}"] + [" ".join(map(str, w)) for w in spec.words]
     again = parse_spec("\n".join(lines) + "\n")
     assert again == spec
-    assert (1, 2) in again and (1, 1) not in again
+    assert (1, 2) in again.words and (1, 1) not in again.words
 
 
 def test_spec_validation():
@@ -207,6 +217,76 @@ def test_generate_builds_each_plan_once(monkeypatch):
     assert messages[0] == messages[1] == "lattice subshift: no mixing process lies in it, refusing"
 
 
+def _splice_by_gap(plan, ones, core_lo, core_n):
+    """Reference splice: one gap at a time, as `generate` once did."""
+    span = plan.net_spacing
+    firsts = {t: np.array([y[0] for y in cyc], dtype=np.int16)
+              for t, cyc in plan.cycles.items()}
+    letters = np.zeros(core_n, dtype=np.int16)
+    reach = np.zeros(core_n, dtype=np.int32)
+    gaps = np.diff(ones)
+    for i, t in zip(ones[:-1], gaps):
+        t = int(t)
+        if not span + 1 <= t <= 2 * span + 1:
+            raise RuntimeError(f"net gap {t} outside [{span + 1}, {2 * span + 1}]")
+        p0, p1 = max(int(i), core_lo), min(int(i) + t, core_lo + core_n)
+        if p0 >= p1:
+            continue
+        idx = np.arange(p0, p1)
+        letters[idx - core_lo] = firsts[t][idx - int(i)]
+        reach[idx - core_lo] = np.maximum(idx - int(i), int(i) + t - idx)
+    last = int(ones[-1])
+    if core_lo <= last < core_lo + core_n:
+        letters[last - core_lo] = plan.w[0]
+    inside = ones[(ones >= core_lo) & (ones < core_lo + core_n)]
+    reach[inside - core_lo] = 0
+    return letters, reach
+
+
+@given(st.sampled_from(SPLICE_SPECS), st.integers(0, 2**32 - 1),
+       st.integers(-10**6, 10**6), st.integers(1, 400))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_generate_matches_per_gap_splice(spec, seed, origin, extent):
+    run = generate(spec, LabelField(seed), Window((origin,), (extent,)))
+    plan = build_cycle_plan(spec)
+    letters, reach = _splice_by_gap(plan, run.net_points, origin, extent)
+    assert run.letters.dtype == np.int16 and run.reach.dtype == np.int32
+    assert np.array_equal(run.letters, letters)
+    assert np.array_equal(run.reach, reach)
+    assert np.array_equal(run.gaps, np.diff(run.net_points))
+    if extent >= spec.k:
+        assert verify_membership(run.letters, spec) == []
+
+
+def _stub_net(monkeypatch, points):
+    """Make `generate` see a net whose points are exactly `points`, untainted."""
+    def window(grown, field):
+        lo, n = int(grown.origin[0]), int(grown.extent[0])
+        indicator = np.zeros(n, dtype=bool)
+        indicator[[p - lo for p in points if lo <= p < lo + n]] = True
+        return SimpleNamespace(indicator=indicator, tainted=np.zeros(n, dtype=bool))
+    monkeypatch.setattr(sft, "MNet", lambda *args: SimpleNamespace(window=window))
+
+
+def test_generate_names_first_gap_out_of_range(monkeypatch):
+    # coloring_spec(3) allows gaps 2 and 3; the gap of 4 left of the core
+    # comes before the gap of 1 inside it
+    points = [-4, 0, 1, 3, 5, 7, 9, 11]
+    _stub_net(monkeypatch, points)
+    with pytest.raises(RuntimeError, match=r"^net gap 4 outside \[2, 3\]$"):
+        generate(coloring_spec(3), LabelField(0), Window((0,), (8,)))
+    with pytest.raises(RuntimeError) as e:
+        _splice_by_gap(build_cycle_plan(coloring_spec(3)), np.array(points), 0, 8)
+    assert str(e.value) == "net gap 4 outside [2, 3]"
+
+
+@pytest.mark.parametrize("points", [[], [3], [1, 3, 5, 7], [-1, 1, 3, 5]])
+def test_generate_refuses_unbracketed_window(monkeypatch, points):
+    _stub_net(monkeypatch, points)
+    with pytest.raises(RuntimeError, match="^net points do not bracket the window$"):
+        generate(coloring_spec(3), LabelField(0), Window((0,), (8,)))
+
+
 # -- membership ------------------------------------------------------------------
 
 def test_membership_examples():
@@ -216,3 +296,55 @@ def test_membership_examples():
     assert verify_membership([1, 2, 2, 3, 3], spec) == [1, 3]
     with pytest.raises(ValueError):
         verify_membership([1], spec)
+
+
+def _membership_by_loop(x, spec):
+    """Reference membership check: one tuple lookup per window."""
+    x = [int(a) for a in np.asarray(x).ravel()]
+    if len(x) < spec.k:
+        raise ValueError(f"need at least {spec.k} letters")
+    allowed = set(spec.words)
+    return [i for i in range(len(x) - spec.k + 1)
+            if tuple(x[i:i + spec.k]) not in allowed]
+
+
+# q = 1000, k = 7: q^k is past int64, and letters need two bytes
+WIDE = SftSpec(1000, 7, ((1, 2, 3, 4, 5, 6, 7), (2, 3, 4, 5, 6, 7, 1000),
+                         (1000, 999, 1, 1, 1, 256, 1), (7, 1, 2, 3, 4, 5, 6)))
+MEMBERSHIP_SPECS = [coloring_spec(3), coloring_spec(3, 3), ONE_LETTER, PETAL,
+                    SftSpec(255, 2, ((255, 1), (1, 255), (255, 255))),
+                    SftSpec(4, 2, ()), WIDE]
+
+
+@st.composite
+def _membership_case(draw):
+    spec = draw(st.sampled_from(MEMBERSHIP_SPECS))
+    # mostly walks through allowed words, with letters 0, negative and > q,
+    # and q + 256 (which wraps to a legal byte) spliced in
+    n = draw(st.integers(spec.k, 60))
+    letters = []
+    while len(letters) < n:
+        if spec.words and draw(st.booleans()):
+            letters.extend(draw(st.sampled_from(spec.words)))
+        else:
+            letters.append(draw(st.sampled_from(
+                [0, -1, -spec.q, spec.q + 1, spec.q + 256, 1, spec.q])))
+    return spec, letters[:n]
+
+
+@given(_membership_case(), st.sampled_from([np.int64, np.int16, object]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_membership_matches_loop(case, dtype):
+    spec, letters = case
+    x = np.array(letters, dtype=dtype)
+    assert verify_membership(x, spec) == _membership_by_loop(x, spec)
+
+
+def test_membership_of_wide_spec():
+    word = [1000, 999, 1, 1, 1, 256, 1]
+    assert verify_membership(word, WIDE) == []
+    # a one-byte type would read 256 as 0 and 1000 as 232
+    assert verify_membership([232, 999, 1, 1, 1, 0, 1], WIDE) == [0]
+    assert verify_membership([1, 2, 3, 4, 5, 6, 7, 1000, 1], WIDE) == [2]
+    with pytest.raises(ValueError, match="need at least 7 letters"):
+        verify_membership(word[:6], WIDE)
