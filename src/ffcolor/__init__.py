@@ -22,7 +22,6 @@ from .lattice import FiniteGraph, LatticeSpec, Window, WindowGraph
 from .covfree import (
     ColorSequence,
     SetFamily,
-    build_cover_free_family,
     color_sequence,
     cover_free_constant,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "WindowGraph",
     "ColorSequence",
     "SetFamily",
-    "build_cover_free_family",
     "color_sequence",
     "cover_free_constant",
     "AlmostColoring",

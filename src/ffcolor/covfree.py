@@ -258,8 +258,8 @@ class SetFamily:
         """
         return least_members(own & ~neighbor_union)
 
-    def audit(self, rng_tuples: np.ndarray | None = None,
-              delta: int | None = None) -> dict:
+    def audit(self, rng_tuples: np.ndarray | None = None, *,
+              delta: int) -> dict:
         """Check the cover-free property.
 
         Exhaustive when the tuple count is at most EXHAUSTIVE_LIMIT, otherwise
@@ -268,8 +268,6 @@ class SetFamily:
         Returns counts; defects are expected to be rare, not absent, at the
         pinned sizes.
         """
-        if delta is None:
-            raise ValueError("audit needs delta")
         checked = 0
         bad = 0
         import itertools
@@ -296,16 +294,3 @@ class SetFamily:
                 bad += is_bad(int(row[0]), tuple(int(x) for x in row[1:]))
             mode = "sampled"
         return {"mode": mode, "checked": checked, "bad": bad}
-
-
-def build_cover_free_family(n: int, ground: int, delta: int, field,
-                            level: int = 1,
-                            allow_infeasible: bool = False) -> SetFamily:
-    """n random subsets of [ground] meant to be (delta+1)-cover-free.
-
-    Raises ValueError when n exceeds the exponential rate for this delta,
-    unless allow_infeasible (used to demonstrate what goes wrong).  `level`
-    selects the label stream; families at different levels are independent.
-    """
-    return SetFamily.build(field, delta, level, ground=ground, nsets=n,
-                           allow_infeasible=allow_infeasible)

@@ -7,11 +7,34 @@ overlap digraph on the words.  A word whose closed-walk lengths have gcd 1
 can recur at every sufficiently large time offset; anchoring it on a sparse
 net and splicing fixed closed walks across the gaps turns any such subshift
 into a finite-range factor of iid labels.
+
+The cycle plan rests on two facts about the overlap graph.
+
+1. A word's recurrence gcd is the period of its strong component: every
+   closed walk through a word stays in its component, and the component's
+   words split into period-many classes that each edge advances by one.
+   One search tree per component gives levels, and the period is the gcd
+   of level(u) + 1 - level(v) over the component's edges: this sums to the
+   length of any closed walk, and is 0 mod the period on every edge.
+2. One table answers the rest.  back[s, u] says that some walk of length
+   s leads from word u to the base word w.  Column w gives the recurrence
+   threshold m, the last s >= 1 with back[s, w] false.  The same table
+   gives the lexicographically least closed walk of each length t: from w,
+   with s steps left after a step, the step goes to the least successor v
+   with back[s, v].
+   The table stops at the first s where every word of w's component
+   reaches w, and that is exact.  Each word of the component has a
+   successor inside it, so back[s + 1] covers the component too, and so
+   does every later row.  A closed walk through w never leaves the
+   component, and no successor of a component word outside it reaches w,
+   so every later row equals the last on the words such a walk looks at.
+   Wielandt's bound (n-1)^2 + 1 on the primitivity index of an aperiodic
+   component of n words guarantees that the stop comes.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
-from math import gcd
+from functools import cached_property, lru_cache
+from itertools import product
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -65,78 +88,81 @@ def parse_spec(text: str) -> SftSpec:
 
 def coloring_spec(q: int, k: int = 2) -> SftSpec:
     """All length-k words over [q] with no two equal adjacent letters."""
-    words = [(a,) for a in range(1, q + 1)] if k == 1 else None
-    if k == 1:
-        return SftSpec(q, 1, tuple(words))
-    out = []
-
-    def extend(prefix):
-        if len(prefix) == k:
-            out.append(tuple(prefix))
-            return
-        for a in range(1, q + 1):
-            if not prefix or prefix[-1] != a:
-                extend(prefix + [a])
-
-    extend([])
-    return SftSpec(q, k, tuple(out))
+    words = [w for w in product(range(1, q + 1), repeat=k)
+             if all(a != b for a, b in zip(w, w[1:]))]
+    return SftSpec(q, k, tuple(words))
 
 
 class OverlapGraph:
-    """Directed graph on the words: u feeds v when u's tail equals v's head."""
+    """Directed graph on the words: u feeds v when u's tail equals v's head.
+
+    `period[i]` is the period of word i's strong component, which is the
+    gcd of the closed-walk lengths through word i (0 off every cycle), and
+    `base` is the least word of period 1, or None.
+    """
 
     def __init__(self, spec: SftSpec):
-        self.spec = spec
         self.words = spec.words
         self.index = {w: i for i, w in enumerate(self.words)}
         n = len(self.words)
-        self.succ = [[] for _ in range(n)]
         heads = {}
         for j, v in enumerate(self.words):
             heads.setdefault(v[:-1], []).append(j)
-        for i, u in enumerate(self.words):
-            self.succ[i] = sorted(heads.get(u[1:], []))
-        rows = [i for i in range(n) for _ in self.succ[i]]
-        cols = [j for i in range(n) for j in self.succ[i]]
-        if n:
-            adj = csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)),
-                             shape=(n, n))
-            _, self.scc = connected_components(adj, directed=True,
-                                               connection="strong")
-        else:
-            self.scc = np.zeros(0, dtype=int)
+        self.succ = [heads.get(u[1:], []) for u in self.words]
+        rows = np.array([i for i in range(n) for _ in self.succ[i]], dtype=int)
+        cols = np.array([j for s in self.succ for j in s], dtype=int)
+        self.adj = csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)),
+                              shape=(n, n))
+        _, self.scc = connected_components(self.adj, directed=True,
+                                           connection="strong")
+        # levels of one search tree per component, over internal edges only
+        scc, level = self.scc.tolist(), [-1] * n
+        for root in range(n):
+            if level[root] >= 0:
+                continue
+            level[root] = 0
+            frontier = [root]
+            while frontier:
+                nxt = []
+                for u in frontier:
+                    for v in self.succ[u]:
+                        if level[v] < 0 and scc[v] == scc[u]:
+                            level[v] = level[u] + 1
+                            nxt.append(v)
+                frontier = nxt
+        level = np.array(level, dtype=int)
+        inner = self.scc[rows] == self.scc[cols]
+        period = np.zeros(n, dtype=int)
+        np.gcd.at(period, self.scc[rows[inner]],
+                  level[rows[inner]] + 1 - level[cols[inner]])
+        self.period = period[self.scc].tolist()
+        self.base = next((w for w, p in zip(self.words, self.period) if p == 1),
+                         None)
 
-    def component(self, i: int) -> list[int]:
-        return [j for j in range(len(self.words)) if self.scc[j] == self.scc[i]]
+    def position(self, w) -> int:
+        w = tuple(w)
+        if w not in self.index:
+            raise ValueError(f"{w} is not an allowed word")
+        return self.index[w]
+
+    def walks_home(self, i: int) -> np.ndarray:
+        """back[s, u]: some walk of length s leads from word u to word i.
+
+        Word i must have period 1.  Rows stop at the first s where every word
+        of i's component reaches i; every longer length reaches too.
+        """
+        comp = self.scc == self.scc[i]
+        back = [np.zeros(len(self.words), dtype=bool)]
+        back[0][i] = True
+        while not back[-1][comp].all():
+            back.append(self.adj @ back[-1])
+        return np.array(back)
 
 
-def recurrence_gcd(spec: SftSpec, w, graph: OverlapGraph | None = None) -> int:
-    """gcd of the closed-walk lengths through w; 0 when w lies on no cycle.
-
-    Within w's strong component, every closed-walk length is a multiple of
-    the component period, and the period is attained; it equals the gcd of
-    level(u) + 1 - level(v) over internal edges of any search tree.
-    """
-    g = graph or OverlapGraph(spec)
-    w = tuple(w)
-    if w not in g.index:
-        raise ValueError(f"{w} is not an allowed word")
-    i = g.index[w]
-    comp = set(g.component(i))
-    edges = [(u, v) for u in comp for v in g.succ[u] if v in comp]
-    if not edges:
-        return 0
-    level = {i: 0}
-    frontier = [i]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.succ[u]:
-                if v in comp and v not in level:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return reduce(gcd, (level[u] + 1 - level[v] for u, v in edges), 0)
+def recurrence_gcd(spec: SftSpec, w) -> int:
+    """gcd of the closed-walk lengths through w; 0 when w lies on no cycle."""
+    g = OverlapGraph(spec)
+    return g.period[g.position(w)]
 
 
 def classify(spec: SftSpec) -> str:
@@ -145,57 +171,31 @@ def classify(spec: SftSpec) -> str:
     Interesting subshifts need a word on a cycle; with none, no bi-infinite
     sequence exists.  Non-lattice means some word recurs at coprime times.
     """
-    g = OverlapGraph(spec)
-    gcds = [recurrence_gcd(spec, w, g) for w in spec.words]
-    if not any(gcds):
+    period = OverlapGraph(spec).period
+    if not any(period):
         return "empty-interest"
-    if any(v == 1 for v in gcds):
-        return "non-lattice"
-    return "lattice"
+    return "non-lattice" if 1 in period else "lattice"
 
 
 def choose_base(spec: SftSpec) -> tuple | None:
     """Least word with coprime recurrence times, or None."""
-    g = OverlapGraph(spec)
-    for w in spec.words:
-        if recurrence_gcd(spec, w, g) == 1:
-            return w
-    return None
+    return OverlapGraph(spec).base
 
 
-def _exact_reach(g: OverlapGraph, i: int, steps: int) -> np.ndarray:
-    """exact_reach[s, j]: a length-s walk from word i to word j exists."""
-    n = len(g.words)
-    out = np.zeros((steps + 1, n), dtype=bool)
-    out[0, i] = True
-    for s in range(steps):
-        cur = out[s]
-        nxt = out[s + 1]
-        for u in np.flatnonzero(cur):
-            nxt[g.succ[u]] = True
-    return out
-
-
-def frobenius_threshold(spec: SftSpec, w,
-                        graph: OverlapGraph | None = None) -> int:
-    """Largest time offset at which w cannot recur.
-
-    Needs coprime recurrence times.  An aperiodic strong component links any
-    two of its words by walks of every length past the primitivity index
-    (n-1)^2 + 1, so scanning exact walk lengths up to that bound decides
-    every offset.
-    """
-    g = graph or OverlapGraph(spec)
-    w = tuple(w)
-    if recurrence_gcd(spec, w, g) != 1:
-        raise ValueError(f"recurrence times of {w} are not coprime")
-    i = g.index[w]
-    n_comp = len(g.component(i))
-    bound = (n_comp - 1) ** 2 + 1
-    reach = _exact_reach(g, i, bound)
-    hit = reach[1:, i]
-    misses = np.flatnonzero(~hit)
+def _threshold(back: np.ndarray, i: int) -> int:
+    """Largest length s >= 1 of no closed walk through word i, or 0."""
+    misses = np.flatnonzero(~back[1:, i])
     return int(misses[-1]) + 1 if len(misses) else 0
+
+
+def frobenius_threshold(spec: SftSpec, w) -> int:
+    """Largest time offset at which w cannot recur.  Needs coprime
+    recurrence times."""
+    g = OverlapGraph(spec)
+    i = g.position(w)
+    if g.period[i] != 1:
+        raise ValueError(f"recurrence times of {tuple(w)} are not coprime")
+    return _threshold(g.walks_home(i), i)
 
 
 @dataclass(frozen=True)
@@ -226,36 +226,27 @@ class CyclePlan:
         return out
 
 
-def _lex_closed_walk(g: OverlapGraph, i: int, t: int) -> list[int]:
-    """Least closed walk of length exactly t through word i."""
-    back = np.zeros((t + 1, len(g.words)), dtype=bool)
-    back[0, i] = True
-    for s in range(t):
-        src = np.flatnonzero(back[s])
-        for u in range(len(g.words)):
-            if any(v in src for v in g.succ[u]):
-                back[s + 1, u] = True
-    if not back[t, i]:
-        raise ValueError(f"no closed walk of length {t}")
-    walk = [i]
-    cur = i
-    for s in range(t, 0, -1):
-        cur = next(v for v in g.succ[cur] if back[s - 1, v])
-        walk.append(cur)
-    return walk
-
-
 def build_cycle_plan(spec: SftSpec, w=None) -> CyclePlan:
+    """The cycle plan of w, by default the least word of period 1.
+
+    The closed walk for gap t is the lexicographically least one: from w,
+    each step takes the least successor that still reaches w in the steps
+    left, read from row min(s, last) of the `walks_home` table.
+    """
     g = OverlapGraph(spec)
-    w = tuple(w) if w is not None else choose_base(spec)
-    if w is None or recurrence_gcd(spec, w, g) != 1:
+    w = g.base if w is None else g.words[g.position(w)]
+    if w is None or g.period[g.index[w]] != 1:
         raise ValueError("cycle plan needs a word with coprime recurrences")
-    m = frobenius_threshold(spec, w, g)
     i = g.index[w]
+    back = g.walks_home(i)
+    m = _threshold(back, i)
     span = max(m, 1)
     cycles = {}
     for t in range(span + 1, 2 * span + 2):
-        walk = _lex_closed_walk(g, i, t)
+        walk = [i]
+        for s in range(t - 1, -1, -1):
+            row = back[min(s, len(back) - 1)]
+            walk.append(next(v for v in g.succ[walk[-1]] if row[v]))
         cycles[t] = tuple(g.words[j] for j in walk)
     return CyclePlan(w, m, cycles)
 
@@ -264,8 +255,8 @@ def build_cycle_plan(spec: SftSpec, w=None) -> CyclePlan:
 def _kind_and_plan(spec: SftSpec) -> tuple[str, CyclePlan | None]:
     """`classify(spec)`, and the cycle plan when the spec is non-lattice.
 
-    A pure function of the spec, built once: it costs three overlap graphs
-    and their strong components, a third of a short window's `generate`.
+    A pure function of the spec, built once: it costs two overlap graphs,
+    one each in `classify` and `build_cycle_plan`.
     Every call gets the same plan object, which `generate` only reads.
     """
     kind = classify(spec)

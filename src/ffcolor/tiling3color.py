@@ -637,23 +637,12 @@ def _field_h(field):
 
 
 def build_tiles(field, region: Window, maxlevel: int = 8, *,
-                density_scale: float = 1.0,
-                known_centers: dict | None = None) -> TileForest:
-    """The tile forest generated by all centers inside `region`.
-
-    `known_centers` supplies already-scanned levels (same field, same
-    parameters) so a caller that located a rare high-level center does not
-    pay for its discovery scan twice.
-    """
+                density_scale: float = 1.0) -> TileForest:
+    """The tile forest generated by all centers inside `region`."""
     lo = np.asarray(region.origin, dtype=np.int64)
     hi = lo + np.asarray(region.extent, dtype=np.int64)
-    by_level = {}
-    for j in range(1, maxlevel + 1):
-        if known_centers and j in known_centers:
-            pts = np.asarray(known_centers[j], dtype=np.int64)
-        else:
-            pts = centers(field, j, lo, hi, density_scale=density_scale)
-        by_level[j] = pts
+    by_level = {j: centers(field, j, lo, hi, density_scale=density_scale)
+                for j in range(1, maxlevel + 1)}
     return TileForest(len(region.extent), lo, hi, by_level,
                       coin_fn=_field_coin(field), h_fn=_field_h(field))
 

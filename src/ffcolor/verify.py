@@ -168,16 +168,6 @@ def check_net(indicator: np.ndarray, m: int = 1, norm: str = "l1",
 # height function of proper 3-colorings
 
 
-def height_step(a: int, b: int) -> int:
-    """+1 or -1 for a proper-3-coloring edge: the mod-3 increment of b - a."""
-    r = (int(b) - int(a)) % 3
-    if r == 1:
-        return 1
-    if r == 2:
-        return -1
-    raise ValueError(f"edge {a}->{b} is not proper")
-
-
 def _steps_grid(colors: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized height steps along an axis: (values, properness mask).
     Colors are widened to int64 first: a difference taken in an unsigned

@@ -19,7 +19,6 @@ from ffcolor.covfree import (
     ColorSequence,
     SetFamily,
     family_rows,
-    build_cover_free_family,
     color_sequence,
     cover_free_constant,
     exact_floor_exp,
@@ -119,15 +118,15 @@ def test_tower_schedule_clamps_to_feasible_levels():
 def test_build_rejects_infeasible_counts():
     fld = LabelField(1)
     with pytest.raises(ValueError):
-        build_cover_free_family(3, 2, 1, fld)
+        SetFamily.build(fld, 1, 1, ground=2, nsets=3)
 
 
 def test_three_sets_over_two_points_always_violate():
     # the only antichains in the subsets of {1,2} have size <= 2, so every
     # 3-set family fails; exercised through the escape hatch
     for seed in range(5):
-        fam = build_cover_free_family(3, 2, 1, LabelField(seed),
-                                      allow_infeasible=True)
+        fam = SetFamily.build(LabelField(seed), 1, 1, ground=2, nsets=3,
+                              allow_infeasible=True)
         report = fam.audit(delta=1)
         assert report["mode"] == "exhaustive"
         assert report["bad"] >= 1
@@ -142,24 +141,24 @@ def test_two_singleton_sets_pass():
 def test_sampled_audit_large_family_clean():
     # violation probability per triple is (3/4)^200 ~ 1e-25
     fld = LabelField(2024)
-    fam = build_cover_free_family(100, 200, 2, fld)
+    fam = SetFamily.build(fld, 2, 1, ground=200, nsets=100)
     tuples = sample_tuples(fld, 100, 2, 100_000)
     report = fam.audit(rng_tuples=tuples, delta=2)
     assert report == {"mode": "sampled", "checked": 100_000, "bad": 0}
 
 
 def test_family_determinism_and_stream_separation():
-    a = build_cover_free_family(20, 60, 2, LabelField(7), level=1)
-    b = build_cover_free_family(20, 60, 2, LabelField(7), level=1)
-    c = build_cover_free_family(20, 60, 2, LabelField(7), level=2)
-    d = build_cover_free_family(20, 60, 2, LabelField(8), level=1)
+    a = SetFamily.build(LabelField(7), 2, 1, ground=60, nsets=20)
+    b = SetFamily.build(LabelField(7), 2, 1, ground=60, nsets=20)
+    c = SetFamily.build(LabelField(7), 2, 2, ground=60, nsets=20)
+    d = SetFamily.build(LabelField(8), 2, 1, ground=60, nsets=20)
     assert a.digest() == b.digest()
     assert a.digest() != c.digest()
     assert a.digest() != d.digest()
 
 
 def test_contains_matches_row_bits():
-    fam = build_cover_free_family(10, 130, 2, LabelField(3))
+    fam = SetFamily.build(LabelField(3), 2, 1, ground=130, nsets=10)
     for row in (1, 4, 10):
         bits = row_bits(fam, row)
         assert len(bits) == 130
@@ -214,7 +213,7 @@ def test_reduce_min_matches_unpacked_scan(seed, ground):
 
 
 def test_tail_bits_masked():
-    fam = build_cover_free_family(8, 70, 2, LabelField(11))
+    fam = SetFamily.build(LabelField(11), 2, 1, ground=70, nsets=8)
     assert fam.nwords == 2
     assert not any(int(w) >> 6 for w in fam.words[:, 1])  # bits past 70 are zero
 
@@ -223,8 +222,8 @@ def test_tail_bits_masked():
 @settings(max_examples=60, deadline=None)
 def test_membership_rate_is_fair_bits(seed, ground):
     # each element lands in a set with probability 1/2; crude 5-sigma band
-    fam = build_cover_free_family(4, ground, 3, LabelField(seed),
-                                  allow_infeasible=True)
+    fam = SetFamily.build(LabelField(seed), 3, 1, ground=ground, nsets=4,
+                          allow_infeasible=True)
     total = 4 * ground
     ones = int(sum(row_bits(fam, r).sum() for r in range(1, 5)))
     sd = math.sqrt(total * 0.25)
@@ -259,7 +258,8 @@ def test_large_degree_sequence_is_frozen():
 def test_row_read_alone_matches_built_row_under_rejection():
     # over [3] a row is empty with probability 1/8, so some rows are redrawn
     fld = LabelField(11)
-    fam = build_cover_free_family(64, 3, 2, fld, allow_infeasible=True)
+    fam = SetFamily.build(fld, 2, 1, ground=3, nsets=64,
+                          allow_infeasible=True)
     first = fld.u64_grid(fam.stream, [np.arange(64)[:, None], np.zeros((1, 1))])
     assert ((first & np.uint64(0b111)) == 0).sum() > 0
     assert all(fam.words.any(axis=1))

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffcolor.covfree import ColorSequence, build_cover_free_family, feasible_levels, \
-    tower_schedule
+from ffcolor.covfree import ColorSequence, SetFamily, feasible_levels, tower_schedule
 from ffcolor.field import Budget, BudgetExceeded, LabelField, PerturbedField, tracked
 from ffcolor.lattice import FiniteGraph, LatticeSpec, Window, WindowGraph, ball_size
 from ffcolor.reduction import (
@@ -142,7 +141,7 @@ def test_infinity_conservation_with_clean_family():
     seq = ColorSequence(2, (40, 8))
     seed = None
     for s in range(50):
-        fam = build_cover_free_family(8, 40, 2, LabelField(s))
+        fam = SetFamily.build(LabelField(s), 2, 1, ground=40, nsets=8)
         if fam.audit(delta=2)["bad"] == 0:
             seed = s
             break

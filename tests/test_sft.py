@@ -1,5 +1,9 @@
 """Tests for the one-dimensional subshift module."""
 
+import hashlib
+from functools import reduce
+from itertools import product
+from math import gcd
 from types import SimpleNamespace
 
 import numpy as np
@@ -138,6 +142,105 @@ def test_cycle_plan_covers_every_gap_length():
         assert cyc[0] == cyc[-1] == plan.w
         for u, v in zip(cyc, cyc[1:]):
             assert g.index[v] in g.succ[g.index[u]]
+
+
+def _plan_by_walk_lengths(spec):
+    """Reference plan builder: scan every walk length up to (n-1)^2 + 1.
+
+    Returns each word's recurrence gcd, and, per word of gcd 1, its
+    threshold and its least closed walk for every gap length.  Plain
+    matrix powers over all n words, with no strong components and no
+    stopping rule; powers run to 2n^2 + 3, past every gap length and far
+    enough that the gcd of a periodic word is reached too.
+    """
+    words, n = spec.words, len(spec.words)
+    adj = np.array([[u[1:] == v[:-1] for v in words] for u in words],
+                   dtype=np.int64).reshape(n, n)
+    power = [np.eye(n, dtype=np.int64)]
+    for _ in range(2 * n * n + 3):
+        power.append(np.minimum(power[-1] @ adj, 1))
+    gcds = [reduce(gcd, [s for s in range(1, len(power)) if power[s][i, i]], 0)
+            for i in range(n)]
+    plans = {}
+    for i in (i for i in range(n) if gcds[i] == 1):
+        misses = [s for s in range(1, (n - 1) ** 2 + 2) if not power[s][i, i]]
+        m = misses[-1] if misses else 0
+        span = max(m, 1)
+        cycles = {}
+        for t in range(span + 1, 2 * span + 2):
+            walk = [i]
+            for s in range(t - 1, -1, -1):
+                walk.append(next(v for v in range(n)
+                                 if adj[walk[-1], v] and power[s][v, i]))
+            cycles[t] = tuple(words[j] for j in walk)
+        plans[words[i]] = (words[i], m, cycles)
+    return gcds, plans
+
+
+@st.composite
+def _word_set(draw):
+    q, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pool = list(product(range(1, q + 1), repeat=k))
+    keep = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+    return SftSpec(q, k, tuple(w for w, b in zip(pool, keep) if b))
+
+
+@given(_word_set())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_plan_builder_matches_walk_length_scan(spec):
+    gcds, plans = _plan_by_walk_lengths(spec)
+    assert [recurrence_gcd(spec, w) for w in spec.words] == gcds
+    kind = ("empty-interest" if not any(gcds) else
+            "non-lattice" if 1 in gcds else "lattice")
+    assert classify(spec) == kind
+    assert choose_base(spec) == next(iter(plans), None)
+    for w, d in zip(spec.words, gcds):
+        if d != 1:
+            with pytest.raises(ValueError, match="not coprime"):
+                frobenius_threshold(spec, w)
+            with pytest.raises(ValueError, match="coprime recurrences"):
+                build_cycle_plan(spec, w)
+            continue
+        assert frobenius_threshold(spec, w) == plans[w][1]
+        plan = build_cycle_plan(spec, w)
+        assert (plan.w, plan.m, plan.cycles) == plans[w]
+    if plans:
+        plan = build_cycle_plan(spec)
+        assert (plan.w, plan.m, plan.cycles) == plans[spec.words[gcds.index(1)]]
+    else:
+        with pytest.raises(ValueError, match="coprime recurrences"):
+            build_cycle_plan(spec)
+
+
+def test_plan_builder_refuses_words_outside_the_spec():
+    for f in (recurrence_gcd, frobenius_threshold, build_cycle_plan):
+        with pytest.raises(ValueError, match=r"^\(1, 1\) is not an allowed word$"):
+            f(coloring_spec(3), (1, 1))
+
+
+# pinned from the scan over every walk length up to (n-1)^2 + 1
+@pytest.mark.parametrize("q, k, w, m, digest", [
+    (5, 3, (1, 2, 1), 3,
+     "ed49b7b1255514283d0068ce7c50d4b6eb98d472ecbf92fccd9d55ea3f4ea593"),
+    (6, 3, (1, 2, 1), 3,
+     "ed49b7b1255514283d0068ce7c50d4b6eb98d472ecbf92fccd9d55ea3f4ea593"),
+])
+def test_larger_coloring_plans_are_pinned(q, k, w, m, digest):
+    plan = build_cycle_plan(coloring_spec(q, k))
+    assert (plan.w, plan.m) == (w, m)
+    cycles = repr(sorted(plan.cycles.items())).encode()
+    assert hashlib.sha256(cycles).hexdigest() == digest
+
+
+def test_coloring_spec_words():
+    assert coloring_spec(3, 1).words == ((1,), (2,), (3,))
+    assert coloring_spec(2, 3).words == ((1, 2, 1), (2, 1, 2))
+    assert coloring_spec(1, 2).words == ()
+    for q, k in ((3, 2), (4, 3), (3, 4)):
+        want = [w for w in product(range(1, q + 1), repeat=k)
+                if all(a != b for a, b in zip(w, w[1:]))]
+        assert coloring_spec(q, k).words == tuple(want)
+        assert len(want) == q * (q - 1) ** (k - 1)
 
 
 # -- generation ------------------------------------------------------------------

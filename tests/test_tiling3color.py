@@ -430,18 +430,6 @@ def test_window_coloring_is_deterministic():
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
-def test_known_centers_shortcut_matches_full_scan():
-    f = LabelField(11)
-    region = Window((0,), (20000,))
-    full = build_tiles(f, region, maxlevel=2, density_scale=1 / 8)
-    pre = {2: full.levels[2]}
-    again = build_tiles(f, region, maxlevel=2, density_scale=1 / 8,
-                        known_centers=pre)
-    assert len(full.tiles) == len(again.tiles)
-    assert all(np.array_equal(a.mask, b.mask) and a.parent == b.parent
-               for a, b in zip(full.tiles, again.tiles))
-
-
 def test_forest_fixture_3d():
     f = LabelField(20)
     colors, valid, forest = threegen_window(

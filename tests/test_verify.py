@@ -1,8 +1,9 @@
 """Audits and oracles: properness, nets, heights, collision probabilities.
 
-The height-step correlation diagnostic, the collision-probability
-enumerators and the rectangle boundary walk that `check_heights` is compared
-against live here, beside the only tests that use them."""
+The scalar height step, the height-step correlation diagnostic, the
+collision-probability enumerators and the rectangle boundary walk that
+`check_heights` is compared against live here, beside the only tests that
+use them."""
 
 import decimal
 from fractions import Fraction
@@ -21,7 +22,6 @@ from ffcolor.verify import (
     check_coloring,
     check_heights,
     check_net,
-    height_step,
     radius_tail_csv,
     radius_tail_rows,
     survival_points,
@@ -124,6 +124,16 @@ def test_net_output_passes_audit():
 
 # ---------------------------------------------------------------------------
 # heights
+
+
+def height_step(a: int, b: int) -> int:
+    """+1 or -1 for a proper-3-coloring edge: the mod-3 increment of b - a."""
+    r = (int(b) - int(a)) % 3
+    if r == 1:
+        return 1
+    if r == 2:
+        return -1
+    raise ValueError(f"edge {a}->{b} is not proper")
 
 
 def height_delta(colors: np.ndarray, path) -> int:
