@@ -8,8 +8,10 @@ word-scan `reduce_min`, levels k >= 2 restricted to unresolved sites); the
 four, baseline4, three2d and threegen window digests and the demand-engine
 digests were computed before the lattice adjacency became a padded neighbor
 matrix.  None has been recomputed since.  The percolation build's internal
-arrays (cluster and face ids, parents, sign labels, chain distances, colors
-and requirement boxes) were pinned before the build was vectorized.  The
+arrays (cluster ids, parents, sign labels, chain distances, colors and
+requirement boxes) were pinned before the build was vectorized; that digest
+once held the face ids too, and was re-pinned without them, from the program
+that still built the face graph, before the face graph was deleted.  The
 tile forests, with their clumps and colors, were pinned before clumps and
 window colors were read from the forest's paint grid.  The tower and net
 demand engines at the levels that matter (2, 3 and the greedy fallback), with
@@ -201,14 +203,14 @@ def test_coding_radii_digest():
     assert _digest(radii, resolved, colors) == CODING_RADII
 
 
-PERC_BUILD = "8ebfe4a180557028dba2290e82175da200ebe5b50ba08cfcf47bcad25e2009d3"
+PERC_BUILD = "fc237b47c11321ad9d49c78045421acf26941936561f1307d040f0b02c900a64"
 
 
 def test_perc_build_internals_digest():
     perc = PercWindow.build(LabelField(9), Window((0, 0), (769, 769)))
     # chains three steps long to a special ancestor are part of what is pinned
     assert perc.dist.max() == 3
-    assert _digest(perc.labels, perc.face, perc.parent, perc.ylabel, perc.special,
+    assert _digest(perc.labels, perc.parent, perc.ylabel, perc.special,
                    perc.dist, perc.color, perc.req_lo, perc.req_hi) == PERC_BUILD
 
 
