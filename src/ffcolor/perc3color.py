@@ -11,26 +11,47 @@ the color is 1 on special clusters, else 2 or 3 by the parity of the
 distance to the nearest special ancestor.  Adjacent clusters are parent and
 child, so the rule never gives equal colors across an edge.
 
-Parent extraction works on the faces of the drawn-diagonal subdivision:
-each square is two triangles separated by its diagonal, triangles glue
-across undrawn lattice sides, and the face just north of a cluster's
-topmost-rightmost vertex has its outer boundary inside exactly one cluster,
-the parent; the face's topmost-rightmost corner lies on that boundary.
+Parents come from the cluster labels alone.  Each unit square is two
+triangles split by its drawn diagonal, and a triangle's two lattice sides
+each join its right-angle corner to one end of its diagonal, so every
+triangle carries a pair of clusters: its corner's and its diagonal's.  Two
+triangles glued across an undrawn lattice side share that side's two ends,
+hence the pair, so every face of the drawn-diagonal subdivision carries one
+(child, parent) pair.  Four facts follow for every closed cluster C (one
+with no vertex on the window rim):
 
-The build is array passes only.  Clusters and faces are the connected
-components of two graphs, each written as a padded neighbor matrix listing
-every edge from one end and handed to scipy as CSR, with int32 ids while
-they fit.  The face graph is over vertical lattice sides, not triangles:
-the two triangles on either side of a vertical side always glue, so each
-side is one node and the horizontal sides are the edges, half the nodes of
-the triangle graph.  Nodes are numbered so that ids follow least triangles,
-and clusters and faces alike are numbered by least member, i-major, so each
-one's least i is that of its first member.  A cluster's sign anchor takes
-two scatter-max passes: the cluster's largest v, then the largest top-right
-key j*nx + i among the vertices reaching it.  The distance to the nearest
-special ancestor, and the requirement box gathered along the way, come from
-pointer jumping up the parent chains, a logarithmic number of rounds over
-all clusters at once.
+1. The parent is one label read.  Let t be C's top-right vertex (largest
+   key j*nx + i).  The square with lower-left corner t holds the falling
+   diagonal, since the rising one would put (t_i + 1, t_j + 1) in C, so its
+   west triangle has the pair {C, cluster of (t_i, t_j + 1)}, and that
+   cluster is C's parent, the one whose boundary holds the face just north
+   of t.  The face is never open: a triangle on an outer side of the window
+   has both ends of that side on the rim, so both clusters of its pair are
+   open.
+2. The face's box is C's box shifted.  Every triangle of the face has a
+   corner in C, and the squares just left of and just below C's extreme
+   vertices always hold a face triangle, so in square indices the face
+   spans (cluster_lo - 1, cluster_hi).
+3. So the base requirement box of C, the cluster padded by 1 and its face
+   padded by (1, 2), is (cluster_lo - 2, cluster_hi + 2).
+4. A parent's box holds its child's with a step to spare on every side.
+   From the child's vertex of largest i, the straight 4-adjacent path
+   towards larger i meets no child vertex, and only the parent can block
+   it from the rim, so the parent has a vertex of larger i; likewise in the
+   other three directions.  Up a chain C, ..., S to the special ancestor S
+   and its parent P, every base box therefore lies inside P's box padded
+   by 1, and that padded box is the whole requirement box.
+
+The build is array passes only.  Clusters are the connected components of
+the drawn-diagonal graph, written as a padded neighbor matrix listing every
+edge from its lower end and handed to scipy as CSR, with int32 ids while
+they fit.  Clusters are numbered by least vertex, i-major, so each one's
+least i is that of its first member.  A cluster's sign anchor takes two
+scatter-max passes: the cluster's largest v, then the largest top-right key
+j*nx + i among the vertices reaching it.  The distance to the nearest
+special ancestor comes from pointer jumping up the parent chains, a
+logarithmic number of rounds over all clusters at once, and the requirement
+box is read off the special ancestor's parent (fact 4).
 """
 
 from __future__ import annotations
@@ -72,6 +93,18 @@ def _components(nbr: np.ndarray) -> tuple[int, np.ndarray]:
     return connected_components(graph, directed=False)
 
 
+def _square_grid(window: Window) -> tuple[int, int]:
+    """Extent (nx, ny) of a planar window that holds a unit square."""
+    if window.d != 2:
+        raise ValueError(f"diagonal percolation needs a planar window, "
+                         f"not one of dimension {window.d}")
+    nx, ny = (int(e) for e in window.extent)
+    if min(nx, ny) < 2:
+        raise ValueError(f"window extent {window.extent} has no unit square: "
+                         "each extent must be at least 2")
+    return nx, ny
+
+
 def _first_members(ids: np.ndarray) -> np.ndarray:
     """Position of each id's first entry, for ids numbered in order of first
     appearance (as `_components` numbers them, by least vertex)."""
@@ -108,10 +141,7 @@ class PercWindow:
         self.window = window
         self.diag = diag
         self.ties = ties
-        nx, ny = (int(e) for e in window.extent)
-        if min(nx, ny) < 2:
-            raise ValueError(f"window extent {window.extent} has no unit square: "
-                             "each extent must be at least 2")
+        nx, ny = _square_grid(window)
         if diag.shape != (nx - 1, ny - 1):
             raise ValueError("diagonal grid must have one entry per unit square")
         self.nclusters, labels = _components(self._diag_neighbors(diag, nx, ny))
@@ -123,7 +153,6 @@ class PercWindow:
         self.closed = np.bincount(labels[rim.ravel()],
                                   minlength=self.nclusters) == 0
 
-        self._build_faces(nx, ny)
         self._build_parents(nx, ny)
         self._build_labels(vlabel, wlabel, nx, ny)
         self._build_colors()
@@ -132,6 +161,7 @@ class PercWindow:
 
     @classmethod
     def build(cls, field, window: Window) -> "PercWindow":
+        _square_grid(window)
         axes = window.ix_axes()
         diag, ties = cls._diagonals(field, axes)
         v = field.uniform_box(f"{STREAM_PREFIX}:v", axes)
@@ -160,109 +190,26 @@ class PercWindow:
         nbr[1:, :-1, 1] = np.where(diag == 1, vid[:-1, 1:], -1)
         return nbr.reshape(nx * ny, 2)
 
-    @staticmethod
-    def _side_ids(nsx: int, nsy: int) -> np.ndarray:
-        """Node id of every vertical lattice side (x, j) of the face graph.
-
-        Side (x, j) holds the east triangle of square (x - 1, j) and the west
-        triangle of square (x, j), which always glue across it.  Its id is
-        x*nsy + j, except that columns 0 and 1 interleave as 2j + x: ids then
-        follow each side's least triangle, so components keep the ids of the
-        triangle graph.
-        """
-        nside = (nsx + 1) * nsy
-        side = np.arange(nside, dtype=_index_dtype(nside)).reshape(nsx + 1, nsy)
-        side[:2] = side[:2].reshape(nsy, 2).T
-        return side
-
-    @staticmethod
-    def _face_neighbors(diag: np.ndarray, side: np.ndarray) -> np.ndarray:
-        # the horizontal lattice sides glue the vertical ones; each gluing is
-        # listed from its south end, slot 0 through the west triangle of the
-        # square below it, slot 1 through the east one
-        nsx, nsy = diag.shape
-        south = np.where(diag[:, 1:] == 0, side[1:, 1:], side[:-1, 1:])
-        nbr = np.full((nsx + 1, nsy, 2), -1, dtype=side.dtype)
-        nbr[:-1, :-1, 0] = np.where(diag[:, :-1] == 0, south, -1)
-        nbr[1:, :-1, 1] = np.where(diag[:, :-1] == 1, south, -1)
-        # rows in id order: only the two interleaved columns move
-        nbr[:2] = nbr[:2].swapaxes(0, 1).reshape(2, nsy, 2)
-        return nbr.reshape(-1, 2)
-
-    def _build_faces(self, nx: int, ny: int) -> None:
-        # triangle 2*sq+0 touches the square's west side, 2*sq+1 its east
-        # side; the north side belongs to triangle `diag`, the south side to
-        # `1 - diag`.  Triangles glue across lattice sides, never across the
-        # drawn diagonal, so each face is a union of vertical sides.
-        nsx, nsy = nx - 1, ny - 1
-        diag = self.diag
-        side = self._side_ids(nsx, nsy)
-        self.nfaces, side_face = _components(self._face_neighbors(diag, side))
-        side_face = side_face[side]
-        del side  # the build's peak memory is set here: free temporaries early
-        self.face = np.stack([side_face[:-1], side_face[1:]], axis=-1).ravel()
-
-        # open faces hold a rim side: the outer vertical sides, or the side
-        # holding the triangle on a rim square's outer horizontal side
-        x = np.arange(nsx)
-        rim = np.concatenate([side_face[0], side_face[-1],
-                              side_face[x + 1 - diag[:, 0], 0],
-                              side_face[x + diag[:, -1], -1]])
-        del side_face
-        self.face_open = np.bincount(rim, minlength=self.nfaces) > 0
-
-        # square-index bounding box of every face; faces are numbered by
-        # least triangle, i-major, so a face's least i is its first triangle's
-        self.face_lo = np.full((self.nfaces, 2), max(nsx, nsy), dtype=np.int64)
-        self.face_hi = np.full((self.nfaces, 2), -1, dtype=np.int64)
-        self.face_lo[:, 0] = _first_members(self.face) // (2 * nsy)
-
-        # top-right corner (lexicographic by (y, x), key j*nx + i) of every
-        # face: a square's north-east corner tops its east triangle, and its
-        # west triangle too under a rising diagonal; under a falling one the
-        # north-west corner, one key lower, tops the west triangle
-        i, j = np.indices((nsx, nsy))
-        ne = (j + 1) * nx + (i + 1)
-        face_key = np.full(self.nfaces, -1, dtype=np.int64)
-        np.maximum.at(face_key, self.face, np.stack([ne - diag, ne], axis=-1).ravel())
-        self.face_key = face_key
-        del ne
-
-        si = np.repeat(i.ravel(), 2)
-        sj = np.repeat(j.ravel(), 2)
-        np.minimum.at(self.face_lo[:, 1], self.face, sj)
-        np.maximum.at(self.face_hi[:, 0], self.face, si)
-        np.maximum.at(self.face_hi[:, 1], self.face, sj)
-
     def _build_parents(self, nx: int, ny: int) -> None:
         ncl = self.nclusters
         i, j = np.indices((nx, ny))
-        key = j * nx + i
         flat = self.labels.ravel()
         top = np.full(ncl, -1, dtype=np.int64)
-        np.maximum.at(top, flat, key.ravel())
-        ti, tj = top % nx, top // nx
+        np.maximum.at(top, flat, (j * nx + i).ravel())
 
         self.cluster_lo = np.full((ncl, 2), max(nx, ny), dtype=np.int64)
         self.cluster_hi = np.full((ncl, 2), -1, dtype=np.int64)
         self.cluster_lo[:, 0] = _first_members(flat) // ny  # ids by least vertex
         np.minimum.at(self.cluster_lo[:, 1], flat, j.ravel())
         np.maximum.at(self.cluster_hi[:, 0], flat, i.ravel())
-        np.maximum.at(self.cluster_hi[:, 1], flat, j.ravel())
+        self.cluster_hi[:, 1] = top // nx  # the top-right key's j is the largest
 
+        # a closed cluster's parent holds the vertex just north of its
+        # top-right vertex (module docstring, fact 1)
         parent = np.full(ncl, UNKNOWN, dtype=np.int64)
-        cface = np.full(ncl, UNKNOWN, dtype=np.int64)
-        cand = np.nonzero(self.closed)[0]
-        if cand.size:
-            tri = 2 * (ti[cand] * (ny - 1) + tj[cand])  # west triangle of square(t)
-            faces = self.face[tri]
-            ok = ~self.face_open[faces]
-            corner = self.face_key[faces[ok]]
-            ci, cj = corner % nx, corner // nx
-            parent[cand[ok]] = self.labels[ci, cj]
-            cface[cand[ok]] = faces[ok]
+        t = top[self.closed]
+        parent[self.closed] = self.labels[t % nx, t // nx + 1]
         self.parent = parent
-        self.cluster_face = cface
 
     def _build_labels(self, vlabel: np.ndarray, wlabel: np.ndarray,
                       nx: int, ny: int) -> None:
@@ -287,52 +234,37 @@ class PercWindow:
             & (self.ylabel == 1) & (self.ylabel[p] == -1)
 
     def _build_colors(self) -> None:
-        # Alongside the ancestor distances, accumulate per cluster the
-        # bounding box a centered box window must cover (minus its rim) for
-        # the per-vertex query to certify the same answer: the cluster and
-        # every chain ancestor padded by 1, their parent-extraction faces as
-        # square indices padded by (1, 2), and the special ancestor's parent.
-        #
         # Chains are walked by pointer jumping.  A cluster that is known and
         # not special steps to its parent; every other cluster is a
-        # terminal.  Each cluster carries its pointer, the number of steps
-        # it stands for and the min/max of the boxes it passed over; a round
-        # doubles every live pointer's reach.  At the end each cluster
-        # combines with its terminal: a special terminal gives the distance
-        # and closes the box with its own parent, any other leaves the
-        # cluster unknown.
+        # terminal.  Each cluster carries its pointer and the number of steps
+        # it stands for; a round doubles every live pointer's reach.  A
+        # cluster whose terminal is special is known, at that distance.
+        #
+        # The requirement box is the bounding box a centered box window must
+        # cover (minus its rim) for the per-vertex query to certify the same
+        # answer: the special ancestor's parent padded by 1, which holds every
+        # other box the chain needs (module docstring, fact 4).
         ncl = self.nclusters
-        base_lo = np.minimum(self.cluster_lo - 1,
-                             self.face_lo[self.cluster_face] - 1)
-        base_hi = np.maximum(self.cluster_hi + 1,
-                             self.face_hi[self.cluster_face] + 2)
         live = self.special_known & ~self.special
         nxt = np.where(live, self.parent, np.arange(ncl))
         steps = live.astype(np.int64)
-        big = np.iinfo(np.int64).max
-        lo = np.where(live[:, None], base_lo, big)
-        hi = np.where(live[:, None], base_hi, -big)
         for _ in range((ncl - 1).bit_length() + 1):
             act = np.nonzero(live[nxt])[0]
             if not act.size:
                 break
             to = nxt[act]
             steps[act] += steps[to]
-            lo[act] = np.minimum(lo[act], lo[to])
-            hi[act] = np.maximum(hi[act], hi[to])
             nxt[act] = nxt[to]
         if live[nxt].any():
             raise RuntimeError("cluster parents form a cycle")
 
-        sp = np.nonzero(self.special)[0]
-        term_lo = np.zeros((ncl, 2), dtype=np.int64)
-        term_hi = np.zeros((ncl, 2), dtype=np.int64)
-        term_lo[sp] = np.minimum(base_lo[sp], self.cluster_lo[self.parent[sp]] - 1)
-        term_hi[sp] = np.maximum(base_hi[sp], self.cluster_hi[self.parent[sp]] + 1)
         known = self.special[nxt]
         dist = np.where(known, steps, UNKNOWN)  # steps to special ancestor
-        self.req_lo = np.where(known[:, None], np.minimum(lo, term_lo[nxt]), 0)
-        self.req_hi = np.where(known[:, None], np.maximum(hi, term_hi[nxt]), 0)
+        outer = self.parent[nxt[known]]
+        self.req_lo = np.zeros((ncl, 2), dtype=np.int64)
+        self.req_hi = np.zeros((ncl, 2), dtype=np.int64)
+        self.req_lo[known] = self.cluster_lo[outer] - 1
+        self.req_hi[known] = self.cluster_hi[outer] + 1
         color = np.zeros(ncl, dtype=np.int64)
         color[known & (dist == 0)] = 1
         color[known & (dist % 2 == 1)] = 2
@@ -407,9 +339,9 @@ def three_color_2d(v, field, *, start_half: int = 4,
     """Color at one vertex by growing centered windows until certified.
 
     Windows double in half-width; the answer is window-independent because
-    every certificate (closed cluster, closed face, closed parent) is stable
-    under growth.  Returns (color, radius) with radius the 1-norm reach of
-    the final window read, 2 * half-width; raises when the cap is passed.
+    every certificate (closed cluster, closed parent) is stable under
+    growth.  Returns (color, radius) with radius the 1-norm reach of the
+    final window read, 2 * half-width; raises when the cap is passed.
     """
     cap = DEFAULT_BUDGET.radius_cap if radius_cap is None else radius_cap
     v = tuple(int(c) for c in v)

@@ -53,7 +53,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SftSpec:
-    """Alphabet size, window length, and the allowed words, kept sorted."""
+    """Alphabet size, window length, and the allowed words, kept sorted.
+
+    Each word is stored as a tuple of Python ints, whatever sequence of
+    integer letters it was given as; bools and other letters are refused.
+    """
 
     q: int
     k: int
@@ -64,14 +68,22 @@ class SftSpec:
             raise ValueError("alphabet size and window length must be >= 1")
         seen = set()
         for w in self.words:
-            if len(w) != self.k:
+            try:
+                letters = tuple(w)
+            except TypeError:
+                raise ValueError(f"word {w!r} is not a sequence of letters") from None
+            if len(letters) != self.k:
                 raise ValueError(f"word {w} is not of length {self.k}")
-            if any(not 1 <= a <= self.q for a in w):
+            if not all(isinstance(a, (int, np.integer)) and not isinstance(a, bool)
+                       for a in letters):
+                raise ValueError(f"word {w!r} has a letter that is not an int")
+            letters = tuple(int(a) for a in letters)
+            if any(not 1 <= a <= self.q for a in letters):
                 raise ValueError(f"word {w} has letters outside 1..{self.q}")
-            if w in seen:
+            if letters in seen:
                 raise ValueError(f"duplicate word {w}")
-            seen.add(w)
-        object.__setattr__(self, "words", tuple(sorted(self.words)))
+            seen.add(letters)
+        object.__setattr__(self, "words", tuple(sorted(seen)))
 
 
 def parse_spec(text: str) -> SftSpec:

@@ -340,13 +340,15 @@ def _lexsort_ylabel(perc, vlabel, wlabel):
     return ylabel
 
 
-def _chain_walk(perc):
+def _chain_walk(perc, face_lo, face_hi):
     """Distance to the nearest special ancestor and the requirement box of
-    every cluster, one cluster at a time up its parent chain."""
+    every cluster, one cluster at a time up its parent chain.  Each cluster's
+    base box is the cluster padded by 1 and its face (`_face_oracle`, square
+    indices) padded by (1, 2)."""
     ncl = perc.nclusters
     dist = np.full(ncl, UNKNOWN, dtype=np.int64)
-    base_lo = np.minimum(perc.cluster_lo - 1, perc.face_lo[perc.cluster_face] - 1)
-    base_hi = np.maximum(perc.cluster_hi + 1, perc.face_hi[perc.cluster_face] + 2)
+    base_lo = np.minimum(perc.cluster_lo - 1, face_lo - 1)
+    base_hi = np.maximum(perc.cluster_hi + 1, face_hi + 2)
     req_lo = np.zeros((ncl, 2), dtype=np.int64)
     req_hi = np.zeros((ncl, 2), dtype=np.int64)
     for c in range(ncl):
@@ -388,7 +390,8 @@ def test_anchor_and_chain_passes_match_oracles():
         special = perc.special_known & (ylabel == 1) & (ylabel[p] == -1)
         assert np.array_equal(perc.ylabel, ylabel)
         assert np.array_equal(perc.special, special)
-        dist, color, req_lo, req_hi = _chain_walk(perc)
+        _, face_lo, face_hi = _face_oracle(perc)
+        dist, color, req_lo, req_hi = _chain_walk(perc, face_lo, face_hi)
         assert np.array_equal(perc.dist, dist)
         assert np.array_equal(perc.color, color)
         assert np.array_equal(perc.req_lo, req_lo)
@@ -410,11 +413,83 @@ def _numbered_partition(n, edges):
     return ids
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(diag_configs())
-def test_cluster_and_face_partitions_match_networkx(config):
-    window, diag, v, w = config
-    perc = PercWindow(window, diag, v, w)
+def _triangle_faces(diag):
+    """Face id of every triangle, from networkx over the triangle gluing.
+
+    Triangle 2*s is the west one of square s = i*nsy + j, 2*s + 1 the east
+    one; the north side lies in triangle diag, the south in 1 - diag.
+    """
+    nsx, nsy = diag.shape
+    d = diag.tolist()
+    glue = []
+    for i in range(nsx):
+        for j in range(nsy):
+            s = i * nsy + j
+            if i + 1 < nsx:
+                glue.append((2 * s + 1, 2 * (s + nsy)))
+            if j + 1 < nsy:
+                glue.append((2 * s + d[i][j], 2 * (s + 1) + 1 - d[i][j + 1]))
+    return _numbered_partition(2 * nsx * nsy, glue)
+
+
+def _face_oracle(perc):
+    """Parent and face box of every closed cluster, read off the faces of
+    the drawn-diagonal subdivision.
+
+    A closed cluster's face holds the west triangle of the square whose
+    lower-left corner is the cluster's top-right vertex (largest key
+    j*nx + i).  That face must hold no rim side, and its parent is the
+    cluster at the face's top-right corner.  Returns (parent, face_lo,
+    face_hi): parents are UNKNOWN and boxes 0 off the closed clusters, and
+    boxes are in square indices.
+    """
+    labels, diag = perc.labels, perc.diag
+    nx_, ny_ = labels.shape
+    nsx, nsy = diag.shape
+    faces = _triangle_faces(diag)
+    nf = int(faces.max()) + 1
+    has_rim = np.zeros(nf, dtype=bool)
+    lo = np.full((nf, 2), max(nsx, nsy), dtype=np.int64)
+    hi = np.full((nf, 2), -1, dtype=np.int64)
+    corner = np.full(nf, -1, dtype=np.int64)
+    d = diag.tolist()
+    for i in range(nsx):
+        for j in range(nsy):
+            rising = d[i][j] == 0
+            # corners and rim sides of the west, then the east triangle
+            tris = (
+                ([(i, j), (i, j + 1), (i + 1, j + 1)] if rising
+                 else [(i, j), (i + 1, j), (i, j + 1)],
+                 i == 0 or (rising and j == nsy - 1) or (not rising and j == 0)),
+                ([(i, j), (i + 1, j), (i + 1, j + 1)] if rising
+                 else [(i + 1, j), (i + 1, j + 1), (i, j + 1)],
+                 i == nsx - 1 or (rising and j == 0) or (not rising and j == nsy - 1)),
+            )
+            for east, (corners, rim) in enumerate(tris):
+                f = faces[2 * (i * nsy + j) + east]
+                has_rim[f] |= rim
+                lo[f] = np.minimum(lo[f], (i, j))
+                hi[f] = np.maximum(hi[f], (i, j))
+                corner[f] = max([corner[f]] + [b * nx_ + a for a, b in corners])
+    top = np.full(perc.nclusters, -1, dtype=np.int64)
+    for (a, b), c in np.ndenumerate(labels):
+        top[c] = max(top[c], b * nx_ + a)
+    parent = np.full(perc.nclusters, UNKNOWN, dtype=np.int64)
+    face_lo = np.zeros((perc.nclusters, 2), dtype=np.int64)
+    face_hi = np.zeros((perc.nclusters, 2), dtype=np.int64)
+    for c in np.nonzero(perc.closed)[0]:
+        ti, tj = top[c] % nx_, top[c] // nx_
+        f = faces[2 * (ti * nsy + tj)]
+        assert not has_rim[f]
+        parent[c] = labels[corner[f] % nx_, corner[f] // nx_]
+        face_lo[c], face_hi[c] = lo[f], hi[f]
+    return parent, face_lo, face_hi
+
+
+def _check_against_networkx(perc):
+    """Clusters against a networkx partition, and parents and face boxes
+    against the face oracle."""
+    window, diag = perc.window, perc.diag
     nx_, ny_ = window.extent
     nsx, nsy = diag.shape
     d = diag.tolist()
@@ -429,25 +504,34 @@ def test_cluster_and_face_partitions_match_networkx(config):
     labels = _numbered_partition(nx_ * ny_, edges)
     assert np.array_equal(perc.labels.ravel(), labels)
     assert perc.nclusters == labels.max() + 1
-    # triangle 2*s is the west one of square s = i*nsy + j, 2*s + 1 the
-    # east one; the north side lies in triangle diag, the south in 1 - diag
-    glue = []
-    for i in range(nsx):
-        for j in range(nsy):
-            s = i * nsy + j
-            if i + 1 < nsx:
-                glue.append((2 * s + 1, 2 * (s + nsy)))
-            if j + 1 < nsy:
-                glue.append((2 * s + d[i][j], 2 * (s + 1) + 1 - d[i][j + 1]))
-    faces = _numbered_partition(2 * nsx * nsy, glue)
-    assert np.array_equal(perc.face, faces)
-    assert perc.nfaces == faces.max() + 1
-    # least i of every cluster (vertex rows) and face (square rows)
-    for ids, rows, lo in ((labels, np.repeat(np.arange(nx_), ny_), perc.cluster_lo),
-                          (faces, np.repeat(np.arange(nsx), 2 * nsy), perc.face_lo)):
-        least = np.full(ids.max() + 1, rows.max() + 1)
-        np.minimum.at(least, ids, rows)
-        assert np.array_equal(lo[:, 0], least)
+    # bounding box of every cluster
+    i, j = np.indices((nx_, ny_))
+    for ax, rows in enumerate((i.ravel(), j.ravel())):
+        least = np.full(perc.nclusters, max(nx_, ny_))
+        most = np.full(perc.nclusters, -1)
+        np.minimum.at(least, labels, rows)
+        np.maximum.at(most, labels, rows)
+        assert np.array_equal(perc.cluster_lo[:, ax], least)
+        assert np.array_equal(perc.cluster_hi[:, ax], most)
+    # a closed cluster's parent and face box follow from its labels alone;
+    # an open cluster's parent stays unknown
+    parent, face_lo, face_hi = _face_oracle(perc)
+    assert np.array_equal(perc.parent, parent)
+    closed = perc.closed
+    assert np.array_equal(face_lo[closed], perc.cluster_lo[closed] - 1)
+    assert np.array_equal(face_hi[closed], perc.cluster_hi[closed])
+    return int(closed.sum())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(diag_configs())
+def test_cluster_and_face_partitions_match_networkx(config):
+    _check_against_networkx(PercWindow(*config))
+
+
+def test_seeded_window_parents_and_faces_match_networkx():
+    perc = PercWindow.build(LabelField(31), Window((-100, 40), (257, 257)))
+    assert _check_against_networkx(perc) > 5000
 
 
 def test_parent_cycle_raises_instead_of_hanging():
@@ -520,3 +604,11 @@ def test_three_color_2d_rejects_wrong_dimension():
 def test_window_without_unit_squares_is_refused(extent):
     with pytest.raises(ValueError, match=rf"extent \({extent[0]}, {extent[1]}\)"):
         three2d_window(LabelField(0), Window((0, 0), extent), margin=0)
+
+
+@pytest.mark.parametrize("window", [Window((0,), (9,)), Window((0, 0, 0), (9, 9, 9))])
+def test_window_that_is_not_planar_is_refused(window):
+    for run in (lambda: PercWindow.build(LabelField(0), window),
+                lambda: three2d_window(LabelField(0), window, margin=2)):
+        with pytest.raises(ValueError, match=f"planar window.*dimension {window.d}"):
+            run()

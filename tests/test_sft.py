@@ -53,6 +53,21 @@ def test_spec_validation():
         parse_spec("3\n1 2\n")
 
 
+def test_spec_stores_words_as_int_tuples():
+    spec = SftSpec(2, 2, ([2, 1], np.array([1, 2])))
+    assert spec.words == ((1, 2), (2, 1))
+    assert all(type(a) is int for w in spec.words for a in w)
+    assert spec == SftSpec(2, 2, ((1, 2), (2, 1)))
+    with pytest.raises(ValueError, match="duplicate"):
+        SftSpec(2, 2, ([1, 2], (1, 2)))
+
+
+@pytest.mark.parametrize("word", [(1, True), (1, 2.0), (1, "2"), "12", 12])
+def test_spec_refuses_letters_that_are_not_ints(word):
+    with pytest.raises(ValueError):
+        SftSpec(2, 2, (word,))
+
+
 def test_overlap_edges():
     g = OverlapGraph(coloring_spec(3))
     succ = {g.words[i]: {g.words[j] for j in g.succ[i]}
