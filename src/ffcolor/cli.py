@@ -50,6 +50,11 @@ PALETTE = {
     5: (142, 202, 230),
 }
 _RGB = np.array([PALETTE[i] for i in range(6)], dtype=np.uint8)
+# each palette pixel as one 24-bit key r << 16 | g << 8 | b, the keys sorted,
+# and the color of each sorted key: `read_ppm` looks pixels up in them
+_SORTED_KEYS, _KEY_COLOR = np.unique(
+    _RGB.astype(np.int32) @ np.array([1 << 16, 1 << 8, 1], dtype=np.int32),
+    return_index=True)
 
 # A window larger than this could not be held in memory as one array, and
 # coordinates beyond COORD_LIMIT would wrap in the int64 arrays of the window
@@ -104,14 +109,15 @@ def read_ppm(path) -> np.ndarray:
     img = np.frombuffer(raw[header.end():], dtype=np.uint8)
     if img.size != w * h * 3:
         raise ConfigError("pixmap payload has the wrong size")
-    img = img.reshape(h, w, 3)
-    colors = np.full((w, h), -1, dtype=np.int64)
-    for c, rgb in PALETTE.items():
-        colors[np.all(img.transpose(1, 0, 2) == rgb, axis=2)] = c
-    if (colors < 0).any():
-        x, y = np.argwhere(colors < 0)[0]
+    # one plane per channel, indexed [x, y]
+    r, g, b = img.reshape(h, w, 3).transpose(2, 1, 0).astype(np.int32, order="C")
+    key = (r << 16) | (g << 8) | b
+    at = np.minimum(np.searchsorted(_SORTED_KEYS, key), len(_SORTED_KEYS) - 1)
+    foreign = _SORTED_KEYS[at] != key
+    if foreign.any():
+        x, y = np.argwhere(foreign)[0]
         raise ConfigError(f"pixel ({x}, {y}) is not in the palette")
-    return colors
+    return _KEY_COLOR[at]
 
 
 def _write_json(path, payload: dict) -> None:

@@ -220,7 +220,7 @@ def _near_pairs(centers: np.ndarray, reach: int):
 
 
 def net_coloring(centers: np.ndarray, reach: int, field,
-                 stream: str = ORDER_STREAM) -> np.ndarray:
+                 stream: str = ORDER_STREAM, *, pairs=None) -> np.ndarray:
     """Greedy proper coloring of the net graph with edges at distance <= reach.
 
     Centers take the least color unused among already-colored neighbors, in
@@ -229,20 +229,22 @@ def net_coloring(centers: np.ndarray, reach: int, field,
     call, which records the scattered centers as points (a bulk read would
     be recorded as their bounding box), and are converted as
     `field.uniform` converts one label, so ties are those of the floats.
+    `pairs` is `_near_pairs(centers, reach)` when the caller has it.
     """
     centers = np.asarray(centers, dtype=np.int64)
     n = len(centers)
     h = np.array(field.u64_points(stream, list(map(tuple, centers.tolist()))),
                  dtype=np.uint64)
     prio = (h >> np.uint64(11)) * 2.0**-53
-    i, j, _ = _near_pairs(centers, reach)
+    i, j, _ = _near_pairs(centers, reach) if pairs is None else pairs
     colors = np.zeros(n, dtype=np.int64)
     _greedy(colors, FiniteGraph.from_edges(n, np.stack([i, j], axis=1)[i < j]),
             np.arange(n), prio, None, later_first=False)
     return colors
 
 
-def assign_radii(centers: np.ndarray, colors: np.ndarray, M: int) -> np.ndarray:
+def assign_radii(centers: np.ndarray, colors: np.ndarray, M: int, *,
+                 pairs=None) -> np.ndarray:
     """Box radii in [M, 2M), least allowable value first.
 
     Color classes are processed in increasing order; within a class, choices
@@ -261,13 +263,14 @@ def assign_radii(centers: np.ndarray, colors: np.ndarray, M: int) -> np.ndarray:
     candidate in [M, 2M) that meets this bound on every other axis is
     prohibited.  The terms without rt are computed once for every near
     pair; each class adds its fixed radii and scatters its prohibitions
-    into one mask, then takes the least free value per row.
+    into one mask, then takes the least free value per row.  `pairs` is
+    `_near_pairs(centers, 4 * M + 3)` when the caller has it.
     """
     centers = np.asarray(centers, dtype=np.int64)
     colors = np.asarray(colors, dtype=np.int64)
     n, d = centers.shape
     reach = 4 * M + 3
-    i, j, dist = _near_pairs(centers, reach)
+    i, j, dist = _near_pairs(centers, reach) if pairs is None else pairs
     packing = np.zeros(n, dtype=bool)
     packing[i[dist <= M]] = True
     improper = np.zeros(n, dtype=bool)
@@ -543,8 +546,10 @@ def four_color_window(field, window: Window) -> FourColoring:
     hi = zlo + np.asarray(zwin.extent, dtype=np.int64) + margin
     centers = fixture_net(field, lo, hi, M,
                           ensure=(zlo, zlo + np.asarray(zwin.extent, dtype=np.int64)))
-    colors = net_coloring(centers, 4 * M + 3, field)
-    radii = assign_radii(centers, colors, M)
+    # one scan of the near pairs serves the net coloring and the radii
+    pairs = _near_pairs(centers, 4 * M + 3)
+    colors = net_coloring(centers, 4 * M + 3, field, pairs=pairs)
+    radii = assign_radii(centers, colors, M, pairs=pairs)
     boxes = BoxSystem(centers, radii, M)
 
     signs, covered = sign_window(zwin, boxes, colors)

@@ -10,6 +10,16 @@ vertices whose full neighborhood lies inside it.  The demand engines take
 their neighbors from the same cached offsets: `LatticeSpec.neighbors` is the
 one neighbor rule, and the tower and net queries build each site's list
 through it once per query and keep it.
+
+Every per-row count or `any` over a padded neighbor matrix, or over a
+matrix gathered through one, goes through `row_count`, which adds the
+matrix column by column instead of reducing each row.  Rows are short (2 to
+8 entries on a lattice window), and numpy reduces a short last axis row by
+row at many times the cost of its data.  On a (12544, 4) bool matrix (one
+112^2 window), `any(axis=1)` took 465 us and `sum(axis=1)` 360 us, where
+`row_count` takes 30 us and 36 us (best of 7, 2-vCPU Xeon host).  Counts
+over wide rows, as in the four-coloring's candidate graphs, are no slower:
+57 us against 67 us on a (1100, 54) matrix.
 """
 
 from __future__ import annotations
@@ -55,6 +65,20 @@ def nonzero_offsets(d: int, m: int, norm: str = "l1") -> tuple[tuple[int, ...], 
     """The offsets u - v of the neighbors u of v in Z^d_(m), in ball_offsets
     order: every nonzero offset with |x| <= m in the given norm."""
     return tuple(off for off in ball_offsets(d, m, norm) if any(off))
+
+
+def row_count(a: np.ndarray, dtype=None) -> np.ndarray:
+    """The number of True entries in each row of the 2-D bool array `a`.
+
+    Counts are of `dtype`, by default the least unsigned integer type that
+    holds the row width.  With dtype=bool they say whether any entry is
+    True, since numpy adds booleans as a logical or.  The matrix is copied
+    to column-major order in one pass and its columns are added whole (see
+    the module docstring).
+    """
+    if dtype is None:
+        dtype = np.min_scalar_type(a.shape[1])
+    return np.add.reduce(np.ascontiguousarray(a.T), axis=0, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -178,7 +202,7 @@ class FiniteGraph:
 
     @cached_property
     def max_degree(self) -> int:
-        return int((self.neighbor_matrix >= 0).sum(axis=1).max(initial=0))
+        return int(row_count(self.neighbor_matrix >= 0).max(initial=0))
 
     def degree(self, v: int) -> int:
         return int((self.neighbor_matrix[v] >= 0).sum())
@@ -220,5 +244,5 @@ class WindowGraph:
                         for o, e in zip(off, window.extent))
             nbr[box + (j,)] = idx[box] + int(np.dot(off, step))
         nbr = nbr.reshape(window.size, len(offs))
-        return cls(window, FiniteGraph(window.size, nbr), (nbr >= 0).all(axis=1),
+        return cls(window, FiniteGraph(window.size, nbr), ~row_count(nbr < 0, bool),
                    m, norm)

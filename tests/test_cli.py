@@ -54,6 +54,22 @@ def test_ppm_rejects_foreign_pixels(tmp_path):
         read_ppm(p)
 
 
+@pytest.mark.parametrize("bad", [(0, 0, 0), (255, 255, 255), (20, 20, 21), (230, 58, 70)])
+def test_ppm_names_the_first_foreign_pixel_in_xy_order(tmp_path, bad):
+    # keys below, above and next to palette keys; pixel (x, y) sits at row
+    # y, so the file's byte order would meet (2, 1) before (1, 3)
+    from ffcolor.cli import ConfigError
+    p = tmp_path / "x.ppm"
+    write_ppm(p, np.full((4, 5), 3))
+    raw = bytearray(p.read_bytes())
+    for x, y in ((2, 1), (1, 3)):
+        at = len(raw) - 3 * 4 * 5 + 3 * (4 * y + x)
+        raw[at:at + 3] = bytes(bad)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ConfigError, match=r"^pixel \(1, 3\) is not in the palette$"):
+        read_ppm(p)
+
+
 @pytest.mark.parametrize("raw", [b"P6\n# x", b"P6\nx 2\n255\n", b"P6\n3 ", b"P6 3 2",
                                  b"P6\n0 2\n255\n", b"", b"P5\n1 1\n255\n\0"])
 def test_malformed_ppm_is_config_error(tmp_path, raw):

@@ -101,6 +101,24 @@ def test_window_graph_power_linf():
     assert int(wg.interior.sum()) == 9  # 3x3 core
 
 
+@pytest.mark.parametrize("norm", ["l1", "linf"])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_window_graph_interior_is_full_rows(d, m, norm):
+    # interior rows have no padding, and those are the sites at least m
+    # from both ends of every axis (an axis offset reaches m in either norm)
+    for extent in [(1,) * d, (2 * m,) * d, (9, 6, 5)[:d], (2 * m + 1, 7, 2)[:d]]:
+        wg = WindowGraph.build(Window((3,) * d, extent), m, norm)
+        nbr = wg.graph.neighbor_matrix
+        assert wg.interior.dtype == bool
+        assert np.array_equal(wg.interior, (nbr >= 0).all(axis=1))
+        core = np.ones(extent, dtype=bool)
+        for a, e in enumerate(extent):
+            x = np.arange(e).reshape((-1,) + (1,) * (d - 1 - a))
+            core &= (x >= m) & (x < e - m)
+        assert np.array_equal(wg.interior, core.ravel())
+
+
 def test_window_graph_neighbors_are_mutual():
     wg = WindowGraph.build(Window((0, 0), (4, 3)), m=1, norm="l1")
     for v in range(wg.graph.n):

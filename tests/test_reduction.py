@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from ffcolor.covfree import ColorSequence, SetFamily, feasible_levels, tower_schedule
 from ffcolor.field import Budget, BudgetExceeded, LabelField, PerturbedField, tracked
-from ffcolor.lattice import FiniteGraph, LatticeSpec, Window, WindowGraph, ball_size
+from ffcolor.lattice import FiniteGraph, LatticeSpec, Window, WindowGraph, ball_size, \
+    row_count
 from ffcolor.reduction import (
     INF,
     MNet,
@@ -82,6 +83,42 @@ def _gather_any(mask, nbr):
     out = mask[np.clip(nbr, 0, None)]
     out[nbr < 0] = False
     return out.any(axis=1)
+
+
+@st.composite
+def padded_neighbor_matrices(draw):
+    """(mask, nbr): a vertex mask and a random padded neighbor matrix, with
+    padding anywhere in a row and some rows all padding; widths reach 60."""
+    n = draw(st.integers(1, 30))
+    width = draw(st.sampled_from([0, 1, 2, 4, 8, 33, 54, 60]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nbr = rng.integers(-1, n, size=(n, width))
+    nbr[rng.random((n, width)) < rng.random()] = -1
+    nbr[rng.random(n) < 0.2] = -1
+    return rng.random(n) < rng.random(), nbr
+
+
+@given(padded_neighbor_matrices())
+@settings(max_examples=200, deadline=None)
+def test_column_passes_equal_row_reductions(mn):
+    mask, nbr = mn
+    gathered = np.append(mask, False)[nbr]
+    assert np.array_equal(row_count(gathered, bool), _gather_any(mask, nbr))
+    assert np.array_equal(dilate_mask(mask, nbr), mask | _gather_any(mask, nbr))
+    count = row_count(gathered)
+    assert np.array_equal(count, gathered.sum(axis=1))
+    assert np.iinfo(count.dtype).max >= nbr.shape[1]
+
+
+def test_column_passes_on_width_zero():
+    g = FiniteGraph.from_edges(1, [])
+    nbr = g.neighbor_matrix
+    assert nbr.shape == (1, 0) and g.max_degree == 0
+    assert row_count(nbr >= 0).tolist() == [0]
+    for mask in (np.array([False]), np.array([True])):
+        assert np.array_equal(row_count(np.append(mask, False)[nbr], bool),
+                              _gather_any(mask, nbr))
+        assert np.array_equal(dilate_mask(mask, nbr), mask)
 
 
 # ---------------------------------------------------------------------------
