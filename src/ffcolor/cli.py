@@ -370,6 +370,9 @@ def cmd_sft(args) -> int:
         else:
             print(kind)
         return EXIT_OK
+    if args.length < spec.k:
+        raise ConfigError(f"--length {args.length} is below the word length "
+                          f"k={spec.k} of {args.specfile}")
     field = LabelField(args.seed)
     run = generate(spec, field, Window((0,), (args.length,)))
     bad = verify_membership(run.letters, spec)

@@ -102,8 +102,7 @@ class BoxSystem:
         return len(self.radii)
 
 
-def fixture_net(field, lo, hi, M: int, *, ensure=None,
-                stream: str = CAND_STREAM) -> np.ndarray:
+def fixture_net(field, lo, hi, M: int, *, ensure=None) -> np.ndarray:
     """Hard-core net on the box [lo, hi): centers pairwise > M apart.
 
     Draws CANDIDATES_PER_CELL candidate positions in every M-cell meeting the
@@ -130,9 +129,9 @@ def fixture_net(field, lo, hi, M: int, *, ensure=None,
     cand = grids[d].ravel()
 
     axes = [c[:, None] for c in cells] + [cand[:, None], np.arange(d)[None, :]]
-    offs = field.discrete_box(stream + ":pos", axes, M) - 1
+    offs = field.discrete_box(CAND_STREAM + ":pos", axes, M) - 1
     pos = np.stack(cells, axis=1) * M + offs
-    prio = field.uniform_box(stream + ":prio", [*cells, cand])
+    prio = field.uniform_box(CAND_STREAM + ":prio", [*cells, cand])
 
     # the kept set of the thinning: decreasing priority, ties by index
     keep = greedy_independent_set(_candidate_graph(offs, [len(r) for r in ranges]), prio)
@@ -219,8 +218,7 @@ def _near_pairs(centers: np.ndarray, reach: int):
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def net_coloring(centers: np.ndarray, reach: int, field,
-                 stream: str = ORDER_STREAM, *, pairs=None) -> np.ndarray:
+def net_coloring(centers: np.ndarray, reach: int, field, *, pairs=None) -> np.ndarray:
     """Greedy proper coloring of the net graph with edges at distance <= reach.
 
     Centers take the least color unused among already-colored neighbors, in
@@ -233,7 +231,7 @@ def net_coloring(centers: np.ndarray, reach: int, field,
     """
     centers = np.asarray(centers, dtype=np.int64)
     n = len(centers)
-    h = np.array(field.u64_points(stream, list(map(tuple, centers.tolist()))),
+    h = np.array(field.u64_points(ORDER_STREAM, list(map(tuple, centers.tolist()))),
                  dtype=np.uint64)
     prio = (h >> np.uint64(11)) * 2.0**-53
     i, j, _ = _near_pairs(centers, reach) if pairs is None else pairs

@@ -563,7 +563,7 @@ class NetWindow:
     q: int
 
 
-def net_window(g, field, kmax: int = 3) -> NetWindow:
+def net_window(g, field) -> NetWindow:
     """m-net on a window: greedy independent set scanned by color class.
 
     Original 1's always stand (no two are adjacent); each later class q, q-1,
@@ -571,7 +571,7 @@ def net_window(g, field, kmax: int = 3) -> NetWindow:
     vertex recolored away from its class has a 1-neighbor from that moment
     on, so it can never join later: scanning original classes once is exact.
     """
-    tw = tower_coloring(g, field, kmax, "net")
+    tw = tower_coloring(g, field, stream_prefix="net")
     graph, _, full, _ = _as_parts(g)
     q = tw.delta + 1
     x = tw.colors
@@ -596,8 +596,8 @@ def net_window(g, field, kmax: int = 3) -> NetWindow:
 class NetQuery:
     """Demand evaluation of the net indicator at single sites."""
 
-    def __init__(self, field, spec: LatticeSpec, kmax: int = 3):
-        self.tower = TowerQuery(field, spec, kmax, "net")
+    def __init__(self, field, spec: LatticeSpec):
+        self.tower = TowerQuery(field, spec, stream_prefix="net")
         self._one: dict[tuple, bool] = {}
 
     def indicator(self, v) -> bool:
@@ -645,10 +645,9 @@ class MNet:
     every site within m of a 1.  `window` runs `net_window` on the window's
     range-m graph."""
 
-    def __init__(self, d: int, m: int, norm: str = "l1", kmax: int = 3):
+    def __init__(self, d: int, m: int, norm: str = "l1"):
         self.spec = LatticeSpec(d, m, norm)
-        self.kmax = kmax
 
     def window(self, window: Window, field) -> NetWindow:
         wg = WindowGraph.build(window, self.spec.m, self.spec.norm)
-        return net_window(wg, field, self.kmax)
+        return net_window(wg, field)

@@ -7,6 +7,12 @@ excluded).  Level-1 tiles are exactly the balls; a higher tile is the
 tiles.  Tiles form a forest (a lower tile contained in that union becomes a
 child), and clumps are the components of tiles at set distance <= 2.
 
+A clump is one member list on its root, its one tile of top level.  A root's
+list is fixed from the root's creation until its absorption, and every tile
+painted inside a new ball is absorbed; so a new tile lists itself and the
+lists of the roots it merges, and takes its children from the tiles it
+absorbed.
+
 Tile masks are disjoint: the center spacing keeps level-1 balls apart, and
 every later mask is cut to cells no earlier tile holds.  So one paint grid of
 tile ids records the whole tiling, each cell painted by exactly the tile whose
@@ -174,16 +180,32 @@ def centers(field, j: int, lo, hi, *, density_scale: float = 1.0) -> np.ndarray:
     pairs = _close_pairs(pts, pad)
     if len(pairs):
         crowded[pairs.ravel()] = True
-    keep = pts[core & ~crowded]
-    return keep[np.lexsort(keep.T[::-1])]
+    return pts[core & ~crowded]
 
 
 # -- tiles and the forest ---------------------------------------------------
 
 @lru_cache(maxsize=32)
 def _ball_mask(d: int, r: int) -> np.ndarray:
+    """The 1-norm ball of radius r in its (2r+1)^d box, read-only: every
+    level-1 tile of radius r holds this one array as its mask."""
     grids = np.indices((2 * r + 1,) * d)
-    return np.abs(grids - r).sum(axis=0) <= r
+    ball = np.abs(grids - r).sum(axis=0) <= r
+    ball.flags.writeable = False
+    return ball
+
+
+def _overlap(lo_a, shape_a, lo_b, shape_b) -> tuple[tuple, tuple]:
+    """Slices of box a and of box b, each given by its least corner and
+    shape, that select the cells the two boxes share (empty when none)."""
+    at_a, at_b = [], []
+    for la, na, lb, nb in zip(np.asarray(lo_a).tolist(), shape_a,
+                              np.asarray(lo_b).tolist(), shape_b):
+        lo = max(la, lb)
+        hi = max(lo, min(la + na, lb + nb))
+        at_a.append(slice(lo - la, hi - la))
+        at_b.append(slice(lo - lb, hi - lb))
+    return tuple(at_a), tuple(at_b)
 
 
 def _l1_structure(d: int):
@@ -255,6 +277,14 @@ class TileForest:
     it and the paint grid is sized to hold them all.  Each grid cell holds the
     id of exactly the tile whose mask holds it (-1 where none does), so "some
     member's mask meets these cells" is a lookup of those cells in the grid.
+
+    `_root[t]` is the root of tile t's clump, whose `clump_members` is the
+    clump's only member list: a root's list is fixed from its creation until
+    its absorption.  Every tile painted inside a new ball is absorbed, since
+    painting is disjoint and the spacing and clump-reach invariants `audit`
+    checks keep each level-j clump off the other level-j balls.  So the
+    earlier tiles inside S_B are the absorbed ones, and the children are
+    those of them with no parent and a nonempty mask.
     """
 
     def __init__(self, d: int, region_lo, region_hi, centers_by_level: dict,
@@ -272,10 +302,7 @@ class TileForest:
         self.tiles: list[Tile] = []
         self.overlaps = 0
         self._alloc_grid()
-        self._dsu: list[int] = []
-        # members of each clump, keyed by its root: the clump's one tile of
-        # top level, since a level-j tile only absorbs lower clumps
-        self._clumps: dict[int, list[int]] = {}
+        self._root: list[int] = []
         for j in sorted(self.levels):
             self._build_level(j)
         self._coin_cache: dict[int, int] = {}
@@ -307,35 +334,19 @@ class TileForest:
         self.grid_lo = glo
         self.grid = np.full(tuple(ghi - glo), -1, dtype=np.int32)
 
-    def _grid_slices(self, lo, shape) -> tuple:
-        rel = lo - self.grid_lo
-        return tuple(slice(int(rel[k]), int(rel[k]) + shape[k])
-                     for k in range(self.d))
-
     def _paint(self, tile: Tile) -> None:
-        sub = self.grid[self._grid_slices(tile.lo, tile.mask.shape)]
+        sub = self.grid[_overlap(self.grid_lo, self.grid.shape,
+                                 tile.lo, tile.mask.shape)[0]]
         clash = tile.mask & (sub >= 0)
         self.overlaps += int(clash.sum())
         sub[tile.mask & (sub < 0)] = tile.tid
-
-    def _find(self, a: int) -> int:
-        while self._dsu[a] != a:
-            self._dsu[a] = self._dsu[self._dsu[a]]
-            a = self._dsu[a]
-        return a
-
-    def _merge_into(self, root: int, other: int) -> None:
-        """Merge the clump rooted at `other` into the one rooted at `root`."""
-        self._dsu[other] = root
-        self._clumps[root].extend(self._clumps.pop(other))
 
     def _new_tile(self, level: int, center, lo, mask) -> Tile:
         tile = Tile(len(self.tiles), level, tuple(int(c) for c in center),
                     np.asarray(lo, dtype=np.int64), mask)
         self.tiles.append(tile)
         self._paint(tile)
-        self._dsu.append(tile.tid)
-        self._clumps[tile.tid] = [tile.tid]
+        self._root.append(tile.tid)
         return tile
 
     def _build_level(self, j: int) -> None:
@@ -343,7 +354,7 @@ class TileForest:
         r = SCALE_BASE ** j
         if j == 1:
             for c in pts:
-                self._new_tile(1, c, c - r, _ball_mask(self.d, r).copy())
+                self._new_tile(1, c, c - r, _ball_mask(self.d, r))
             return
         for c in pts:
             self._build_tile(j, c, r)
@@ -351,55 +362,48 @@ class TileForest:
     def _clump_roots(self, tids: np.ndarray, j: int) -> list[int]:
         """Roots, ascending, of the clumps below level j that own these
         paint-grid entries; unpainted entries (-1) belong to no clump."""
-        roots = {self._find(int(t)) for t in np.unique(tids[tids >= 0])}
+        roots = {self._root[t] for t in np.unique(tids[tids >= 0]).tolist()}
         return sorted(r for r in roots if self.tiles[r].level < j)
 
     def _build_tile(self, j: int, c: np.ndarray, r: int) -> None:
         half = r + 3 * SCALE_BASE ** (j - 1) + 8
         lo = c - half
         shape = (2 * half + 1,) * self.d
-        box = np.zeros(shape, dtype=bool)
-        ball = _ball_mask(self.d, r)
-        box[tuple(slice(half - r, half + r + 1) for _ in range(self.d))] = ball
-        sub = self.grid[self._grid_slices(lo, shape)]
+        s_mask = np.zeros(shape, dtype=bool)
+        s_mask[(slice(half - r, half + r + 1),) * self.d] = _ball_mask(self.d, r)
+        sub = self.grid[_overlap(self.grid_lo, self.grid.shape, lo, shape)[0]]
 
-        # every sub-level clump with a member within distance 2 of the ball
-        reach = tuple(slice(half - r - 2, half + r + 3) for _ in range(self.d))
-        absorbed = self._clump_roots(sub[reach][_ball_mask(self.d, r + 2)], j)
-        member_tiles = [tid for root in absorbed for tid in self._clumps[root]]
-        for tid in member_tiles:
+        # S_B: the ball and every sub-level clump with a member within
+        # distance 2 of it
+        reach = sub[(slice(half - r - 2, half + r + 3),) * self.d]
+        roots = self._clump_roots(reach[_ball_mask(self.d, r + 2)], j)
+        absorbed = sorted(m for root in roots for m in self.tiles[root].clump_members)
+        for tid in absorbed:
             t = self.tiles[tid]
-            rel = t.lo - lo
-            if np.any(rel < 0) or np.any(rel + t.mask.shape > shape):
+            inside = s_mask[_overlap(lo, shape, t.lo, t.mask.shape)[0]]
+            if inside.shape != t.mask.shape:
                 raise AssertionError("clump member escapes its tile box")
-            box[tuple(slice(int(rel[k]), int(rel[k]) + t.mask.shape[k])
-                      for k in range(self.d))] |= t.mask
-
-        s_mask = box
+            inside |= t.mask
         t_mask = ndimage.binary_dilation(s_mask, structure=_l1_structure(self.d))
         t_mask &= sub < 0
-        inside_s = sub[s_mask]
-        candidates = sorted(set(inside_s[inside_s >= 0].tolist()))
         tile = self._new_tile(j, c, lo, t_mask)
 
-        # children: existing tiles inside S_B not yet claimed
-        for tid in candidates:
+        # children: the absorbed tiles not yet claimed
+        for tid in absorbed:
             t = self.tiles[tid]
-            rel = t.lo - lo
-            if np.any(rel < 0) or np.any(rel + t.mask.shape > shape):
-                continue
-            inside = s_mask[tuple(slice(int(rel[k]), int(rel[k]) + t.mask.shape[k])
-                                  for k in range(self.d))]
-            if np.all(inside[t.mask]) and t.parent is None:
+            if t.parent is None and t.mask.any():
                 t.parent = tile.tid
                 tile.children.append(tid)
 
         # the new clump: this tile plus every sub-level clump within distance 2
         near = ndimage.binary_dilation(t_mask, structure=_l1_structure(self.d),
                                        iterations=2)
-        for other in self._clump_roots(sub[near], j):
-            self._merge_into(tile.tid, other)
-        tile.clump_members = tuple(self._clumps[tile.tid])
+        members = [tile.tid]
+        for root in self._clump_roots(sub[near], j):
+            members += self.tiles[root].clump_members
+        for tid in members:
+            self._root[tid] = tile.tid
+        tile.clump_members = tuple(members)
 
     # -- lookups -------------------------------------------------------------
 
@@ -513,13 +517,10 @@ class TileForest:
         """
         if window is None:
             window = Window(tuple(self.lo), tuple(self.hi - self.lo))
-        lo = np.asarray(window.origin, dtype=np.int64)
         ids = np.full(window.extent, -1, dtype=np.int32)
-        ilo = np.maximum(lo, self.grid_lo)
-        ihi = np.minimum(lo + window.extent, self.grid_lo + self.grid.shape)
-        if np.all(ilo < ihi):
-            ids[tuple(map(slice, ilo - lo, ihi - lo))] = \
-                self.grid[self._grid_slices(ilo, ihi - ilo)]
+        at_ids, at_grid = _overlap(window.origin, window.extent,
+                                   self.grid_lo, self.grid.shape)
+        ids[at_ids] = self.grid[at_grid]
         board = np.zeros((len(self.tiles) + 1, 2), dtype=np.int8)
         board[list(self.g)] = np.reshape([q or (0, 0) for q in self.g.values()], (-1, 2))
         colors = board.ravel()[2 * ids + (sum(window.ix_axes()) & 1)]
@@ -556,9 +557,7 @@ class TileForest:
             box = np.zeros(tuple(hi - lo), dtype=bool)
             for m in t.clump_members:
                 tm = self.tiles[m]
-                rel = tm.lo - lo
-                box[tuple(slice(int(rel[k]), int(rel[k]) + tm.mask.shape[k])
-                          for k in range(self.d))] |= tm.mask
+                box[_overlap(lo, box.shape, tm.lo, tm.mask.shape)[0]] |= tm.mask
             if _l1_diameter(box) > 3 * r:
                 rep.add("clump-diameter", t.center)
             if _mask_reach(box, lo, t.center) > 3 * r // 2:
@@ -577,16 +576,10 @@ class TileForest:
             r = SCALE_BASE ** j
             ball = _ball_mask(self.d, r)
             for c in pts:
-                ilo = np.maximum(c - r, self.lo)
-                ihi = np.minimum(c + r + 1, self.hi)
-                if np.any(ilo >= ihi):
-                    continue
-                src = tuple(slice(int(x), int(y)) for x, y in
-                            zip(ilo - (c - r), ihi - (c - r)))
-                dst = tuple(slice(int(x), int(y)) for x, y in
-                            zip(ilo - self.lo, ihi - self.lo))
-                cover[dst] |= ball[src]
-        tiled = self.grid[self._grid_slices(self.lo, shape)] >= 0
+                at_cover, at_ball = _overlap(self.lo, shape, c - r, ball.shape)
+                cover[at_cover] |= ball[at_ball]
+        tiled = self.grid[_overlap(self.grid_lo, self.grid.shape,
+                                   self.lo, shape)[0]] >= 0
         missing = cover & ~tiled
         rep.stats["region_cells"] = int(np.prod(shape))
         rep.stats["ball_covered"] = int(cover.sum())
@@ -598,7 +591,8 @@ class TileForest:
             kin = {t.tid, t.parent} | set(t.children)
             near = ndimage.binary_dilation(
                 np.pad(t.mask, 1), structure=_l1_structure(self.d))
-            sub = self.grid[self._grid_slices(t.lo - 1, near.shape)]
+            sub = self.grid[_overlap(self.grid_lo, self.grid.shape,
+                                     t.lo - 1, near.shape)[0]]
             ids = np.unique(sub[near])
             for other in ids:
                 if other >= 0 and int(other) not in kin:
@@ -607,15 +601,10 @@ class TileForest:
     def _audit_descendants(self, rep: AuditReport) -> None:
         for t in self.tiles:
             r = SCALE_BASE ** t.level
-            c = np.asarray(t.center, dtype=np.int64)
-            glo = self.grid_lo
-            ilo = np.maximum(c - r, glo)
-            ihi = np.minimum(c + r + 1, glo + np.asarray(self.grid.shape))
             ball = _ball_mask(self.d, r)
-            src = tuple(slice(int(x), int(y)) for x, y in
-                        zip(ilo - (c - r), ihi - (c - r)))
-            dst = tuple(slice(int(x), int(y)) for x, y in zip(ilo - glo, ihi - glo))
-            ids = np.unique(self.grid[dst][ball[src]])
+            at_grid, at_ball = _overlap(self.grid_lo, self.grid.shape,
+                                        np.asarray(t.center) - r, ball.shape)
+            ids = np.unique(self.grid[at_grid][ball[at_ball]])
             for tid in ids:
                 if tid < 0:
                     continue

@@ -197,9 +197,13 @@ def check_heights(colors: np.ndarray, valid: np.ndarray | None = None,
     rectangle with one bad cell or edge anywhere on its boundary is skipped,
     so on output where few cells are valid no rectangle is checked: three2d
     windows, where 1-2% of sites are valid, check none.  Each side's height
-    change and count of bad edges are differences of running sums.
+    change and count of bad edges are differences of running sums.  A grid
+    that is not planar raises ValueError.
     """
     colors = np.asarray(colors)
+    if colors.ndim != 2:
+        raise ValueError(f"height circulation needs a planar grid, "
+                         f"not one of dimension {colors.ndim}")
     nx, ny = colors.shape
     if valid is None:
         valid = np.ones(colors.shape, dtype=bool)

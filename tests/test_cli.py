@@ -457,6 +457,17 @@ def test_sft_generate_writes_members_and_refuses_lattice(tmp_path):
     assert not (tmp_path / "no.txt").exists()
 
 
+def test_sft_generate_shorter_than_a_word_is_config_error(tmp_path, capsys):
+    spec = tmp_path / "c3.txt"
+    spec.write_text(COL3)
+    out = tmp_path / "run.txt"
+    assert run("sft", "generate", spec, "--length", "1", "--out", out) == 2
+    assert "word length k=2" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("sft", "generate", spec, "--length", "2", "--out", out) == 0
+    assert len(out.read_text().split()) == 2
+
+
 def test_sft_missing_specfile_is_config_error(tmp_path):
     assert run("sft", "classify", tmp_path / "absent.txt") == 2
 

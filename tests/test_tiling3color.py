@@ -1,19 +1,21 @@
 """Tests for the multiscale-tiling 3-coloring of Z^d."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.ndimage import binary_dilation
+from scipy.ndimage import binary_dilation, generate_binary_structure
 
 from ffcolor.field import (Budget, BudgetExceeded, LabelField, PerturbedField,
                            Tracker, TrackedField)
 from ffcolor.lattice import Window
-from ffcolor.tiling3color import (HEX_VERTICES, ScaleSystem, TileForest,
+from ffcolor.tiling3color import (HEX_VERTICES, SCALE_BASE, ScaleSystem, TileForest,
                                   _bernoulli_points, build_tiles, centers,
                                   hexgraph, phase_color, three_color_general,
                                   threegen_window, translate_phase)
 from ffcolor.verify import check_coloring
+from test_golden import FORESTS, _spaced_centers
 
 
 # -- scales and the hexagon ---------------------------------------------------
@@ -255,6 +257,115 @@ def test_absorption_boundary_exclusive():
     assert t2.children == []
     assert _coords(t2) == _dilate(_ball((90, 95), 169))
     assert t2.size() == 2 * 170 * 170 + 2 * 170 + 1
+
+
+def test_level_one_masks_are_read_only():
+    forest = TileForest(2, (0, 0), (1, 1), {1: [(0, 0), (80, 0)]}, **_const_fns())
+    for t in forest.tiles:
+        with pytest.raises(ValueError):
+            t.mask[13, 13] = False
+    assert forest.tiles[0].mask[13, 13]
+
+
+# -- clump bookkeeping against a union-find reference -------------------------
+
+def _union_find_forest(d, region_lo, region_hi, by_level):
+    """Every tile's level, box, mask, parent, children and clump members,
+    built with a union-find over clumps, each root's member list kept in a
+    dict, and children found by scanning the painted cells of S_B and
+    testing each candidate's containment."""
+    levels = {}
+    for j in sorted(by_level):
+        pts = np.asarray(by_level[j], dtype=np.int64).reshape(-1, d)
+        levels[j] = pts[np.lexsort(pts.T[::-1])]
+    glo = np.asarray(region_lo, dtype=np.int64)
+    ghi = np.asarray(region_hi, dtype=np.int64)
+    for j, pts in levels.items():
+        if len(pts):
+            reach = 3 * SCALE_BASE ** j // 2 + 4
+            glo = np.minimum(glo, pts.min(axis=0) - reach)
+            ghi = np.maximum(ghi, pts.max(axis=0) + reach + 1)
+    grid = np.full(tuple(ghi - glo), -1, dtype=np.int32)
+    tiles, dsu, clumps = [], [], {}
+    plus = generate_binary_structure(d, 1)
+
+    def box(lo, shape):
+        return tuple(slice(int(a), int(a) + n) for a, n in zip(lo, shape))
+
+    def ball(r):
+        return np.abs(np.indices((2 * r + 1,) * d) - r).sum(axis=0) <= r
+
+    def new_tile(level, lo, mask):
+        tid = len(tiles)
+        sub = grid[box(lo - glo, mask.shape)]
+        sub[mask & (sub < 0)] = tid
+        tiles.append(SimpleNamespace(level=level, lo=lo, mask=mask, parent=None,
+                                     children=[], clump_members=(tid,)))
+        dsu.append(tid)
+        clumps[tid] = [tid]
+        return tid
+
+    def find(a):
+        while dsu[a] != a:
+            dsu[a] = dsu[dsu[a]]
+            a = dsu[a]
+        return a
+
+    def roots(tids, j):
+        found = {find(int(t)) for t in np.unique(tids[tids >= 0])}
+        return sorted(r for r in found if tiles[r].level < j)
+
+    for j, pts in levels.items():
+        r = SCALE_BASE ** j
+        for c in pts:
+            if j == 1:
+                new_tile(1, c - r, ball(r))
+                continue
+            half = r + 3 * SCALE_BASE ** (j - 1) + 8
+            lo = c - half
+            shape = (2 * half + 1,) * d
+            s_mask = np.zeros(shape, dtype=bool)
+            s_mask[(slice(half - r, half + r + 1),) * d] = ball(r)
+            sub = grid[box(lo - glo, shape)]
+            near_ball = sub[(slice(half - r - 2, half + r + 3),) * d][ball(r + 2)]
+            for root in roots(near_ball, j):
+                for m in clumps[root]:
+                    s_mask[box(tiles[m].lo - lo, tiles[m].mask.shape)] |= tiles[m].mask
+            t_mask = binary_dilation(s_mask, structure=plus) & (sub < 0)
+            inside_s = sub[s_mask]
+            candidates = sorted(set(inside_s[inside_s >= 0].tolist()))
+            tid = new_tile(j, lo, t_mask)
+            for k in candidates:
+                t = tiles[k]
+                rel = t.lo - lo
+                if np.any(rel < 0) or np.any(rel + t.mask.shape > shape):
+                    continue
+                if np.all(s_mask[box(rel, t.mask.shape)][t.mask]) and t.parent is None:
+                    t.parent = tid
+                    tiles[tid].children.append(k)
+            near = binary_dilation(t_mask, structure=plus, iterations=2)
+            for other in roots(sub[near], j):
+                dsu[other] = tid
+                clumps[tid].extend(clumps.pop(other))
+            tiles[tid].clump_members = tuple(clumps[tid])
+    return tiles
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("d, side, tries", FORESTS)
+def test_clump_bookkeeping_matches_union_find(seed, d, side, tries):
+    rng = np.random.default_rng(seed)
+    by_level = {j: _spaced_centers(rng, d, j, side, n)
+                for j, n in enumerate(tries, start=1)}
+    forest = TileForest(d, (0,) * d, (side,) * d, by_level, **_const_fns())
+    want = _union_find_forest(d, (0,) * d, (side,) * d, by_level)
+    assert len(forest.tiles) == len(want)
+    for t, w in zip(forest.tiles, want):
+        assert (t.level, t.parent, t.children) == (w.level, w.parent, w.children)
+        assert sorted(t.clump_members) == sorted(w.clump_members)
+        assert np.array_equal(t.lo, w.lo) and np.array_equal(t.mask, w.mask)
+    # dense enough that most higher tiles adopt several children
+    assert sum(len(t.children) > 1 for t in forest.tiles) >= 5
 
 
 # -- the ancestor chain fixture ----------------------------------------------

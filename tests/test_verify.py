@@ -230,6 +230,12 @@ def test_check_heights_same_report_in_any_integer_dtype(dtype):
     assert check_heights(proper.astype(dtype)).passed
 
 
+@pytest.mark.parametrize("shape", [(12,), (4, 4, 4)])
+def test_check_heights_refuses_a_grid_that_is_not_planar(shape):
+    with pytest.raises(ValueError, match=f"planar grid.*dimension {len(shape)}"):
+        check_heights(np.ones(shape, dtype=np.int64))
+
+
 def test_check_heights_flags_corruption():
     x = _periodic(8, 8)
     x[3, 3] = x[3, 4]  # break properness
