@@ -26,7 +26,10 @@ centers (ensure fills included), net colors and radii, and the reports of
 `audit_faces`, were pinned while the thinning kept color class 1 of a full
 greedy coloring and face pairs were judged by one broadcast per row block.
 The SFT runs (gaps included, with their count of net windows and one
-tracked run) were pinned while `generate` spliced one gap at a time.
+tracked run) were pinned while `generate` spliced one gap at a time.  The
+tile forest audits, of seeded forests and of hand-broken copies that raise
+every violation kind, were pinned while each check walked every tile's mask
+box.
 
 A digest covers each array's dtype, shape and bytes, in the order listed.  A
 demand digest covers one (value, radius, access_count) row per query site,
@@ -54,7 +57,7 @@ from ffcolor.reduction import MNet, NetQuery, TowerQuery, net_window, tower_colo
     tower_coloring
 from ffcolor.sft import coloring_spec, generate
 from ffcolor.tiling3color import HEX_VERTICES, SCALE_BASE, ScaleSystem, TileForest, \
-    _bernoulli_points, centers, three_color_general, threegen_window
+    _ball_mask, _bernoulli_points, centers, three_color_general, threegen_window
 from ffcolor.verify import VIOLATION_CAP, check_heights
 from test_fourcolor import TiedLabels
 from test_sft import ONE_LETTER, PETAL
@@ -351,6 +354,109 @@ def test_tile_forest_digest():
         arrays += forest.colors_grid(Window((-400,) * d, (side + 800,) * d))
     assert merged >= 10
     assert _digest(*arrays) == TILE_FORESTS
+
+
+def _const_forest(d, lo, hi, by_level):
+    return TileForest(d, lo, hi, by_level, coin_fn=lambda c: -1,
+                      h_fn=lambda c: HEX_VERTICES[0])
+
+
+def _seeded_forests():
+    # the dense d = 1 and d = 2 forests above, and field-driven ones at d = 2, 3
+    forests = []
+    for d, side, tries in FORESTS:
+        rng = np.random.default_rng(0)
+        forests.append(_const_forest(d, (0,) * d, (side,) * d, {
+            j: _spaced_centers(rng, d, j, side, n) for j, n in enumerate(tries, start=1)}))
+    forests.append(threegen_window(LabelField(3), Window((0, 0), (320, 320)), maxlevel=2,
+                                   density_scale=1 / 32, margin=64)[2])
+    forests.append(threegen_window(LabelField(20), Window((0, 0, 0), (96, 96, 96)),
+                                   maxlevel=1, density_scale=1 / 64, margin=13)[2])
+    return forests
+
+
+# A hand-placed plane forest: one level-2 tile over the level-1 tiles 2..5,
+# three lone level-1 tiles (0, 1 and 6), and free space around (560, 60).
+_HAND_CENTERS = {1: [(100, 100), (100, 170), (230, 230), (300, 300), (300, 380),
+                     (370, 300), (480, 480)], 2: [(300, 300)]}
+
+
+def _hand_forest():
+    return _const_forest(2, (0, 0), (600, 600), _HAND_CENTERS)
+
+
+def _shifted_tile(f, tid=0, by=5):
+    # a level-1 ball beside tile `tid`, moved `by` along the first axis, painted
+    # last: the grid credits the cells it shares with earlier tiles to them
+    c = np.array(f.tiles[tid].center)
+    c[0] += by
+    f._new_tile(1, c, c - 13, _ball_mask(f.d, 13))
+
+
+def _broken_hand_forests():
+    def new_tile(center, lo, mask):
+        def brk(f):
+            f._new_tile(1, np.array(center), np.array(lo), mask)
+        return brk
+
+    def set_attr(tid, name, value):
+        return lambda f: setattr(f.tiles[tid], name, value)
+
+    def add_center(j, c):
+        def brk(f):
+            f.levels[j] = np.vstack([f.levels[j], np.array([c], dtype=np.int64)])
+        return brk
+
+    cases = [
+        [lambda f: _shifted_tile(f)],                               # tile-overlap
+        [new_tile((100, 172), (97, 169), _ball_mask(2, 3))],        # wholly overpainted
+        [new_tile((560, 60), (560, 60), np.zeros((1, 1), bool))],   # empty-tile
+        [new_tile((560, 60), (560, 60), np.ones((1, 25), bool))],   # tile-outside-ball
+        [set_attr(0, "parent", 1)],                                 # parent-level
+        [set_attr(6, "clump_members", (6, 0))],                     # clump-diameter
+        [set_attr(0, "clump_members", (0, 1))],
+        [set_attr(6, "clump_members", ())],                         # empty-clump
+        [set_attr(6, "clump_members", (6, 8)),                      # an empty member
+         new_tile((560, 60), (560, 60), np.zeros((1, 1), bool))],
+        [add_center(1, (560, 300))],                                # uncovered-ball-vertex
+        [new_tile((480, 507), (467, 494), _ball_mask(2, 13))],      # adjacent-nonkin
+        [set_attr(2, "parent", None)],                              # descendant-gap
+        # over the cap: an uncovered level-2 ball, then kinds that are only counted
+        [add_center(2, (560, 560)), set_attr(2, "parent", None),
+         lambda f: _shifted_tile(f, 6, 20)],
+    ]
+    forests = []
+    for steps in cases:
+        f = _hand_forest()
+        for step in steps:
+            step(f)
+        forests.append(f)
+    return forests
+
+
+FOREST_AUDITS = "9d1a779da7498e56bb42684d69662014b73447a3ffe49bcc325fe1aae99d964e"
+
+
+def test_forest_audit_digest():
+    seeded = _seeded_forests()
+    reports = [f.audit() for f in seeded]
+    assert all(rep.passed for rep in reports)
+    hand = _hand_forest()
+    assert [t.parent for t in hand.tiles] == [None, None, 7, 7, 7, 7, None, None]
+    reports.append(hand.audit())
+    assert reports[-1].passed
+    broken = []
+    for f in (seeded[0], seeded[3], hand):
+        _shifted_tile(f)
+        broken.append(f.audit())
+    broken += [f.audit() for f in _broken_hand_forests()]
+    assert not any(rep.passed for rep in broken)
+    kinds = {k for rep in broken for k, _ in rep.violations}
+    assert kinds == {"tile-overlap", "empty-tile", "tile-outside-ball", "parent-level",
+                     "clump-diameter", "clump-outside-ball", "empty-clump",
+                     "uncovered-ball-vertex", "adjacent-nonkin", "descendant-gap"}
+    assert broken[-1].stats["violations_total"] > VIOLATION_CAP
+    assert _report_digest(*reports, *broken) == FOREST_AUDITS
 
 
 SITES = [(0, 0), (17, -5), (-123456, 98765), (999_999, -3)]
