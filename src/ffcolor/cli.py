@@ -193,6 +193,9 @@ def _threegen(args, field, window):
     consts = {k: vars(args)[k] for k in ("maxlevel", "density_scale", "margin")}
     colors, valid, forest = threegen_window(field, window, **consts)
     consts["levels"] = {str(j): len(p) for j, p in forest.levels.items()}
+    rep = forest.audit()
+    consts["forest_audit"] = {"passed": rep.passed,
+                              "violations_total": rep.stats["violations_total"]}
     return colors, valid, None, consts
 
 

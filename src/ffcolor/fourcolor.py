@@ -371,22 +371,6 @@ def audit_faces(boxes: BoxSystem) -> AuditReport:
     return rep
 
 
-def sign_process(v, boxes: BoxSystem, net_colors: np.ndarray) -> int:
-    """Sign at v: parity of the 1-norm offset from the center of the
-    lowest-colored covering box; +1 at even offsets."""
-    v = np.asarray(v, dtype=np.int64)
-    dist = np.abs(boxes.centers - v).max(axis=1)
-    cov = np.nonzero(dist <= boxes.radii)[0]
-    if cov.size == 0:
-        raise ValueError(f"vertex {tuple(int(x) for x in v)} not covered by any box")
-    cols = net_colors[cov]
-    cmin = cols.min()
-    if int((cols == cmin).sum()) > 1:
-        raise AssertionError("two covering boxes share the lowest net color")
-    s = boxes.centers[cov[np.argmin(cols)]]
-    return 1 if int(np.abs(s - v).sum()) % 2 == 0 else -1
-
-
 def sign_window(window: Window, boxes: BoxSystem,
                 net_colors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized sign field over a window.

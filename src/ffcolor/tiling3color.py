@@ -16,8 +16,8 @@ absorbed.
 Tile masks are disjoint: the center spacing keeps level-1 balls apart, and
 every later mask is cut to cells no earlier tile holds.  So one paint grid of
 tile ids records the whole tiling, each cell painted by exactly the tile whose
-mask holds it, and the clumps near a new tile and the colors of a window are
-both read through that grid.
+mask holds it, and the clumps near a new tile, the colors of a window and the
+audit of the tiling are all read through that grid.
 
 Colors come from a graph homomorphism of the forest into the six-vertex
 graph of two-color checkerboards: a fair coin per tile marks "special" tiles
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
@@ -212,36 +213,17 @@ def _l1_structure(d: int):
     return ndimage.generate_binary_structure(d, 1)
 
 
-def _l1_diameter(mask: np.ndarray) -> int:
-    """Max 1-norm distance between two True cells (0 for singletons)."""
-    if not mask.any():
-        return 0
-    d = mask.ndim
-    axes_idx = [np.arange(n) for n in mask.shape]
-    best = 0
-    for bits in range(1 << (d - 1)) if d > 1 else [0]:
-        signs = [1] + [1 if (bits >> (i - 1)) & 1 == 0 else -1 for i in range(1, d)]
-        proj = sum(s * ax.reshape([-1 if i == k else 1 for i in range(d)])
-                   for k, (s, ax) in enumerate(zip(signs, axes_idx)))
-        vals = np.broadcast_to(proj, mask.shape)[mask]
-        best = max(best, int(vals.max() - vals.min()))
-    return best
+_FAR = 1 << 40  # beyond any signed coordinate sum of a grid cell
 
 
-def _center_dist(mask_shape, lo, center) -> np.ndarray:
-    d = len(mask_shape)
-    return sum(np.abs(np.arange(lo[k], lo[k] + mask_shape[k]) - int(center[k]))
-               .astype(np.int32)
-               .reshape([-1 if i == k else 1 for i in range(d)])
-               for k in range(d))
-
-
-def _mask_reach(mask: np.ndarray, lo: np.ndarray, center) -> int:
-    """Max 1-norm distance from center to a True cell."""
-    if not mask.any():
-        return 0
-    dist = _center_dist(mask.shape, lo, center)
-    return int(np.broadcast_to(dist, mask.shape)[mask].max())
+@lru_cache(maxsize=8)
+def _sign_rows(d: int) -> np.ndarray:
+    """The 2^(d-1) sign vectors (1, +-1, ..., +-1), one per row: the 1-norm
+    of x is the largest |<sign row, x>|."""
+    bits = np.arange(1 << (d - 1))[:, None] >> np.arange(d - 1)
+    rows = np.hstack([np.ones((len(bits), 1), dtype=np.int64), 1 - 2 * (bits & 1)])
+    rows.flags.writeable = False
+    return rows
 
 
 class Tile:
@@ -301,6 +283,7 @@ class TileForest:
         self.h_fn = h_fn
         self.tiles: list[Tile] = []
         self.overlaps = 0
+        self._lost: list[tuple[int, np.ndarray]] = []  # see _paint
         self._alloc_grid()
         self._root: list[int] = []
         for j in sorted(self.levels):
@@ -335,10 +318,17 @@ class TileForest:
         self.grid = np.full(tuple(ghi - glo), -1, dtype=np.int32)
 
     def _paint(self, tile: Tile) -> None:
-        sub = self.grid[_overlap(self.grid_lo, self.grid.shape,
-                                 tile.lo, tile.mask.shape)[0]]
+        """Paint the tile's id on its unpainted mask cells.  Cells an earlier
+        tile holds stay that tile's; they count in `overlaps`, and `_lost`
+        keeps their indices in the raveled grid under this tile's id."""
+        at = _overlap(self.grid_lo, self.grid.shape, tile.lo, tile.mask.shape)[0]
+        sub = self.grid[at]
         clash = tile.mask & (sub >= 0)
-        self.overlaps += int(clash.sum())
+        count = int(np.count_nonzero(clash))
+        if count:
+            self.overlaps += count
+            self._lost.append((tile.tid, np.ravel_multi_index(
+                [c + s.start for c, s in zip(np.nonzero(clash), at)], self.grid.shape)))
         sub[tile.mask & (sub < 0)] = tile.tid
 
     def _new_tile(self, level: int, center, lo, mask) -> Tile:
@@ -529,7 +519,37 @@ class TileForest:
     # -- audits --------------------------------------------------------------
 
     def audit(self) -> AuditReport:
-        """The tiling invariants, checked exhaustively on this forest."""
+        """The tiling invariants, checked exhaustively on this forest.
+
+        Each check reads the paint grid in a fixed number of whole-array
+        passes (one more per tile level for the balls); none walks a tile's
+        mask box.  A tile's cells are its grid cells and its lost cells, the
+        cells of its mask that an earlier tile had painted (`_paint` keeps
+        them; `overlaps` counts them).  The grid holds every mask whole, and
+        painting writes only unpainted cells, so the two make up exactly the
+        tile's mask, and each check equals a walk of every mask:
+
+        - empty-tile, tile-outside-ball, clump-diameter and
+          clump-outside-ball read per-tile extremes of the signed sums <s, x>
+          over the sign rows s = (1, +-1, ...).  The 1-norm of x is the
+          largest |<s, x>|, so a tile's reach from its center, and a clump's
+          diameter and reach, are maxima over the extremes of its tiles.
+          Each <s, x> grows along axis 0, so on a tile it peaks at a cell
+          whose next cell along axis 0 is not the tile's, and is least at
+          one whose previous cell is not: the extremes are scattered by id
+          from the cells that end and start the runs of equal ids along
+          axis 0, and from the lost cells.  A tile with none is empty.
+        - uncovered-ball-vertex sets the union of the center balls against
+          the painted cells of the region.
+        - adjacent-nonkin takes the id pairs across every two 1-neighbor
+          cells whose ids differ, in both orders, and the ids at and beside
+          each lost cell; a tile's own id, its parent and its children are
+          kin.
+        - descendant-gap reads the ids in the balls of each level's tiles
+          from one window view of the grid, and tests each against its
+          tile's subtree, which a depth-first numbering along parent links
+          makes one interval of numbers.
+        """
         rep = AuditReport("tiling", Window(tuple(self.lo), tuple(self.hi - self.lo)))
         rep.stats["tiles"] = len(self.tiles)
         rep.stats["levels"] = {int(j): int(len(p)) for j, p in self.levels.items()}
@@ -537,40 +557,90 @@ class TileForest:
         if self.overlaps:
             rep.add("tile-overlap", self.overlaps)
 
+        n = len(self.tiles)
+        lost = np.concatenate([at for _, at in self._lost] + [np.empty(0, np.int64)])
+        lost_ids = np.repeat(np.array([t for t, _ in self._lost], dtype=np.int64),
+                             [len(at) for _, at in self._lost])
+        steps = [self._id_steps(k) for k in range(self.d)]
+        signs = _sign_rows(self.d)
+        top, bottom, filled = self._extremes(steps[0], lost_ids, lost, signs)
+        at_center = (np.array([t.center for t in self.tiles], dtype=np.int64).reshape(n, self.d)
+                     - self.grid_lo) @ signs.T
+        level = np.array([t.level for t in self.tiles], dtype=np.int64)
+        r = SCALE_BASE ** level
+
+        reach = np.maximum(top - at_center, at_center - bottom).max(axis=1)
         for t in self.tiles:
-            r = SCALE_BASE ** t.level
-            if not t.mask.any():
+            if not filled[t.tid]:
                 rep.add("empty-tile", t.center)
                 continue
-            if _mask_reach(t.mask, t.lo, t.center) > 3 * r // 2:
+            if reach[t.tid] > 3 * r[t.tid] // 2:
                 rep.add("tile-outside-ball", t.center)
-            if t.parent is not None and self.tiles[t.parent].level <= t.level:
+            if t.parent is not None and level[t.parent] <= t.level:
                 rep.add("parent-level", t.center)
 
+        # a clump's extremes over the extremes of its members; an empty member
+        # holds -_FAR and _FAR, which no extreme of a cell passes
+        sizes = [len(t.clump_members) for t in self.tiles]
+        owner = np.repeat(np.arange(n), sizes)
+        members = np.fromiter((m for t in self.tiles for m in t.clump_members),
+                              dtype=np.int64, count=len(owner))
+        ctop = np.full_like(top, -_FAR)
+        cbottom = np.full_like(bottom, _FAR)
+        np.maximum.at(ctop, owner, top[members])
+        np.minimum.at(cbottom, owner, bottom[members])
+        diameter = (ctop - cbottom).max(axis=1)
+        creach = np.maximum(ctop - at_center, at_center - cbottom).max(axis=1)
         for t in self.tiles:
-            if len(t.clump_members) == 0:
+            if sizes[t.tid] == 0:
                 rep.add("empty-clump", t.center)
                 continue
-            r = SCALE_BASE ** t.level
-            lo = np.minimum.reduce([self.tiles[m].lo for m in t.clump_members])
-            hi = np.maximum.reduce([self.tiles[m].hi for m in t.clump_members])
-            box = np.zeros(tuple(hi - lo), dtype=bool)
-            for m in t.clump_members:
-                tm = self.tiles[m]
-                box[_overlap(lo, box.shape, tm.lo, tm.mask.shape)[0]] |= tm.mask
-            if _l1_diameter(box) > 3 * r:
+            if diameter[t.tid] > 3 * r[t.tid]:
                 rep.add("clump-diameter", t.center)
-            if _mask_reach(box, lo, t.center) > 3 * r // 2:
+            if creach[t.tid] > 3 * r[t.tid] // 2:
                 rep.add("clump-outside-ball", t.center)
 
         self._audit_coverage(rep)
-        self._audit_adjacency(rep)
+        self._audit_adjacency(rep, steps, lost_ids, lost)
         self._audit_descendants(rep)
         rep.stats.setdefault("violations_total", 0)
         return rep
 
+    def _id_steps(self, k: int) -> tuple:
+        """(i, below, above) over the pairs of cells one apart along axis k
+        whose ids differ: i is the lower cell's index in the raveled grid,
+        i + stride the upper one's, and below and above are their ids."""
+        flat = self.grid.ravel()
+        step = self.grid.strides[k] // self.grid.itemsize
+        i = np.flatnonzero(flat[:-step] != flat[step:])
+        # raveled, the last cell of each line along axis k abuts the next line
+        i = i[i // step % self.grid.shape[k] < self.grid.shape[k] - 1]
+        return i, flat[i], flat[i + step]
+
+    def _extremes(self, steps0, lost_ids, lost, signs) -> tuple:
+        """(top, bottom, filled): per tile and sign row s, the largest and
+        least <s, x> over its cells, and whether it has a cell at all.
+
+        Tops are read at the cells that end a run of equal ids along axis 0
+        (the grid's last slab ends each run in it) and bottoms at the cells
+        that start one; the lost cells are read for both."""
+        i, below, above = steps0
+        flat = self.grid.ravel()
+        step = self.grid.strides[0] // self.grid.itemsize
+        ends = np.concatenate([i[below >= 0],
+                               flat.size - step + np.flatnonzero(flat[-step:] >= 0)])
+        starts = np.concatenate([i[above >= 0] + step, np.flatnonzero(flat[:step] >= 0)])
+        out = []
+        for fold, fill, at in ((np.maximum, -_FAR, ends), (np.minimum, _FAR, starts)):
+            cells = np.stack(np.unravel_index(np.concatenate([at, lost]), self.grid.shape))
+            ext = np.full((len(self.tiles), len(signs)), fill, dtype=np.int64)
+            fold.at(ext, np.concatenate([flat[at], lost_ids]), (signs @ cells).T)
+            out.append(ext)
+        top, bottom = out
+        return top, bottom, top[:, 0] > -_FAR
+
     def _audit_coverage(self, rep: AuditReport) -> None:
-        shape = tuple(self.hi - self.lo)
+        shape = tuple((self.hi - self.lo).tolist())
         cover = np.zeros(shape, dtype=bool)
         for j, pts in self.levels.items():
             r = SCALE_BASE ** j
@@ -582,37 +652,87 @@ class TileForest:
                                    self.lo, shape)[0]] >= 0
         missing = cover & ~tiled
         rep.stats["region_cells"] = int(np.prod(shape))
-        rep.stats["ball_covered"] = int(cover.sum())
-        rep.stats["tiled"] = int(tiled.sum())
+        rep.stats["ball_covered"] = int(np.count_nonzero(cover))
+        rep.stats["tiled"] = int(np.count_nonzero(tiled))
         rep.add_mask("uncovered-ball-vertex", missing, lambda idx: tuple(idx + self.lo))
 
-    def _audit_adjacency(self, rep: AuditReport) -> None:
+    def _audit_adjacency(self, rep: AuditReport, steps, lost_ids, lost) -> None:
+        n = len(self.tiles)
+        a = [lost_ids]
+        b = [self.grid.ravel()[lost]]
+        for k, (_, below, above) in enumerate(steps):
+            both = (below >= 0) & (above >= 0)
+            a += [below[both], above[both]]
+            b += [above[both], below[both]]
+            # the ids beside each lost cell along axis k
+            step = self.grid.strides[k] // self.grid.itemsize
+            at = lost // step % self.grid.shape[k]
+            for near, inside in ((lost + step, at < self.grid.shape[k] - 1),
+                                 (lost - step, at > 0)):
+                a.append(lost_ids[inside])
+                b.append(self.grid.ravel()[near[inside]])
+        a, b = np.concatenate(a).astype(np.int64), np.concatenate(b).astype(np.int64)
+        kin = [t.tid * (n + 1) for t in self.tiles]  # each tile with itself
+        kin += [t.tid * n + t.parent for t in self.tiles if t.parent is not None]
+        kin = np.sort(kin + [t.tid * n + c for t in self.tiles for c in t.children])
+        pairs = np.unique(a[b >= 0] * n + b[b >= 0])
+        # a pair is kin when its place among the sorted kin codes holds it
+        is_kin = kin[np.searchsorted(kin, pairs).clip(max=len(kin) - 1)] == pairs
+        a, b = np.divmod(pairs[~is_kin], n)
+        rep.add_rows("adjacent-nonkin", len(a),
+                     lambda i: (self.tiles[a[i]].center, self.tiles[b[i]].center))
+
+    def _subtrees(self) -> tuple:
+        """(first, after): tile u is tile t or a descendant of it, by parent
+        links, exactly when first[t] <= first[u] < after[t].  A tile whose
+        parent links loop is alone in its subtree."""
+        n = len(self.tiles)
+        kids = [[] for _ in range(n)]
         for t in self.tiles:
-            kin = {t.tid, t.parent} | set(t.children)
-            near = ndimage.binary_dilation(
-                np.pad(t.mask, 1), structure=_l1_structure(self.d))
-            sub = self.grid[_overlap(self.grid_lo, self.grid.shape,
-                                     t.lo - 1, near.shape)[0]]
-            ids = np.unique(sub[near])
-            for other in ids:
-                if other >= 0 and int(other) not in kin:
-                    rep.add("adjacent-nonkin", (t.center, self.tiles[int(other)].center))
+            if t.parent is not None:
+                kids[t.parent].append(t.tid)
+        first = np.full(n, -1, dtype=np.int64)
+        after = np.zeros(n, dtype=np.int64)
+        count = 0
+        stack = [(t.tid, False) for t in self.tiles if t.parent is None]
+        while stack:
+            u, done = stack.pop()
+            if done:
+                after[u] = count
+                continue
+            first[u] = count
+            count += 1
+            stack.append((u, True))
+            stack.extend((c, False) for c in kids[u])
+        loose = first < 0
+        first[loose] = count + np.arange(np.count_nonzero(loose))
+        after[loose] = first[loose] + 1
+        return first, after
 
     def _audit_descendants(self, rep: AuditReport) -> None:
-        for t in self.tiles:
-            r = SCALE_BASE ** t.level
+        n = len(self.tiles)
+        first, after = self._subtrees()
+        order = np.append(first, 0).astype(np.int32)  # unpainted cells (-1) read the last entry
+        centers = np.array([t.center for t in self.tiles], dtype=np.int64).reshape(n, self.d)
+        level = np.array([t.level for t in self.tiles], dtype=np.int64)
+        gaps = [np.empty(0, dtype=np.int64)]
+        # one pass per level over the ball boxes of its tiles, cut from a
+        # window view of the grid (padded only if some box sticks out of it)
+        for j in sorted(set(level.tolist())):
+            tids = np.flatnonzero(level == j)
+            r = SCALE_BASE ** j
             ball = _ball_mask(self.d, r)
-            at_grid, at_ball = _overlap(self.grid_lo, self.grid.shape,
-                                        np.asarray(t.center) - r, ball.shape)
-            ids = np.unique(self.grid[at_grid][ball[at_ball]])
-            for tid in ids:
-                if tid < 0:
-                    continue
-                cur = int(tid)
-                while cur is not None and cur != t.tid:
-                    cur = self.tiles[cur].parent
-                if cur is None:
-                    rep.add("descendant-gap", (t.center, self.tiles[int(tid)].center))
+            corner = centers[tids] - r - self.grid_lo
+            pad = max(0, -corner.min(), (corner + 2 * r + 1 - self.grid.shape).max())
+            grid = np.pad(self.grid, pad, constant_values=-1) if pad else self.grid
+            ids = sliding_window_view(grid, ball.shape)[tuple((corner + pad).T)]
+            at = order.take(ids)
+            lo, hi = (x[tids].reshape((-1,) + (1,) * self.d) for x in (first, after))
+            bad = np.flatnonzero(ball & (ids >= 0) & ((at < lo) | (at >= hi)))
+            gaps.append(tids[bad // ball.size] * n + ids.ravel()[bad])
+        t, u = np.divmod(np.unique(np.concatenate(gaps)), n)
+        rep.add_rows("descendant-gap", len(t),
+                     lambda i: (self.tiles[t[i]].center, self.tiles[u[i]].center))
 
 
 # -- field-driven construction ----------------------------------------------

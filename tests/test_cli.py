@@ -178,6 +178,14 @@ def test_oversized_window_is_config_error(tmp_path, capsys, construction, window
     assert not any(tmp_path.iterdir())
 
 
+def test_threegen_manifest_records_the_forest_audit(tmp_path):
+    assert run("color", "--construction", "threegen", "--window", "0,0,96,96",
+               "--out", tmp_path / "tg") == 0
+    consts = json.loads((tmp_path / "tg.json").read_text())["constants"]
+    assert consts["forest_audit"] == {"passed": True, "violations_total": 0}
+    assert sum(consts["levels"].values()) > 0
+
+
 def test_density_scale_one_is_accepted(tmp_path):
     assert run("color", "--construction", "threegen", "--d", "1",
                "--window", "0,8", "--density-scale", "1", "--maxlevel", "1",

@@ -14,8 +14,8 @@ from ffcolor.fourcolor import (BoxSystem, CANDIDATES_PER_CELL, CAND_STREAM,
                                audit_faces, audit_sign_clusters,
                                baseline_percolation_4color, baseline_window,
                                checkerboard_4color, choose_M, fixture_net,
-                               four_color_window, net_coloring, sign_process,
-                               sign_window, PHASE_STREAM)
+                               four_color_window, net_coloring, sign_window,
+                               PHASE_STREAM)
 from ffcolor.verify import check_coloring
 
 M2, C2, CP2 = choose_M(2)
@@ -128,6 +128,23 @@ def test_audit_faces_flags_close_faces():
 
 # ---------------------------------------------------------------------------
 # sign process
+
+
+def sign_process(v, boxes: BoxSystem, net_colors: np.ndarray) -> int:
+    """Sign at v, one site at a time: the parity of the 1-norm offset from
+    the center of the lowest-colored covering box, +1 at even offsets.  The
+    reference `sign_window` is checked against."""
+    v = np.asarray(v, dtype=np.int64)
+    dist = np.abs(boxes.centers - v).max(axis=1)
+    cov = np.nonzero(dist <= boxes.radii)[0]
+    if cov.size == 0:
+        raise ValueError(f"vertex {tuple(int(x) for x in v)} not covered by any box")
+    cols = net_colors[cov]
+    cmin = cols.min()
+    if int((cols == cmin).sum()) > 1:
+        raise AssertionError("two covering boxes share the lowest net color")
+    s = boxes.centers[cov[np.argmin(cols)]]
+    return 1 if int(np.abs(s - v).sum()) % 2 == 0 else -1
 
 
 def _two_box_system():

@@ -1,7 +1,8 @@
 """One gate over every construction of the CLI registry.
 
 Each entry runs with the flags `color` parses, on seeded small windows.  The
-gate checks that the window output passes the entry's audits, that a tracked
+gate checks that the window output passes the entry's audits (for threegen,
+also the audit of its tile forest that `color` records), that a tracked
 window run replayed through `PerturbedField` (base labels where the tracker
 saw a read, foreign labels elsewhere) gives the same output, and that each
 tracked demand answer, censored ones included, replays the same way.
@@ -116,9 +117,11 @@ def test_registry_gate(name, d, seed, data):
     tr = Tracker(center, UNLIMITED)
     out = entry.window(args, TrackedField(base, tr), window)
     assert _same(entry.window(args, PerturbedField(base, tr, alt), window), out)
-    colors, valid, radii, _ = out
+    colors, valid, radii, consts = out
     for audit in AUDITS[name]:
         assert audit(colors, valid), audit.__name__
+    if name == "threegen":
+        assert consts["forest_audit"] == {"passed": True, "violations_total": 0}
 
     if entry.demand is None:
         return

@@ -1,5 +1,6 @@
 """Tests for the multiscale-tiling 3-coloring of Z^d."""
 
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -11,10 +12,10 @@ from ffcolor.field import (Budget, BudgetExceeded, LabelField, PerturbedField,
                            Tracker, TrackedField)
 from ffcolor.lattice import Window
 from ffcolor.tiling3color import (HEX_VERTICES, SCALE_BASE, ScaleSystem, TileForest,
-                                  _bernoulli_points, build_tiles, centers,
+                                  _ball_mask, _bernoulli_points, build_tiles, centers,
                                   hexgraph, phase_color, three_color_general,
                                   threegen_window, translate_phase)
-from ffcolor.verify import check_coloring
+from ffcolor.verify import AuditReport, check_coloring
 from test_golden import FORESTS, _spaced_centers
 
 
@@ -368,6 +369,119 @@ def test_clump_bookkeeping_matches_union_find(seed, d, side, tries):
     assert sum(len(t.children) > 1 for t in forest.tiles) >= 5
 
 
+# -- the audit against a walk of every mask ------------------------------------
+
+def _walk_audit(forest):
+    """`TileForest.audit` as a walk of every tile's mask box: reach and
+    diameter from the mask cells, neighbors by dilating each mask, and the
+    ids in each ball by `np.unique`.  Coverage is the audit's own pass."""
+    tiles, d = forest.tiles, forest.d
+    rep = AuditReport("tiling", Window(tuple(forest.lo), tuple(forest.hi - forest.lo)))
+    rep.stats["tiles"] = len(tiles)
+    rep.stats["levels"] = {int(j): int(len(p)) for j, p in forest.levels.items()}
+    rep.stats["overlap_cells"] = forest.overlaps
+    if forest.overlaps:
+        rep.add("tile-overlap", forest.overlaps)
+
+    def cells(tids):
+        return np.vstack([np.argwhere(tiles[m].mask) + tiles[m].lo for m in tids])
+
+    def reach(x, c):
+        return np.abs(x - np.array(c)).sum(axis=1).max(initial=0)
+
+    for t in tiles:
+        r = SCALE_BASE ** t.level
+        if not t.mask.any():
+            rep.add("empty-tile", t.center)
+            continue
+        if reach(cells([t.tid]), t.center) > 3 * r // 2:
+            rep.add("tile-outside-ball", t.center)
+        if t.parent is not None and tiles[t.parent].level <= t.level:
+            rep.add("parent-level", t.center)
+    for t in tiles:
+        if not t.clump_members:
+            rep.add("empty-clump", t.center)
+            continue
+        r = SCALE_BASE ** t.level
+        x = cells(t.clump_members)
+        # the 1-norm diameter is the widest spread of x_0 +- x_1 +- ...
+        signs = np.array(list(itertools.product((1, -1), repeat=d - 1)), dtype=np.int64)
+        proj = x[:, :1] + x[:, 1:] @ signs.T if len(x) else np.zeros((1, 1))
+        if (proj.max(axis=0) - proj.min(axis=0)).max() > 3 * r:
+            rep.add("clump-diameter", t.center)
+        if reach(x, t.center) > 3 * r // 2:
+            rep.add("clump-outside-ball", t.center)
+    forest._audit_coverage(rep)
+
+    plus = generate_binary_structure(d, 1)
+    for t in tiles:
+        kin = {t.tid, t.parent} | set(t.children)
+        near = binary_dilation(np.pad(t.mask, 1), structure=plus)
+        lo = t.lo - 1 - forest.grid_lo
+        sub = forest.grid[tuple(slice(a, a + n) for a, n in zip(lo, near.shape))]
+        for other in np.unique(sub[near]):
+            if other >= 0 and int(other) not in kin:
+                rep.add("adjacent-nonkin", (t.center, tiles[int(other)].center))
+    for t in tiles:
+        r = SCALE_BASE ** t.level
+        x = np.argwhere(np.abs(np.indices((2 * r + 1,) * d) - r).sum(axis=0) <= r)
+        x += np.array(t.center) - r - forest.grid_lo
+        x = x[np.all((x >= 0) & (x < forest.grid.shape), axis=1)]
+        for tid in np.unique(forest.grid[tuple(x.T)]):
+            cur = int(tid)
+            while cur is not None and cur != t.tid:
+                cur = tiles[cur].parent
+            if tid >= 0 and cur is None:
+                rep.add("descendant-gap", (t.center, tiles[int(tid)].center))
+    rep.stats.setdefault("violations_total", 0)
+    return rep
+
+
+def _break_forest(forest, rng):
+    """Random damage: tiles painted over others (level-1 balls, or random
+    masks, some empty, centered off them), parents and clump lists rewired
+    (parents only ever point to later tiles, so no chain loops), and centers
+    without tiles."""
+    d, shape = forest.d, np.array(forest.grid.shape)
+    for _ in range(rng.integers(1, 4)):
+        side = rng.integers(1, 12, size=d)
+        lo = forest.grid_lo + rng.integers(0, shape - side + 1)
+        if rng.random() < 0.5 and np.all(shape >= 27):
+            lo = forest.grid_lo + rng.integers(0, shape - 26)
+            forest._new_tile(1, lo + 13, lo, _ball_mask(d, 13))
+        else:
+            mask = rng.random(side) < rng.choice([0.0, 0.3, 0.9])
+            level = int(rng.choice(list(forest.levels)))
+            forest._new_tile(level, lo + rng.integers(-20, 20, size=d), lo, mask)
+    n = len(forest.tiles)
+    for t in rng.choice(forest.tiles, size=min(n, 3), replace=False):
+        roll = rng.random()
+        if roll < 0.4:
+            t.parent = None if t.tid == n - 1 or rng.random() < 0.3 else \
+                int(rng.integers(t.tid + 1, n))
+        elif roll < 0.8:
+            t.clump_members = tuple(int(m) for m in rng.choice(n, rng.integers(0, 4)))
+        else:
+            j = int(rng.choice(list(forest.levels)))
+            c = forest.lo + rng.integers(0, forest.hi - forest.lo)
+            forest.levels[j] = np.vstack([forest.levels[j], c[None]])
+
+
+@pytest.mark.parametrize("d, side, tries", [(1, 3000, (300, 20, 2)), (2, 420, (200, 3)),
+                                            (3, 60, (40,))])
+def test_audit_matches_mask_walk(d, side, tries):
+    rng = np.random.default_rng(d)
+    for case in range(12):
+        by_level = {j: _spaced_centers(rng, d, j, side, n)
+                    for j, n in enumerate(tries, start=1)}
+        forest = TileForest(d, (0,) * d, (side,) * d, by_level, **_const_fns())
+        if case:
+            _break_forest(forest, rng)
+        got, want = forest.audit(), _walk_audit(forest)
+        assert repr((got.passed, got.violations, got.stats)) == \
+            repr((want.passed, want.violations, want.stats)), case
+
+
 # -- the ancestor chain fixture ----------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -552,7 +666,7 @@ def test_forest_fixture_3d():
     crep = _audit_coloring(forest)
     assert crep.passed, crep.summary()
     # Any axis plane of a proper 3d coloring is a proper 2d coloring.
-    from ffcolor.verify import check_coloring
+    from ffcolor.verify import AuditReport, check_coloring
     k = int(np.argwhere(valid)[0][0])
     plane = check_coloring(colors[k], valid=valid[k],
                            window=Window((0, 0), (70, 70)),
