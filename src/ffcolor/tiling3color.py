@@ -564,8 +564,8 @@ class TileForest:
         steps = [self._id_steps(k) for k in range(self.d)]
         signs = _sign_rows(self.d)
         top, bottom, filled = self._extremes(steps[0], lost_ids, lost, signs)
-        at_center = (np.array([t.center for t in self.tiles], dtype=np.int64).reshape(n, self.d)
-                     - self.grid_lo) @ signs.T
+        centers = np.array([t.center for t in self.tiles], dtype=np.int64).reshape(n, self.d)
+        at_center = (centers - self.grid_lo) @ signs.T
         level = np.array([t.level for t in self.tiles], dtype=np.int64)
         r = SCALE_BASE ** level
 
@@ -602,7 +602,7 @@ class TileForest:
 
         self._audit_coverage(rep)
         self._audit_adjacency(rep, steps, lost_ids, lost)
-        self._audit_descendants(rep)
+        self._audit_descendants(rep, centers, level)
         rep.stats.setdefault("violations_total", 0)
         return rep
 
@@ -709,12 +709,10 @@ class TileForest:
         after[loose] = first[loose] + 1
         return first, after
 
-    def _audit_descendants(self, rep: AuditReport) -> None:
+    def _audit_descendants(self, rep: AuditReport, centers, level) -> None:
         n = len(self.tiles)
         first, after = self._subtrees()
         order = np.append(first, 0).astype(np.int32)  # unpainted cells (-1) read the last entry
-        centers = np.array([t.center for t in self.tiles], dtype=np.int64).reshape(n, self.d)
-        level = np.array([t.level for t in self.tiles], dtype=np.int64)
         gaps = [np.empty(0, dtype=np.int64)]
         # one pass per level over the ball boxes of its tiles, cut from a
         # window view of the grid (padded only if some box sticks out of it)

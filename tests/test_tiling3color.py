@@ -444,12 +444,12 @@ def _break_forest(forest, rng):
     without tiles."""
     d, shape = forest.d, np.array(forest.grid.shape)
     for _ in range(rng.integers(1, 4)):
-        side = rng.integers(1, 12, size=d)
-        lo = forest.grid_lo + rng.integers(0, shape - side + 1)
         if rng.random() < 0.5 and np.all(shape >= 27):
             lo = forest.grid_lo + rng.integers(0, shape - 26)
             forest._new_tile(1, lo + 13, lo, _ball_mask(d, 13))
         else:
+            side = rng.integers(1, 12, size=d)
+            lo = forest.grid_lo + rng.integers(0, shape - side + 1)
             mask = rng.random(side) < rng.choice([0.0, 0.3, 0.9])
             level = int(rng.choice(list(forest.levels)))
             forest._new_tile(level, lo + rng.integers(-20, 20, size=d), lo, mask)
@@ -666,7 +666,7 @@ def test_forest_fixture_3d():
     crep = _audit_coloring(forest)
     assert crep.passed, crep.summary()
     # Any axis plane of a proper 3d coloring is a proper 2d coloring.
-    from ffcolor.verify import AuditReport, check_coloring
+    from ffcolor.verify import check_coloring
     k = int(np.argwhere(valid)[0][0])
     plane = check_coloring(colors[k], valid=valid[k],
                            window=Window((0, 0), (70, 70)),
