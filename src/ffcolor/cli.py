@@ -2,7 +2,9 @@
 coding-radius tails, and classify or generate one-dimensional subshift runs.
 
 `CONSTRUCTIONS` is the one place a construction is declared: `color` runs its
-window engine, `stats` its demand engine, and both read their choices from it.
+window engine and every audit its output must pass, `stats` its demand engine,
+and both read their choices from it.  `color` writes its outputs, records each
+audit's verdict in the manifest, and exits 1 if any audit failed.
 
 Every command is a pure function of (seed, flags, package version): reruns are
 byte-identical.  Exit codes: 0 ok, 1 audit failure, 2 config error, 3 budget
@@ -23,15 +25,16 @@ import numpy as np
 from . import __version__
 from .field import Budget, BudgetExceeded, LabelField, Tracker, TrackedField, \
     tracked
-from .fourcolor import baseline_percolation_4color, baseline_window, four_color_window
+from .fourcolor import audit_faces, audit_sign_clusters, baseline_percolation_4color, \
+    baseline_window, four_color_window
 from .lattice import LatticeSpec, Window, WindowGraph
 from .perc3color import coding_radii, three_color_2d
 from .reduction import tower_color_at, tower_coloring
 from .sft import LatticeRefusal, choose_base, classify, generate, parse_spec, \
     recurrence_gcd, verify_membership
 from .tiling3color import three_color_general, threegen_window
-from .verify import check_coloring, check_heights, check_net, radius_tail_csv, \
-    survival_points
+from .verify import check_coloring, check_heights, check_net, check_palette, \
+    radius_tail_csv, survival_points
 
 EXIT_OK = 0
 EXIT_AUDIT = 1
@@ -175,51 +178,78 @@ def _tower(args, field, window):
     consts = {"delta": tw.delta, "kmax": tw.kmax, "fallback_count": tw.fallback_count,
               "n_k": [tw.seq.n_k(k) for k in range(1, tw.kmax + 1)]}
     return (tw.colors.reshape(window.extent),
-            (~tw.tainted & wg.interior).reshape(window.extent), None, consts)
+            (~tw.tainted & wg.interior).reshape(window.extent), None, consts, None)
 
 
 def _four(args, field, window):
     fc = four_color_window(field, window)
-    return fc.colors, fc.valid, None, {"M": fc.M, "C": fc.C, "Cprime": fc.Cprime}
+    return fc.colors, fc.valid, None, {"M": fc.M, "C": fc.C, "Cprime": fc.Cprime}, fc
 
 
 def _three2d(args, field, window):
     radii, resolved, colors, _ = coding_radii(field, window, cap=args.cap)
     tails = [int(r) if ok else None for r, ok in zip(radii.ravel(), resolved.ravel())]
-    return colors, resolved, tails, {"cap": args.cap, "start_half": 4}
+    return colors, resolved, tails, {"cap": args.cap, "start_half": 4}, None
 
 
 def _threegen(args, field, window):
     consts = {k: vars(args)[k] for k in ("maxlevel", "density_scale", "margin")}
     colors, valid, forest = threegen_window(field, window, **consts)
     consts["levels"] = {str(j): len(p) for j, p in forest.levels.items()}
-    rep = forest.audit()
-    consts["forest_audit"] = {"passed": rep.passed,
-                              "violations_total": rep.stats["violations_total"]}
-    return colors, valid, None, consts
+    return colors, valid, None, consts, forest
+
+
+def _coloring_audits(q: Callable, every_cell: bool = False) -> dict:
+    """Properness, and colors in 1..q(d) on the valid cells or on every cell."""
+    return {"proper": lambda colors, valid, _: check_coloring(colors, valid=valid),
+            "palette": lambda colors, valid, _: check_palette(
+                colors, q(colors.ndim), None if every_cell else valid)}
+
+
+_THREE_COLORING_AUDITS = {**_coloring_audits(lambda d: 3),
+                          "heights": lambda colors, valid, _: check_heights(colors, valid)}
 
 
 class Construction(NamedTuple):
-    """`window(args, field, window)` -> (colors, valid, radii-or-None, constants);
-    `demand(args, field, v)` answers one site, censored past `args.cap`, or is
-    None.  Engines are looked up by name at call time, so tests can spy on them."""
+    """`window(args, field, window)` -> (colors, valid, radii-or-None, constants,
+    engine-or-None); `demand(args, field, v)` answers one site, censored past
+    `args.cap`, or is None.  `audits` maps a name to `audit(colors, valid,
+    engine)` -> AuditReport.  `window_value(answer)` is a demand answer as the
+    window reports it (color, and radius where it reports radii), or None where
+    the window is not the factor the demand engine computes.  Engines are
+    looked up by name at call time, so tests can spy on them."""
     dims: tuple
     window: Callable
     demand: Callable | None
+    audits: dict
+    window_value: Callable | None
+
+    def audits_at(self, d: int) -> dict:
+        # the height check walks unit squares, which a line does not have
+        return {name: a for name, a in self.audits.items() if d == 2 or name != "heights"}
 
 
 CONSTRUCTIONS = {
     "tower": Construction((1, 2), _tower, lambda args, f, v: tower_color_at(
-        f, v, LatticeSpec(args.d, 1, "l1"))),
-    "four": Construction((2, 3), _four, None),
+        f, v, LatticeSpec(args.d, 1, "l1")),  # answers (color, level)
+        _coloring_audits(lambda d: 2 * d + 1), lambda answer: answer[0]),
+    "four": Construction((2, 3), _four, None, {
+        **_coloring_audits(lambda d: 4, every_cell=True),
+        "faces": lambda colors, valid, fc: audit_faces(fc.boxes),
+        "sign-clusters": lambda colors, valid, fc: audit_sign_clusters(fc.signs)}, None),
     "three2d": Construction((2,), _three2d, lambda args, f, v: three_color_2d(
-        v, f, radius_cap=args.cap)),
+        v, f, radius_cap=args.cap),  # answers (color, radius)
+        _THREE_COLORING_AUDITS, lambda answer: answer),
+    # a root-closed window is not the factor the query computes
     "threegen": Construction((1, 2), _threegen, lambda args, f, v: three_color_general(
-        v, args.d, f, density_scale=args.density_scale, radius_cap=args.cap)),
+        v, args.d, f, density_scale=args.density_scale, radius_cap=args.cap),
+        {**_THREE_COLORING_AUDITS, "forest": lambda colors, valid, forest: forest.audit()},
+        None),
     "baseline4": Construction(
         (2,), lambda args, f, w: (*baseline_window(f, w, margin=args.margin), None,
-                                  {"margin": args.margin}),
-        lambda args, f, v: baseline_percolation_4color(v, f)),
+                                  {"margin": args.margin}, None),
+        lambda args, f, v: baseline_percolation_4color(v, f),
+        _coloring_audits(lambda d: 4), lambda answer: answer),
 }
 
 
@@ -249,13 +279,15 @@ def cmd_color(args) -> int:
         "palette": {str(k): list(v) for k, v in PALETTE.items()},
     }
     try:
-        colors, valid, radii, consts = entry.window(args, field, window)
+        colors, valid, radii, consts, engine = entry.window(args, field, window)
     except BudgetExceeded as e:
         manifest["budget_exceeded"] = {"kind": e.kind, "limit": e.limit,
                                        "stream": e.stream, "where": list(e.where)}
         _write_json(json_path, manifest)
         print(f"budget exhausted: {e}", file=sys.stderr)
         return EXIT_BUDGET
+    reports = {name: audit(colors, valid, engine)
+               for name, audit in entry.audits_at(args.d).items()}
     colors = np.where(valid, colors, 0)
     # a pixmap holds a line or a plane; a grid of more axes has the manifest only
     outputs = {"image": None, "radii": None}
@@ -269,11 +301,16 @@ def cmd_color(args) -> int:
     manifest.update({
         "constants": consts, "outputs": outputs,
         "valid_fraction": float(valid.mean()), "color_counts": counts,
+        "audits": {name: {k: rep.to_json()[k] for k in ("passed", "violations_total")}
+                   for name, rep in reports.items()},
     })
     _write_json(json_path, manifest)
     print(f"wrote {img_path if outputs['image'] else json_path} "
           f"({valid.mean():.1%} of cells resolved)")
-    return EXIT_OK
+    failed = [name for name, rep in reports.items() if not rep.passed]
+    if failed:
+        print(f"audit failed: {', '.join(failed)}", file=sys.stderr)
+    return EXIT_AUDIT if failed else EXIT_OK
 
 
 # -- verify -----------------------------------------------------------------------
@@ -308,7 +345,8 @@ def cmd_verify(args) -> int:
             hrep = check_heights(colors, valid, construction="heights")
             for kind, where in hrep.violations:
                 rep.add(kind, where)
-            rep.stats["circuits_checked"] = hrep.stats["circuits_checked"]
+            rep.stats.update((k, v) for k, v in hrep.stats.items()
+                             if k != "violations_total")
     print(rep.summary())
     for kind, where in rep.violations[:10]:
         print(f"  {kind} at {where}")

@@ -189,9 +189,14 @@ def centers(field, j: int, lo, hi, *, density_scale: float = 1.0) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _ball_mask(d: int, r: int) -> np.ndarray:
     """The 1-norm ball of radius r in its (2r+1)^d box, read-only: every
-    level-1 tile of radius r holds this one array as its mask."""
-    grids = np.indices((2 * r + 1,) * d)
-    ball = np.abs(grids - r).sum(axis=0) <= r
+    level-1 tile of radius r holds this one array as its mask.  Only the
+    radius left after the leading d - 1 axes is held as integers, so the
+    peak stays near the mask's own size."""
+    off = np.abs(np.arange(-r, r + 1))
+    left = np.int64(r)
+    for _ in range(d - 1):
+        left = np.subtract.outer(left, off)
+    ball = np.greater_equal.outer(left, off)
     ball.flags.writeable = False
     return ball
 

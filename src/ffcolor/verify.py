@@ -121,6 +121,18 @@ def check_coloring(colors: np.ndarray, m: int = 1, norm: str = "l1",
     return rep
 
 
+def check_palette(colors: np.ndarray, q: int,
+                  valid: np.ndarray | None = None) -> AuditReport:
+    """Every cell, or every valid cell where `valid` is given, holds a color in 1..q."""
+    colors = np.asarray(colors)
+    bad = (colors < 1) | (colors > q)
+    rep = AuditReport("palette", None)
+    rep.add_mask("palette", bad if valid is None else bad & valid,
+                 lambda idx: _abs(idx, None))
+    rep.stats["cells_checked"] = bad.size if valid is None else int(valid.sum())
+    return rep
+
+
 def _abs(idx, window: Window | None) -> tuple:
     """A grid index as a tuple of ints, shifted by the window's origin."""
     origin = (0,) * len(idx) if window is None else window.origin

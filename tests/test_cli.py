@@ -21,7 +21,7 @@ from ffcolor.lattice import LatticeSpec, Window
 from ffcolor.perc3color import three_color_2d
 from ffcolor.reduction import MNet, tower_color_at
 from ffcolor.tiling3color import three_color_general
-from ffcolor.verify import radius_tail_csv
+from ffcolor.verify import check_heights, radius_tail_csv
 
 
 COL3 = "3 2\n1 2\n1 3\n2 1\n2 3\n3 1\n3 2\n"
@@ -178,12 +178,34 @@ def test_oversized_window_is_config_error(tmp_path, capsys, construction, window
     assert not any(tmp_path.iterdir())
 
 
-def test_threegen_manifest_records_the_forest_audit(tmp_path):
-    assert run("color", "--construction", "threegen", "--window", "0,0,96,96",
-               "--out", tmp_path / "tg") == 0
-    consts = json.loads((tmp_path / "tg.json").read_text())["constants"]
-    assert consts["forest_audit"] == {"passed": True, "violations_total": 0}
-    assert sum(consts["levels"].values()) > 0
+@pytest.mark.parametrize("name,d", [(n, d) for n, c in cli.CONSTRUCTIONS.items()
+                                    for d in c.dims])
+def test_manifest_lists_the_declared_audits(tmp_path, name, d):
+    # windows wide enough that threegen's default flags leave tiles to audit
+    extent = {1: 2000, 2: 96, 3: 12}[d]
+    window = ",".join(["0"] * d + [str(extent)] * d)
+    assert run("color", "--construction", name, "--d", d, f"--window={window}",
+               "--out", tmp_path / "run") == 0
+    man = json.loads((tmp_path / "run.json").read_text())
+    assert man["valid_fraction"] > 0
+    assert man["audits"] == {a: {"passed": True, "violations_total": 0}
+                             for a in cli.CONSTRUCTIONS[name].audits_at(d)}
+    assert "forest_audit" not in man["constants"]
+
+
+def test_color_exits_1_when_an_audit_fails(tmp_path, monkeypatch, capsys):
+    def one_color(args, field, window):
+        shape = window.extent
+        return np.ones(shape, dtype=int), np.ones(shape, dtype=bool), None, {}, None
+    entry = cli.CONSTRUCTIONS["tower"]
+    monkeypatch.setitem(cli.CONSTRUCTIONS, "tower", entry._replace(window=one_color))
+    assert run("color", "--construction", "tower", "--window", "0,0,8,8",
+               "--out", tmp_path / "bad") == 1
+    audits = json.loads((tmp_path / "bad.json").read_text())["audits"]
+    assert audits["proper"] == {"passed": False, "violations_total": 2 * 7 * 8}
+    assert audits["palette"]["passed"]
+    assert np.array_equal(read_ppm(tmp_path / "bad.ppm"), np.ones((8, 8)))
+    assert "audit failed: proper" in capsys.readouterr().err
 
 
 def test_density_scale_one_is_accepted(tmp_path):
@@ -231,7 +253,8 @@ def test_color_then_verify_round_trip(tmp_path, name, d):
         assert man["outputs"]["image"] is None and man["valid_fraction"] == 1.0
         assert not (tmp_path / "run.ppm").exists()
         return
-    kind = "three-coloring" if d == 2 and name in ("three2d", "threegen") else "coloring"
+    kind = "three-coloring" if "heights" in cli.CONSTRUCTIONS[name].audits_at(d) \
+        else "coloring"
     assert run("verify", "--image", tmp_path / "run.ppm", "--kind", kind) == 0
 
 
@@ -279,6 +302,19 @@ def test_verify_three_coloring_checks_heights(tmp_path):
                "--kind", "three-coloring", "--json", tmp_path / "rep.json") == 0
     rep = json.loads((tmp_path / "rep.json").read_text())
     assert rep["stats"]["circuits_checked"] > 0
+
+
+def test_verify_three_coloring_reports_every_height_counter(tmp_path):
+    x, y = np.indices((40, 30))
+    colors = (x + y) % 3 + 1
+    write_ppm(tmp_path / "diag.ppm", colors)
+    assert run("verify", "--image", tmp_path / "diag.ppm", "--kind", "three-coloring",
+               "--json", tmp_path / "rep.json") == 0
+    stats = json.loads((tmp_path / "rep.json").read_text())["stats"]
+    heights = check_heights(colors).stats
+    assert heights["rectangles_checked"] == 100
+    for key, value in heights.items():
+        assert stats[key] == value, key
 
 
 def test_verify_net_flags_covering_gap(tmp_path):

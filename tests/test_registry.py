@@ -1,15 +1,16 @@
 """One gate over every construction of the CLI registry.
 
 Each entry runs with the flags `color` parses, on seeded small windows.  The
-gate checks that the window output passes the entry's audits (for threegen,
-also the audit of its tile forest that `color` records), that a tracked
-window run replayed through `PerturbedField` (base labels where the tracker
-saw a read, foreign labels elsewhere) gives the same output, and that each
-tracked demand answer, censored ones included, replays the same way.
+gate checks that the window output passes every audit its registry entry
+declares at that d, that a tracked window run replayed through
+`PerturbedField` (base labels where the tracker saw a read, foreign labels
+elsewhere) gives the same output, and that each tracked demand answer,
+censored ones included, replays the same way.
 
-Where the demand engine computes the same factor as the window engine, the
-two agree on every valid site.  Where the window also reports radii, a site
-is valid exactly when its query resolves within the cap, at that radius.
+Where an entry has a `window_value`, the demand and window engines compute the
+same factor and agree on every valid site.  Where the window also reports
+radii, a site is valid exactly when its query resolves within the cap, at
+that radius.
 """
 
 import numpy as np
@@ -21,45 +22,6 @@ from ffcolor.cli import CONSTRUCTIONS, build_parser
 from ffcolor.field import Budget, BudgetExceeded, LabelField, PerturbedField, \
     TrackedField, Tracker
 from ffcolor.lattice import Window
-from ffcolor.verify import check_coloring, check_heights
-
-
-def proper(colors, valid):
-    return check_coloring(colors, m=1, valid=valid).passed
-
-
-def palette(q):
-    """Colors of valid sites lie in 1..q(d)."""
-    def in_palette(colors, valid):
-        return np.isin(colors[valid], np.arange(1, q(colors.ndim) + 1)).all()
-    return in_palette
-
-
-def heights(colors, valid):
-    # the height check walks unit squares, which a line does not have
-    return colors.ndim == 1 or check_heights(colors, valid).passed
-
-
-def complete(colors, valid):
-    return valid.all()
-
-
-AUDITS = {
-    "tower": (proper, palette(lambda d: 2 * d + 1)),
-    "four": (proper, palette(lambda d: 4), complete),
-    "three2d": (proper, palette(lambda d: 3), heights),
-    "threegen": (proper, palette(lambda d: 3), heights),
-    "baseline4": (proper, palette(lambda d: 4)),
-}
-
-# A demand answer, mapped to what the window reports at that site: its color,
-# and its radius where the window reports radii.  threegen has no row:
-# `threegen_window` is root-closed, so it is not the factor its query computes.
-WINDOW_VALUE = {
-    "tower": lambda answer: answer[0],  # (color, level)
-    "three2d": lambda answer: answer,  # (color, radius)
-    "baseline4": lambda answer: answer,
-}
 
 # (name, d) -> (color flags beyond the defaults, largest extent per axis).
 # three2d runs at cap 256, not 512, so that a censored query stays affordable;
@@ -80,10 +42,8 @@ UNLIMITED = Budget(radius_cap=10**9, access_cap=10**9)
 
 
 def test_gate_covers_the_registry():
-    assert set(AUDITS) == set(CONSTRUCTIONS)
     assert set(GATE) == {(n, d) for n, c in CONSTRUCTIONS.items() for d in c.dims}
-    assert set(WINDOW_VALUE) | {"threegen"} == {n for n, c in CONSTRUCTIONS.items()
-                                                if c.demand}
+    assert all(c.demand for c in CONSTRUCTIONS.values() if c.window_value)
 
 
 def _same(a, b) -> bool:
@@ -116,23 +76,21 @@ def test_registry_gate(name, d, seed, data):
     center = tuple(o + e // 2 for o, e in zip(window.origin, window.extent))
     tr = Tracker(center, UNLIMITED)
     out = entry.window(args, TrackedField(base, tr), window)
-    assert _same(entry.window(args, PerturbedField(base, tr, alt), window), out)
-    colors, valid, radii, consts = out
-    for audit in AUDITS[name]:
-        assert audit(colors, valid), audit.__name__
-    if name == "threegen":
-        assert consts["forest_audit"] == {"passed": True, "violations_total": 0}
+    assert _same(entry.window(args, PerturbedField(base, tr, alt), window)[:4], out[:4])
+    colors, valid, radii, _, engine = out
+    for audit_name, audit in entry.audits_at(d).items():
+        assert audit(colors, valid, engine).passed, audit_name
 
     if entry.demand is None:
         return
     # the origin is queried even where the window leaves it unresolved
     sites = {window.origin}
-    if name in WINDOW_VALUE:
+    if entry.window_value:
         sites |= {tuple(map(int, np.add(i, window.origin))) for i in np.argwhere(valid)}
     for v in sorted(sites):
         answer, tr = _answer(entry.demand, args, base, v)
         assert _answer(entry.demand, args, PerturbedField(base, tr, alt), v)[0] == answer
-        if name not in WINDOW_VALUE:
+        if not entry.window_value:
             continue
         at = tuple(np.subtract(v, window.origin))
         if radii is not None:
@@ -141,4 +99,4 @@ def test_registry_gate(name, d, seed, data):
             assert r is None or r == tr.radius
         if valid[at]:
             expect = colors[at] if radii is None else (colors[at], r)
-            assert WINDOW_VALUE[name](answer) == expect, v
+            assert entry.window_value(answer) == expect, v

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -266,6 +267,27 @@ def test_level_one_masks_are_read_only():
         with pytest.raises(ValueError):
             t.mask[13, 13] = False
     assert forest.tiles[0].mask[13, 13]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ball_mask_matches_the_index_grid_rule(d):
+    for r in (0, 1, 2, 7, 13):
+        grids = np.indices((2 * r + 1,) * d)
+        ball = _ball_mask(d, r)
+        assert ball.dtype == bool and not ball.flags.writeable
+        assert np.array_equal(ball, np.abs(grids - r).sum(axis=0) <= r)
+
+
+def test_ball_mask_peak_stays_near_the_mask_size():
+    _ball_mask.cache_clear()
+    tracemalloc.start()
+    try:
+        ball = _ball_mask(3, 80)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _ball_mask.cache_clear()
+    assert peak < 2 * ball.nbytes
 
 
 # -- clump bookkeeping against a union-find reference -------------------------

@@ -22,6 +22,7 @@ from ffcolor.verify import (
     check_coloring,
     check_heights,
     check_net,
+    check_palette,
     radius_tail_csv,
     radius_tail_rows,
     survival_points,
@@ -88,6 +89,17 @@ def test_totals_stay_exact_past_the_violation_cap(audit, total):
     rep = audit(np.ones((200, 200), dtype=int))
     assert rep.stats["violations_total"] == total
     assert len(rep.violations) == VIOLATION_CAP
+
+
+def test_check_palette_over_valid_cells_or_every_cell():
+    x = np.array([[1, 4, 0], [3, 5, 2]])
+    valid = np.array([[True, True, False], [True, False, True]])
+    rep = check_palette(x, 4, valid=valid)
+    assert rep.passed and rep.stats["cells_checked"] == 4
+    rep = check_palette(x, 4)
+    assert rep.stats["violations_total"] == 2 and rep.stats["cells_checked"] == 6
+    assert rep.violations == [("palette", (0, 2)), ("palette", (1, 1))]
+    assert not check_palette(x, 3, valid=valid).passed
 
 
 # ---------------------------------------------------------------------------
