@@ -301,7 +301,7 @@ def cmd_color(args) -> int:
     manifest.update({
         "constants": consts, "outputs": outputs,
         "valid_fraction": float(valid.mean()), "color_counts": counts,
-        "audits": {name: {k: rep.to_json()[k] for k in ("passed", "violations_total")}
+        "audits": {name: {"passed": rep.passed, "violations_total": 0, **rep.stats}
                    for name, rep in reports.items()},
     })
     _write_json(json_path, manifest)
@@ -342,11 +342,7 @@ def cmd_verify(args) -> int:
         rep = check_coloring(colors, m=args.m, norm=args.norm, valid=valid,
                              construction=args.kind)
         if args.kind == "three-coloring":
-            hrep = check_heights(colors, valid, construction="heights")
-            for kind, where in hrep.violations:
-                rep.add(kind, where)
-            rep.stats.update((k, v) for k, v in hrep.stats.items()
-                             if k != "violations_total")
+            rep.merge(check_heights(colors, valid, construction="heights"))
     print(rep.summary())
     for kind, where in rep.violations[:10]:
         print(f"  {kind} at {where}")

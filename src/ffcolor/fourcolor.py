@@ -23,12 +23,9 @@ The net coloring is a sequential greedy coloring of the net graph, run as
 Box radii are chosen one color class at a time: the face geometry of every
 near pair is computed once, and each class adds its fixed radii, scatters
 the values they prohibit into one mask and takes the least free value per
-row.  Near pairs of centers come from a pairwise scan in blocks of 256 rows,
-so memory stays O(256 n) rather than n x n.  A k-d tree would need
-`scipy.spatial`, whose import alone adds about 0.07 s to start-up (2-vCPU
-host, warm file cache); the scan over the hundred or so centers of a window
-takes about 0.1 ms.  The face audit pairs faces by sorted level along their
-axis, so it measures only faces at most 3 levels apart.
+row.  Near pairs of centers come from `lattice.close_pairs`, and the face
+audit pairs faces by the same sweep over their levels along each axis, so it
+measures only faces at most 3 levels apart.
 
 Cluster phases label every value once and pick each cluster's anchor by
 one scatter: the site of largest phase label, and on a tie the last one in
@@ -46,7 +43,8 @@ import numpy as np
 from scipy import ndimage
 
 from .field import BudgetExceeded
-from .lattice import FiniteGraph, Window, nonzero_offsets
+from .lattice import FiniteGraph, Window, close_pairs, nonzero_offsets, overlap, \
+    sweep_pairs
 from .reduction import _greedy, greedy_independent_set
 from .verify import AuditReport
 
@@ -143,8 +141,7 @@ def fixture_net(field, lo, hi, M: int, *, ensure=None) -> np.ndarray:
         covered = np.zeros(shape, dtype=bool)
 
         def paint(p):
-            covered[tuple(slice(max(int(p[a] - M - elo[a]), 0), int(p[a] + M + 1 - elo[a]))
-                          for a in range(d))] = True
+            covered[overlap(elo, shape, p - M, (2 * M + 1,) * d)[0]] = True
 
         # only centers within M of the ensure box paint any of it
         for p in kept[((kept >= elo - M) & (kept < ehi + M)).all(axis=1)]:
@@ -199,25 +196,6 @@ def _candidate_graph(offs: np.ndarray, ncell) -> FiniteGraph:
     return FiniteGraph(n, nbr.reshape(n, -1))
 
 
-def _near_pairs(centers: np.ndarray, reach: int):
-    """(i, j, dist) for every ordered pair i != j of centers at sup-distance
-    <= reach, i-major and j increasing.  Scans 256 rows at a time, so
-    memory stays O(256 n)."""
-    n = len(centers)
-    parts = []
-    for start in range(0, n, 256):
-        dist = np.zeros((min(256, n - start), n), dtype=np.int64)
-        for col in centers.T:
-            np.maximum(dist, np.abs(col[start:start + 256, None] - col), out=dist)
-        i, j = np.nonzero(dist <= reach)
-        keep = i + start != j
-        i, j = i[keep], j[keep]
-        parts.append((i + start, j, dist[i, j]))
-    if not parts:
-        return (np.zeros(0, dtype=np.int64),) * 3
-    return tuple(np.concatenate(p) for p in zip(*parts))
-
-
 def net_coloring(centers: np.ndarray, reach: int, field, *, pairs=None) -> np.ndarray:
     """Greedy proper coloring of the net graph with edges at distance <= reach.
 
@@ -227,14 +205,14 @@ def net_coloring(centers: np.ndarray, reach: int, field, *, pairs=None) -> np.nd
     call, which records the scattered centers as points (a bulk read would
     be recorded as their bounding box), and are converted as
     `field.uniform` converts one label, so ties are those of the floats.
-    `pairs` is `_near_pairs(centers, reach)` when the caller has it.
+    `pairs` is `close_pairs(centers, reach, "linf")` when the caller has it.
     """
     centers = np.asarray(centers, dtype=np.int64)
     n = len(centers)
     h = np.array(field.u64_points(ORDER_STREAM, list(map(tuple, centers.tolist()))),
                  dtype=np.uint64)
     prio = (h >> np.uint64(11)) * 2.0**-53
-    i, j, _ = _near_pairs(centers, reach) if pairs is None else pairs
+    i, j, _ = close_pairs(centers, reach, "linf") if pairs is None else pairs
     colors = np.zeros(n, dtype=np.int64)
     _greedy(colors, FiniteGraph.from_edges(n, np.stack([i, j], axis=1)[i < j]),
             np.arange(n), prio, None, later_first=False)
@@ -262,13 +240,13 @@ def assign_radii(centers: np.ndarray, colors: np.ndarray, M: int, *,
     prohibited.  The terms without rt are computed once for every near
     pair; each class adds its fixed radii and scatters its prohibitions
     into one mask, then takes the least free value per row.  `pairs` is
-    `_near_pairs(centers, 4 * M + 3)` when the caller has it.
+    `close_pairs(centers, 4 * M + 3, "linf")` when the caller has it.
     """
     centers = np.asarray(centers, dtype=np.int64)
     colors = np.asarray(colors, dtype=np.int64)
     n, d = centers.shape
     reach = 4 * M + 3
-    i, j, dist = _near_pairs(centers, reach) if pairs is None else pairs
+    i, j, dist = close_pairs(centers, reach, "linf") if pairs is None else pairs
     packing = np.zeros(n, dtype=bool)
     packing[i[dist <= M]] = True
     improper = np.zeros(n, dtype=bool)
@@ -343,23 +321,16 @@ def audit_faces(boxes: BoxSystem) -> AuditReport:
 
     A face perpendicular to an axis is two sites thick along it, so two of
     them are within distance 2 only if their levels on that axis differ by
-    at most 3.  The faces are sorted by level, each is paired with those at
-    most 3 levels above it, and only those pairs are measured.  Violations
-    are recorded axis by axis, in increasing order of the face pair (i, j),
-    i < j, with exact totals.
+    at most 3.  `sweep_pairs` pairs the faces at most 3 levels apart, and
+    only those pairs are measured.  Violations are recorded axis by axis, in
+    increasing order of the face pair (i, j), i < j, with exact totals.
     """
     rep = AuditReport("faces", None)
     rep.stats["violations_total"] = 0
     for axis in range(boxes.d):
         lo, hi, owner = _faces_axis(boxes, axis)
-        k = len(owner)
-        order = np.argsort(lo[:, axis], kind="stable")
-        level = lo[order, axis]
-        # the sorted positions p < q with level[q] - level[p] <= 3
-        count = np.searchsorted(level, level + 3, side="right") - np.arange(1, k + 1)
-        p = np.repeat(np.arange(k), count)
-        q = p + 1 + np.arange(len(p)) - np.repeat(np.cumsum(count) - count, count)
-        i, j = np.minimum(order[p], order[q]), np.maximum(order[p], order[q])
+        a, b = sweep_pairs(lo[:, axis], 3)
+        i, j = np.minimum(a, b), np.maximum(a, b)
         close = np.maximum(lo[i] - hi[j], lo[j] - hi[i]).max(axis=1) <= 2
         at = np.lexsort((j[close], i[close]))
         i, j = i[close][at].tolist(), j[close][at].tolist()
@@ -376,36 +347,31 @@ def sign_window(window: Window, boxes: BoxSystem,
     """Vectorized sign field over a window.
 
     Returns (signs, covered); signs is 0 where no box covers the vertex.
+    Boxes paint their slices of the window in increasing net color, each
+    claiming the vertices no lower color holds, with sign + where the 1-norm
+    distance to the center is even: coordinate sums give its parity.
     Asserts that no vertex is covered by two boxes of equal net color.
     """
-    axes = window.ix_axes()
     shape = tuple(window.extent)
     lo = np.asarray(window.origin, dtype=np.int64)
     hi = lo + np.asarray(window.extent, dtype=np.int64) - 1
     nearest = np.clip(boxes.centers, lo, hi)
-    touches = (np.abs(boxes.centers - nearest).max(axis=1) <= boxes.radii)
+    touches = np.flatnonzero(np.abs(boxes.centers - nearest).max(axis=1) <= boxes.radii)
 
-    big = np.iinfo(np.int64).max
-    best = np.full(shape, big, dtype=np.int64)
+    odd = sum(window.ix_axes()) & 1
+    last = np.full(shape, -1, dtype=np.int64)  # net color of the last box painted
     signs = np.zeros(shape, dtype=np.int8)
-    for col in np.unique(net_colors):
-        count = np.zeros(shape, dtype=np.int16)
-        for i in np.nonzero(touches & (net_colors == col))[0]:
-            c = boxes.centers[i]
-            r = int(boxes.radii[i])
-            inside = np.ones(shape, dtype=bool)
-            dist1 = np.zeros(shape, dtype=np.int64)
-            for a, ax in enumerate(axes):
-                da = np.abs(ax - int(c[a]))
-                inside &= da <= r
-                dist1 += da
-            count += inside
-            claim = inside & (best > col)
-            signs[claim] = np.where(dist1[claim] % 2 == 0, 1, -1).astype(np.int8)
-            best[claim] = col
-        if (count > 1).any():
+    for i in touches[np.argsort(net_colors[touches], kind="stable")].tolist():
+        c, r, col = boxes.centers[i], int(boxes.radii[i]), net_colors[i]
+        at = overlap(window.origin, shape, c - r, (2 * r + 1,) * window.d)[0]
+        seen = last[at]
+        if (seen == col).any():
             raise AssertionError("two covering boxes share a net color")
-    return signs, best < big
+        seen[...] = col
+        sub = signs[at]
+        free = sub == 0
+        sub[free] = 1 - 2 * (odd[at][free] ^ (int(c.sum()) & 1))
+    return signs, last >= 0
 
 
 def audit_sign_clusters(signs: np.ndarray, *, bound: int = 1) -> AuditReport:
@@ -433,15 +399,13 @@ def audit_sign_clusters(signs: np.ndarray, *, bound: int = 1) -> AuditReport:
     return rep
 
 
-def _cluster_phases(values: np.ndarray, u: np.ndarray, *,
-                    forbidden: np.ndarray | None = None):
+def _cluster_phases(values: np.ndarray, u: np.ndarray):
     """Per-vertex parity of the 1-norm distance to the anchor of its
     equal-value cluster: the vertex of largest u, and on a tie the last one
     in raster order (the largest coordinate tuple).
 
-    Vertices whose cluster touches the grid rim (or a forbidden vertex, or
-    one of its lattice neighbors) are marked invalid: the cluster might
-    extend past what the grid shows.
+    Vertices whose cluster touches the grid rim are marked invalid: the
+    cluster might extend past what the grid shows.
     """
     shape = values.shape
     nd = values.ndim
@@ -472,14 +436,10 @@ def _cluster_phases(values: np.ndarray, u: np.ndarray, *,
     ok = np.full(n + 1, all(e > 2 for e in shape))
     for a in range(nd):
         ok[lab.take([0, -1], axis=a)] = False
-    if forbidden is not None and forbidden.any():
-        ok[lab[ndimage.binary_dilation(forbidden, structure=structure)]] = False
-        return parity, ok[lab] & ~forbidden
     return parity, ok[lab]
 
 
-def checkerboard_4color(values: np.ndarray, u: np.ndarray, *,
-                        forbidden: np.ndarray | None = None):
+def checkerboard_4color(values: np.ndarray, u: np.ndarray):
     """Four-coloring of a {1,2}-valued grid with bounded equal-value clusters.
 
     Each cluster is split by the parity of the 1-norm distance to its max-u
@@ -487,10 +447,9 @@ def checkerboard_4color(values: np.ndarray, u: np.ndarray, *,
     (-1)^parity, sending 1-clusters to {1,3} and 2-clusters to {2,4}.  Returns
     (colors, valid); colors are 0 where the cluster is not fully visible.
     """
-    check = values if forbidden is None else values[~forbidden]
-    if not np.isin(check, (1, 2)).all():
+    if not np.isin(values, (1, 2)).all():
         raise ValueError("values must be 1 or 2")
-    parity, valid = _cluster_phases(values, u, forbidden=forbidden)
+    parity, valid = _cluster_phases(values, u)
     colors = values + 1 + (1 - 2 * parity.astype(np.int64))
     return np.where(valid, colors, 0), valid
 
@@ -517,6 +476,8 @@ def four_color_window(field, window: Window) -> FourColoring:
     so every box that can touch the window sees its whole interaction
     neighborhood; the sign field is computed on the window padded by 2 so
     sign clusters (diameter <= 1 when the face audit passes) are complete.
+    Every vertex of that padded window is within sup-distance M of a net
+    center and every radius is at least M, so an uncovered vertex raises.
     """
     d = window.d
     M, C, Cp = choose_M(d)
@@ -529,16 +490,17 @@ def four_color_window(field, window: Window) -> FourColoring:
     centers = fixture_net(field, lo, hi, M,
                           ensure=(zlo, zlo + np.asarray(zwin.extent, dtype=np.int64)))
     # one scan of the near pairs serves the net coloring and the radii
-    pairs = _near_pairs(centers, 4 * M + 3)
+    pairs = close_pairs(centers, 4 * M + 3, "linf")
     colors = net_coloring(centers, 4 * M + 3, field, pairs=pairs)
     radii = assign_radii(centers, colors, M, pairs=pairs)
     boxes = BoxSystem(centers, radii, M)
 
     signs, covered = sign_window(zwin, boxes, colors)
+    if not covered.all():
+        raise AssertionError("a window vertex lies in no box")
     two = np.where(signs > 0, 1, 2)
     u = field.uniform_box(PHASE_STREAM, zwin.ix_axes())
-    forbidden = ~covered if not covered.all() else None
-    x4, valid = checkerboard_4color(two, u, forbidden=forbidden)
+    x4, valid = checkerboard_4color(two, u)
 
     core = tuple(slice(pad, pad + e) for e in window.extent)
     return FourColoring(window=window, colors=x4[core], signs=signs[core],

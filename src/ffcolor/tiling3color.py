@@ -43,10 +43,9 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .field import BudgetExceeded, DEFAULT_BUDGET
-from .lattice import Window
+from .lattice import Window, close_pairs, overlap
 from .verify import AuditReport
 
 SCALE_BASE = 13
@@ -147,13 +146,6 @@ def _bernoulli_points(field, stream: str, lo, hi, p: float) -> np.ndarray:
     return np.stack(np.unravel_index(flat, tuple(hi - lo)), axis=1) + lo
 
 
-def _close_pairs(pts: np.ndarray, r: int) -> np.ndarray:
-    """Index pairs of points at 1-norm distance <= r.  The tree holds offsets
-    from the points' least corner: float64 is exact on those, while absolute
-    coordinates past 2^53 would round and merge nearby points."""
-    return cKDTree(pts - pts.min(axis=0)).query_pairs(r, p=1.0, output_type="ndarray")
-
-
 def centers(field, j: int, lo, hi, *, density_scale: float = 1.0) -> np.ndarray:
     """Level-j centers inside [lo, hi), in lexicographic order.
 
@@ -178,9 +170,7 @@ def centers(field, j: int, lo, hi, *, density_scale: float = 1.0) -> np.ndarray:
     if not core.any():
         return np.empty((0, d), dtype=np.int64)
     crowded = np.zeros(len(pts), dtype=bool)
-    pairs = _close_pairs(pts, pad)
-    if len(pairs):
-        crowded[pairs.ravel()] = True
+    crowded[close_pairs(pts, pad)[0]] = True
     return pts[core & ~crowded]
 
 
@@ -199,19 +189,6 @@ def _ball_mask(d: int, r: int) -> np.ndarray:
     ball = np.greater_equal.outer(left, off)
     ball.flags.writeable = False
     return ball
-
-
-def _overlap(lo_a, shape_a, lo_b, shape_b) -> tuple[tuple, tuple]:
-    """Slices of box a and of box b, each given by its least corner and
-    shape, that select the cells the two boxes share (empty when none)."""
-    at_a, at_b = [], []
-    for la, na, lb, nb in zip(np.asarray(lo_a).tolist(), shape_a,
-                              np.asarray(lo_b).tolist(), shape_b):
-        lo = max(la, lb)
-        hi = max(lo, min(la + na, lb + nb))
-        at_a.append(slice(lo - la, hi - la))
-        at_b.append(slice(lo - lb, hi - lb))
-    return tuple(at_a), tuple(at_b)
 
 
 def _l1_structure(d: int):
@@ -301,14 +278,11 @@ class TileForest:
     # -- construction ------------------------------------------------------
 
     def _check_spacing(self, j: int, pts: np.ndarray) -> None:
-        if len(pts) < 2:
-            return
-        pairs = _close_pairs(pts, 4 * SCALE_BASE ** j)
-        if len(pairs):
-            a, b = pts[pairs[0][0]], pts[pairs[0][1]]
+        i, k, _ = close_pairs(pts, 4 * SCALE_BASE ** j)
+        if len(i):
             raise ValueError(
-                f"level-{j} centers {tuple(a)} and {tuple(b)} violate the "
-                f"4*13^{j} separation")
+                f"level-{j} centers {tuple(pts[i[0]].tolist())} and "
+                f"{tuple(pts[k[0]].tolist())} violate the 4*13^{j} separation")
 
     def _alloc_grid(self) -> None:
         glo = self.lo.copy()
@@ -326,7 +300,7 @@ class TileForest:
         """Paint the tile's id on its unpainted mask cells.  Cells an earlier
         tile holds stay that tile's; they count in `overlaps`, and `_lost`
         keeps their indices in the raveled grid under this tile's id."""
-        at = _overlap(self.grid_lo, self.grid.shape, tile.lo, tile.mask.shape)[0]
+        at = overlap(self.grid_lo, self.grid.shape, tile.lo, tile.mask.shape)[0]
         sub = self.grid[at]
         clash = tile.mask & (sub >= 0)
         count = int(np.count_nonzero(clash))
@@ -366,7 +340,7 @@ class TileForest:
         shape = (2 * half + 1,) * self.d
         s_mask = np.zeros(shape, dtype=bool)
         s_mask[(slice(half - r, half + r + 1),) * self.d] = _ball_mask(self.d, r)
-        sub = self.grid[_overlap(self.grid_lo, self.grid.shape, lo, shape)[0]]
+        sub = self.grid[overlap(self.grid_lo, self.grid.shape, lo, shape)[0]]
 
         # S_B: the ball and every sub-level clump with a member within
         # distance 2 of it
@@ -375,7 +349,7 @@ class TileForest:
         absorbed = sorted(m for root in roots for m in self.tiles[root].clump_members)
         for tid in absorbed:
             t = self.tiles[tid]
-            inside = s_mask[_overlap(lo, shape, t.lo, t.mask.shape)[0]]
+            inside = s_mask[overlap(lo, shape, t.lo, t.mask.shape)[0]]
             if inside.shape != t.mask.shape:
                 raise AssertionError("clump member escapes its tile box")
             inside |= t.mask
@@ -513,8 +487,8 @@ class TileForest:
         if window is None:
             window = Window(tuple(self.lo), tuple(self.hi - self.lo))
         ids = np.full(window.extent, -1, dtype=np.int32)
-        at_ids, at_grid = _overlap(window.origin, window.extent,
-                                   self.grid_lo, self.grid.shape)
+        at_ids, at_grid = overlap(window.origin, window.extent,
+                                  self.grid_lo, self.grid.shape)
         ids[at_ids] = self.grid[at_grid]
         board = np.zeros((len(self.tiles) + 1, 2), dtype=np.int8)
         board[list(self.g)] = np.reshape([q or (0, 0) for q in self.g.values()], (-1, 2))
@@ -651,10 +625,10 @@ class TileForest:
             r = SCALE_BASE ** j
             ball = _ball_mask(self.d, r)
             for c in pts:
-                at_cover, at_ball = _overlap(self.lo, shape, c - r, ball.shape)
+                at_cover, at_ball = overlap(self.lo, shape, c - r, ball.shape)
                 cover[at_cover] |= ball[at_ball]
-        tiled = self.grid[_overlap(self.grid_lo, self.grid.shape,
-                                   self.lo, shape)[0]] >= 0
+        tiled = self.grid[overlap(self.grid_lo, self.grid.shape,
+                                  self.lo, shape)[0]] >= 0
         missing = cover & ~tiled
         rep.stats["region_cells"] = int(np.prod(shape))
         rep.stats["ball_covered"] = int(np.count_nonzero(cover))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Window, ball_offsets, nonzero_offsets
+from .lattice import Window, ball_offsets, nonzero_offsets, overlap
 
 VIOLATION_CAP = 10_000
 
@@ -41,6 +41,15 @@ class AuditReport:
         self.stats["violations_total"] = self.stats.get("violations_total", 0) + count
         room = min(count, VIOLATION_CAP - len(self.violations))
         self.violations.extend((kind, where(r)) for r in range(room))
+
+    def merge(self, other: "AuditReport") -> None:
+        """Add another report's total, its violations up to the cap, and
+        its other counters."""
+        total = other.stats.get("violations_total", len(other.violations))
+        self.stats["violations_total"] = self.stats.get("violations_total", 0) + total
+        self.violations.extend(other.violations[:VIOLATION_CAP - len(self.violations)])
+        self.stats.update((k, v) for k, v in other.stats.items()
+                          if k != "violations_total")
 
     def add_mask(self, kind: str, bad: np.ndarray, where) -> None:
         """`add_rows` over the True cells of `bad`, each recorded at
@@ -85,19 +94,6 @@ def _positive_offsets(d: int, m: int, norm: str) -> list[tuple[int, ...]]:
             if next(c for c in off if c) > 0]
 
 
-def _shift_slices(shape, off):
-    """Index slices (src, dst) so grid[src] aligns with grid shifted by off."""
-    src, dst = [], []
-    for s, o in zip(shape, off):
-        if o >= 0:
-            src.append(slice(0, s - o))
-            dst.append(slice(o, s))
-        else:
-            src.append(slice(-o, s))
-            dst.append(slice(0, s + o))
-    return tuple(src), tuple(dst)
-
-
 def check_coloring(colors: np.ndarray, m: int = 1, norm: str = "l1",
                    valid: np.ndarray | None = None, window: Window | None = None,
                    construction: str = "coloring") -> AuditReport:
@@ -110,7 +106,8 @@ def check_coloring(colors: np.ndarray, m: int = 1, norm: str = "l1",
     rep = AuditReport(construction, window)
     checked = 0
     for off in _positive_offsets(d, m, norm):
-        src, dst = _shift_slices(colors.shape, off)
+        # colors[src] and colors[dst] are the cells x and x + off
+        dst, src = overlap((0,) * d, colors.shape, off, colors.shape)
         both = ok[src] & ok[dst]
         checked += int(both.sum())
         rep.add_mask("proper", both & (colors[src] == colors[dst]),
@@ -156,14 +153,14 @@ def check_net(indicator: np.ndarray, m: int = 1, norm: str = "l1",
         valid = np.ones(j.shape, dtype=bool)
     rep = AuditReport(construction, window)
     for off in _positive_offsets(d, m, norm):
-        src, dst = _shift_slices(j.shape, off)
+        dst, src = overlap((0,) * d, j.shape, off, j.shape)
         rep.add_mask("packing", j[src] & j[dst] & valid[src] & valid[dst],
                      lambda idx: _pair(idx, off, window))
     offs = ball_offsets(d, m, norm)
     has_one = np.zeros(j.shape, dtype=bool)
     ball_ok = np.ones(j.shape, dtype=bool)
     for off in offs:
-        src, dst = _shift_slices(j.shape, off)
+        dst, src = overlap((0,) * d, j.shape, off, j.shape)
         contrib = np.zeros(j.shape, dtype=bool)
         contrib[dst] = j[src]
         has_one |= contrib

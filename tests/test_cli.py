@@ -21,7 +21,7 @@ from ffcolor.lattice import LatticeSpec, Window
 from ffcolor.perc3color import three_color_2d
 from ffcolor.reduction import MNet, tower_color_at
 from ffcolor.tiling3color import three_color_general
-from ffcolor.verify import check_heights, radius_tail_csv
+from ffcolor.verify import VIOLATION_CAP, check_heights, radius_tail_csv
 
 
 COL3 = "3 2\n1 2\n1 3\n2 1\n2 3\n3 1\n3 2\n"
@@ -34,11 +34,11 @@ def run(*argv):
 
 # -- pixmap round trip ---------------------------------------------------------
 
-def test_ppm_roundtrip():
+def test_ppm_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     for shape in ((1, 1), (7, 3), (40, 25)):
         grid = rng.integers(0, 6, size=shape)
-        p = Path("/tmp/ffcolor-test-rt.ppm")
+        p = tmp_path / "rt.ppm"
         write_ppm(p, grid)
         assert np.array_equal(read_ppm(p), grid)
 
@@ -188,9 +188,29 @@ def test_manifest_lists_the_declared_audits(tmp_path, name, d):
                "--out", tmp_path / "run") == 0
     man = json.loads((tmp_path / "run.json").read_text())
     assert man["valid_fraction"] > 0
-    assert man["audits"] == {a: {"passed": True, "violations_total": 0}
-                             for a in cli.CONSTRUCTIONS[name].audits_at(d)}
+    # each audit's verdict and counters, as the audit reports them
+    entry = cli.CONSTRUCTIONS[name]
+    args = cli.build_parser().parse_args(
+        ["color", "--construction", name, "--d", str(d), f"--window={window}"])
+    colors, valid, _, _, engine = entry.window(args, LabelField(args.seed),
+                                               cli._parse_window(window, d))
+    reports = {a: audit(colors, valid, engine) for a, audit in entry.audits_at(d).items()}
+    assert all(rep.passed and rep.stats for rep in reports.values())
+    assert man["audits"] == json.loads(json.dumps(
+        {a: {"passed": True, **rep.stats} for a, rep in reports.items()}))
     assert "forest_audit" not in man["constants"]
+
+
+def test_manifest_records_an_audit_that_checked_nothing(tmp_path):
+    # threegen's default density leaves no tile on this line: its audits pass
+    # on 0 checked cells, and the manifest says so
+    assert run("color", "--construction", "threegen", "--d", "1", "--window", "0,400",
+               "--out", tmp_path / "run") == 0
+    audits = json.loads((tmp_path / "run.json").read_text())["audits"]
+    assert all(a["passed"] for a in audits.values())
+    assert audits["palette"]["cells_checked"] == 0
+    assert audits["proper"]["cells_valid"] == audits["proper"]["pairs_checked"] == 0
+    assert audits["forest"]["tiles"] == 0
 
 
 def test_color_exits_1_when_an_audit_fails(tmp_path, monkeypatch, capsys):
@@ -202,7 +222,8 @@ def test_color_exits_1_when_an_audit_fails(tmp_path, monkeypatch, capsys):
     assert run("color", "--construction", "tower", "--window", "0,0,8,8",
                "--out", tmp_path / "bad") == 1
     audits = json.loads((tmp_path / "bad.json").read_text())["audits"]
-    assert audits["proper"] == {"passed": False, "violations_total": 2 * 7 * 8}
+    assert audits["proper"] == {"passed": False, "violations_total": 2 * 7 * 8,
+                                "pairs_checked": 2 * 7 * 8, "cells_valid": 64}
     assert audits["palette"]["passed"]
     assert np.array_equal(read_ppm(tmp_path / "bad.ppm"), np.ones((8, 8)))
     assert "audit failed: proper" in capsys.readouterr().err
@@ -302,6 +323,18 @@ def test_verify_three_coloring_checks_heights(tmp_path):
                "--kind", "three-coloring", "--json", tmp_path / "rep.json") == 0
     rep = json.loads((tmp_path / "rep.json").read_text())
     assert rep["stats"]["circuits_checked"] > 0
+
+
+def test_verify_three_coloring_total_passes_the_violation_cap(tmp_path):
+    # the height report alone passes the cap, and its whole total still counts
+    colors = np.ones((120, 120), dtype=int)
+    write_ppm(tmp_path / "flat.ppm", colors)
+    assert run("verify", "--image", tmp_path / "flat.ppm", "--kind", "three-coloring",
+               "--json", tmp_path / "rep.json") == 1
+    rep = json.loads((tmp_path / "rep.json").read_text())
+    heights = check_heights(colors).stats["violations_total"]
+    assert heights > VIOLATION_CAP
+    assert rep["violations_total"] == 2 * 120 * 119 + heights == 42_721
 
 
 def test_verify_three_coloring_reports_every_height_counter(tmp_path):

@@ -8,6 +8,7 @@ from scipy import ndimage
 
 from ffcolor.field import (Budget, BudgetExceeded, LabelField,
                            TrackedField, Tracker, tracked)
+from ffcolor import fourcolor
 from ffcolor.lattice import LatticeSpec, Window
 from ffcolor.fourcolor import (BoxSystem, CANDIDATES_PER_CELL, CAND_STREAM,
                                ORDER_STREAM, _cluster_phases, assign_radii,
@@ -299,6 +300,19 @@ def test_four_window_end_to_end():
     assert audit_sign_clusters(signs).passed
     again = four_color_window(fld, Window((0, 0), (64, 64)))
     assert np.array_equal(out.colors, again.colors)
+
+
+def test_four_window_raises_on_an_uncovered_vertex(monkeypatch):
+    real = fourcolor.sign_window
+
+    def with_hole(window, boxes, net_colors):
+        signs, covered = real(window, boxes, net_colors)
+        signs[3, 3], covered[3, 3] = 0, False
+        return signs, covered
+
+    monkeypatch.setattr(fourcolor, "sign_window", with_hole)
+    with pytest.raises(AssertionError, match="in no box"):
+        four_color_window(LabelField(11), Window((0, 0), (8, 8)))
 
 
 def test_four_window_at_box_seam():
@@ -610,7 +624,7 @@ def _ref_assign_radii(centers, colors, M):
     return radii
 
 
-def _ref_cluster_phases(values, u, *, forbidden=None):
+def _ref_cluster_phases(values, u):
     shape = values.shape
     nd = values.ndim
     parity = np.zeros(shape, dtype=np.int8)
@@ -620,9 +634,6 @@ def _ref_cluster_phases(values, u, *, forbidden=None):
     rim = np.ones(shape, dtype=bool)
     if all(e > 2 for e in shape):
         rim[tuple(slice(1, -1) for _ in range(nd))] = False
-    if forbidden is not None and forbidden.any():
-        rim |= ndimage.binary_dilation(forbidden, structure=structure)
-        valid &= ~forbidden
     for val in np.unique(values):
         mask = values == val
         lab, nlab = ndimage.label(mask, structure=structure)
@@ -744,12 +755,10 @@ def test_radii_oracle_covers_every_outcome():
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([(40,), (9, 11), (2, 7), (5, 6, 4)]),
-       st.sampled_from([None, 0.05, 0.3]))
-def test_cluster_phases_match_maximum_position(seed, shape, forbid):
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(40,), (9, 11), (2, 7), (5, 6, 4)]))
+def test_cluster_phases_match_maximum_position(seed, shape):
     rng = np.random.default_rng(seed)
     values = rng.integers(1, 3, size=shape)
     u = rng.permutation(values.size).reshape(shape) / values.size  # untied
-    forbidden = None if forbid is None else rng.random(shape) < forbid
-    assert (_outcome(_cluster_phases, values, u, forbidden=forbidden)
-            == _outcome(_ref_cluster_phases, values, u, forbidden=forbidden))
+    assert (_outcome(_cluster_phases, values, u)
+            == _outcome(_ref_cluster_phases, values, u))

@@ -13,7 +13,9 @@ from ffcolor.lattice import (
     WindowGraph,
     ball_offsets,
     ball_size,
+    close_pairs,
     nonzero_offsets,
+    overlap,
 )
 
 
@@ -238,3 +240,63 @@ def test_from_edges_rejects_endpoints_outside_the_graph():
     for edges in ([(0, 3)], [(-1, 0)]):
         with pytest.raises(ValueError):
             FiniteGraph.from_edges(3, edges)
+
+
+# -- box-geometry primitives ---------------------------------------------------
+
+@st.composite
+def point_sets(draw):
+    """Points in a small box whose corner may sit near +-2^62, where float64
+    steps by 1024 and would merge them."""
+    d = draw(st.integers(1, 3))
+    span = draw(st.integers(0, 40))
+    corner = draw(st.one_of(st.integers(-50, 50), st.integers(2**62 - 40 - span, 2**62 - span),
+                            st.integers(-2**62, -2**62 + 40)))
+    rows = draw(st.lists(st.lists(st.integers(0, span), min_size=d, max_size=d),
+                         max_size=30))
+    pts = np.array(rows, dtype=np.int64).reshape(-1, d) + corner
+    return pts, draw(st.integers(0, 2 * span + 2)), draw(st.sampled_from(["l1", "linf"]))
+
+
+@given(point_sets())
+@settings(max_examples=150, deadline=None)
+def test_close_pairs_match_brute_force(case):
+    pts, reach, norm = case
+    rows = pts.tolist()
+    dist = l1 if norm == "l1" else linf
+    want = [(i, j, dist([a - b for a, b in zip(p, q)]))
+            for i, p in enumerate(rows) for j, q in enumerate(rows) if i != j]
+    want = [w for w in want if w[2] <= reach]
+    i, j, got = close_pairs(pts, reach, norm)
+    assert list(zip(i.tolist(), j.tolist(), got.tolist())) == want
+
+
+def _shift_rule(shape, off):
+    """The shifted-pair slices the audits were written against: grid[src]
+    and grid[dst] are the cells x and x + off, for |off| <= shape per axis."""
+    src = tuple(slice(0, s - o) if o >= 0 else slice(-o, s) for s, o in zip(shape, off))
+    dst = tuple(slice(o, s) if o >= 0 else slice(0, s + o) for s, o in zip(shape, off))
+    return src, dst
+
+
+@st.composite
+def shifted_grids(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 7), min_size=1, max_size=3)))
+    return shape, tuple(draw(st.integers(-s, s)) for s in shape)
+
+
+@given(shifted_grids())
+@settings(max_examples=150, deadline=None)
+def test_overlap_matches_the_shift_rule(case):
+    shape, off = case
+    dst, src = overlap((0,) * len(shape), shape, off, shape)
+    assert (src, dst) == _shift_rule(shape, off)
+
+
+def test_overlap_of_disjoint_boxes_is_empty():
+    grid = np.zeros((3, 4))
+    for off in ((4, 0), (0, -9), (-3, 5)):
+        at_a, at_b = overlap((0, 0), grid.shape, off, grid.shape)
+        assert grid[at_a].size == grid[at_b].size == 0
+    at_a, at_b = overlap((10, 10), (5, 5), (12, 8), (2, 3))
+    assert at_a == (slice(2, 4), slice(0, 1)) and at_b == (slice(0, 2), slice(2, 3))

@@ -64,6 +64,15 @@ def test_range_m_catches_distance_two():
     assert rep.violations[0][0] == "proper"
 
 
+def test_reach_longer_than_the_grid():
+    # offsets that leave the grid pair no cells
+    rep = check_coloring(np.arange(1, 10).reshape(3, 3), m=4)
+    assert rep.passed and rep.stats["pairs_checked"] == 36
+    rep = check_net(np.eye(3, dtype=bool), m=4)
+    assert rep.stats["violations_total"] == 3
+    assert {k for k, _ in rep.violations} == {"packing"}
+
+
 def test_tower_window_audit_end_to_end():
     wg = WindowGraph.build(Window((0, 0), (64, 64)), 1, "l1")
     tw = tower_coloring(wg, LabelField(3))
