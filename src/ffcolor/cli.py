@@ -72,6 +72,20 @@ class ConfigError(Exception):
 
 # -- file formats --------------------------------------------------------------
 
+def _write(path, data) -> None:
+    """Write text or bytes to `path`, making its parent directories; a path
+    that cannot be written is a config error."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(data, bytes):
+            path.write_bytes(data)
+        else:
+            path.write_text(data)
+    except OSError as e:
+        raise ConfigError(str(e))
+
+
 def write_ppm(path, colors: np.ndarray) -> None:
     """Binary pixmap of a color grid; pixel (x, y) sits at row y, column x.
 
@@ -86,7 +100,7 @@ def write_ppm(path, colors: np.ndarray) -> None:
         raise ConfigError(f"color {int(colors.max())} has no palette entry")
     img = _RGB[colors.T]
     header = f"P6\n{colors.shape[0]} {colors.shape[1]}\n255\n".encode()
-    Path(path).write_bytes(header + img.tobytes())
+    _write(path, header + img.tobytes())
 
 
 # whitespace and comments between header fields; the maxval is followed by
@@ -124,7 +138,7 @@ def read_ppm(path) -> np.ndarray:
 
 
 def _write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 # -- color ----------------------------------------------------------------------
@@ -269,7 +283,6 @@ def cmd_color(args) -> int:
         field = TrackedField(field, Tracker(
             center, Budget(radius_cap=args.radius_budget)))
     prefix = Path(args.out)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
     img_path, csv_path, json_path = (prefix.parent / (prefix.name + ext)
                                      for ext in (".ppm", ".radii.csv", ".json"))
     manifest = {
@@ -295,7 +308,7 @@ def cmd_color(args) -> int:
         write_ppm(img_path, colors)
         outputs["image"] = img_path.name
     if radii is not None:
-        csv_path.write_text(radius_tail_csv(radii, args.cap))
+        _write(csv_path, radius_tail_csv(radii, args.cap))
         outputs["radii"] = csv_path.name
     counts = {str(c): int((colors == c).sum()) for c in np.unique(colors)}
     manifest.update({
@@ -368,14 +381,12 @@ def cmd_stats(args) -> int:
                                  Budget(radius_cap=args.cap)).radius)
         except BudgetExceeded:
             radii.append(None)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(radius_tail_csv(radii, args.cap))
+    _write(args.out, radius_tail_csv(radii, args.cap))
     if args.plot:
         lines = ["r,survival"]
         lines += [f"{r},{s}" for r, s in survival_points(radii, args.cap)]
-        Path(args.plot).write_text("\n".join(lines) + "\n")
-    print(f"wrote {out} ({len(radii)} queries, {radii.count(None)} censored at "
+        _write(args.plot, "\n".join(lines) + "\n")
+    print(f"wrote {Path(args.out)} ({len(radii)} queries, {radii.count(None)} censored at "
           f"cap {args.cap})")
     return EXIT_OK
 
@@ -415,7 +426,7 @@ def cmd_sft(args) -> int:
     bad = verify_membership(run.letters, spec)
     if bad:
         raise RuntimeError(f"generated run fails membership at {bad[:5]}")
-    Path(args.out).write_text(" ".join(str(x) for x in run.letters) + "\n")
+    _write(args.out, " ".join(str(x) for x in run.letters) + "\n")
     wtxt = "(" + ",".join(str(a) for a in run.w) + ")"
     lo = run.window.origin[0]
     inside = int(((run.net_points >= lo) &

@@ -115,10 +115,6 @@ class ColorSequence:
     n: tuple[int, ...]
 
     @property
-    def c(self) -> float:
-        return cover_free_constant(self.delta)
-
-    @property
     def kmax(self) -> int:
         return len(self.n)
 

@@ -27,11 +27,12 @@ row.  Near pairs of centers come from `lattice.close_pairs`, and the face
 audit pairs faces by the same sweep over their levels along each axis, so it
 measures only faces at most 3 levels apart.
 
-Cluster phases label every value once and pick each cluster's anchor by
-one scatter: the site of largest phase label, and on a tie the last one in
-raster order, which is the largest coordinate tuple.  That is the rule of
-the per-site query, the largest (phase, x) pair over its cluster, so window
-and query agree even where phase labels tie.
+Cluster phases label every value once and pick each cluster's anchor with
+`lattice.cluster_anchors`, two scatter-max passes: the site of largest phase
+label, and on a tie the last one in raster order, which is the largest
+coordinate tuple.  That is the rule of the per-site query, the largest
+(phase, x) pair over its cluster, so window and query agree even where phase
+labels tie.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ import numpy as np
 from scipy import ndimage
 
 from .field import BudgetExceeded
-from .lattice import FiniteGraph, Window, close_pairs, nonzero_offsets, overlap, \
-    sweep_pairs
+from .lattice import FiniteGraph, Window, ball_mask, close_pairs, cluster_anchors, \
+    nonzero_offsets, overlap, rim_clusters, sweep_pairs
 from .reduction import _greedy, greedy_independent_set
 from .verify import AuditReport
 
@@ -378,7 +379,7 @@ def audit_sign_clusters(signs: np.ndarray, *, bound: int = 1) -> AuditReport:
     """Exhaustive check: equal-sign clusters have sup-norm diameter <= bound."""
     rep = AuditReport("sign-clusters", None)
     rep.stats["violations_total"] = 0
-    structure = ndimage.generate_binary_structure(signs.ndim, 1)
+    structure = ball_mask(signs.ndim, 1)
     checked = 0
     for val in (1, -1):
         lab, nlab = ndimage.label(signs == val, structure=structure)
@@ -408,8 +409,7 @@ def _cluster_phases(values: np.ndarray, u: np.ndarray):
     cluster might extend past what the grid shows.
     """
     shape = values.shape
-    nd = values.ndim
-    structure = ndimage.generate_binary_structure(nd, 1)
+    structure = ball_mask(values.ndim, 1)
     # one label array: the clusters of each value follow those of the last
     lab = np.zeros(shape, dtype=np.int64)
     n = 0
@@ -419,24 +419,11 @@ def _cluster_phases(values: np.ndarray, u: np.ndarray):
         lab += part  # 0 off the mask
         lab += mask * n
         n += k
-    flat = lab.ravel()
-    uf = u.ravel()
-    best = np.full(n + 1, uf.min(initial=0), dtype=uf.dtype)
-    np.maximum.at(best, flat, uf)
-    # the anchor is the largest flat index among a cluster's max-u sites
-    top = np.flatnonzero(uf == best[flat])
-    anchor = np.zeros(n + 1, dtype=np.int64)
-    np.maximum.at(anchor, flat[top], top)
+    anchor = cluster_anchors(lab, n + 1, u)
     # |x - w| and x - w agree mod 2, so the parity needs only coordinate sums
-    csum = np.zeros(shape, dtype=np.int64)
-    for a, e in enumerate(shape):
-        csum += np.arange(e).reshape((e,) + (1,) * (nd - a - 1))
-    parity = ((csum - csum.ravel()[anchor][lab]) & 1).astype(np.int8)
-    # clusters on the rim are cut off, and a grid 2 wide is all rim
-    ok = np.full(n + 1, all(e > 2 for e in shape))
-    for a in range(nd):
-        ok[lab.take([0, -1], axis=a)] = False
-    return parity, ok[lab]
+    odd = sum(np.ix_(*map(np.arange, shape))) & 1
+    parity = (odd ^ odd.ravel()[anchor][lab]).astype(np.int8)
+    return parity, ~rim_clusters(lab, n + 1)[lab]
 
 
 def checkerboard_4color(values: np.ndarray, u: np.ndarray):

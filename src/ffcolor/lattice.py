@@ -26,6 +26,15 @@ Two box-geometry primitives serve every construction and audit.
 norm: `sweep_pairs` sorts them along axis 0 and pairs each with the later
 ones within reach, and only those pairs are measured, in exact int64.
 `overlap` gives the slices of two boxes that select their shared cells.
+
+Three more rules have their one copy here.  `ball_mask` is the ball of Z^d,
+as a read-only bool box: `ball_offsets` lists its cells in C order, which is
+the order of `nonzero_offsets`, of the `WindowGraph` columns and of
+`LatticeSpec.neighbors`, and `ball_mask(d, 1)` is the adjacency structure
+every cluster labelling and dilation uses.
+`cluster_anchors` picks each cluster's anchor, the site of largest value
+with ties to the largest key.  `rim_clusters` marks the clusters that touch
+the rim of a grid, which the grid may not hold whole.
 """
 
 from __future__ import annotations
@@ -40,22 +49,29 @@ from typing import Iterator, Sequence
 import numpy as np
 
 
-def ball_offsets(d: int, r: int, norm: str = "l1") -> list[tuple[int, ...]]:
-    """All offsets with |x| <= r in the given norm, origin included."""
+@lru_cache(maxsize=32)
+def ball_mask(d: int, r: int, norm: str = "l1") -> np.ndarray:
+    """The ball |x| <= r of the given norm in its (2r+1)^d box, read-only.
+
+    Cell x + r holds offset x.  The l1 ball holds only the radius left after
+    the leading d - 1 axes as integers, so the peak stays near the mask's own
+    size; the linf ball is the whole box."""
     if norm == "linf":
-        return [off for off in product(range(-r, r + 1), repeat=d)]
-    out = []
+        ball = np.ones((2 * r + 1,) * d, dtype=bool)
+    else:
+        off = np.abs(np.arange(-r, r + 1))
+        left = np.int64(r)
+        for _ in range(d - 1):
+            left = np.subtract.outer(left, off)
+        ball = np.greater_equal.outer(left, off)
+    ball.flags.writeable = False
+    return ball
 
-    def rec(prefix: tuple[int, ...], left: int) -> None:
-        if len(prefix) == d - 1:
-            for c in range(-left, left + 1):
-                out.append(prefix + (c,))
-            return
-        for c in range(-left, left + 1):
-            rec(prefix + (c,), left - abs(c))
 
-    rec((), r)
-    return out
+def ball_offsets(d: int, r: int, norm: str = "l1") -> list[tuple[int, ...]]:
+    """All offsets with |x| <= r in the given norm, origin included, in
+    lexicographic order (the C order of `ball_mask`)."""
+    return list(map(tuple, (np.argwhere(ball_mask(d, r, norm)) - r).tolist()))
 
 
 def ball_size(d: int, r: int, norm: str = "l1") -> int:
@@ -140,6 +156,35 @@ def overlap(lo_a, shape_a, lo_b, shape_b) -> tuple[tuple, tuple]:
         at_a.append(slice(lo - la, hi - la))
         at_b.append(slice(lo - lb, hi - lb))
     return tuple(at_a), tuple(at_b)
+
+
+def cluster_anchors(ids: np.ndarray, n: int, values: np.ndarray, key=None) -> np.ndarray:
+    """Each cluster's anchor: for every id in 0..n-1, the largest tie key
+    among the cluster's sites of largest value (-1 for an id with no site).
+
+    `ids` and `values` give each site's cluster and value, read in flat
+    order.  `key` maps an array of flat site indices to their tie keys, and
+    is called only on the sites that hold their cluster's largest value; by
+    default the key is the flat index, so a tie goes to the last site in C
+    order.  Two scatter-max passes: the first takes each cluster's largest
+    value, the second the largest key among the sites that reach it."""
+    flat, v = ids.ravel(), values.ravel()
+    best = np.empty(n, dtype=v.dtype)
+    best[flat] = v  # any member's value starts the max, in the values' dtype
+    np.maximum.at(best, flat, v)
+    top = np.flatnonzero(v == best[flat])
+    anchor = np.full(n, -1, dtype=np.int64)
+    np.maximum.at(anchor, flat[top], top if key is None else key(top))
+    return anchor
+
+
+def rim_clusters(ids: np.ndarray, n: int) -> np.ndarray:
+    """Mask over ids 0..n-1 of the clusters with a site on the rim of the
+    grid `ids`: a cluster the grid may cut off."""
+    rim = np.zeros(n, dtype=bool)
+    for a in range(ids.ndim):
+        rim[ids.take([0, -1], axis=a)] = True
+    return rim
 
 
 @dataclass(frozen=True)

@@ -46,12 +46,14 @@ The build is array passes only.  Clusters are the connected components of
 the drawn-diagonal graph, written as a padded neighbor matrix listing every
 edge from its lower end and handed to scipy as CSR, with int32 ids while
 they fit.  Clusters are numbered by least vertex, i-major, so each one's
-least i is that of its first member.  A cluster's sign anchor takes two
-scatter-max passes: the cluster's largest v, then the largest top-right key
-j*nx + i among the vertices reaching it.  The distance to the nearest
-special ancestor comes from pointer jumping up the parent chains, a
-logarithmic number of rounds over all clusters at once, and the requirement
-box is read off the special ancestor's parent (fact 4).
+least i is that of its first member.  The open clusters are the
+`lattice.rim_clusters`, and a cluster's sign anchor is its
+`lattice.cluster_anchors` entry: two scatter-max passes, the cluster's
+largest v, then the largest top-right key j*nx + i among the vertices
+reaching it.  The distance to the nearest special ancestor comes from
+pointer jumping up the parent chains, a logarithmic number of rounds over
+all clusters at once, and the requirement box is read off the special
+ancestor's parent (fact 4).
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .field import DEFAULT_BUDGET, BudgetExceeded
-from .lattice import Window, row_count
+from .lattice import Window, cluster_anchors, rim_clusters, row_count
 
 STREAM_PREFIX = "three2d"
 
@@ -144,11 +146,7 @@ class PercWindow:
         self.nclusters, labels = _components(self._diag_neighbors(diag, nx, ny))
         self.labels = labels.reshape(nx, ny)
 
-        rim = np.zeros((nx, ny), dtype=bool)
-        rim[[0, -1], :] = True
-        rim[:, [0, -1]] = True
-        self.closed = np.bincount(labels[rim.ravel()],
-                                  minlength=self.nclusters) == 0
+        self.closed = ~rim_clusters(self.labels, self.nclusters)
 
         self._build_parents(nx, ny)
         self._build_labels(vlabel, wlabel, nx, ny)
@@ -210,19 +208,13 @@ class PercWindow:
 
     def _build_labels(self, vlabel: np.ndarray, wlabel: np.ndarray,
                       nx: int, ny: int) -> None:
-        # Each cluster's sign comes from its anchor: the vertex of largest v,
-        # ties to the top-right key j*nx + i.  One scatter-max takes each
-        # cluster's largest v, a second the largest key among the vertices
-        # that reach it.
-        flat = self.labels.ravel()
-        v = vlabel.ravel()
-        vmax = np.empty(self.nclusters, dtype=v.dtype)
-        vmax[flat] = v  # any member's v starts the max, in v's own dtype
-        np.maximum.at(vmax, flat, v)
-        at_max = np.nonzero(v == vmax[flat])[0]
-        i, j = np.divmod(at_max, ny)
-        anchor = np.full(self.nclusters, -1, dtype=np.int64)
-        np.maximum.at(anchor, flat[at_max], j * nx + i)
+        # Each cluster's sign comes from its anchor (`lattice.cluster_anchors`):
+        # the vertex of largest v, ties to the top-right key j*nx + i.
+        def top_right(at):
+            i, j = np.divmod(at, ny)
+            return j * nx + i
+
+        anchor = cluster_anchors(self.labels, self.nclusters, vlabel, top_right)
         self.ylabel = wlabel[anchor % nx, anchor // nx].astype(np.int64)
 
         p = np.where(self.parent == UNKNOWN, 0, self.parent)

@@ -476,8 +476,6 @@ class TowerQuery:
         return y + self.delta + 1 if y != INF else INF
 
     def _xval(self, k: int, v) -> int:
-        if k == 0:
-            return INF
         xk = self._x[k]
         x = xk.get(v)
         if x is not None:

@@ -45,7 +45,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .field import BudgetExceeded, DEFAULT_BUDGET
-from .lattice import Window, close_pairs, overlap
+from .lattice import Window, ball_mask, close_pairs, overlap
 from .verify import AuditReport
 
 SCALE_BASE = 13
@@ -176,25 +176,6 @@ def centers(field, j: int, lo, hi, *, density_scale: float = 1.0) -> np.ndarray:
 
 # -- tiles and the forest ---------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _ball_mask(d: int, r: int) -> np.ndarray:
-    """The 1-norm ball of radius r in its (2r+1)^d box, read-only: every
-    level-1 tile of radius r holds this one array as its mask.  Only the
-    radius left after the leading d - 1 axes is held as integers, so the
-    peak stays near the mask's own size."""
-    off = np.abs(np.arange(-r, r + 1))
-    left = np.int64(r)
-    for _ in range(d - 1):
-        left = np.subtract.outer(left, off)
-    ball = np.greater_equal.outer(left, off)
-    ball.flags.writeable = False
-    return ball
-
-
-def _l1_structure(d: int):
-    return ndimage.generate_binary_structure(d, 1)
-
-
 _FAR = 1 << 40  # beyond any signed coordinate sum of a grid cell
 
 
@@ -222,10 +203,6 @@ class Tile:
         self.parent = None
         self.children = []
         self.clump_members = (tid,)
-
-    @property
-    def hi(self) -> np.ndarray:
-        return self.lo + np.asarray(self.mask.shape, dtype=np.int64)
 
     def size(self) -> int:
         return int(self.mask.sum())
@@ -322,8 +299,9 @@ class TileForest:
         pts = self.levels[j]
         r = SCALE_BASE ** j
         if j == 1:
+            # every level-1 tile holds the one cached, read-only ball as its mask
             for c in pts:
-                self._new_tile(1, c, c - r, _ball_mask(self.d, r))
+                self._new_tile(1, c, c - r, ball_mask(self.d, r))
             return
         for c in pts:
             self._build_tile(j, c, r)
@@ -339,13 +317,13 @@ class TileForest:
         lo = c - half
         shape = (2 * half + 1,) * self.d
         s_mask = np.zeros(shape, dtype=bool)
-        s_mask[(slice(half - r, half + r + 1),) * self.d] = _ball_mask(self.d, r)
+        s_mask[(slice(half - r, half + r + 1),) * self.d] = ball_mask(self.d, r)
         sub = self.grid[overlap(self.grid_lo, self.grid.shape, lo, shape)[0]]
 
         # S_B: the ball and every sub-level clump with a member within
         # distance 2 of it
         reach = sub[(slice(half - r - 2, half + r + 3),) * self.d]
-        roots = self._clump_roots(reach[_ball_mask(self.d, r + 2)], j)
+        roots = self._clump_roots(reach[ball_mask(self.d, r + 2)], j)
         absorbed = sorted(m for root in roots for m in self.tiles[root].clump_members)
         for tid in absorbed:
             t = self.tiles[tid]
@@ -353,7 +331,7 @@ class TileForest:
             if inside.shape != t.mask.shape:
                 raise AssertionError("clump member escapes its tile box")
             inside |= t.mask
-        t_mask = ndimage.binary_dilation(s_mask, structure=_l1_structure(self.d))
+        t_mask = ndimage.binary_dilation(s_mask, structure=ball_mask(self.d, 1))
         t_mask &= sub < 0
         tile = self._new_tile(j, c, lo, t_mask)
 
@@ -365,7 +343,7 @@ class TileForest:
                 tile.children.append(tid)
 
         # the new clump: this tile plus every sub-level clump within distance 2
-        near = ndimage.binary_dilation(t_mask, structure=_l1_structure(self.d),
+        near = ndimage.binary_dilation(t_mask, structure=ball_mask(self.d, 1),
                                        iterations=2)
         members = [tile.tid]
         for root in self._clump_roots(sub[near], j):
@@ -623,7 +601,7 @@ class TileForest:
         cover = np.zeros(shape, dtype=bool)
         for j, pts in self.levels.items():
             r = SCALE_BASE ** j
-            ball = _ball_mask(self.d, r)
+            ball = ball_mask(self.d, r)
             for c in pts:
                 at_cover, at_ball = overlap(self.lo, shape, c - r, ball.shape)
                 cover[at_cover] |= ball[at_ball]
@@ -698,7 +676,7 @@ class TileForest:
         for j in sorted(set(level.tolist())):
             tids = np.flatnonzero(level == j)
             r = SCALE_BASE ** j
-            ball = _ball_mask(self.d, r)
+            ball = ball_mask(self.d, r)
             corner = centers[tids] - r - self.grid_lo
             pad = max(0, -corner.min(), (corner + 2 * r + 1 - self.grid.shape).max())
             grid = np.pad(self.grid, pad, constant_values=-1) if pad else self.grid

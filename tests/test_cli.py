@@ -499,6 +499,48 @@ def test_stats_threegen_passes_cap_to_query(tmp_path, monkeypatch):
                "--cap", "300", "--seed", "1", "--out", tmp_path / "s.csv") == 0
     assert caps == [300, 300]
 
+# -- output paths ----------------------------------------------------------------
+
+WRITERS = ["color", "verify --json", "stats --out", "stats --plot", "sft generate --out"]
+
+
+def _writing_to(name, tmp_path, out):
+    """The argv of a command that writes to `out`, and the file it writes."""
+    spec = tmp_path / "c3.txt"
+    spec.write_text(COL3)
+    board = tmp_path / "board.ppm"
+    write_ppm(board, np.indices((6, 6)).sum(axis=0) % 2 + 1)
+    stats = ("stats", "--construction", "baseline4", "--samples", "2")
+    return {
+        "color": (("color", "--construction", "tower", "--window", "0,0,8,8", "--out", out),
+                  out.parent / (out.name + ".ppm")),
+        "verify --json": (("verify", "--image", board, "--json", out), out),
+        "stats --out": (stats + ("--out", out), out),
+        "stats --plot": (stats + ("--out", tmp_path / "s.csv", "--plot", out), out),
+        "sft generate --out": (("sft", "generate", spec, "--length", "20", "--out", out), out),
+    }[name]
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_output_parent_directories_are_made(tmp_path, name):
+    argv, written = _writing_to(name, tmp_path, tmp_path / "new" / "deeper" / "out")
+    assert run(*argv) == 0
+    assert written.is_file()
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_unwritable_output_path_is_config_error(tmp_path, capsys, name):
+    argv, written = _writing_to(name, tmp_path, tmp_path / "out")
+    written.mkdir()  # a directory where the file goes
+    assert run(*argv) == 2
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv, _ = _writing_to(name, tmp_path, blocker / "out")  # a parent that is a file
+    assert run(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("config error: ") for line in err)
+
+
 # -- sft -------------------------------------------------------------------------
 
 def test_sft_classify_text(tmp_path, capsys):

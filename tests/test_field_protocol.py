@@ -1,13 +1,9 @@
-"""The field protocol: names that span tracing patches stay defined where it
-looks for them, every field answers the same scalar, point-list, bulk and
-below-threshold reads, and a tracked read records through its `u64` primitive
-exactly once."""
+"""The field protocol: every field answers the same scalar, point-list, bulk
+and below-threshold reads, and a tracked read records through its `u64`
+primitive exactly once."""
 
-import importlib
-import importlib.util
 import inspect
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,28 +13,6 @@ from hypothesis import strategies as st
 from ffcolor import field as field_mod
 from ffcolor.field import (_BLOCK, _M1, _M2, MASK64, Budget, BudgetExceeded, LabelField,
                            PerturbedField, Tracker, TrackedField, untracked)
-
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-
-
-def _targets():
-    spec = importlib.util.spec_from_file_location("_ffcolor_spans", SPANS)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod.TARGETS
-
-
-def test_span_targets_are_defined_where_tracing_patches_them():
-    # tracing swaps cls.__dict__[attr] for methods and module attributes for
-    # functions, so a renamed or inherited target breaks every traced run
-    missing = []
-    for modname, clsname, attr, _, _ in _targets():
-        mod = importlib.import_module(f"ffcolor.{modname}")
-        owner = vars(getattr(mod, clsname)) if clsname else vars(mod)
-        if attr not in owner:
-            missing.append((modname, clsname, attr))
-    assert missing == []
-
 
 AXES = [np.arange(-3, 5)[:, None], np.arange(10, 16)[None, :]]
 READS = [("u64", ()), ("uniform", ()), ("coin", ()), ("discrete", (7,))]

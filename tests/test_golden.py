@@ -50,14 +50,14 @@ from ffcolor.field import BudgetExceeded, LabelField, tracked
 from ffcolor.fourcolor import CONTEXT_SCALE, BoxSystem, assign_radii, audit_faces, \
     audit_sign_clusters, baseline_percolation_4color, baseline_window, choose_M, \
     fixture_net, four_color_window, net_coloring
-from ffcolor.lattice import FiniteGraph, LatticeSpec, Window, WindowGraph
+from ffcolor.lattice import FiniteGraph, LatticeSpec, Window, WindowGraph, ball_mask
 from ffcolor.perc3color import PercWindow, coding_radii, three2d_window, \
     three_color_2d
 from ffcolor.reduction import MNet, NetQuery, TowerQuery, net_window, tower_color_at, \
     tower_coloring
 from ffcolor.sft import coloring_spec, generate
 from ffcolor.tiling3color import HEX_VERTICES, SCALE_BASE, ScaleSystem, TileForest, \
-    _ball_mask, _bernoulli_points, centers, three_color_general, threegen_window
+    _bernoulli_points, centers, three_color_general, threegen_window
 from ffcolor.verify import VIOLATION_CAP, check_heights
 from test_fourcolor import TiedLabels
 from test_sft import ONE_LETTER, PETAL
@@ -390,7 +390,7 @@ def _shifted_tile(f, tid=0, by=5):
     # last: the grid credits the cells it shares with earlier tiles to them
     c = np.array(f.tiles[tid].center)
     c[0] += by
-    f._new_tile(1, c, c - 13, _ball_mask(f.d, 13))
+    f._new_tile(1, c, c - 13, ball_mask(f.d, 13))
 
 
 def _broken_hand_forests():
@@ -409,7 +409,7 @@ def _broken_hand_forests():
 
     cases = [
         [lambda f: _shifted_tile(f)],                               # tile-overlap
-        [new_tile((100, 172), (97, 169), _ball_mask(2, 3))],        # wholly overpainted
+        [new_tile((100, 172), (97, 169), ball_mask(2, 3))],         # wholly overpainted
         [new_tile((560, 60), (560, 60), np.zeros((1, 1), bool))],   # empty-tile
         [new_tile((560, 60), (560, 60), np.ones((1, 25), bool))],   # tile-outside-ball
         [set_attr(0, "parent", 1)],                                 # parent-level
@@ -419,7 +419,7 @@ def _broken_hand_forests():
         [set_attr(6, "clump_members", (6, 8)),                      # an empty member
          new_tile((560, 60), (560, 60), np.zeros((1, 1), bool))],
         [add_center(1, (560, 300))],                                # uncovered-ball-vertex
-        [new_tile((480, 507), (467, 494), _ball_mask(2, 13))],      # adjacent-nonkin
+        [new_tile((480, 507), (467, 494), ball_mask(2, 13))],       # adjacent-nonkin
         [set_attr(2, "parent", None)],                              # descendant-gap
         # over the cap: an uncovered level-2 ball, then kinds that are only counted
         [add_center(2, (560, 560)), set_attr(2, "parent", None),

@@ -1,4 +1,5 @@
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, product
 
 import networkx as nx
 import numpy as np
@@ -11,11 +12,14 @@ from ffcolor.lattice import (
     LatticeSpec,
     Window,
     WindowGraph,
+    ball_mask,
     ball_offsets,
     ball_size,
     close_pairs,
+    cluster_anchors,
     nonzero_offsets,
     overlap,
+    rim_clusters,
 )
 
 
@@ -43,6 +47,51 @@ def test_ball_size_known_values():
     assert ball_size(3, 1, "l1") == 7
     assert ball_size(2, 2, "l1") == 13
     assert ball_size(1, 5, "l1") == 11
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ball_mask_matches_the_index_grid_rule(d):
+    for r in (0, 1, 2, 7, 13):
+        grids = np.abs(np.indices((2 * r + 1,) * d) - r)
+        for norm, dist in (("l1", grids.sum(axis=0)), ("linf", grids.max(axis=0))):
+            ball = ball_mask(d, r, norm)
+            assert ball.dtype == bool and not ball.flags.writeable
+            assert np.array_equal(ball, dist <= r)
+
+
+def test_ball_mask_peak_stays_near_the_mask_size():
+    ball_mask.cache_clear()
+    tracemalloc.start()
+    try:
+        ball = ball_mask(3, 80)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        ball_mask.cache_clear()
+    assert peak < 2 * ball.nbytes
+
+
+def _recursive_ball(d, r):
+    """The 1-norm ball listed by recursion on the leading axes, the order
+    `nonzero_offsets`, the window columns and the lattice neighbors keep."""
+    out = []
+
+    def rec(prefix, left):
+        if len(prefix) == d - 1:
+            out.extend(prefix + (c,) for c in range(-left, left + 1))
+            return
+        for c in range(-left, left + 1):
+            rec(prefix + (c,), left - abs(c))
+
+    rec((), r)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_ball_offsets_match_the_recursive_enumeration(d):
+    for r in range(6):
+        assert ball_offsets(d, r) == _recursive_ball(d, r)
+        assert ball_offsets(d, r, "linf") == list(product(range(-r, r + 1), repeat=d))
 
 
 def test_window_roundtrip_and_iteration():
@@ -300,3 +349,61 @@ def test_overlap_of_disjoint_boxes_is_empty():
         assert grid[at_a].size == grid[at_b].size == 0
     at_a, at_b = overlap((10, 10), (5, 5), (12, 8), (2, 3))
     assert at_a == (slice(2, 4), slice(0, 1)) and at_b == (slice(0, 2), slice(2, 3))
+
+
+# -- cluster rules ------------------------------------------------------------
+
+@st.composite
+def cluster_grids(draw):
+    """A grid of cluster ids (some ids unused) and of values with forced ties."""
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=2, max_size=2)))
+    size = int(np.prod(shape))
+    n = draw(st.integers(1, size + 2))
+    ids = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))
+    values = draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+    return (np.array(ids).reshape(shape), n,
+            np.array(values, dtype=np.float64).reshape(shape))
+
+
+def _top_right(nx, ny):
+    def key(at):
+        i, j = np.divmod(at, ny)
+        return j * nx + i
+    return key
+
+
+@given(cluster_grids())
+@settings(max_examples=150, deadline=None)
+def test_cluster_anchors_match_brute_force(case):
+    ids, n, values = case
+    nx, ny = ids.shape
+    # the flat index and the top-right key, each as a function of the site
+    rules = ((None, lambda i, j: i * ny + j), (_top_right(nx, ny), lambda i, j: j * nx + i))
+    for key, site_key in rules:
+        want = [-1] * n
+        for c in range(n):
+            sites = [(i, j) for i in range(nx) for j in range(ny) if ids[i, j] == c]
+            if sites:
+                top = max(values[s] for s in sites)
+                want[c] = max(site_key(*s) for s in sites if values[s] == top)
+        assert cluster_anchors(ids, n, values, key).tolist() == want
+
+
+@st.composite
+def rim_grids(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    size = int(np.prod(shape))
+    n = draw(st.integers(1, size + 2))
+    ids = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))
+    return np.array(ids).reshape(shape), n
+
+
+@given(rim_grids())
+@settings(max_examples=150, deadline=None)
+def test_rim_clusters_match_brute_force(case):
+    ids, n = case
+    want = [False] * n
+    for x in np.ndindex(ids.shape):
+        if any(c in (0, e - 1) for c, e in zip(x, ids.shape)):
+            want[ids[x]] = True
+    assert rim_clusters(ids, n).tolist() == want

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,9 +10,9 @@ from scipy.ndimage import binary_dilation, generate_binary_structure
 
 from ffcolor.field import (Budget, BudgetExceeded, LabelField, PerturbedField,
                            Tracker, TrackedField)
-from ffcolor.lattice import Window
+from ffcolor.lattice import Window, ball_mask
 from ffcolor.tiling3color import (HEX_VERTICES, SCALE_BASE, ScaleSystem, TileForest,
-                                  _ball_mask, _bernoulli_points, build_tiles, centers,
+                                  _bernoulli_points, build_tiles, centers,
                                   hexgraph, phase_color, three_color_general,
                                   threegen_window, translate_phase)
 from ffcolor.verify import AuditReport, check_coloring
@@ -269,27 +268,6 @@ def test_level_one_masks_are_read_only():
     assert forest.tiles[0].mask[13, 13]
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_ball_mask_matches_the_index_grid_rule(d):
-    for r in (0, 1, 2, 7, 13):
-        grids = np.indices((2 * r + 1,) * d)
-        ball = _ball_mask(d, r)
-        assert ball.dtype == bool and not ball.flags.writeable
-        assert np.array_equal(ball, np.abs(grids - r).sum(axis=0) <= r)
-
-
-def test_ball_mask_peak_stays_near_the_mask_size():
-    _ball_mask.cache_clear()
-    tracemalloc.start()
-    try:
-        ball = _ball_mask(3, 80)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        _ball_mask.cache_clear()
-    assert peak < 2 * ball.nbytes
-
-
 # -- clump bookkeeping against a union-find reference -------------------------
 
 def _union_find_forest(d, region_lo, region_hi, by_level):
@@ -468,7 +446,7 @@ def _break_forest(forest, rng):
     for _ in range(rng.integers(1, 4)):
         if rng.random() < 0.5 and np.all(shape >= 27):
             lo = forest.grid_lo + rng.integers(0, shape - 26)
-            forest._new_tile(1, lo + 13, lo, _ball_mask(d, 13))
+            forest._new_tile(1, lo + 13, lo, ball_mask(d, 13))
         else:
             side = rng.integers(1, 12, size=d)
             lo = forest.grid_lo + rng.integers(0, shape - side + 1)
