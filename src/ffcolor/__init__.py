@@ -26,7 +26,6 @@ from .covfree import (
     cover_free_constant,
 )
 from .reduction import (
-    AlmostColoring,
     MNet,
     NetQuery,
     NetWindow,
@@ -56,7 +55,6 @@ __all__ = [
     "SetFamily",
     "color_sequence",
     "cover_free_constant",
-    "AlmostColoring",
     "MNet",
     "NetQuery",
     "NetWindow",

@@ -28,11 +28,11 @@ from .field import Budget, BudgetExceeded, LabelField, Tracker, TrackedField, \
 from .fourcolor import audit_faces, audit_sign_clusters, baseline_percolation_4color, \
     baseline_window, four_color_window
 from .lattice import LatticeSpec, Window, WindowGraph
-from .perc3color import coding_radii, three_color_2d
+from .perc3color import START_HALF, coding_radii, radii_margin, three_color_2d
 from .reduction import tower_color_at, tower_coloring
 from .sft import LatticeRefusal, choose_base, classify, generate, parse_spec, \
     recurrence_gcd, verify_membership
-from .tiling3color import three_color_general, threegen_window
+from .tiling3color import center_pad, three_color_general, threegen_window
 from .verify import check_coloring, check_heights, check_net, check_palette, \
     radius_tail_csv, survival_points
 
@@ -59,9 +59,9 @@ _SORTED_KEYS, _KEY_COLOR = np.unique(
     _RGB.astype(np.int32) @ np.array([1 << 16, 1 << 8, 1], dtype=np.int32),
     return_index=True)
 
-# A window larger than this could not be held in memory as one array, and
-# coordinates beyond COORD_LIMIT would wrap in the int64 arrays of the window
-# engines once margins are added.
+# A window, or the region an engine reads around it, larger than this could
+# not be held in memory as one array, and coordinates beyond COORD_LIMIT would
+# wrap in the int64 arrays of the window engines once margins are added.
 MAX_WINDOW_SITES = 1 << 32
 COORD_LIMIT = 1 << 62
 
@@ -72,12 +72,22 @@ class ConfigError(Exception):
 
 # -- file formats --------------------------------------------------------------
 
-def _write(path, data) -> None:
-    """Write text or bytes to `path`, making its parent directories; a path
-    that cannot be written is a config error."""
+def _make_parent(path) -> Path:
+    """Make the parent directories of `path`; a parent that cannot be made is
+    a config error."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(str(e))
+    return path
+
+
+def _write(path, data) -> None:
+    """Write text or bytes to `path`, making its parent directories; a path
+    that cannot be written is a config error."""
+    path = _make_parent(path)
+    try:
         if isinstance(data, bytes):
             path.write_bytes(data)
         else:
@@ -177,13 +187,19 @@ def _parse_window(text: str, d: int) -> Window:
         window = Window(tuple(parts[:d]), tuple(parts[d:]))
     except ValueError as e:
         raise ConfigError(str(e))
-    if window.size > MAX_WINDOW_SITES:
-        raise ConfigError(f"window has {window.size} sites; at most "
-                          f"{MAX_WINDOW_SITES} are supported")
+    return _check_region(window, "window")
+
+
+def _check_region(region: Window, name: str) -> Window:
+    """`region`, if its coordinates lie within COORD_LIMIT and it has at most
+    MAX_WINDOW_SITES sites; a config error otherwise."""
     if any(abs(o) >= COORD_LIMIT or abs(o + e) >= COORD_LIMIT
-           for o, e in zip(window.origin, window.extent)):
-        raise ConfigError(f"window coordinates must lie within +-{COORD_LIMIT}")
-    return window
+           for o, e in zip(region.origin, region.extent)):
+        raise ConfigError(f"{name} coordinates must lie within +-{COORD_LIMIT}")
+    if region.size > MAX_WINDOW_SITES:
+        raise ConfigError(f"{name} has {region.size} sites; at most "
+                          f"{MAX_WINDOW_SITES} are supported")
+    return region
 
 
 def _tower(args, field, window):
@@ -201,16 +217,29 @@ def _four(args, field, window):
 
 
 def _three2d(args, field, window):
+    _check_region(window.grow(radii_margin(args.cap)),
+                  f"the region read with --cap {args.cap}")
     radii, resolved, colors, _ = coding_radii(field, window, cap=args.cap)
     tails = [int(r) if ok else None for r, ok in zip(radii.ravel(), resolved.ravel())]
-    return colors, resolved, tails, {"cap": args.cap, "start_half": 4}, None
+    return colors, resolved, tails, {"cap": args.cap, "start_half": START_HALF}, None
 
 
 def _threegen(args, field, window):
+    # the top level's center scan reads farthest; from level 17 on its pad
+    # alone passes COORD_LIMIT, so the pad of a higher level is not computed
+    _check_region(window.grow(args.margin + center_pad(min(args.maxlevel, 17))),
+                  f"the region read with --margin {args.margin} "
+                  f"--maxlevel {args.maxlevel}")
     consts = {k: vars(args)[k] for k in ("maxlevel", "density_scale", "margin")}
     colors, valid, forest = threegen_window(field, window, **consts)
     consts["levels"] = {str(j): len(p) for j, p in forest.levels.items()}
     return colors, valid, None, consts, forest
+
+
+def _baseline4(args, field, window):
+    _check_region(window.grow(args.margin), f"the region read with --margin {args.margin}")
+    colors, valid = baseline_window(field, window, margin=args.margin)
+    return colors, valid, None, {"margin": args.margin}, None
 
 
 def _coloring_audits(q: Callable, every_cell: bool = False) -> dict:
@@ -260,9 +289,7 @@ CONSTRUCTIONS = {
         {**_THREE_COLORING_AUDITS, "forest": lambda colors, valid, forest: forest.audit()},
         None),
     "baseline4": Construction(
-        (2,), lambda args, f, w: (*baseline_window(f, w, margin=args.margin), None,
-                                  {"margin": args.margin}, None),
-        lambda args, f, v: baseline_percolation_4color(v, f),
+        (2,), _baseline4, lambda args, f, v: baseline_percolation_4color(v, f),
         _coloring_audits(lambda d: 4), lambda answer: answer),
 }
 
@@ -285,6 +312,7 @@ def cmd_color(args) -> int:
     prefix = Path(args.out)
     img_path, csv_path, json_path = (prefix.parent / (prefix.name + ext)
                                      for ext in (".ppm", ".radii.csv", ".json"))
+    _make_parent(json_path)  # an unwritable --out fails before the engine runs
     manifest = {
         "version": __version__, "command": "color",
         "construction": args.construction, "d": args.d, "seed": args.seed,

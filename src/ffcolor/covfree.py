@@ -8,9 +8,10 @@ counts used by the reduction tower.
 
 Floors of e^{c n} are computed exactly: k <= e^{cn} holds iff
 k^(Delta+1) * (2^Delta - 1)^n <= 2^(Delta n), an integer comparison, so no
-precision parameter exists to tune.  The float fast path only short-circuits
-points that are provably far from a boundary.  (This matters: at Delta=1,
-e^{c*6} = 8 exactly, and float64 floors it to 7.)
+precision parameter exists to tune.  Every count is decided by that test; a
+float only supplies the first guess.  (This matters: at Delta=1, e^{c*6} = 8
+exactly, and float64 floors it to 7.)  The sequences are cached, so each
+Delta pays for its exact tests once per process.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ from functools import lru_cache
 import numpy as np
 
 from .field import digest_bits
-
-# relative float distance from a floor boundary below which we go exact
-_FLOAT_GUARD = 1e-6
 
 # sequences stop once the next value would exceed this
 N_LIMIT = 10**7
@@ -66,16 +64,11 @@ def _le_exp_exact(k: int, n: int, delta: int) -> bool:
 
 
 def exact_floor_exp(n: int, delta: int) -> int:
-    """floor(e^{c(delta) n}) with an exact integer check at boundaries."""
-    c = cover_free_constant(delta)
-    x = c * n
+    """floor(e^{c(delta) n}), exactly; the float floor is only the first guess."""
+    x = cover_free_constant(delta) * n
     if x > math.log(N_LIMIT * 4):
         raise OverflowError(f"e^(c*{n}) beyond sequence limit")
-    v = math.exp(x)
-    k = int(math.floor(v))
-    # trust the float only when v is comfortably interior to (k, k+1)
-    if v - k > _FLOAT_GUARD * max(1.0, v) and (k + 1) - v > _FLOAT_GUARD * max(1.0, v):
-        return k
+    k = math.floor(math.exp(x))
     while _le_exp_exact(k + 1, n, delta):
         k += 1
     while not _le_exp_exact(k, n, delta):
@@ -86,21 +79,13 @@ def exact_floor_exp(n: int, delta: int) -> int:
 @lru_cache(maxsize=None)
 def first_color_count(delta: int) -> int:
     """Smallest n >= 1 with floor(e^{cn}) > n, i.e. n+1 <= e^{cn}, exactly."""
-    c = cover_free_constant(delta)
-
-    def ok(n: int) -> bool:
-        f = c * n - math.log(n + 1)
-        if abs(f) > 1e-9:
-            return f > 0
-        return _le_exp_exact(n + 1, n, delta)
-
-    hi = max(4, int(3.0 / c))
-    while not ok(hi):
+    hi = max(4, int(3.0 / cover_free_constant(delta)))
+    while not _le_exp_exact(hi + 1, hi, delta):
         hi *= 2
     lo = 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if ok(mid):
+        if _le_exp_exact(mid + 1, mid, delta):
             hi = mid
         else:
             lo = mid + 1

@@ -66,6 +66,8 @@ from .field import DEFAULT_BUDGET, BudgetExceeded
 from .lattice import Window, cluster_anchors, rim_clusters, row_count
 
 STREAM_PREFIX = "three2d"
+# the first half-width of the doubling windows a radius is measured in
+START_HALF = 4
 
 UNKNOWN = -1
 
@@ -293,7 +295,14 @@ def three2d_window(field, window: Window, *, margin: int = 128):
     return grid[core], valid[core], perc
 
 
-def coding_radii(field, window: Window, *, cap: int = 512, start_half: int = 4):
+def radii_margin(cap: int) -> int:
+    """How far `coding_radii` grows its window for a radius cap: far enough
+    that censoring at the cap is exact, never window-limited."""
+    return cap // 2 + 2
+
+
+def coding_radii(field, window: Window, *, cap: int = 512,
+                 start_half: int = START_HALF):
     """Exact per-vertex coding radii over a window, via one shared build.
 
     A box certifies the same chain as the infinite volume exactly when the
@@ -302,9 +311,9 @@ def coding_radii(field, window: Window, *, cap: int = 512, start_half: int = 4):
     twice the first scheduled half-width reaching the requirement box.
     Returns (radii, resolved, colors, perc); radii and colors are 0 where
     the query would pass the cap instead (resolved False).  The surrounding
-    margin is sized so censoring is exact, never window-limited.
+    margin is `radii_margin(cap)`.
     """
-    margin = cap // 2 + 2
+    margin = radii_margin(cap)
     perc = PercWindow.build(field, window.grow(margin))
     core = tuple(slice(margin, margin + e) for e in window.extent)
     lab = perc.labels[core]
@@ -323,7 +332,7 @@ def coding_radii(field, window: Window, *, cap: int = 512, start_half: int = 4):
     return np.where(resolved, radii, 0), resolved, colors, perc
 
 
-def three_color_2d(v, field, *, start_half: int = 4,
+def three_color_2d(v, field, *, start_half: int = START_HALF,
                    radius_cap: int | None = None) -> tuple[int, int]:
     """Color at one vertex by growing centered windows until certified.
 

@@ -53,7 +53,8 @@ Entry points, one per engine:
   `TowerQuery(field, spec).color(v)` (or `tower_color_at`) on demand;
 * net: `net_window(g, field)` and `NetQuery(field, spec).indicator(v)`;
 * `almost_coloring`, `elimination_sweep` and `greedy_fallback` are the
-  window engine's stages, public so they can be tested and traced alone.
+  window engine's stages, public so they can be tested and traced alone;
+  `almost_coloring` returns its plain int64 value array, INF on collisions.
 
 The degree Delta is always the input's own (the lattice spec's, or a bare
 graph's maximum degree), and both tower engines take their levels n_1..n_K
@@ -107,22 +108,16 @@ def _as_parts(g):
 # almost colorings
 
 
-@dataclass
-class AlmostColoring:
-    values: np.ndarray  # int64, 0 = infinity
-    level: int
-    delta: int
-
-
 def almost_coloring(g, k: int, field, seq: ColorSequence | None = None,
                     stream: str = "tower:u", trace: list | None = None, *,
                     need: np.ndarray | None = None,
-                    families: dict[int, SetFamily] | None = None) -> AlmostColoring:
-    """Level-k almost coloring: labels in [n_k], collisions to infinity, then
-    k-1 set-family reductions down to [n_1].  Adjacent finite values never
-    agree, at any intermediate level (each value excludes the whole set its
-    neighbor picked from).  If `trace` is a list, the intermediate value
-    arrays are appended, levels k down to 1.
+                    families: dict[int, SetFamily] | None = None) -> np.ndarray:
+    """Level-k almost coloring, returned as its int64 value array: labels in
+    [n_k], collisions to infinity (INF), then k-1 set-family reductions down
+    to [n_1].  Adjacent finite values never agree, at any intermediate level
+    (each value excludes the whole set its neighbor picked from).  If
+    `trace` is a list, the intermediate value arrays are appended, levels k
+    down to 1.
 
     Delta is g's degree and `seq` defaults to color_sequence(Delta, k).
     `families` maps each reduction step i to its family; steps missing from
@@ -169,7 +164,7 @@ def almost_coloring(g, k: int, field, seq: ColorSequence | None = None,
         z[r] = fam.reduce_min(own, union)
         if trace is not None:
             trace.append(z.copy())
-    return AlmostColoring(z, k, delta)
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +350,7 @@ def tower_coloring(g, field, kmax: int = 3,
     for k in range(1, seq.kmax + 1):
         # level k only decides sites unresolved so far
         y = almost_coloring(g, k, field, seq, f"{stream_prefix}:u",
-                            need=x == INF, families=families).values
+                            need=x == INF, families=families)
         if k > 1:
             ytaint = dilate_mask(ytaint, nbr)  # (k-1)-fold dilation of ~full
         w = np.where(x > 0, x, np.where(y > 0, y + delta + 1, INF))

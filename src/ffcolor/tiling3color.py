@@ -22,8 +22,9 @@ audit of the tiling are all read through that grid.
 Colors come from a graph homomorphism of the forest into the six-vertex
 graph of two-color checkerboards: a fair coin per tile marks "special" tiles
 (own coin heads, next two ancestors tails), each special tile draws a uniform
-checkerboard, and every tile walks a canonical path between the phase-shifted
-checkerboards of its two nearest special ancestors.  Reading the tile's
+checkerboard, and every tile walks `canonical_path` between the phase-shifted
+checkerboards of its two nearest special ancestors; that walk is computed
+from the checkerboards' ring positions in `HEX_INDEX`.  Reading the tile's
 checkerboard at the vertex itself yields a proper 3-coloring wherever the
 forest covers.
 
@@ -37,7 +38,6 @@ radius cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -53,23 +53,21 @@ HEX_DIAMETER = 3
 STREAM_PREFIX = "tiling"
 
 
-@dataclass(frozen=True)
-class ScaleSystem:
-    """Radii 13^j and center densities scale * 13^(-j*d)."""
+def center_density(d: int, j: int, density_scale: float = 1.0) -> float:
+    """The level-j center density density_scale * 13^(-j*d) in Z^d."""
+    return density_scale * float(SCALE_BASE) ** (-j * d)
 
-    d: int
-    density_scale: float = 1.0
 
-    def r(self, j: int) -> int:
-        return SCALE_BASE ** j
-
-    def density(self, j: int) -> float:
-        return self.density_scale * float(SCALE_BASE) ** (-j * self.d)
+def center_pad(j: int) -> int:
+    """4*13^j: level-j centers exclude each other within this 1-norm
+    distance, and the center scan pads its box by it."""
+    return 4 * SCALE_BASE ** j
 
 
 # -- checkerboard-pair graph ------------------------------------------------
 
 HEX_VERTICES = ((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2))
+HEX_INDEX = {q: i for i, q in enumerate(HEX_VERTICES)}
 
 
 def translate_phase(q: tuple, parity: int) -> tuple:
@@ -82,45 +80,20 @@ def phase_color(q: tuple, v) -> int:
     return q[int(sum(int(c) for c in v)) % 2]
 
 
-class HexGraph:
-    """Six checkerboards in a cycle, self-loops, canonical shortest paths.
+def canonical_path(a: tuple, b: tuple) -> tuple:
+    """The canonical shortest walk from checkerboard a to b, both ends kept.
 
-    Ring neighbors exchange the unused color for one used color; antipodal
-    pairs swap the two used colors.  Between antipodes the two shortest paths
-    tie and the one whose first step is lexicographically smaller wins.
+    The six checkerboards form a ring, each with a self-loop: ring
+    neighbors exchange the unused color for one used color, and antipodal
+    pairs swap the two used colors.  From ring position i to k the walk runs
+    forward when (k - i) mod 6 < 3 and backward when it is > 3; between
+    antipodes it goes the way whose first step is lexicographically smaller.
     """
-
-    def __init__(self):
-        self.index = {q: i for i, q in enumerate(HEX_VERTICES)}
-        self._paths = {}
-        n = len(HEX_VERTICES)
-        for i, a in enumerate(HEX_VERTICES):
-            for k, b in enumerate(HEX_VERTICES):
-                delta = (k - i) % n
-                if delta <= 2:
-                    steps = [(i + t) % n for t in range(delta + 1)]
-                elif delta >= 4:
-                    steps = [(i - t) % n for t in range(n - delta + 1)]
-                else:
-                    fwd = [(i + t) % n for t in range(4)]
-                    bwd = [(i - t) % n for t in range(4)]
-                    steps = fwd if HEX_VERTICES[fwd[1]] < HEX_VERTICES[bwd[1]] else bwd
-                self._paths[(a, b)] = tuple(HEX_VERTICES[s] for s in steps)
-
-    def distance(self, a: tuple, b: tuple) -> int:
-        return len(self._paths[(a, b)]) - 1
-
-    def adjacent(self, a: tuple, b: tuple) -> bool:
-        """Edge test, counting the self-loop at every vertex."""
-        return self.distance(a, b) <= 1
-
-    def canonical_path(self, a: tuple, b: tuple) -> tuple:
-        return self._paths[(a, b)]
-
-
-@lru_cache(maxsize=1)
-def hexgraph() -> HexGraph:
-    return HexGraph()
+    i, ahead = HEX_INDEX[a], (HEX_INDEX[b] - HEX_INDEX[a]) % 6
+    forward = HEX_VERTICES[(i + 1) % 6] < HEX_VERTICES[i - 1] if ahead == 3 else ahead < 3
+    step = 1 if forward else -1
+    return tuple(HEX_VERTICES[(i + step * t) % 6]
+                 for t in range(min(ahead, 6 - ahead) + 1))
 
 
 # -- center discovery -------------------------------------------------------
@@ -158,17 +131,12 @@ def centers(field, j: int, lo, hi, *, density_scale: float = 1.0) -> np.ndarray:
     lo = np.atleast_1d(np.asarray(lo, dtype=np.int64))
     hi = np.atleast_1d(np.asarray(hi, dtype=np.int64))
     d = lo.size
-    r = SCALE_BASE ** j
-    pad = 4 * r
-    p = ScaleSystem(d, density_scale).density(j)
+    pad = center_pad(j)
+    p = center_density(d, j, density_scale)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"level-{j} center density {p} is not in [0, 1]")
     pts = _bernoulli_points(field, f"{STREAM_PREFIX}:w:{j}", lo - pad, hi + pad, p)
-    if len(pts) == 0:
-        return pts
     core = np.all((pts >= lo) & (pts < hi), axis=1)
-    if not core.any():
-        return np.empty((0, d), dtype=np.int64)
     crowded = np.zeros(len(pts), dtype=bool)
     crowded[close_pairs(pts, pad)[0]] = True
     return pts[core & ~crowded]
@@ -203,9 +171,6 @@ class Tile:
         self.parent = None
         self.children = []
         self.clump_members = (tid,)
-
-    def size(self) -> int:
-        return int(self.mask.sum())
 
 
 class TileForest:
@@ -255,7 +220,7 @@ class TileForest:
     # -- construction ------------------------------------------------------
 
     def _check_spacing(self, j: int, pts: np.ndarray) -> None:
-        i, k, _ = close_pairs(pts, 4 * SCALE_BASE ** j)
+        i, k, _ = close_pairs(pts, center_pad(j))
         if len(i):
             raise ValueError(
                 f"level-{j} centers {tuple(pts[i[0]].tolist())} and "
@@ -370,7 +335,7 @@ class TileForest:
     def h(self, tid: int) -> tuple:
         if tid not in self._h_cache:
             q = tuple(self.h_fn(self.tiles[tid].center))
-            if q not in hexgraph().index:
+            if q not in HEX_INDEX:
                 raise ValueError(f"h draw {q} is not a checkerboard pair")
             self._h_cache[tid] = q
         return self._h_cache[tid]
@@ -441,7 +406,7 @@ class TileForest:
             return None
         aa = up[0]
         parity = sum(self.tiles[aa].center) % 2
-        path = [translate_phase(z, parity) for z in hexgraph().canonical_path(
+        path = [translate_phase(z, parity) for z in canonical_path(
             self.h(aa), translate_phase(self.h_prime(a), parity))]
         return path[min(gens, len(path) - 1)]
 
@@ -747,7 +712,7 @@ def _stage_zones(d: int, level: int) -> dict[int, tuple[int, int]]:
             half = 5 * r // 4 + 2 * level + 8
         else:
             half = forest_half + 2 * r + 4
-        zones[j] = (half, 4 * r)
+        zones[j] = (half, center_pad(j))
     return zones
 
 

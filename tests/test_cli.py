@@ -541,6 +541,53 @@ def test_unwritable_output_path_is_config_error(tmp_path, capsys, name):
     assert len(err) == 2 and all(line.startswith("config error: ") for line in err)
 
 
+@pytest.mark.parametrize("name", sorted(cli.CONSTRUCTIONS))
+def test_unwritable_out_fails_before_the_window_engine(tmp_path, monkeypatch, capsys,
+                                                       name):
+    def spy(*args):
+        raise AssertionError("the window engine ran")
+
+    monkeypatch.setitem(cli.CONSTRUCTIONS, name,
+                        cli.CONSTRUCTIONS[name]._replace(window=spy))
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    d = cli.CONSTRUCTIONS[name].dims[-1]
+    assert run("color", "--construction", name, "--d", d,
+               "--window", ",".join(["0"] * d + ["8"] * d), "--out", blocker / "x") == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+# (construction, engine the CLI calls, flags): each read region passes
+# MAX_WINDOW_SITES or COORD_LIMIT; the engines are spies, so nothing is read
+HUGE_READS = [
+    ("three2d", "coding_radii", ["--cap", "10000000000000"]),
+    ("baseline4", "baseline_window", ["--margin", "10000000000000"]),
+    ("threegen", "threegen_window", ["--maxlevel", "5"]),
+    ("threegen", "threegen_window", ["--maxlevel", "1000000000"]),
+    ("threegen", "threegen_window", ["--margin", str(2**62)]),
+]
+
+
+@pytest.mark.parametrize("name, engine, flags", HUGE_READS)
+def test_huge_read_region_is_config_error(tmp_path, monkeypatch, capsys, name, engine,
+                                          flags):
+    calls = []
+    monkeypatch.setattr(cli, engine, lambda *a, **k: calls.append(a))
+    assert run("color", "--construction", name, "--window", "0,0,96,96", *flags,
+               "--out", tmp_path / "x") == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith("config error: the region read with ")
+
+
+def test_read_region_at_the_site_cap_is_accepted(tmp_path, monkeypatch):
+    # three2d at --cap 60 reads the window grown by 32 on each side
+    monkeypatch.setattr(cli, "MAX_WINDOW_SITES", (4 + 64) ** 2)
+    assert run("color", "--construction", "three2d", "--window", "0,0,4,4",
+               "--cap", "60", "--out", tmp_path / "x") == 0
+    assert run("color", "--construction", "three2d", "--window", "0,0,4,4",
+               "--cap", "62", "--out", tmp_path / "y") == 2
+
+
 # -- sft -------------------------------------------------------------------------
 
 def test_sft_classify_text(tmp_path, capsys):
@@ -665,9 +712,10 @@ WINDOW_ARGS = st.sampled_from([("tower", 1), ("tower", 2), ("baseline4", 2)]).fl
 @settings(max_examples=150, deadline=None)
 def test_color_never_raises_on_random_window_strings(fuzz_dir, args):
     # a window the parser accepts is colored in full; the site cap is
-    # lowered here only so that such a window stays small
+    # lowered here only so that such a window stays small, yet leaves room
+    # for the region baseline4 reads with --margin 8
     (name, d), text = args
-    with mock.patch.object(cli, "MAX_WINDOW_SITES", 64):
+    with mock.patch.object(cli, "MAX_WINDOW_SITES", 1024):
         code = _exit_code(["color", "--construction", name, "--d", d,
                            f"--window={text}", "--margin", "8",
                            "--out", fuzz_dir / "run"])

@@ -57,6 +57,71 @@ FROZEN = {
 }
 
 
+# color_sequence(delta, 6).n for delta = 1..40, as computed when a float test
+# still settled the counts far from a floor boundary
+PINNED_SEQUENCES = {
+    1: (6, 8, 16, 256),
+    2: (39, 42, 56, 214),
+    3: (151, 154, 170, 291, 16554),
+    4: (479, 484, 516, 780, 23576),
+    5: (1365, 1370, 1407, 1711, 8549),
+    6: (3646, 3650, 3683, 3967, 7516),
+    7: (9324, 9332, 9405, 10103, 20029),
+    8: (23105, 23106, 23116, 23216, 24248, 37983),
+    9: (55916, 55925, 56023, 57107, 70588, 984805),
+    10: (132814, 132823, 132929, 134187, 150050, 613974),
+    11: (310729, 310731, 310756, 311072, 315099, 371217),
+    12: (717915, 717927, 718089, 720277, 750494, 1323822),
+    13: (1641193, 1641204, 1641361, 1643610, 1676161, 2226310),
+    14: (3717910, 3717924, 3718136, 3721345, 3770256, 4600516),
+    15: (8356248, 8356259, 8356434, 8359224, 8403827, 9150074),
+    16: (18651707,),
+    17: (41377776,),
+    18: (91294744,),
+    19: (200446189,),
+    20: (438157628,),
+    21: (953940667,),
+    22: (2069305845,),
+    23: (4473778432,),
+    24: (9642471091,),
+    25: (20723831058,),
+    26: (44423373425,),
+    27: (94993688654,),
+    28: (202671651290,),
+    29: (431491421533,),
+    30: (916835959339,),
+    31: (1944487663342,),
+    32: (4116817864861,),
+    33: (8701727889942,),
+    34: (18364425953406,),
+    35: (38700310470875,),
+    36: (81442473295909,),
+    37: (171166329964559,),
+    38: (359290420047962,),
+    39: (753285655463614,),
+    40: (1577558215963348,),
+}
+
+# tower_schedule(delta, 5).n wherever the family bit cap cuts it below the
+# sequence's first five counts
+PINNED_SCHEDULE_CUTS = {
+    9: (55916,),
+    10: (132814,),
+    11: (310729,),
+    12: (717915,),
+    13: (1641193,),
+    14: (3717910,),
+    15: (8356248,),
+}
+
+
+@pytest.mark.parametrize("delta", sorted(PINNED_SEQUENCES))
+def test_pinned_color_counts(delta):
+    assert color_sequence(delta, 6).n == PINNED_SEQUENCES[delta]
+    assert tower_schedule(delta, 5).n == PINNED_SCHEDULE_CUTS.get(
+        delta, PINNED_SEQUENCES[delta][:5])
+
+
 def test_constant_closed_forms():
     assert math.isclose(cover_free_constant(1), math.log(2) / 2, rel_tol=1e-15)
     assert math.isclose(cover_free_constant(2), -math.log(3 / 4) / 3, rel_tol=1e-15)

@@ -56,8 +56,8 @@ from ffcolor.perc3color import PercWindow, coding_radii, three2d_window, \
 from ffcolor.reduction import MNet, NetQuery, TowerQuery, net_window, tower_color_at, \
     tower_coloring
 from ffcolor.sft import coloring_spec, generate
-from ffcolor.tiling3color import HEX_VERTICES, SCALE_BASE, ScaleSystem, TileForest, \
-    _bernoulli_points, centers, three_color_general, threegen_window
+from ffcolor.tiling3color import HEX_VERTICES, SCALE_BASE, TileForest, \
+    _bernoulli_points, center_density, centers, three_color_general, threegen_window
 from ffcolor.verify import VIOLATION_CAP, check_heights
 from test_fourcolor import TiedLabels
 from test_sft import ONE_LETTER, PETAL
@@ -310,7 +310,7 @@ def test_centers_digest():
         pad = 4 * SCALE_BASE ** j
         got = centers(f, j, lo, hi, density_scale=scale)
         arrays += [got, _bernoulli_points(f, f"tiling:w:{j}", lo - pad, hi + pad,
-                                          ScaleSystem(lo.size, scale).density(j))]
+                                          center_density(lo.size, j, scale))]
         found += len(got)
     assert found >= 20
     assert _digest(*arrays) == CENTERS

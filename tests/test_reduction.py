@@ -130,7 +130,13 @@ def test_single_vertex_never_infinite():
     for seed in range(30):
         for k in (1, 2, 3):
             ac = almost_coloring(g, k, field=LabelField(seed))
-            assert ac.values[0] != INF
+            assert ac[0] != INF
+
+
+def test_almost_coloring_returns_its_value_array():
+    g = path_graph(5)
+    z = almost_coloring(g, 2, field=LabelField(3))
+    assert isinstance(z, np.ndarray) and z.dtype == np.int64 and z.shape == (5,)
 
 
 def test_two_adjacent_collision_rate():
@@ -139,7 +145,7 @@ def test_two_adjacent_collision_rate():
     n_seeds = 100_000
     both = 0
     for s in range(n_seeds):
-        v = almost_coloring(g, 1, field=LabelField(s)).values
+        v = almost_coloring(g, 1, field=LabelField(s))
         both += v[0] == INF and v[1] == INF
         assert (v[0] == INF) == (v[1] == INF)
     n1 = 6  # delta defaults to 1 on a single edge
@@ -155,7 +161,7 @@ def test_window_infinite_fraction_within_bound():
     ac = almost_coloring(wg, 1, field=fld)
     inner = wg.interior
     n = int(inner.sum())
-    frac = float((ac.values[inner] == INF).mean())
+    frac = float((ac[inner] == INF).mean())
     bound = 4 / 479
     assert frac <= bound + 3 * math.sqrt(bound * (1 - bound) / n)
 
@@ -197,14 +203,14 @@ def test_restricted_levels_equal_full_on_needed_sites(k):
     # level k computed only for `need` agrees with the whole-graph answer there
     fld = LabelField(31)
     wg = WindowGraph.build(Window((-40, -40), (80, 80)), 1, "l1")
-    full = almost_coloring(wg, k, field=fld).values
+    full = almost_coloring(wg, k, field=fld)
     rs = np.random.default_rng(k)
-    unresolved = almost_coloring(wg, 1, field=fld).values == INF
+    unresolved = almost_coloring(wg, 1, field=fld) == INF
     for need in (rs.random(wg.graph.n) < 0.02, unresolved,
                  np.zeros(wg.graph.n, dtype=bool), np.ones(wg.graph.n, dtype=bool)):
-        got = almost_coloring(wg, k, field=fld, need=need).values
+        got = almost_coloring(wg, k, field=fld, need=need)
         assert np.array_equal(got[need], full[need])
-    assert np.array_equal(almost_coloring(wg, k, field=fld, need=None).values, full)
+    assert np.array_equal(almost_coloring(wg, k, field=fld, need=None), full)
 
 
 def test_level_beyond_sequence_rejected():

@@ -11,10 +11,11 @@ from scipy.ndimage import binary_dilation, generate_binary_structure
 from ffcolor.field import (Budget, BudgetExceeded, LabelField, PerturbedField,
                            Tracker, TrackedField)
 from ffcolor.lattice import Window, ball_mask
-from ffcolor.tiling3color import (HEX_VERTICES, SCALE_BASE, ScaleSystem, TileForest,
-                                  _bernoulli_points, build_tiles, centers,
-                                  hexgraph, phase_color, three_color_general,
-                                  threegen_window, translate_phase)
+from ffcolor.tiling3color import (HEX_INDEX, HEX_VERTICES, SCALE_BASE, TileForest,
+                                  _bernoulli_points, build_tiles, canonical_path,
+                                  center_density, center_pad, centers, phase_color,
+                                  three_color_general, threegen_window,
+                                  translate_phase)
 from ffcolor.verify import AuditReport, check_coloring
 from test_golden import FORESTS, _spaced_centers
 
@@ -22,47 +23,88 @@ from test_golden import FORESTS, _spaced_centers
 # -- scales and the hexagon ---------------------------------------------------
 
 def test_scale_ladder():
-    s = ScaleSystem(2)
-    assert [s.r(j) for j in (1, 2, 3)] == [13, 169, 2197]
-    assert s.density(1) == pytest.approx(13.0 ** -2)
-    assert ScaleSystem(3, density_scale=0.5).density(2) == \
-        pytest.approx(0.5 * 13.0 ** -6)
+    assert [SCALE_BASE ** j for j in (1, 2, 3)] == [13, 169, 2197]
+    assert [center_pad(j) for j in (1, 2, 3)] == [52, 676, 8788]
+    assert center_density(2, 1) == pytest.approx(13.0 ** -2)
+    assert center_density(3, 2, 0.5) == pytest.approx(0.5 * 13.0 ** -6)
+
+
+def _hex_distance(a, b):
+    return len(canonical_path(a, b)) - 1
+
+
+def _hex_adjacent(a, b):
+    """Edge test, counting the self-loop at every vertex."""
+    return _hex_distance(a, b) <= 1
+
+
+def _reference_paths():
+    """The 36-entry path table the hexagon graph was once precomputed as."""
+    paths = {}
+    n = len(HEX_VERTICES)
+    for i, a in enumerate(HEX_VERTICES):
+        for k, b in enumerate(HEX_VERTICES):
+            delta = (k - i) % n
+            if delta <= 2:
+                steps = [(i + t) % n for t in range(delta + 1)]
+            elif delta >= 4:
+                steps = [(i - t) % n for t in range(n - delta + 1)]
+            else:
+                fwd = [(i + t) % n for t in range(4)]
+                bwd = [(i - t) % n for t in range(4)]
+                steps = fwd if HEX_VERTICES[fwd[1]] < HEX_VERTICES[bwd[1]] else bwd
+            paths[(a, b)] = tuple(HEX_VERTICES[s] for s in steps)
+    return paths
+
+
+def test_canonical_path_matches_the_reference_table():
+    table = _reference_paths()
+    assert len(table) == 36
+    for (a, b), path in table.items():
+        assert canonical_path(a, b) == path
 
 
 def test_hexagon_vertices_and_loops():
-    g = hexgraph()
     assert len(HEX_VERTICES) == 6
     assert all(a != b for a, b in HEX_VERTICES)
+    assert [HEX_INDEX[q] for q in HEX_VERTICES] == list(range(6))
     for q in HEX_VERTICES:
-        assert g.adjacent(q, q)
-        assert g.distance(q, q) == 0
+        assert _hex_adjacent(q, q)
+        assert _hex_distance(q, q) == 0
 
 
 def test_hexagon_diameter_and_swap_pairs():
-    g = hexgraph()
-    dists = [g.distance(a, b) for a in HEX_VERTICES for b in HEX_VERTICES]
+    dists = [_hex_distance(a, b) for a in HEX_VERTICES for b in HEX_VERTICES]
     assert max(dists) == 3
     for a, b in HEX_VERTICES:
-        assert g.distance((a, b), (b, a)) == 3
+        assert _hex_distance((a, b), (b, a)) == 3
 
 
 def test_hexagon_paths_are_shortest_walks():
-    g = hexgraph()
+    # an edge exchanges exactly one entry of the color pair; breadth-first
+    # search over that rule gives the true distances
+    def edge(x, y):
+        return x != y and (x[0] == y[0] or x[1] == y[1])
+
     for a in HEX_VERTICES:
+        dist, frontier, step = {a: 0}, {a}, 0
+        while frontier:
+            step += 1
+            frontier = {y for x in frontier for y in HEX_VERTICES
+                        if edge(x, y) and y not in dist}
+            dist.update(dict.fromkeys(frontier, step))
         for b in HEX_VERTICES:
-            p = g.canonical_path(a, b)
+            p = canonical_path(a, b)
             assert p[0] == a and p[-1] == b
-            assert len(p) == g.distance(a, b) + 1
-            for x, y in zip(p, p[1:]):
-                assert g.adjacent(x, y) and x != y
+            assert len(p) - 1 == dist[b]
+            assert all(edge(x, y) for x, y in zip(p, p[1:]))
 
 
 def test_hexagon_antipodal_tiebreak_is_frozen():
-    g = hexgraph()
     # Opposite vertices have two shortest routes; the smaller first step wins.
-    assert g.canonical_path((1, 2), (2, 1))[1] == (1, 3)
-    assert g.canonical_path((2, 1), (1, 2))[1] == (2, 3)
-    assert g.canonical_path((1, 3), (3, 1))[1] == (1, 2)
+    assert canonical_path((1, 2), (2, 1))[1] == (1, 3)
+    assert canonical_path((2, 1), (1, 2))[1] == (2, 3)
+    assert canonical_path((1, 3), (3, 1))[1] == (1, 2)
 
 
 def test_checkerboard_translation():
@@ -95,7 +137,7 @@ def test_center_thinning_matches_bruteforce_1d():
 # subnormal, and the level-1 and level-2 center densities of the benchmark
 THRESHOLD_PS = [0.0, 1.0, 2.0**-53, (2**51 + 3) * 2.0**-53,
                 np.nextafter((2**51 + 3) * 2.0**-53, 1.0), 5e-324,
-                ScaleSystem(2, 1 / 32).density(1), ScaleSystem(2, 1 / 32).density(2)]
+                center_density(2, 1, 1 / 32), center_density(2, 2, 1 / 32)]
 
 
 class _FixedLabels:
@@ -157,6 +199,23 @@ def test_center_thinning_matches_bruteforce_2d():
     assert len(got) >= 10
 
 
+@pytest.mark.parametrize("seed, candidates", [(6, "none"), (1, "pad only")])
+def test_centers_with_no_core_candidate(seed, candidates):
+    # seed 6 draws no candidate in the padded scan of [0, 4)^2, seed 1 draws
+    # several, all in the pad; either way the result is an empty (0, 2)
+    # int64 array and the scan records the one padded box
+    lo, hi, pad = np.zeros(2, dtype=np.int64), np.full(2, 4, dtype=np.int64), 4 * 13
+    pts = _bernoulli_points(LabelField(seed), "tiling:w:1", lo - pad, hi + pad,
+                            center_density(2, 1, 0.02))
+    assert (len(pts) == 0) == (candidates == "none")
+    assert not np.all((pts >= lo) & (pts < hi), axis=1).any()
+    tr = Tracker((0, 0), Budget(radius_cap=10 ** 9, access_cap=10 ** 9))
+    got = centers(TrackedField(LabelField(seed), tr), 1, lo, hi, density_scale=0.02)
+    assert got.shape == (0, 2) and got.dtype == np.int64
+    assert tr.boxes == {"tiling:w:1": [((-52, -52), (55, 55))]}
+    assert tr.points == {} and tr.access_count == 108 ** 2 and tr.radius == 110
+
+
 def test_centers_exact_far_from_the_origin():
     # at 2^61 float64 steps by 512, so a tree on absolute coordinates merges
     # nearby candidates; the thinning must match the exact int64 rule there
@@ -168,7 +227,7 @@ def test_centers_exact_far_from_the_origin():
         f = LabelField(seed)
         got = centers(f, 1, lo, hi, density_scale=0.05)
         w = _bernoulli_points(f, "tiling:w:1", lo - pad, hi + pad,
-                              ScaleSystem(2, 0.05).density(1))
+                              center_density(2, 1, 0.05))
         dist = np.abs(w[:, None, :] - w[None, :, :]).sum(axis=2)
         alone = (dist <= pad).sum(axis=1) == 1
         core = np.all((w >= lo) & (w < hi), axis=1)
@@ -231,7 +290,7 @@ def _dilate(cells):
 def test_lowest_level_tile_is_a_ball():
     forest = TileForest(2, (-20, -20), (21, 21), {1: [(0, 0)]}, **_const_fns())
     t = forest.tiles[0]
-    assert t.size() == 365
+    assert t.mask.sum() == 365
     assert _coords(t) == _ball((0, 0), 13)
     assert t.parent is None and tuple(t.clump_members) == (0,)
 
@@ -257,7 +316,7 @@ def test_absorption_boundary_exclusive():
     assert t1.parent is None and t2.parent is None
     assert t2.children == []
     assert _coords(t2) == _dilate(_ball((90, 95), 169))
-    assert t2.size() == 2 * 170 * 170 + 2 * 170 + 1
+    assert t2.mask.sum() == 2 * 170 * 170 + 2 * 170 + 1
 
 
 def test_level_one_masks_are_read_only():
@@ -500,7 +559,6 @@ def _audit_coloring(forest):
     rep = check_coloring(colors, valid=valid,
                          window=Window(tuple(forest.lo), tuple(forest.hi - forest.lo)),
                          construction="threegen")
-    hexg = hexgraph()
     edges = 0
     for t in forest.tiles:
         if t.parent is None:
@@ -509,7 +567,7 @@ def _audit_coloring(forest):
         if qa is None or qb is None:
             continue
         edges += 1
-        if not hexg.adjacent(qa, qb):
+        if not _hex_adjacent(qa, qb):
             rep.add("not-homomorphism", (t.center, forest.tiles[t.parent].center))
     rep.stats["forest_edges_checked"] = edges
     return rep
@@ -592,10 +650,9 @@ def test_interpolation_uses_midpath_colorings(chain6):
     assert g[2] == (1, 3)
     assert g[1] == (2, 3)
     assert g[0] == (2, 3)
-    hexg = hexgraph()
     for t in forest.tiles:
         if t.parent is not None:
-            assert hexg.adjacent(g[t.tid], g[t.parent])
+            assert _hex_adjacent(g[t.tid], g[t.parent])
     rep = _audit_coloring(forest)
     assert rep.passed, rep.summary()
     assert rep.stats["forest_edges_checked"] == 5
