@@ -28,11 +28,12 @@ from .field import Budget, BudgetExceeded, LabelField, Tracker, TrackedField, \
 from .fourcolor import audit_faces, audit_sign_clusters, baseline_percolation_4color, \
     baseline_window, four_color_window
 from .lattice import LatticeSpec, Window, WindowGraph
-from .perc3color import START_HALF, coding_radii, radii_margin, three_color_2d
+from .perc3color import START_HALF, coding_radii, half_widths, radii_margin, \
+    three_color_2d
 from .reduction import tower_color_at, tower_coloring
 from .sft import LatticeRefusal, choose_base, classify, generate, parse_spec, \
     recurrence_gcd, verify_membership
-from .tiling3color import center_pad, three_color_general, threegen_window
+from .tiling3color import center_pad, scan_half, three_color_general, threegen_window
 from .verify import check_coloring, check_heights, check_net, check_palette, \
     radius_tail_csv, survival_points
 
@@ -257,15 +258,19 @@ class Construction(NamedTuple):
     """`window(args, field, window)` -> (colors, valid, radii-or-None, constants,
     engine-or-None); `demand(args, field, v)` answers one site, censored past
     `args.cap`, or is None.  `audits` maps a name to `audit(colors, valid,
-    engine)` -> AuditReport.  `window_value(answer)` is a demand answer as the
-    window reports it (color, and radius where it reports radii), or None where
-    the window is not the factor the demand engine computes.  Engines are
-    looked up by name at call time, so tests can spy on them."""
+    engine)` -> AuditReport.  `window_value(answer)` is the color of a demand
+    answer, or None where the window is not the factor the demand engine
+    computes.  `demand_half(args)` is the half-width of the largest box one
+    demand query reads within `args.cap`, or None where the cap does not
+    bound its reads.  A query's coding radius is what its tracker records,
+    never a value it returns.  Engines are looked up by name at call time, so
+    tests can spy on them."""
     dims: tuple
     window: Callable
     demand: Callable | None
     audits: dict
     window_value: Callable | None
+    demand_half: Callable | None = None
 
     def audits_at(self, d: int) -> dict:
         # the height check walks unit squares, which a line does not have
@@ -281,13 +286,13 @@ CONSTRUCTIONS = {
         "faces": lambda colors, valid, fc: audit_faces(fc.boxes),
         "sign-clusters": lambda colors, valid, fc: audit_sign_clusters(fc.signs)}, None),
     "three2d": Construction((2,), _three2d, lambda args, f, v: three_color_2d(
-        v, f, radius_cap=args.cap),  # answers (color, radius)
-        _THREE_COLORING_AUDITS, lambda answer: answer),
+        v, f, radius_cap=args.cap), _THREE_COLORING_AUDITS, lambda answer: answer,
+        lambda args: max(half_widths(args.cap), default=0)),
     # a root-closed window is not the factor the query computes
     "threegen": Construction((1, 2), _threegen, lambda args, f, v: three_color_general(
         v, args.d, f, density_scale=args.density_scale, radius_cap=args.cap),
         {**_THREE_COLORING_AUDITS, "forest": lambda colors, valid, forest: forest.audit()},
-        None),
+        None, lambda args: scan_half(args.d, args.cap)),
     "baseline4": Construction(
         (2,), _baseline4, lambda args, f, v: baseline_percolation_4color(v, f),
         _coloring_audits(lambda d: 4), lambda answer: answer),
@@ -384,6 +389,7 @@ def cmd_verify(args) -> int:
                              construction=args.kind)
         if args.kind == "three-coloring":
             rep.merge(check_heights(colors, valid, construction="heights"))
+            rep.merge(check_palette(colors, 3, valid))
     print(rep.summary())
     for kind, where in rep.violations[:10]:
         print(f"  {kind} at {where}")
@@ -401,11 +407,16 @@ def _sample_vertices(seed: int, n: int, d: int, span: int = 1_000_000):
 
 
 def cmd_stats(args) -> int:
-    demand, field = _construction(args).demand, LabelField(args.seed)
+    entry, field = _construction(args), LabelField(args.seed)
+    if entry.demand_half is not None:
+        # the limits `color` puts on the region it reads, not a memory bound
+        h = entry.demand_half(args)
+        _check_region(Window((-h,) * args.d, (2 * h + 1,) * args.d),
+                      f"the region one query reads with --cap {args.cap}")
     radii = []
     for v in _sample_vertices(args.seed, args.samples, args.d):
         try:
-            radii.append(tracked(lambda f: demand(args, f, v), field, v,
+            radii.append(tracked(lambda f: entry.demand(args, f, v), field, v,
                                  Budget(radius_cap=args.cap)).radius)
         except BudgetExceeded:
             radii.append(None)

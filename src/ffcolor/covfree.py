@@ -210,9 +210,9 @@ class SetFamily:
         self.stream = stream
 
     @classmethod
-    def build(cls, field, delta: int, level: int, ground: int, nsets: int,
-              allow_infeasible: bool = False) -> "SetFamily":
-        if not allow_infeasible and not _le_exp_exact(nsets, ground, delta):
+    def build(cls, field, delta: int, level: int, ground: int,
+              nsets: int) -> "SetFamily":
+        if not _le_exp_exact(nsets, ground, delta):
             raise ValueError(
                 f"{nsets} sets over [{ground}] is beyond the delta={delta} rate")
         if nsets * ground > FAMILY_BIT_CAP:

@@ -301,14 +301,32 @@ def radii_margin(cap: int) -> int:
     return cap // 2 + 2
 
 
-def coding_radii(field, window: Window, *, cap: int = 512,
-                 start_half: int = START_HALF):
+def half_widths(cap: int) -> list[int]:
+    """The three2d window schedule: every half-width START_HALF * 2^j whose
+    window reaches 2 * half-width <= cap, smallest first."""
+    out, h = [], START_HALF
+    while 2 * h <= cap:
+        out.append(h)
+        h *= 2
+    return out
+
+
+def scheduled_radius(need: np.ndarray, cap: int) -> np.ndarray:
+    """Elementwise 2 * the first of `half_widths(cap)` that is >= need: the
+    reach of the first window whose half-width covers `need`, or 0 where no
+    window within the cap does."""
+    halves = np.array(half_widths(cap), dtype=np.int64)
+    return 2 * np.append(halves, 0)[np.searchsorted(halves, need)]
+
+
+def coding_radii(field, window: Window, *, cap: int = 512):
     """Exact per-vertex coding radii over a window, via one shared build.
 
     A box certifies the same chain as the infinite volume exactly when the
     cluster requirement box sits inside it minus the rim, so the radius the
     demand-driven query would report is computable from per-cluster data:
-    twice the first scheduled half-width reaching the requirement box.
+    twice the first of `half_widths(cap)` that reaches the half-width the
+    requirement box needs around the vertex (`scheduled_radius`).
     Returns (radii, resolved, colors, perc); radii and colors are 0 where
     the query would pass the cap instead (resolved False).  The surrounding
     margin is `radii_margin(cap)`.
@@ -323,34 +341,29 @@ def coding_radii(field, window: Window, *, cap: int = 512,
     need = np.maximum.reduce([
         i - perc.req_lo[lab, 0], perc.req_hi[lab, 0] - i,
         j - perc.req_lo[lab, 1], perc.req_hi[lab, 1] - j])
-    need = np.maximum(need, start_half)
-    sched = np.exp2(np.ceil(np.log2(need / start_half))).astype(np.int64) \
-        * start_half
-    radii = 2 * sched
-    resolved = perc.color_known[lab] & (radii <= cap)
+    radii = scheduled_radius(need, cap)
+    resolved = perc.color_known[lab] & (radii > 0)
     colors = np.where(resolved, perc.color[lab], 0)
     return np.where(resolved, radii, 0), resolved, colors, perc
 
 
-def three_color_2d(v, field, *, start_half: int = START_HALF,
-                   radius_cap: int | None = None) -> tuple[int, int]:
+def three_color_2d(v, field, *, radius_cap: int | None = None) -> int:
     """Color at one vertex by growing centered windows until certified.
 
-    Windows double in half-width; the answer is window-independent because
-    every certificate (closed cluster, closed parent) is stable under
-    growth.  Returns (color, radius) with radius the 1-norm reach of the
-    final window read, 2 * half-width; raises when the cap is passed.
+    The windows run through `half_widths(cap)`; the answer is
+    window-independent because every certificate (closed cluster, closed
+    parent) is stable under growth.  Raises when the cap is passed.  The
+    query's coding radius is what a `Tracker` records of its reads: the
+    1-norm reach 2 * half-width of the last window built.
     """
     cap = DEFAULT_BUDGET.radius_cap if radius_cap is None else radius_cap
     v = tuple(int(c) for c in v)
     if len(v) != 2:
         raise ValueError("diagonal percolation coloring is planar only")
-    h = start_half
-    while 2 * h <= cap:
+    for h in half_widths(cap):
         win = Window((v[0] - h, v[1] - h), (2 * h + 1, 2 * h + 1))
         perc = PercWindow.build(field, win)
         cid = perc.cluster_id(v)
         if perc.color_known[cid]:
-            return int(perc.color[cid]), 2 * h
-        h *= 2
+            return int(perc.color[cid])
     raise BudgetExceeded("radius", cap, STREAM_PREFIX, v)

@@ -124,7 +124,7 @@ def almost_coloring(g, k: int, field, seq: ColorSequence | None = None,
     it are built into it, so levels sharing one field and `seq` can share
     one dict.
 
-    `need` is a vertex mask, all vertices by default.  Reduction step i then
+    `need` is a vertex mask, all vertices when None.  Reduction step i then
     runs only on the (i-1)-fold dilation of `need`, which is all that the
     values on `need` depend on, so values are exact only on `need`; elsewhere
     they may read INF.
@@ -142,12 +142,12 @@ def almost_coloring(g, k: int, field, seq: ColorSequence | None = None,
     z = np.where(collide, INF, z)
     if trace is not None:
         trace.append(z.copy())
-    mask = None if need is None else np.asarray(need, dtype=bool)
+    mask = np.ones(graph.n, dtype=bool) if need is None else np.asarray(need, dtype=bool)
     rows = []  # rows[i - 1] indexes the vertices reduction step i computes
     for i in range(1, k):
-        if mask is not None and i > 1:
+        if i > 1:
             mask = dilate_mask(mask, nbr)
-        rows.append(slice(None) if mask is None else np.flatnonzero(mask))
+        rows.append(np.flatnonzero(mask))
     for i in range(k - 1, 0, -1):
         fam = families.get(i)
         if fam is None:

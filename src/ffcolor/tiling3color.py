@@ -716,16 +716,28 @@ def _stage_zones(d: int, level: int) -> dict[int, tuple[int, int]]:
     return zones
 
 
+def scan_half(d: int, cap: int) -> int:
+    """Half-width of the largest center-scan box that a stage of
+    `three_color_general` reads within radius cap `cap`, 0 when the first
+    stage passes the cap.  A stage's reach is d times its largest scan
+    half-width, and both grow with the level."""
+    most, level = 0, 1
+    while True:
+        half = max(h + pad for h, pad in _stage_zones(d, level).values())
+        if d * half > cap:
+            return most
+        most, level = half, level + 1
+
+
 def three_color_general(v, d: int, field, *, density_scale: float = 1.0,
                         radius_cap: int | None = None,
-                        centers_source=None, coin_fn=None, h_fn=None
-                        ) -> tuple[int, int]:
+                        centers_source=None, coin_fn=None, h_fn=None) -> int:
     """Color of one vertex under the true (un-closed) chain semantics.
 
     Grows the examined region level by level until the nearest-special walk
     is decided inside it, and raises a radius refusal when the next stage
-    would read past the cap.  The returned radius is the worst 1-norm reach
-    of any read the resolving stage planned.
+    would read past the cap.  The query's coding radius is what a `Tracker`
+    records of its reads.
     """
     v = tuple(int(c) for c in v)
     if len(v) != d:
@@ -758,4 +770,4 @@ def three_color_general(v, d: int, field, *, density_scale: float = 1.0,
             continue
         q = forest.homomorphism(tid)
         if q is not None:
-            return phase_color(q, v), reach
+            return phase_color(q, v)

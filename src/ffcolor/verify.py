@@ -95,7 +95,7 @@ def _positive_offsets(d: int, m: int, norm: str) -> list[tuple[int, ...]]:
 
 
 def check_coloring(colors: np.ndarray, m: int = 1, norm: str = "l1",
-                   valid: np.ndarray | None = None, window: Window | None = None,
+                   valid: np.ndarray | None = None,
                    construction: str = "coloring") -> AuditReport:
     """Every pair at norm-distance <= m must differ, among valid positive cells."""
     colors = np.asarray(colors)
@@ -103,7 +103,7 @@ def check_coloring(colors: np.ndarray, m: int = 1, norm: str = "l1",
     if valid is None:
         valid = np.ones(colors.shape, dtype=bool)
     ok = valid & (colors > 0)
-    rep = AuditReport(construction, window)
+    rep = AuditReport(construction, None)
     checked = 0
     for off in _positive_offsets(d, m, norm):
         # colors[src] and colors[dst] are the cells x and x + off
@@ -111,7 +111,7 @@ def check_coloring(colors: np.ndarray, m: int = 1, norm: str = "l1",
         both = ok[src] & ok[dst]
         checked += int(both.sum())
         rep.add_mask("proper", both & (colors[src] == colors[dst]),
-                     lambda idx: _pair(idx, off, window))
+                     lambda idx: _pair(idx, off))
     rep.stats.setdefault("violations_total", 0)
     rep.stats["pairs_checked"] = checked
     rep.stats["cells_valid"] = int(ok.sum())
@@ -124,26 +124,24 @@ def check_palette(colors: np.ndarray, q: int,
     colors = np.asarray(colors)
     bad = (colors < 1) | (colors > q)
     rep = AuditReport("palette", None)
-    rep.add_mask("palette", bad if valid is None else bad & valid,
-                 lambda idx: _abs(idx, None))
+    rep.add_mask("palette", bad if valid is None else bad & valid, _cell)
     rep.stats["cells_checked"] = bad.size if valid is None else int(valid.sum())
     return rep
 
 
-def _abs(idx, window: Window | None) -> tuple:
-    """A grid index as a tuple of ints, shifted by the window's origin."""
-    origin = (0,) * len(idx) if window is None else window.origin
-    return tuple(int(i) + o for i, o in zip(idx, origin))
+def _cell(idx) -> tuple:
+    """A grid index as a tuple of ints."""
+    return tuple(int(i) for i in idx)
 
 
-def _pair(idx, off, window: Window | None) -> tuple:
+def _pair(idx, off) -> tuple:
     """The two cells of a shifted-slice violation at `idx`, `off` apart."""
     base = tuple(int(i) + max(-o, 0) for i, o in zip(idx, off))
-    return _abs(base, window), _abs(tuple(b + o for b, o in zip(base, off)), window)
+    return base, tuple(b + o for b, o in zip(base, off))
 
 
 def check_net(indicator: np.ndarray, m: int = 1, norm: str = "l1",
-              valid: np.ndarray | None = None, window: Window | None = None,
+              valid: np.ndarray | None = None,
               construction: str = "net") -> AuditReport:
     """Packing: no two valid 1's within m.  Covering: every cell whose whole
     ball is in-grid and valid sees a 1 in its ball."""
@@ -151,11 +149,11 @@ def check_net(indicator: np.ndarray, m: int = 1, norm: str = "l1",
     d = j.ndim
     if valid is None:
         valid = np.ones(j.shape, dtype=bool)
-    rep = AuditReport(construction, window)
+    rep = AuditReport(construction, None)
     for off in _positive_offsets(d, m, norm):
         dst, src = overlap((0,) * d, j.shape, off, j.shape)
         rep.add_mask("packing", j[src] & j[dst] & valid[src] & valid[dst],
-                     lambda idx: _pair(idx, off, window))
+                     lambda idx: _pair(idx, off))
     offs = ball_offsets(d, m, norm)
     has_one = np.zeros(j.shape, dtype=bool)
     ball_ok = np.ones(j.shape, dtype=bool)
@@ -167,7 +165,7 @@ def check_net(indicator: np.ndarray, m: int = 1, norm: str = "l1",
         inside = np.zeros(j.shape, dtype=bool)
         inside[dst] = valid[src]
         ball_ok &= inside
-    rep.add_mask("covering", ball_ok & ~has_one, lambda idx: _abs(idx, window))
+    rep.add_mask("covering", ball_ok & ~has_one, _cell)
     rep.stats["ones"] = int((j & valid).sum())
     rep.stats["checkable_cells"] = int(ball_ok.sum())
     return rep
@@ -195,7 +193,6 @@ def _running(a: np.ndarray, axis: int) -> np.ndarray:
 
 def check_heights(colors: np.ndarray, valid: np.ndarray | None = None,
                   rectangles: int = 100, rng_seed: int = 0,
-                  window: Window | None = None,
                   construction: str = "heights") -> AuditReport:
     """Zero circulation around every unit square whose corners are valid,
     plus sampled rectangles.
@@ -217,15 +214,14 @@ def check_heights(colors: np.ndarray, valid: np.ndarray | None = None,
     if valid is None:
         valid = np.ones(colors.shape, dtype=bool)
     valid = valid & (colors > 0)
-    rep = AuditReport(construction, window)
+    rep = AuditReport(construction, None)
     hx, okx = _steps_grid(colors, 0)   # (nx-1, ny) steps along x
     hy, oky = _steps_grid(colors, 1)   # (nx, ny-1) steps along y
     sq_valid = valid[:-1, :-1] & valid[1:, :-1] & valid[:-1, 1:] & valid[1:, 1:]
     sq_proper = okx[:, :-1] & okx[:, 1:] & oky[:-1, :] & oky[1:, :]
-    rep.add_mask("non-proper-edge", sq_valid & ~sq_proper, lambda idx: _abs(idx, window))
+    rep.add_mask("non-proper-edge", sq_valid & ~sq_proper, _cell)
     circ = hx[:, :-1] + hy[1:, :] - hx[:, 1:] - hy[:-1, :]
-    rep.add_mask("circulation", sq_valid & sq_proper & (circ != 0),
-                 lambda idx: _abs(idx, window))
+    rep.add_mask("circulation", sq_valid & sq_proper & (circ != 0), _cell)
     checked = int((sq_valid & sq_proper).sum())
     sx, sy = _running(hx, 0), _running(hy, 1)
     bx = _running(~okx | ~valid[:-1, :] | ~valid[1:, :], 0)

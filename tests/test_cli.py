@@ -337,6 +337,26 @@ def test_verify_three_coloring_total_passes_the_violation_cap(tmp_path):
     assert rep["violations_total"] == 2 * 120 * 119 + heights == 42_721
 
 
+@pytest.mark.parametrize("kind,bad", [("four-coloring", 36), ("a-five", 1)])
+def test_verify_three_coloring_checks_the_palette(tmp_path, kind, bad):
+    # heights are read mod 3, so colors 4 and 5 pass every other check
+    x, y = np.indices((12, 12))
+    if kind == "four-coloring":
+        colors = x % 2 + 2 * (y % 2) + 1
+    else:
+        colors = (x + y) % 2 + 1
+        colors[5, 6] = 5  # for a 2, as 5 is 2 mod 3
+    write_ppm(tmp_path / "c.ppm", colors)
+    assert run("verify", "--image", tmp_path / "c.ppm", "--kind", "three-coloring",
+               "--json", tmp_path / "rep.json") == 1
+    rep = json.loads((tmp_path / "rep.json").read_text())
+    assert rep["violations_total"] == bad
+    assert {v["kind"] for v in rep["violations_sample"]} == {"palette"}
+    assert rep["stats"]["cells_checked"] == 144
+    if kind == "a-five":
+        assert rep["violations_sample"][0]["at"] == [5, 6]
+
+
 def test_verify_three_coloring_reports_every_height_counter(tmp_path):
     x, y = np.indices((40, 30))
     colors = (x + y) % 3 + 1
@@ -484,6 +504,27 @@ def test_stats_checks_dims_and_runs_threegen_in_1d(tmp_path, monkeypatch):
     assert run("stats", "--construction", "threegen", "--d", "1", "--samples", "3",
                "--cap", "256", "--seed", "1", "--out", out) == 0
     assert seen == [(1, 1)] * 3
+
+
+@pytest.mark.parametrize("name,engine,widest", [
+    ("three2d", "three_color_2d", 65_535),  # windows of 32,769^2 sites
+    ("threegen", "three_color_general", 299_921),  # scans of 23,097^2 sites
+])
+def test_stats_refuses_a_cap_whose_widest_read_color_refuses(tmp_path, monkeypatch,
+                                                            capsys, name, engine, widest):
+    # the spy stands in for every query, so no cap here reads a label
+    calls = []
+    monkeypatch.setattr(cli, engine, lambda *a, **kw: calls.append(a) or 1)
+    out = tmp_path / "s.csv"
+    for cap in (10_000_000_000_000, widest + 1):
+        capsys.readouterr()
+        assert run("stats", "--construction", name, "--samples", "2", "--cap", cap,
+                   "--out", out) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+    assert calls == [] and not out.exists()
+    assert run("stats", "--construction", name, "--samples", "2", "--cap", widest,
+               "--out", out) == 0
+    assert len(calls) == 2
 
 
 def test_stats_threegen_passes_cap_to_query(tmp_path, monkeypatch):

@@ -29,6 +29,12 @@ from ffcolor.covfree import (
 from ffcolor.field import LabelField, Tracker, TrackedField
 
 
+def infeasible_family(field, delta: int, ground: int, nsets: int) -> SetFamily:
+    """The level-1 family `SetFamily.build` would draw, built past its rate check."""
+    stream = f"family:d{delta}/l1"
+    return SetFamily(family_rows(field, stream, np.arange(nsets), ground), ground, stream)
+
+
 def sample_tuples(field, nsets: int, delta: int, count: int) -> np.ndarray:
     """count distinct-entry (delta+1)-tuples of rows in [1, nsets], deterministic."""
     out = np.empty((count, delta + 1), dtype=np.int64)
@@ -188,10 +194,9 @@ def test_build_rejects_infeasible_counts():
 
 def test_three_sets_over_two_points_always_violate():
     # the only antichains in the subsets of {1,2} have size <= 2, so every
-    # 3-set family fails; exercised through the escape hatch
+    # 3-set family fails; built past the rate check
     for seed in range(5):
-        fam = SetFamily.build(LabelField(seed), 1, 1, ground=2, nsets=3,
-                              allow_infeasible=True)
+        fam = infeasible_family(LabelField(seed), 1, ground=2, nsets=3)
         report = fam.audit(delta=1)
         assert report["mode"] == "exhaustive"
         assert report["bad"] >= 1
@@ -287,8 +292,7 @@ def test_tail_bits_masked():
 @settings(max_examples=60, deadline=None)
 def test_membership_rate_is_fair_bits(seed, ground):
     # each element lands in a set with probability 1/2; crude 5-sigma band
-    fam = SetFamily.build(LabelField(seed), 3, 1, ground=ground, nsets=4,
-                          allow_infeasible=True)
+    fam = infeasible_family(LabelField(seed), 3, ground=ground, nsets=4)
     total = 4 * ground
     ones = int(sum(row_bits(fam, r).sum() for r in range(1, 5)))
     sd = math.sqrt(total * 0.25)
@@ -323,8 +327,7 @@ def test_large_degree_sequence_is_frozen():
 def test_row_read_alone_matches_built_row_under_rejection():
     # over [3] a row is empty with probability 1/8, so some rows are redrawn
     fld = LabelField(11)
-    fam = SetFamily.build(fld, 2, 1, ground=3, nsets=64,
-                          allow_infeasible=True)
+    fam = infeasible_family(fld, 2, ground=3, nsets=64)
     first = fld.u64_grid(fam.stream, [np.arange(64)[:, None], np.zeros((1, 1))])
     assert ((first & np.uint64(0b111)) == 0).sum() > 0
     assert all(fam.words.any(axis=1))

@@ -470,7 +470,7 @@ def _threegen_query(f, v):
     # no site resolves below six tile levels, so each query reads stages 1
     # and 2 and is censored at stage 3: -3 stands for that censoring
     try:
-        return three_color_general(v, 2, f, density_scale=1 / 8, radius_cap=2048)[0]
+        return three_color_general(v, 2, f, density_scale=1 / 8, radius_cap=2048)
     except BudgetExceeded as e:
         return -int(e.stream.rsplit(":", 1)[1])
 
@@ -484,7 +484,7 @@ DEMAND = {
                   5, SITES, lambda f, v: baseline_percolation_4color(v, f)),
     "three2d": ("83b45a5bd67bc4283fe026000e0ba86a1f2c9239e2b68bd7d1e6a675f5e47d62",
                 3, THREE2D_SITES,
-                lambda f, v: three_color_2d(v, f, radius_cap=256)[0]),
+                lambda f, v: three_color_2d(v, f, radius_cap=256)),
     "threegen": ("3b422874502e52fd5b5c98fcafc6cde8fa55f1b0b04152747d077c6ea4ee6e22",
                  5, SITES + [(_FAR - 7, 3 - _FAR)], _threegen_query),
 }

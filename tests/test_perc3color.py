@@ -7,13 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffcolor.field import BudgetExceeded, LabelField, tracked
+from ffcolor import perc3color
 from ffcolor.lattice import Window
 from ffcolor.perc3color import (
     UNKNOWN,
     PercWindow,
     choose_diagonals,
+    START_HALF,
     coding_radii,
     diagonal_rule,
+    half_widths,
+    scheduled_radius,
     three2d_window,
     three_color_2d,
 )
@@ -545,16 +549,59 @@ def test_parent_cycle_raises_instead_of_hanging():
 # -- per-vertex queries and radii --------------------------------------------
 
 
-def test_window_schedule_does_not_change_answers():
+def test_window_schedule_does_not_change_answers(monkeypatch):
     f = LabelField(3)
     radii, resolved, colors, _ = coding_radii(f, Window((0, 0), (48, 48)), cap=256)
     picks = np.argwhere(resolved)[:5]
     assert len(picks) >= 1
     for i, j in picks:
         v = (int(i), int(j))
-        got = {three_color_2d(v, f, start_half=s, radius_cap=1024)[0]
-               for s in (4, 8, 16)}
+        got = set()
+        for s in (4, 8, 16):
+            monkeypatch.setattr(perc3color, "START_HALF", s)
+            got.add(three_color_2d(v, f, radius_cap=1024))
         assert got == {colors[v]}
+
+
+def _doubling_radius(need: int) -> int:
+    """Twice the first half-width START_HALF * 2^j >= need, by integer doubling."""
+    h = START_HALF
+    while h < need:
+        h *= 2
+    return 2 * h
+
+
+# every need up to 5000, then needs around the largest half-widths; uint64
+# holds the uncapped radius 2^63 of the last one
+NEEDS = list(range(5001)) + [2**60, 2**60 + 1, 2**61 - 1, 2**61, 2**61 + 1]
+NEED_RADII = np.array([_doubling_radius(n) for n in NEEDS], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("caps", [range(1, 4097), range(2**62 - 2, 2**62 + 3)],
+                         ids=["small", "near-2^62"])
+def test_schedule_matches_integer_doubling(caps):
+    needs = np.array(NEEDS, dtype=np.int64)
+    for cap in caps:
+        halves = [START_HALF << j for j in range(62) if 2 * (START_HALF << j) <= cap]
+        assert half_widths(cap) == halves
+        # a query reaching past the cap is censored, which reads 0
+        expect = np.where(NEED_RADII <= np.uint64(cap), NEED_RADII, np.uint64(0))
+        assert np.array_equal(scheduled_radius(needs, cap).astype(np.uint64), expect), cap
+
+
+def test_tracked_query_radius_is_the_coding_radius():
+    # 300 is no power of two: the last window within it has reach 256
+    f, cap = LabelField(3), 300
+    radii, resolved, colors, _ = coding_radii(f, Window((0, 0), (40, 40)), cap=cap)
+    picks = np.argwhere(resolved)
+    assert len(picks) >= 3 and not resolved.all()
+    for i, j in picks[:8]:
+        v = (int(i), int(j))
+        te = tracked(lambda g: three_color_2d(v, g, radius_cap=cap), f, v)
+        assert (te.value, te.radius) == (colors[v], radii[v]), v
+    for i, j in np.argwhere(~resolved)[:2]:
+        with pytest.raises(BudgetExceeded):
+            three_color_2d((int(i), int(j)), f, radius_cap=cap)
 
 
 def test_radius_cap_raises_budget_error():

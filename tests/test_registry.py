@@ -9,8 +9,8 @@ censored ones included, replays the same way.
 
 Where an entry has a `window_value`, the demand and window engines compute the
 same factor and agree on every valid site.  Where the window also reports
-radii, a site is valid exactly when its query resolves within the cap, at
-that radius.
+radii, a site is valid exactly when its query resolves within the cap, and its
+radius is the query's tracked radius.
 """
 
 import numpy as np
@@ -95,8 +95,8 @@ def test_registry_gate(name, d, seed, data):
         at = tuple(np.subtract(v, window.origin))
         if radii is not None:
             r = radii[np.ravel_multi_index(at, window.extent)]
-            assert (r is None) == (answer[0] == "censored") == (not valid[at]), v
+            censored = isinstance(answer, tuple) and answer[0] == "censored"
+            assert (r is None) == censored == (not valid[at]), v
             assert r is None or r == tr.radius
         if valid[at]:
-            expect = colors[at] if radii is None else (colors[at], r)
-            assert entry.window_value(answer) == expect, v
+            assert entry.window_value(answer) == colors[at], v

@@ -556,9 +556,7 @@ def chain6():
 def _audit_coloring(forest):
     """Properness of the painted colors plus the homomorphism edge check."""
     colors, valid = forest.colors_grid()
-    rep = check_coloring(colors, valid=valid,
-                         window=Window(tuple(forest.lo), tuple(forest.hi - forest.lo)),
-                         construction="threegen")
+    rep = check_coloring(colors, valid=valid, construction="threegen")
     edges = 0
     for t in forest.tiles:
         if t.parent is None:
@@ -725,16 +723,17 @@ def test_forest_fixture_3d():
     # Any axis plane of a proper 3d coloring is a proper 2d coloring.
     from ffcolor.verify import check_coloring
     k = int(np.argwhere(valid)[0][0])
-    plane = check_coloring(colors[k], valid=valid[k],
-                           window=Window((0, 0), (70, 70)),
-                           construction="threegen")
+    plane = check_coloring(colors[k], valid=valid[k], construction="threegen")
     assert plane.passed, plane.summary()
 
 
 # -- demand-driven queries ------------------------------------------------------
 
-def _chain_sources(coins, hs):
+def _chain_sources(coins, hs, tracker=None):
     def src(field, j, lo, hi):
+        if tracker is not None:
+            # the box `centers` would scan for these centers
+            tracker.record_box(f"tiling:w:{j}", lo - center_pad(j), hi - 1 + center_pad(j))
         pts = np.array([[j]], dtype=np.int64)
         if j > 6 or not (lo[0] <= j < hi[0]):
             return pts[:0]
@@ -747,15 +746,16 @@ def test_query_resolves_on_minimal_head_pattern():
     coins = {(j,): s for j, s in zip(range(1, 7), (-1, -1, -1, +1, -1, -1))}
     hs = {(j,): (1, 2) for j in range(1, 7)}
     hs[(4,)] = (2, 3)
-    color, radius = three_color_general(
-        (0,), 1, None, radius_cap=27_000_000, **_chain_sources(coins, hs))
+    tr = Tracker((0,), Budget(radius_cap=27_000_000, access_cap=10 ** 9))
+    color = three_color_general(
+        (0,), 1, None, radius_cap=27_000_000, **_chain_sources(coins, hs, tr))
     assert color == 2
-    color5, _ = three_color_general(
+    color5 = three_color_general(
         (5,), 1, None, radius_cap=27_000_000, **_chain_sources(coins, hs))
     assert color5 == 3
     # The chain resolves at the sixth scale; every read stays within the
     # (3/2 + 4) * r budget of that scale.
-    assert 11 * 13 ** 5 // 2 < radius <= 11 * 13 ** 6 // 2
+    assert 11 * 13 ** 5 // 2 < tr.radius <= 11 * 13 ** 6 // 2
 
 
 def test_query_agrees_with_forest_coloring():
@@ -767,7 +767,7 @@ def test_query_agrees_with_forest_coloring():
     forest.assign_colorings(root_closure=False)
     colors, valid = forest.colors_grid()
     for v in (-12, -5, 0, 7, 14):
-        c, _ = three_color_general(
+        c = three_color_general(
             (v,), 1, None, radius_cap=27_000_000, **_chain_sources(coins, hs))
         assert valid[v + 12]
         assert c == colors[v + 12]

@@ -80,14 +80,6 @@ def test_tower_window_audit_end_to_end():
     assert check_coloring(grid, m=1).passed
 
 
-def test_violation_coordinates_are_absolute():
-    win = Window((10, 20), (2, 2))
-    x = np.array([[3, 3], [1, 2]])
-    rep = check_coloring(x, m=1, window=win)
-    assert rep.violations[0][1][0] == (10, 20)
-    assert rep.violations[0][1][1] == (10, 21)
-
-
 @pytest.mark.parametrize("audit, total", [
     (check_coloring, 2 * 200 * 199),
     (lambda g: check_net(g.astype(bool)), 2 * 200 * 199),
