@@ -9,13 +9,16 @@ Access tracking lives here too.  A Tracker records which (stream, coord) pairs
 an evaluation touched; the 1-norm reach of the touched *spatial* coordinates is
 an upper-bound witness for the coding radius of that query.  Streams flagged
 non-spatial (shared global tables such as set-family bits) count against the
-access budget but not the radius.
+access budget but not the radius.  `Tracker.inside(stream, axes)` is the one
+rule for whether a label was read.
 
 Field protocol: every field (LabelField, TrackedField, PerturbedField) answers
 the scalar reads `u64`, `uniform`, `coin`, `discrete`, the point-list read
 `u64_points`, the bulk reads `u64_box`, `uniform_box`, `coin_box`,
 `discrete_box`, and the threshold scan `u64_below`; the bulk reads and the
 scan take broadcast coordinate axes.  Constructions call only these names.
+PerturbedField answers like `base` inside a region and like `alt` outside;
+a region is any object with `inside`, and the package's only one is Tracker.
 The `*_grid` methods are LabelField's raw vectorized hash, which the bulk
 reads of every field bottom out in.  An empty box reads as an empty result
 and records nothing.
@@ -24,8 +27,8 @@ One rule keeps the fields in step: a field overrides only its `u64`
 primitives (`u64`, `u64_points`, `u64_grid`, `u64_box`, `u64_below`), and
 every derived read is LabelField's.  A field that overrides `u64` overrides
 `u64_points` and `u64_below` too, or a point list or a scan would be hashed
-past its override.  `uniform`, `coin`
-and `discrete` are elementwise functions of the `u64` value, computed in
+past its override.  `uniform`, `coin` and `discrete` are elementwise
+functions of the `u64` value, computed in
 LabelField alone, so a tracked read records exactly one access and a
 perturbed read picks base or alt once, at the `u64`.
 The bulk primitives return a new array on every call, which the derived reads
@@ -92,7 +95,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import sub
 from typing import Iterable, Sequence
 
@@ -390,7 +393,8 @@ class Tracker:
     One tracker per query; never share across concurrent evaluations.
     Point accesses are kept exactly; rectangular bulk reads are kept as
     (lo, hi) inclusive boxes.  Radius is the running max 1-norm distance
-    from the query origin over spatial accesses.
+    from the query origin over spatial accesses.  `inside` is its membership
+    rule, which makes a tracker a PerturbedField region.
     """
 
     def __init__(self, origin: Sequence[int], budget: Budget = DEFAULT_BUDGET):
@@ -467,13 +471,25 @@ class Tracker:
                     raise BudgetExceeded("radius", self.budget.radius_cap, stream, lo)
                 self.radius = r
 
-    def covers(self, stream: str, coords: tuple) -> bool:
-        if coords in self.points.get(stream, ()):
-            return True
+    def inside(self, stream: str, axes: Sequence) -> np.ndarray:
+        """Bool array, over the broadcast shape of coordinate `axes`, of the
+        sites recorded in `stream`.  Boxes are tested per axis; points are
+        matched by row, one set lookup per site that no box holds (a row of
+        coordinates up to +-2^62 does not pack into one int64).
+        """
+        axes = [np.asarray(a, dtype=np.int64) for a in axes]
+        hit = np.zeros(np.broadcast_shapes(*(a.shape for a in axes)), dtype=bool)
         for lo, hi in self.boxes.get(stream, ()):
-            if len(lo) == len(coords) and all(a <= c <= b for a, c, b in zip(lo, coords, hi)):
-                return True
-        return False
+            if len(lo) == len(axes):
+                hit |= reduce(np.logical_and, [(a >= l) & (a <= h)
+                                               for a, l, h in zip(axes, lo, hi)])
+        pts = self.points.get(stream)
+        if pts:
+            flat = hit.reshape(-1)
+            out = np.flatnonzero(~flat)
+            cols = (np.broadcast_to(a, hit.shape).reshape(-1)[out].tolist() for a in axes)
+            flat[out] = [s in pts for s in zip(*cols)]
+        return hit
 
 
 # streams whose coordinates are table indices, not lattice sites
@@ -534,56 +550,36 @@ class TrackedField:
 
 
 class PerturbedField(LabelField):
-    """Answers like `base` inside an accessed set, like `alt` outside it.
+    """Answers like `base` inside the region `keep`, like `alt` outside it.
 
-    Used by the replay test: rerunning a query against the perturbation of its
-    own tracker must reproduce the original answer exactly, otherwise the
-    tracker under-reported what the construction read.  Only the `u64`
-    primitives pick between base and alt; every derived read is LabelField's.
+    A region is any object with `inside(stream, axes)`, the one membership
+    rule.  Each `u64` primitive calls it once, a scalar read as a one-point
+    list, and every derived read is LabelField's.  The replay tests pass a
+    query's own Tracker: the perturbation of what it read must reproduce its
+    answer, otherwise the tracker under-reported what the query read.
     """
 
-    def __init__(self, base: LabelField, tracker: Tracker, alt: LabelField):
+    def __init__(self, base: LabelField, keep, alt: LabelField):
         self.base = base
+        self.keep = keep
         self.alt = alt
-        self.tracker = tracker
         self.seed = base.seed
 
-    def _pick(self, stream: str, coords: tuple) -> LabelField:
-        return self.base if self.tracker.covers(stream, coords) else self.alt
-
     def u64(self, stream: str, coords: Sequence[int]) -> int:
-        c = tuple(int(x) for x in coords)
-        return self._pick(stream, c).u64(stream, c)
+        return self.u64_points(stream, [tuple(map(int, coords))])[0]
 
     def u64_points(self, stream: str, points: Sequence[tuple]) -> list[int]:
-        return [self.u64(stream, p) for p in points]
+        if not points:
+            return []
+        keep = self.keep.inside(stream, list(zip(*points))).tolist()
+        return [(self.base if k else self.alt).u64(stream, p) for k, p in zip(keep, points)]
 
     def u64_grid(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
-        return self._merge(stream, axes, self.base.u64_grid(stream, axes),
-                           self.alt.u64_grid(stream, axes))
+        return np.where(self.keep.inside(stream, axes), self.base.u64_grid(stream, axes),
+                        self.alt.u64_grid(stream, axes))
 
     def u64_below(self, stream: str, axes: Sequence[np.ndarray], below: int) -> np.ndarray:
         return np.flatnonzero(self.u64_grid(stream, axes) < np.uint64(below))
-
-    def _merge(self, stream: str, axes, base_vals: np.ndarray, alt_vals: np.ndarray):
-        bc = np.broadcast_arrays(*[np.asarray(a) for a in axes])
-        inside = np.zeros(base_vals.shape, dtype=bool)
-        pts = self.tracker.points.get(stream)
-        boxes = self.tracker.boxes.get(stream)
-        if boxes:
-            for lo, hi in boxes:
-                m = np.ones(base_vals.shape, dtype=bool)
-                for a, l, h in zip(bc, lo, hi):
-                    m &= (a >= l) & (a <= h)
-                inside |= m
-        if pts:
-            stacked = np.stack([a.ravel() for a in bc], axis=1)
-            flat = inside.ravel()
-            for i, row in enumerate(stacked):
-                if not flat[i] and tuple(int(x) for x in row) in pts:
-                    flat[i] = True
-            inside = flat.reshape(base_vals.shape)
-        return np.where(inside, base_vals, alt_vals)
 
 
 @dataclass

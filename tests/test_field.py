@@ -134,8 +134,7 @@ def test_tracked_field_records_and_matches_base():
     ev = tracked(probe, base, origin=(0, 0))
     assert ev.value == (base.uniform("u", (3, -2)), base.coin("b", (0, 0)))
     assert ev.radius == 5
-    assert ev.tracker.covers("u", (3, -2))
-    assert not ev.tracker.covers("u", (3, -1))
+    assert ev.tracker.inside("u", [(3, 3), (-2, -1)]).tolist() == [True, False]
 
 
 def test_perturbed_field_base_inside_alt_outside():
@@ -234,7 +233,8 @@ def test_cached_stream_state_keeps_every_scalar_read(reads):
         before = tf.tracker.access_count
         assert getattr(f, kind)(stream, c, *extra) == want
         assert getattr(tf, kind)(stream, c, *extra) == want
-        assert tf.tracker.access_count == before + 1 and tf.tracker.covers(stream, c)
+        assert tf.tracker.access_count == before + 1 and \
+            tf.tracker.inside(stream, axes).tolist() == [True]
     for (seed, stream, c), h in PINNED_U64.items():
         i = CACHE_SEEDS.index(seed)
         assert fields[i].u64(stream, c) == h
@@ -309,16 +309,38 @@ def _check_bulk_reads(axes, seed, n, picks=None):
     assert np.array_equal(tf.u64_box("u", axes), h)
     assert tf.tracker.boxes == {"u": [(lo, hi)]}
     assert tf.tracker.access_count == math.prod(b - a + 1 for a, b in zip(lo, hi))
-    # a perturbed read takes base inside a recorded box and point, alt elsewhere
+    # `inside` holds a site exactly where a box or a point of its stream has
+    # it; "u" holds two boxes and points in and out of them, and a box of
+    # another dimension and a stream of its own must not count
     t = Tracker(lo, Budget(radius_cap=2**70))
     t.record_box("u", lo, tuple((a + b) // 2 for a, b in zip(lo, hi)))
-    t.record("u", sites[-1])
-    p = PerturbedField(f, t, LabelField(seed ^ 1))
+    t.record_box("u", hi[:1] + lo[1:], hi)
+    t.record_points("u", [sites[-1], sites[len(sites) // 3], tuple(c + 1 for c in hi)])
+    t.record_box("u", lo + (0,), hi + (0,))
+    t.record_box("v", lo, hi)
+    t.record("v", sites[0])
+    keep = t.inside("u", axes)
+    assert keep.dtype == bool and keep.shape == shape
+    flat = keep.ravel()
+    assert [flat[i] for i in picks] == [_recorded(t, "u", sites[i]) for i in picks]
+    assert flat[-1] and flat[len(sites) // 3]
+    # a perturbed read takes base inside the region, alt elsewhere
+    alt = LabelField(seed ^ 1)
+    p = PerturbedField(f, t, alt)
     merged = p.u64_box("u", axes)
     _assert_fresh(merged, axes, shape, np.uint64)
+    assert np.array_equal(merged, np.where(keep, h, alt.u64_box("u", axes)))
     flat = merged.ravel()
     assert [flat[i] for i in picks] == [p.u64("u", sites[i]) for i in picks]
     assert flat[-1] == h.ravel()[-1]
+
+
+def _recorded(tracker, stream, site) -> bool:
+    """Brute-force membership: a recorded point, or a recorded box of the
+    site's dimension holding it."""
+    return site in tracker.points.get(stream, ()) or any(
+        len(lo) == len(site) and all(a <= c <= b for a, c, b in zip(lo, site, hi))
+        for lo, hi in tracker.boxes.get(stream, ()))
 
 
 _base = st.one_of(st.integers(-10**6, 10**6), st.integers(2**62 - 2**20, 2**62),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffcolor.field import BudgetExceeded, LabelField, tracked
+from ffcolor.field import BudgetExceeded, LabelField, PerturbedField, tracked
 from ffcolor import perc3color
 from ffcolor.lattice import Window
 from ffcolor.perc3color import (
@@ -238,6 +238,42 @@ def test_adjacent_clusters_are_always_nested():
     assert len(ke) > 500
     nested = (p[ke[:, 0]] == ke[:, 1]) | (p[ke[:, 1]] == ke[:, 0])
     assert nested.all()
+
+
+class _AllStreamsBut:
+    """A replay region: every label of every stream but one."""
+
+    def __init__(self, swapped: str):
+        self.swapped = swapped
+
+    def inside(self, stream, axes):
+        shape = np.broadcast_shapes(*(np.shape(a) for a in axes))
+        return np.full(shape, stream != self.swapped)
+
+
+def test_swapping_the_sign_stream_keeps_the_geometry():
+    # only the cluster signs read three2d:w, so a field that resamples that
+    # one stream keeps the diagonals, clusters and parents, and signs each
+    # cluster with the alt field's coin at base's anchor: the cluster's
+    # vertex of largest v label
+    base, alt = LabelField(23), LabelField(1023)
+    win = Window((-9, 4), (40, 40))
+    first = PercWindow.build(base, win)
+    swapped = PercWindow.build(PerturbedField(base, _AllStreamsBut("three2d:w"), alt), win)
+    assert np.array_equal(swapped.diag, first.diag)
+    assert np.array_equal(swapped.labels, first.labels)
+    assert np.array_equal(swapped.parent, first.parent)
+    axes = win.ix_axes()
+    v = base.uniform_box("three2d:v", axes).ravel()
+    w_base, w_alt = (f.coin_box("three2d:w", axes).ravel() for f in (base, alt))
+    flat = first.labels.ravel()
+    for c in range(first.nclusters):
+        members = np.flatnonzero(flat == c)
+        anchor = members[np.argmax(v[members])]
+        assert np.count_nonzero(v[members] == v[anchor]) == 1
+        assert first.ylabel[c] == w_base[anchor]
+        assert swapped.ylabel[c] == w_alt[anchor]
+    assert np.any(swapped.ylabel != first.ylabel)
 
 
 # -- labels and colors -------------------------------------------------------
