@@ -16,7 +16,11 @@ Field protocol: every field (LabelField, TrackedField, PerturbedField) answers
 the scalar reads `u64`, `uniform`, `coin`, `discrete`, the point-list read
 `u64_points`, the bulk reads `u64_box`, `uniform_box`, `coin_box`,
 `discrete_box`, and the threshold scan `u64_below`; the bulk reads and the
-scan take broadcast coordinate axes.  Constructions call only these names.
+scan take broadcast coordinate axes.  The scan also takes a core, a sub-box
+of its box (None is the whole box), and answers the box's hits when the
+core holds one and nothing otherwise.  Every field keeps that rule, and
+TrackedField records the scan's whole box whatever its core, as below.
+Constructions call only these names.
 PerturbedField answers like `base` inside a region and like `alt` outside;
 a region is any object with `inside`, and the package's only one is Tracker.
 The `*_grid` methods are LabelField's raw vectorized hash, which the bulk
@@ -74,11 +78,21 @@ where the threshold is at most (2^53 - 1) << 11 and fits in a uint64.  At
 p = 1 every label passes, and the threshold 2^64 does not fit, so that case
 needs its own branch.
 
-`u64_below(stream, axes, below)` runs that test over a box without building
-its labels: it returns the flat indices, in C order, of the labels below
-`below`.  A box above one block goes through the same blocked loop as the
-bulk hash, into one reused block and scratch buffer, and keeps only each
-block's hits.  Each block is tested before its last xorshift.  Write s for a
+`u64_below(stream, axes, below, core)` runs that test over a box without
+building its labels: it returns the flat indices, in C order, of the labels
+below `below`, or none when the sub-box `core` holds none.  The core is
+hashed first, and the 2d slabs that partition the rest of the box (before
+and after the core along each axis) only when the core holds a hit, so no
+label is hashed twice and a scan whose core is empty of hits costs only its
+core.  A caller that keeps only hits in the core, as the center thinning
+does, loses nothing by it.  A tracked scan still records the whole box,
+before it reads a label: when the core holds a hit the answer depends on
+the whole box, and recording it either way keeps a query's boxes, access
+count, radius and budget refusals independent of what its cores hold.
+
+A box above one block goes through the same blocked loop as the bulk hash,
+into one reused block and scratch buffer, and keeps only each block's hits.
+Each block is tested before its last xorshift.  Write s for a
 label's state before the final step h = s ^ (s >> 31), and nb for
 below.bit_length().  Then  h < below  implies  s < 2^nb:
   s >> 31 is shorter than s (or both are 0), so the xor keeps the highest
@@ -240,6 +254,47 @@ def _discrete_arr(u: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(k, n, out=k)
 
 
+def _core_bounds(core, shape: tuple) -> tuple[tuple, tuple]:
+    """(lo, hi) index bounds of the sub-box `core` (a tuple of step-1
+    slices, one per dimension of `shape`; None is the whole box)."""
+    if core is None:
+        return (0,) * len(shape), tuple(shape)
+    if len(core) != len(shape):
+        raise ValueError(f"core {core!r} is not a sub-box of a box of shape {shape}")
+    lo, hi = [], []
+    for s, n in zip(core, shape):
+        a, b, step = s.indices(n)
+        if step != 1:
+            raise ValueError(f"core slice {s!r} does not have step 1")
+        lo.append(a)
+        hi.append(max(a, b))
+    return tuple(lo), tuple(hi)
+
+
+def _cut(axes: list, shape: tuple, lo: tuple, hi: tuple) -> list:
+    """The coordinate axes of the sub-box [lo, hi) of their broadcast box
+    `shape`.  An axis keeps its length-1 (broadcast) dimensions unless the
+    sub-box is empty there, so an `np.ix_` box cuts to an `np.ix_` box."""
+    out = []
+    for a in axes:
+        k = len(shape) - a.ndim
+        out.append(a[tuple(slice(None) if n == 1 and b > l else slice(l, b)
+                           for n, l, b in zip(a.shape, lo[k:], hi[k:]))])
+    return out
+
+
+def _frame(lo: tuple, hi: tuple, shape: tuple):
+    """The nonempty ones of the 2d slabs that partition the box `shape`
+    minus its nonempty sub-box [lo, hi), as (lo, hi) bounds: slab (k, side)
+    spans the sub-box along the axes before k, one side of it along axis k
+    and the whole box along the axes after k."""
+    d = len(shape)
+    for k in range(d):
+        for a, b in ((0, lo[k]), (hi[k], shape[k])):
+            if a < b:
+                yield lo[:k] + (a,) + (0,) * (d - k - 1), hi[:k] + (b,) + shape[k + 1:]
+
+
 class BudgetExceeded(Exception):
     """An evaluation ran past its radius or access budget.
 
@@ -351,9 +406,38 @@ class LabelField:
     def u64_box(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
         return self.u64_grid(stream, axes)
 
-    def u64_below(self, stream: str, axes: Sequence[np.ndarray], below: int) -> np.ndarray:
+    def u64_below(self, stream: str, axes: Sequence[np.ndarray], below: int,
+                  core: Sequence[slice] | None = None) -> np.ndarray:
         """Flat indices, in C order over the broadcast shape of `axes`, of the
-        labels whose u64 is below `below` (an int in [0, 2^64)).
+        labels whose u64 is below `below` (an int in [0, 2^64)), when the
+        sub-box `core` holds one of them; an empty array when it holds none.
+
+        `core` is a tuple of step-1 slices, one per dimension of the box, as
+        for indexing it; None is the whole box.  The core is scanned first,
+        and the 2d slabs that partition the rest of the box only when the
+        core holds a hit, so no label is hashed twice.
+        """
+        shape = np.broadcast_shapes(*(np.shape(a) for a in axes))
+        axes = [np.asarray(a, dtype=np.int64) for a in axes]
+        lo, hi = _core_bounds(core, shape)
+        hits = self._scan_below(stream, _cut(axes, shape, lo, hi), below)
+        if not hits.size:
+            return hits
+        parts = [(lo, hi, hits)]
+        parts += [(a, b, self._scan_below(stream, _cut(axes, shape, a, b), below))
+                  for a, b in _frame(lo, hi, shape)]
+        if len(parts) == 1:  # the core is the whole box
+            return hits
+        flat = []
+        for a, b, h in parts:
+            at = np.unravel_index(h, tuple(map(sub, b, a)))
+            flat.append(np.ravel_multi_index([i + o for i, o in zip(at, a)], shape))
+        flat = np.concatenate(flat)
+        flat.sort()
+        return flat
+
+    def _scan_below(self, stream: str, axes: list, below: int) -> np.ndarray:
+        """`u64_below` of the whole box of `axes`.
 
         A box above one block is hashed block by block into one reused
         buffer, and only each block's hits are kept.  A block is first tested
@@ -361,11 +445,11 @@ class LabelField:
         are finished (see the module docstring).
         """
         below = np.uint64(below)
-        shape = np.broadcast_shapes(*(np.shape(a) for a in axes))
+        shape = np.broadcast_shapes(*(a.shape for a in axes))
         if math.prod(shape) <= _BLOCK:
             return np.flatnonzero(self.u64_grid(stream, axes) < below)
         top = np.uint64((1 << int(below).bit_length()) - 1)
-        axes = [np.asarray(a, dtype=np.int64).view(np.uint64) for a in axes]
+        axes = [a.view(np.uint64) for a in axes]
         hits = []
         for at, block, _ in _premixed_blocks(np.uint64(self._start(stream)), axes, shape):
             flat = block.reshape(-1)
@@ -506,7 +590,7 @@ class TrackedField:
 
     Only the primitives have bodies here: `u64` records one point,
     `u64_points` its list of points, and `u64_box` and `u64_below` the
-    bounding box they scan.
+    bounding box they scan (a scan's whole box, whatever its core).
     The derived reads are LabelField's own functions, bound by name, so each
     records exactly once, through them.  Not a LabelField subclass: the raw
     `*_grid` reads would skip `base`.
@@ -537,9 +621,10 @@ class TrackedField:
         self._record_box(stream, axes)
         return self.base.u64_grid(stream, axes)
 
-    def u64_below(self, stream: str, axes: Sequence[np.ndarray], below: int) -> np.ndarray:
+    def u64_below(self, stream: str, axes: Sequence[np.ndarray], below: int,
+                  core: Sequence[slice] | None = None) -> np.ndarray:
         self._record_box(stream, axes)
-        return self.base.u64_below(stream, axes, below)
+        return self.base.u64_below(stream, axes, below, core)
 
     uniform = LabelField.uniform
     coin = LabelField.coin
@@ -578,8 +663,12 @@ class PerturbedField(LabelField):
         return np.where(self.keep.inside(stream, axes), self.base.u64_grid(stream, axes),
                         self.alt.u64_grid(stream, axes))
 
-    def u64_below(self, stream: str, axes: Sequence[np.ndarray], below: int) -> np.ndarray:
-        return np.flatnonzero(self.u64_grid(stream, axes) < np.uint64(below))
+    def u64_below(self, stream: str, axes: Sequence[np.ndarray], below: int,
+                  core: Sequence[slice] | None = None) -> np.ndarray:
+        hit = self.u64_grid(stream, axes) < np.uint64(below)
+        if not hit[tuple(map(slice, *_core_bounds(core, hit.shape)))].any():
+            return np.empty(0, dtype=np.intp)
+        return np.flatnonzero(hit)
 
 
 @dataclass

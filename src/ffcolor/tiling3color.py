@@ -98,14 +98,17 @@ def canonical_path(a: tuple, b: tuple) -> tuple:
 
 # -- center discovery -------------------------------------------------------
 
-def _bernoulli_points(field, stream: str, lo, hi, p: float) -> np.ndarray:
+def _bernoulli_points(field, stream: str, lo, hi, p: float, core=None) -> np.ndarray:
     """All vertices of [lo, hi) whose uniform label falls below p (p <= 1),
-    in lexicographic order, from one bulk read of the box.
+    in lexicographic order, or none when the sub-box `core` holds none.
 
-    For p < 1, uniform < p exactly when u64 < ceil(p * 2^53) << 11 (see the
-    field module), so `u64_below` finds the hits block by block without
-    building the box's labels.  At p = 1 every vertex is a hit, and one
-    `u64_box` read records the box.
+    `core` is a tuple of slices of the box's index space, as for
+    `u64_below`; None is the whole box.  For p < 1, uniform < p exactly when
+    u64 < ceil(p * 2^53) << 11 (see the field module), so `u64_below` finds
+    the hits block by block without building the box's labels, and hashes
+    the rest of the box around the core only when the core holds a hit.  At
+    p = 1 every vertex is a hit, and one `u64_box` read records the box and
+    returns all of it, whatever the core.
     """
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
@@ -113,7 +116,7 @@ def _bernoulli_points(field, stream: str, lo, hi, p: float) -> np.ndarray:
         return np.empty((0, lo.size), dtype=np.int64)
     axes = np.ix_(*map(np.arange, lo, hi))
     if p < 1:
-        flat = field.u64_below(stream, axes, math.ceil(p * 2.0**53) << 11)
+        flat = field.u64_below(stream, axes, math.ceil(p * 2.0**53) << 11, core)
     else:
         flat = np.arange(field.u64_box(stream, axes).size)
     return np.stack(np.unravel_index(flat, tuple(hi - lo)), axis=1) + lo
@@ -124,9 +127,13 @@ def centers(field, j: int, lo, hi, *, density_scale: float = 1.0) -> np.ndarray:
 
     Candidates are Bernoulli(density_scale * 13^(-j*d)) per vertex; a
     candidate with any other candidate within 1-norm distance 4*13^j
-    (inclusive) is dropped, and so is that other candidate.  The scan pads
-    the box by 4*13^j so every returned center's exclusion certificate is
-    complete.  A density outside [0, 1] raises ValueError.
+    (inclusive) is dropped, and so is that other candidate.  The scan reads
+    the box padded by 4*13^j, so every returned center's exclusion
+    certificate is complete, but hashes the pad only when [lo, hi), its
+    core, holds a candidate: thinning returns only core candidates, so a
+    core without one has no centers whatever the pad holds.  A tracked
+    scan records the whole padded box either way.  A density outside
+    [0, 1] raises ValueError.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=np.int64))
     hi = np.atleast_1d(np.asarray(hi, dtype=np.int64))
@@ -135,11 +142,12 @@ def centers(field, j: int, lo, hi, *, density_scale: float = 1.0) -> np.ndarray:
     p = center_density(d, j, density_scale)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"level-{j} center density {p} is not in [0, 1]")
-    pts = _bernoulli_points(field, f"{STREAM_PREFIX}:w:{j}", lo - pad, hi + pad, p)
-    core = np.all((pts >= lo) & (pts < hi), axis=1)
+    core = tuple(slice(pad, pad + n) for n in np.maximum(hi - lo, 0).tolist())
+    pts = _bernoulli_points(field, f"{STREAM_PREFIX}:w:{j}", lo - pad, hi + pad, p, core)
+    inside = np.all((pts >= lo) & (pts < hi), axis=1)
     crowded = np.zeros(len(pts), dtype=bool)
     crowded[close_pairs(pts, pad)[0]] = True
-    return pts[core & ~crowded]
+    return pts[inside & ~crowded]
 
 
 # -- tiles and the forest ---------------------------------------------------

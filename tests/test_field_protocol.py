@@ -257,10 +257,31 @@ def below_reads(draw):
     return axes, draw(THRESHOLDS)
 
 
+@st.composite
+def cores(draw, shape):
+    # a sub-box of the box `shape` as index slices: None (the whole box), an
+    # empty one, one on an edge of the box, one cell, the whole box, or any
+    kind = draw(st.sampled_from(["none", "empty", "edge", "cell", "whole", "any"]))
+    if kind == "none":
+        return None
+    bounds = []
+    for n in shape:
+        a = draw(st.integers(0, n - 1))
+        bounds.append({"cell": (a, a + 1), "whole": (0, n)}.get(
+            kind, (a, draw(st.integers(a + 1, n)))))
+    if kind in ("empty", "edge"):
+        k = draw(st.integers(0, len(shape) - 1))
+        a, b = bounds[k]
+        bounds[k] = (a, a) if kind == "empty" else draw(st.sampled_from([(0, b), (a, shape[k])]))
+    return tuple(slice(a, b) for a, b in bounds)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(below_reads(), st.integers(0, 2**64 - 1))
-def test_u64_below_equals_flatnonzero_of_the_box(read, alt_seed):
+@given(below_reads(), st.integers(0, 2**64 - 1), st.data())
+def test_u64_below_equals_flatnonzero_of_the_box(read, alt_seed, data):
+    # with a core, the box's hits when the core holds one, none otherwise
     axes, below = read
+    core = data.draw(cores(np.broadcast_shapes(*(a.shape for a in axes))))
     base = LabelField(5)
     lo = tuple(int(a.min()) for a in axes)
     mid = tuple((int(a.min()) + int(a.max())) // 2 for a in axes)
@@ -271,9 +292,14 @@ def test_u64_below_equals_flatnonzero_of_the_box(read, alt_seed):
               "untracked": untracked(base)}
     for name, fld in fields.items():
         raw = fld.u64_grid if name == "PerturbedField" else base.u64_grid
-        want = np.flatnonzero(raw("s", axes) < below)
-        got = fld.u64_below("s", axes, below)
-        assert got.dtype == np.intp and got.tolist() == want.tolist(), name
+        hit = raw("s", axes) < below
+        want = np.flatnonzero(hit) if core is None or hit[core].any() else []
+        assert fld.u64_below("s", axes, below).tolist() == np.flatnonzero(hit).tolist(), name
+        got = fld.u64_below("s", axes, below, core)
+        assert got.dtype == np.intp and got.tolist() == list(want), name
+
+
+ONE_CELL, NO_CELL = (slice(3, 4), slice(5, 6)), (slice(None), slice(2, 2))
 
 
 @pytest.mark.parametrize("axes", [list(np.ix_(np.arange(-3, 5), np.arange(10, 16))),
@@ -282,11 +308,72 @@ def test_u64_below_equals_flatnonzero_of_the_box(read, alt_seed):
                          ids=["small", "blocked", "1d"])
 @pytest.mark.parametrize("stream", ["s", "family:s"])
 def test_tracked_u64_below_records_what_u64_box_records(axes, stream):
+    # with or without a core, and whether or not the core holds a hit, a
+    # scan records the whole box
     origin = (7,) * len(axes)
+    cores = [None] + [c[-len(axes):] for c in (ONE_CELL, NO_CELL)]
+    reads = [lambda f: f.u64_box(stream, axes)]
+    reads += [lambda f, c=c, b=b: f.u64_below(stream, axes, b, c)
+              for c in cores for b in (2**60, 1)]
     records = []
-    for read in (lambda f: f.u64_box(stream, axes), lambda f: f.u64_below(stream, axes, 2**60)):
+    for read in reads:
         tr = Tracker(origin, UNCAPPED)
         read(TrackedField(LabelField(5), tr))
         records.append((tr.access_count, tr.radius, tr.boxes, tr.points))
-    assert records[0] == records[1]
-    assert records[1][0] == math.prod(np.broadcast_shapes(*(a.shape for a in axes)))
+    assert all(r == records[0] for r in records)
+    assert records[0][0] == math.prod(np.broadcast_shapes(*(a.shape for a in axes)))
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """The coordinates of every label LabelField hashes, one row per label,
+    as the raw grid and the blocked scan hash them."""
+    rows = []
+
+    def log(axes, shape):
+        rows.append(np.stack([np.broadcast_to(np.asarray(a).view(np.int64), shape).ravel()
+                              for a in axes], axis=1))
+
+    grid, blocks = LabelField.u64_grid, field_mod._premixed_blocks
+
+    def spy_grid(self, stream, axes):
+        out = grid(self, stream, axes)
+        log(axes, out.shape)
+        return out
+
+    def spy_blocks(h, axes, shape, out=None):
+        log(axes, shape)
+        return blocks(h, axes, shape, out)
+
+    monkeypatch.setattr(LabelField, "u64_grid", spy_grid)
+    monkeypatch.setattr(field_mod, "_premixed_blocks", spy_blocks)
+    return rows
+
+
+@pytest.mark.parametrize("axes,core", [
+    (list(np.ix_(np.arange(-3, 5), np.arange(10, 16))), (slice(2, 5), slice(1, 4))),
+    (list(np.ix_(np.arange(600), np.arange(-300, 300))), (slice(250, 350), slice(0, 40))),
+    (list(np.ix_(np.arange(40), np.arange(2**62 - 40, 2**62), np.arange(-40, 0))),
+     (slice(10, 12), slice(39, 40), slice(0, 40))),
+    ([np.arange(-2**40, -2**40 + 3 * _BLOCK)], (slice(_BLOCK, _BLOCK + 9),))],
+    ids=["small", "blocked", "3d", "1d"])
+def test_u64_below_hashes_the_core_alone_or_each_label_once(hashed, axes, core):
+    shape = np.broadcast_shapes(*(a.shape for a in axes))
+    box = np.stack([np.broadcast_to(a, shape).ravel() for a in axes], axis=1)
+    inner = np.zeros(shape, dtype=bool)
+    inner[core] = True
+    base = LabelField(5)
+    labels = base.u64_grid("s", axes)
+    hashed.clear()
+    seen = set()
+    for below in (0, 1 << 40, 1 << 62, 1 << 63):
+        found = base.u64_below("s", axes, below, core)
+        rows = np.concatenate(hashed)
+        hashed.clear()
+        hit = bool((labels[core] < below).any())
+        seen.add(hit)
+        want = box if hit else box[inner.ravel()]
+        assert np.array_equal(np.unique(rows, axis=0), np.unique(want, axis=0))
+        assert len(rows) == len(want)  # each label once
+        assert found.tolist() == (np.flatnonzero(labels < below).tolist() if hit else [])
+    assert seen == {False, True}

@@ -149,8 +149,11 @@ class _FixedLabels:
     def u64_box(self, stream, axes):
         return self.labels.reshape(np.broadcast_shapes(*(a.shape for a in axes))).copy()
 
-    def u64_below(self, stream, axes, below):
-        return np.flatnonzero(self.u64_box(stream, axes) < below)
+    def u64_below(self, stream, axes, below, core=None):
+        hit = self.u64_box(stream, axes) < below
+        if core is not None and not hit[core].any():
+            return np.empty(0, dtype=np.intp)
+        return np.flatnonzero(hit)
 
     uniform_box = LabelField.uniform_box
 
@@ -261,6 +264,77 @@ def test_center_spacing_is_enforced():
         TileForest(1, (0,), (60,), {1: [(0,), (52,)]}, **fns)
     forest = TileForest(1, (0,), (60,), {1: [(0,), (53,)]}, **fns)
     assert len(forest.tiles) == 2
+
+
+# Level-1 center counts of seeded windows against their exact mean: a vertex
+# is a center when it is a candidate (probability p) and no other vertex of
+# its radius-52 ball is, so a core of N vertices holds N * p * (1-p)^(|B(52)|-1)
+# centers on average.  The margin, 4 standard deviations of a Poisson count of
+# that mean, was fixed before the first run.
+@pytest.mark.parametrize("d,scale,side", [(2, 1 / 32, 400), (1, 1 / 32, 20000),
+                                          (2, 1 / 8, 600)])
+def test_level1_center_count_and_coverage_match_the_exact_mean(d, scale, side):
+    windows = 20
+    p = center_density(d, 1, scale)
+    ball = int(ball_mask(d, center_pad(1)).sum())
+    mean = windows * side ** d * p * (1 - p) ** (ball - 1)
+    count = covered = 0
+    for seed in range(windows):
+        lo = np.full(d, 7919 * seed - 50000, dtype=np.int64)
+        got = centers(LabelField(seed), 1, lo, lo + side, density_scale=scale)
+        forest = TileForest(d, lo, lo + side, {1: got}, **_const_fns())
+        count += len(got)
+        covered += int(np.count_nonzero(forest.grid >= 0))
+    assert abs(count - mean) <= 4 * mean ** 0.5, (count, mean)
+    # level-1 balls are disjoint, so coverage is |B(13)| per center
+    assert covered == int(ball_mask(d, SCALE_BASE).sum()) * count
+
+
+def _padded_scan_centers(f, j, lo, hi, scale):
+    # the full padded scan: every candidate of the box padded by 4*13^j,
+    # pairwise thinning, then the core; argwhere keeps lexicographic order
+    pad = center_pad(j)
+    axes = np.ix_(*map(np.arange, lo - pad, hi + pad))
+    u = f.uniform_grid(f"tiling:w:{j}", axes)
+    w = np.argwhere(u < center_density(lo.size, j, scale)) + lo - pad
+    alone = (np.abs(w[:, None, :] - w[None, :, :]).sum(axis=2) <= pad).sum(axis=1) == 1
+    inside = np.all((w >= lo) & (w < hi), axis=1)
+    return w[alone & inside], int(inside.sum()), len(w)
+
+
+# (seeds, level, lo, hi, density scale): d = 3, both ends of +-2^62, empty
+# cores (lo = hi on an axis, and hi < lo), and small cores whose pad holds
+# candidates that the core does not
+BRUTE_CASES = [
+    (range(6), 1, (0, 0, 0), (60, 60, 60), 1 / 128),
+    (range(4), 1, (2**62 - 300, -2**62), (2**62 - 100, -2**62 + 200), 1 / 32),
+    (range(2), 2, (-2**62, 2**62 - 900), (-2**62 + 60, 2**62 - 840), 1 / 32),
+    (range(3), 1, (0, 7), (40, 7), 1 / 32),
+    (range(3), 1, (10,), (3,), 1 / 8),
+    (range(12), 1, (0, 0), (3, 3), 1 / 8),
+    (range(12), 1, (5,), (6,), 1),
+    (range(4), 2, (100, -50), (101, 10), 1 / 32),
+]
+
+
+def test_centers_equal_the_full_padded_scan():
+    seen = set()
+    for seeds, j, lo, hi, scale in BRUTE_CASES:
+        lo, hi = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+        pad = center_pad(j)
+        for seed in seeds:
+            want, in_core, total = _padded_scan_centers(LabelField(seed), j, lo, hi, scale)
+            tr = Tracker(tuple(lo.tolist()), Budget(radius_cap=2**64, access_cap=10**9))
+            got = centers(TrackedField(LabelField(seed), tr), j, lo, hi, density_scale=scale)
+            assert got.dtype == np.int64 and got.shape == (len(want), lo.size)
+            assert got.tolist() == want.tolist(), (seed, j, lo, hi)
+            # the scan records the whole padded box, whatever the core holds
+            box = (tuple((lo - pad).tolist()), tuple((hi + pad - 1).tolist()))
+            assert tr.boxes == {f"tiling:w:{j}": [box]}
+            assert tr.access_count == math.prod((hi - lo + 2 * pad).tolist())
+            seen.add("core holds one" if in_core else "pad only" if total else "none")
+            seen.add("centers" if len(got) else "no centers")
+    assert seen == {"core holds one", "pad only", "none", "centers", "no centers"}
 
 
 # -- synthetic forests: exact geometry ----------------------------------------
