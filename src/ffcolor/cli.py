@@ -17,6 +17,7 @@ import argparse
 import json
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -35,7 +36,7 @@ from .sft import LatticeRefusal, choose_base, classify, generate, parse_spec, \
     recurrence_gcd, verify_membership
 from .tiling3color import center_pad, scan_half, three_color_general, threegen_window
 from .verify import check_coloring, check_heights, check_net, check_palette, \
-    radius_tail_csv, survival_points
+    radius_tail_csv
 
 EXIT_OK = 0
 EXIT_AUDIT = 1
@@ -413,20 +414,19 @@ def cmd_stats(args) -> int:
         h = entry.demand_half(args)
         _check_region(Window((-h,) * args.d, (2 * h + 1,) * args.d),
                       f"the region one query reads with --cap {args.cap}")
-    radii = []
+    radii, refused = [], Counter()
     for v in _sample_vertices(args.seed, args.samples, args.d):
         try:
             radii.append(tracked(lambda f: entry.demand(args, f, v), field, v,
                                  Budget(radius_cap=args.cap)).radius)
-        except BudgetExceeded:
+        except BudgetExceeded as e:
             radii.append(None)
+            refused[f"{e.kind} budget {e.limit}"] += 1
     _write(args.out, radius_tail_csv(radii, args.cap))
-    if args.plot:
-        lines = ["r,survival"]
-        lines += [f"{r},{s}" for r, s in survival_points(radii, args.cap)]
-        _write(args.plot, "\n".join(lines) + "\n")
-    print(f"wrote {Path(args.out)} ({len(radii)} queries, {radii.count(None)} censored at "
-          f"cap {args.cap})")
+    summary = f"{len(radii)} queries, {radii.count(None)} censored"
+    if refused:
+        summary += ": " + ", ".join(f"{n} by the {why}" for why, n in sorted(refused.items()))
+    print(f"wrote {Path(args.out)} ({summary})")
     return EXIT_OK
 
 
@@ -534,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--cap", type=_POSITIVE, default=512)
     s.add_argument("--density-scale", type=_UNIT_REAL, default=1 / 32)
     s.add_argument("--out", default="out/radii.csv")
-    s.add_argument("--plot", default=None, help="also write (r, survival) pairs")
     s.set_defaults(fn=cmd_stats)
 
     f = sub.add_parser("sft", help="one-dimensional subshift tools")

@@ -23,8 +23,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import digest_bits
-
 # sequences stop once the next value would exceed this
 N_LIMIT = 10**7
 
@@ -199,7 +197,7 @@ class SetFamily:
 
     Membership bits come from the label field on a non-spatial stream keyed by
     (delta, level); coordinates are (row, word).  The same seed always yields
-    the same family, pinned by `digest`.
+    the same family.
     """
 
     def __init__(self, words: np.ndarray, ground: int, stream: str):
@@ -224,10 +222,6 @@ class SetFamily:
         """element is 1-based in [ground]."""
         e = element - 1
         return bool((int(self.words[row - 1, e >> 6]) >> (e & 63)) & 1)
-
-    def digest(self) -> str:
-        return digest_bits(
-            np.unpackbits(self.words.view(np.uint8), axis=None, bitorder="little"))
 
     # -- the reduction primitive ------------------------------------------
 

@@ -23,9 +23,10 @@ TrackedField records the scan's whole box whatever its core, as below.
 Constructions call only these names.
 PerturbedField answers like `base` inside a region and like `alt` outside;
 a region is any object with `inside`, and the package's only one is Tracker.
-The `*_grid` methods are LabelField's raw vectorized hash, which the bulk
-reads of every field bottom out in.  An empty box reads as an empty result
-and records nothing.
+`u64_grid` is LabelField's raw vectorized hash, which the bulk reads of
+every field bottom out in.  `uniform_grid`, `coin_grid` and `discrete_grid`
+are aliases of the `*_box` reads, kept as the names that `perfbench/spans.py`
+traces.  An empty box reads as an empty result and records nothing.
 
 One rule keeps the fields in step: a field overrides only its `u64`
 primitives (`u64`, `u64_points`, `u64_grid`, `u64_box`, `u64_below`), and
@@ -106,7 +107,6 @@ and 2^-19 at level 2.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, reduce
@@ -390,17 +390,6 @@ class LabelField:
             h = _mix64_arr(a ^ h)
         return np.asarray(h)
 
-    def uniform_grid(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
-        return _uniform_arr(self.u64_grid(stream, axes))
-
-    def coin_grid(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
-        return _coin_arr(self.u64_grid(stream, axes))
-
-    def discrete_grid(self, stream: str, axes: Sequence[np.ndarray], n: int) -> np.ndarray:
-        if n < 1:
-            raise ValueError("discrete needs n >= 1")
-        return _discrete_arr(self.uniform_grid(stream, axes), n)
-
     # -- bulk reads: the field protocol's names for the vectorized path ------
 
     def u64_box(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -469,6 +458,10 @@ class LabelField:
         if n < 1:
             raise ValueError("discrete needs n >= 1")
         return _discrete_arr(self.uniform_box(stream, axes), n)
+
+    uniform_grid = uniform_box
+    coin_grid = coin_box
+    discrete_grid = discrete_box
 
 
 class Tracker:
@@ -593,7 +586,7 @@ class TrackedField:
     bounding box they scan (a scan's whole box, whatever its core).
     The derived reads are LabelField's own functions, bound by name, so each
     records exactly once, through them.  Not a LabelField subclass: the raw
-    `*_grid` reads would skip `base`.
+    `u64_grid` read would skip `base`.
     """
 
     def __init__(self, base: LabelField, tracker: Tracker):
@@ -695,8 +688,3 @@ def tracked(fn, field: LabelField, origin: Sequence[int],
 def untracked(base: LabelField) -> LabelField:
     """Return `base`: a LabelField already answers every read of the protocol."""
     return base
-
-
-def digest_bits(bits: np.ndarray) -> str:
-    """sha256 of a packed bit array; used to pin shared tables in manifests."""
-    return hashlib.sha256(np.packbits(bits.astype(np.uint8), axis=None).tobytes()).hexdigest()

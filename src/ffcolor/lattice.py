@@ -77,8 +77,9 @@ def ball_offsets(d: int, r: int, norm: str = "l1") -> list[tuple[int, ...]]:
 def ball_size(d: int, r: int, norm: str = "l1") -> int:
     if norm == "linf":
         return (2 * r + 1) ** d
-    # sum over k of C(d,k) 2^k C(r,k): choose k axes that are nonzero... via
-    # standard lattice-point count of the cross-polytope
+    # lattice points of the cross-polytope: a point with exactly k nonzero
+    # coordinates picks their k axes, their k signs, and k positive sizes of
+    # sum at most r, in C(d,k) * 2^k * C(r,k) ways
     return sum(comb(d, k) * 2**k * comb(r, k) for k in range(0, min(d, r) + 1))
 
 

@@ -46,7 +46,7 @@ from .reduction import MNet
 __all__ = [
     "SftSpec", "OverlapGraph", "CyclePlan", "LatticeRefusal", "GeneratedRun",
     "coloring_spec", "parse_spec", "recurrence_gcd",
-    "classify", "choose_base", "frobenius_threshold", "build_cycle_plan",
+    "classify", "choose_base", "build_cycle_plan",
     "generate", "verify_membership",
 ]
 
@@ -194,22 +194,6 @@ def choose_base(spec: SftSpec) -> tuple | None:
     return OverlapGraph(spec).base
 
 
-def _threshold(back: np.ndarray, i: int) -> int:
-    """Largest length s >= 1 of no closed walk through word i, or 0."""
-    misses = np.flatnonzero(~back[1:, i])
-    return int(misses[-1]) + 1 if len(misses) else 0
-
-
-def frobenius_threshold(spec: SftSpec, w) -> int:
-    """Largest time offset at which w cannot recur.  Needs coprime
-    recurrence times."""
-    g = OverlapGraph(spec)
-    i = g.position(w)
-    if g.period[i] != 1:
-        raise ValueError(f"recurrence times of {tuple(w)} are not coprime")
-    return _threshold(g.walks_home(i), i)
-
-
 @dataclass(frozen=True)
 class CyclePlan:
     """Base word, its recurrence threshold, and one fixed closed walk per
@@ -251,7 +235,9 @@ def build_cycle_plan(spec: SftSpec, w=None) -> CyclePlan:
         raise ValueError("cycle plan needs a word with coprime recurrences")
     i = g.index[w]
     back = g.walks_home(i)
-    m = _threshold(back, i)
+    # m: the largest length s >= 1 of no closed walk through w, or 0
+    misses = np.flatnonzero(~back[1:, i])
+    m = int(misses[-1]) + 1 if len(misses) else 0
     span = max(m, 1)
     cycles = {}
     for t in range(span + 1, 2 * span + 2):

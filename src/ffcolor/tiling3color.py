@@ -702,7 +702,7 @@ def threegen_window(field, window: Window, *, maxlevel: int = 8,
 
 # -- demand-driven per-vertex query ------------------------------------------
 
-def _stage_zones(d: int, level: int) -> dict[int, tuple[int, int]]:
+def _stage_zones(level: int) -> dict[int, tuple[int, int]]:
     """Per-level (candidate half-width, scan pad) read plan for one stage.
 
     Top-level centers matter only as potential claimants of the query's
@@ -724,17 +724,26 @@ def _stage_zones(d: int, level: int) -> dict[int, tuple[int, int]]:
     return zones
 
 
+def _stages(d: int, cap: int):
+    """The stages of `three_color_general` that fit the radius cap `cap`, as
+    (level, zones, half): zones as `_stage_zones`, half the largest scan
+    half-width with its pad.  A stage's reach is d * half, and it grows with
+    the level, so the stages stop at the first that reads past the cap."""
+    level = 1
+    while True:
+        zones = _stage_zones(level)
+        half = max(h + pad for h, pad in zones.values())
+        if d * half > cap:
+            return
+        yield level, zones, half
+        level += 1
+
+
 def scan_half(d: int, cap: int) -> int:
     """Half-width of the largest center-scan box that a stage of
     `three_color_general` reads within radius cap `cap`, 0 when the first
-    stage passes the cap.  A stage's reach is d times its largest scan
-    half-width, and both grow with the level."""
-    most, level = 0, 1
-    while True:
-        half = max(h + pad for h, pad in _stage_zones(d, level).values())
-        if d * half > cap:
-            return most
-        most, level = half, level + 1
+    stage passes the cap."""
+    return max((half for _, _, half in _stages(d, cap)), default=0)
 
 
 def three_color_general(v, d: int, field, *, density_scale: float = 1.0,
@@ -761,12 +770,7 @@ def three_color_general(v, d: int, field, *, density_scale: float = 1.0,
     base = np.asarray(v, dtype=np.int64)
 
     level = 0
-    while True:
-        level += 1
-        zones = _stage_zones(d, level)
-        reach = max(d * (half + pad) for half, pad in zones.values())
-        if reach > cap:
-            raise BudgetExceeded("radius", cap, f"{STREAM_PREFIX}:w:{level}", v)
+    for level, zones, _ in _stages(d, cap):
         by_level = {}
         for j, (half, _) in zones.items():
             by_level[j] = centers_source(field, j, base - half, base + half + 1)
@@ -779,3 +783,4 @@ def three_color_general(v, d: int, field, *, density_scale: float = 1.0,
         q = forest.homomorphism(tid)
         if q is not None:
             return phase_color(q, v)
+    raise BudgetExceeded("radius", cap, f"{STREAM_PREFIX}:w:{level + 1}", v)

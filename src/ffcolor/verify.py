@@ -290,9 +290,3 @@ def radius_tail_csv(radii: list, cap: int) -> str:
     for r, gt, total, s in radius_tail_rows(radii, cap):
         lines.append(f"{r},{gt},{total},{s}")
     return "\n".join(lines) + "\n"
-
-
-def survival_points(radii: list, cap: int) -> list[tuple[int, float]]:
-    """(r, P(R > r)) pairs at integer radii, censoring-aware, for fits."""
-    rows = radius_tail_rows(radii, cap)[:-1]  # drop the ">cap" row
-    return [(int(r), gt / total) for r, gt, total, _ in rows if int(r) <= cap]

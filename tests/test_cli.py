@@ -431,18 +431,33 @@ def test_verify_mask_of_another_size_exits_2(tmp_path):
 
 # -- stats -----------------------------------------------------------------------
 
-def test_stats_survival_is_nonincreasing_with_censor_marker(tmp_path):
+B4_STATS = ("stats", "--construction", "baseline4", "--samples", "300",
+            "--cap", "64", "--seed", "3", "--out")
+
+
+def test_stats_survival_is_nonincreasing_with_censor_marker(tmp_path, capsys):
     out = tmp_path / "b4.csv"
-    assert run("stats", "--construction", "baseline4", "--samples", "300",
-               "--cap", "64", "--seed", "3", "--out", out,
-               "--plot", tmp_path / "pts.csv") == 0
+    assert run(*B4_STATS, out) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "r,count_gt,total,survival"
     surv = [float(ln.split(",")[3]) for ln in lines[1:]]
     assert all(a >= b for a, b in zip(surv, surv[1:]))
-    assert lines[-1].startswith(">64,")
-    pts = (tmp_path / "pts.csv").read_text().splitlines()
-    assert pts[0] == "r,survival" and len(pts) > 3
+    assert lines[-1].startswith(">64,1,")
+    assert capsys.readouterr().out == (
+        f"wrote {out} (300 queries, 1 censored: 1 by the radius budget 64)\n")
+
+
+def test_stats_names_each_refusal_kind(tmp_path, monkeypatch, capsys):
+    # 3 queries of this sample read more than 900 labels, and 1 passes the cap
+    out = tmp_path / "b4.csv"
+    monkeypatch.setattr(cli, "Budget", lambda radius_cap: Budget(radius_cap=radius_cap,
+                                                                 access_cap=900))
+    assert run(*B4_STATS, out) == 0
+    assert capsys.readouterr().out == (
+        f"wrote {out} (300 queries, 4 censored: 3 by the access budget 900, "
+        "1 by the radius budget 64)\n")
+    # the table still counts every refusal above the cap
+    assert out.read_text().splitlines()[-1].startswith(">64,4,300,")
 
 
 def test_stats_threegen_is_fully_censored_at_desk_caps(tmp_path):
@@ -542,7 +557,7 @@ def test_stats_threegen_passes_cap_to_query(tmp_path, monkeypatch):
 
 # -- output paths ----------------------------------------------------------------
 
-WRITERS = ["color", "verify --json", "stats --out", "stats --plot", "sft generate --out"]
+WRITERS = ["color", "verify --json", "stats --out", "sft generate --out"]
 
 
 def _writing_to(name, tmp_path, out):
@@ -557,7 +572,6 @@ def _writing_to(name, tmp_path, out):
                   out.parent / (out.name + ".ppm")),
         "verify --json": (("verify", "--image", board, "--json", out), out),
         "stats --out": (stats + ("--out", out), out),
-        "stats --plot": (stats + ("--out", tmp_path / "s.csv", "--plot", out), out),
         "sft generate --out": (("sft", "generate", spec, "--length", "20", "--out", out), out),
     }[name]
 

@@ -16,8 +16,8 @@ from ffcolor.field import LabelField
 from ffcolor.lattice import Window
 from ffcolor.sft import (CyclePlan, LatticeRefusal, OverlapGraph, SftSpec,
                          build_cycle_plan, choose_base, classify,
-                         coloring_spec, frobenius_threshold, generate,
-                         parse_spec, recurrence_gcd, verify_membership)
+                         coloring_spec, generate, parse_spec, recurrence_gcd,
+                         verify_membership)
 
 PETAL = SftSpec(6, 2, ((1, 2), (2, 3), (3, 1), (2, 4), (4, 5), (5, 6), (6, 1)))
 ONE_LETTER = SftSpec(2, 1, ((1,), (2,)))
@@ -121,21 +121,20 @@ def test_choose_base_is_least_coprime_word():
 # -- recurrence thresholds -------------------------------------------------------
 
 def test_threshold_for_walk_lengths_two_and_three():
-    assert frobenius_threshold(coloring_spec(3), (1, 2)) == 1
+    assert build_cycle_plan(coloring_spec(3), (1, 2)).m == 1
 
 
 def test_threshold_for_walk_lengths_three_and_five():
-    assert frobenius_threshold(PETAL, (1, 2)) == 7
+    assert build_cycle_plan(PETAL, (1, 2)).m == 7
 
 
 def test_threshold_of_self_loop_is_zero():
-    assert frobenius_threshold(SftSpec(2, 2, ((1, 1), (1, 2), (2, 1))),
-                               (1, 1)) == 0
+    assert build_cycle_plan(SftSpec(2, 2, ((1, 1), (1, 2), (2, 1))), (1, 1)).m == 0
 
 
 def test_threshold_requires_coprime_recurrences():
     with pytest.raises(ValueError):
-        frobenius_threshold(coloring_spec(2), (1, 2))
+        build_cycle_plan(coloring_spec(2), (1, 2))
 
 
 # -- cycle plans -----------------------------------------------------------------
@@ -211,12 +210,9 @@ def test_plan_builder_matches_walk_length_scan(spec):
     assert choose_base(spec) == next(iter(plans), None)
     for w, d in zip(spec.words, gcds):
         if d != 1:
-            with pytest.raises(ValueError, match="not coprime"):
-                frobenius_threshold(spec, w)
             with pytest.raises(ValueError, match="coprime recurrences"):
                 build_cycle_plan(spec, w)
             continue
-        assert frobenius_threshold(spec, w) == plans[w][1]
         plan = build_cycle_plan(spec, w)
         assert (plan.w, plan.m, plan.cycles) == plans[w]
     if plans:
@@ -228,7 +224,7 @@ def test_plan_builder_matches_walk_length_scan(spec):
 
 
 def test_plan_builder_refuses_words_outside_the_spec():
-    for f in (recurrence_gcd, frobenius_threshold, build_cycle_plan):
+    for f in (recurrence_gcd, build_cycle_plan):
         with pytest.raises(ValueError, match=r"^\(1, 1\) is not an allowed word$"):
             f(coloring_spec(3), (1, 1))
 

@@ -14,7 +14,7 @@ from ffcolor.lattice import Window, ball_mask
 from ffcolor.tiling3color import (HEX_INDEX, HEX_VERTICES, SCALE_BASE, TileForest,
                                   _bernoulli_points, build_tiles, canonical_path,
                                   center_density, center_pad, centers, phase_color,
-                                  three_color_general, threegen_window,
+                                  scan_half, three_color_general, threegen_window,
                                   translate_phase)
 from ffcolor.verify import AuditReport, check_coloring
 from test_golden import FORESTS, _spaced_centers
@@ -864,6 +864,28 @@ def test_query_censors_under_the_default_budget():
     assert err.value.limit == 4096
     assert err.value.stream == "tiling:w:3"
     assert err.value.where == (0, 0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("reach,trim,half,refused", [
+    (78, 1, 0, 1), (78, 0, 78, 2), (899, 1, 78, 2), (899, 0, 899, 3)])
+def test_stage_schedule_fits_the_radius_cap(d, reach, trim, half, refused):
+    # stages 1 and 2 reach d * 78 and d * 899; a query reads every stage that
+    # fits the cap, and is refused at the first that does not
+    cap, boxes = d * reach - trim, []
+
+    def no_centers(field, j, lo, hi):
+        boxes.append((j, (hi - lo - 1) // 2))
+        return np.empty((0, d), dtype=np.int64)
+
+    with pytest.raises(BudgetExceeded) as err:
+        three_color_general((0,) * d, d, LabelField(0), radius_cap=cap,
+                            centers_source=no_centers)
+    assert scan_half(d, cap) == half
+    assert max((int(h.max()) + center_pad(j) for j, h in boxes), default=0) == half
+    assert {j for j, _ in boxes} == set(range(1, refused))
+    assert err.value.kind == "radius" and err.value.limit == cap
+    assert err.value.stream == f"tiling:w:{refused}"
 
 
 def test_query_rejects_mismatched_vertex():

@@ -25,7 +25,6 @@ from ffcolor.verify import (
     check_palette,
     radius_tail_csv,
     radius_tail_rows,
-    survival_points,
 )
 
 
@@ -509,8 +508,3 @@ def test_radius_tail_keeps_the_callers_decimal_precision():
         ctx.prec = 7
         assert radius_tail_csv([3, 5, 5, None, 12, 3], cap=64) == want
         assert decimal.getcontext().prec == 7
-
-
-def test_survival_points_for_fits():
-    pts = survival_points([1, 2, 2, 4, None], cap=10)
-    assert pts == [(1, 0.8), (2, 0.4), (4, 0.2)]
