@@ -175,6 +175,8 @@ def _at_least(low, kind=int, strict: bool = False, high=None):
 _POSITIVE = _at_least(1)
 _NONNEGATIVE = _at_least(0)
 _UNIT_REAL = _at_least(0, float, strict=True, high=1)
+# a count of sites or letters that one array of them could hold
+_AT_MOST_SITES = _at_least(1, high=MAX_WINDOW_SITES)
 
 
 def _parse_window(text: str, d: int) -> Window:
@@ -415,7 +417,9 @@ def cmd_stats(args) -> int:
         _check_region(Window((-h,) * args.d, (2 * h + 1,) * args.d),
                       f"the region one query reads with --cap {args.cap}")
     radii, refused = [], Counter()
-    for v in _sample_vertices(args.seed, args.samples, args.d):
+    # the sites come from the field's seed, which is the flag's mod 2^64,
+    # so any seed the labels accept also draws the sites
+    for v in _sample_vertices(field.seed, args.samples, args.d):
         try:
             radii.append(tracked(lambda f: entry.demand(args, f, v), field, v,
                                  Budget(radius_cap=args.cap)).radius)
@@ -530,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[n for n, c in CONSTRUCTIONS.items() if c.demand])
     s.add_argument("--d", type=int, default=2)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--samples", type=_POSITIVE, default=1000)
+    s.add_argument("--samples", type=_AT_MOST_SITES, default=1000)
     s.add_argument("--cap", type=_POSITIVE, default=512)
     s.add_argument("--density-scale", type=_UNIT_REAL, default=1 / 32)
     s.add_argument("--out", default="out/radii.csv")
@@ -543,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     fc.set_defaults(fn=cmd_sft)
     fg = fsub.add_parser("generate", help="emit a sequence from the subshift")
     fg.add_argument("specfile")
-    fg.add_argument("--length", type=_POSITIVE, required=True)
+    fg.add_argument("--length", type=_AT_MOST_SITES, required=True)
     fg.add_argument("--seed", type=int, default=0)
     fg.add_argument("--out", required=True)
     fg.set_defaults(fn=cmd_sft)

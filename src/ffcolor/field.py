@@ -108,10 +108,10 @@ and 2^-19 at level 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 

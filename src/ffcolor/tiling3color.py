@@ -26,7 +26,9 @@ checkerboard, and every tile walks `canonical_path` between the phase-shifted
 checkerboards of its two nearest special ancestors; that walk is computed
 from the checkerboards' ring positions in `HEX_INDEX`.  Reading the tile's
 checkerboard at the vertex itself yields a proper 3-coloring wherever the
-forest covers.
+forest covers.  Like the centers, the coin and the checkerboard are labels of
+the one field, read at the tile's center from the streams `tiling:coin` and
+`tiling:h`.
 
 At honest center densities the forest is empty at any reachable scale, so
 window colorings accept a density multiplier and close off roots (a root
@@ -199,20 +201,24 @@ class TileForest:
     checks keep each level-j clump off the other level-j balls.  So the
     earlier tiles inside S_B are the absorbed ones, and the children are
     those of them with no parent and a nonempty mask.
+
+    `field` is the label field the forest reads each tile's coin and
+    checkerboard from, at the tile's center: `field.coin("tiling:coin", c)`
+    and `HEX_VERTICES[field.discrete("tiling:h", c, 6) - 1]`, each at most
+    once per tile (`coin` and `h` cache them).  So a tracked or perturbed
+    field sees these reads as it sees the center scans.
     """
 
-    def __init__(self, d: int, region_lo, region_hi, centers_by_level: dict,
-                 *, coin_fn, h_fn):
-        self.d = d
+    def __init__(self, region_lo, region_hi, centers_by_level: dict, field):
         self.lo = np.asarray(region_lo, dtype=np.int64)
         self.hi = np.asarray(region_hi, dtype=np.int64)
+        self.d = len(self.lo)
         self.levels = {}
         for j in sorted(centers_by_level):
-            pts = np.asarray(centers_by_level[j], dtype=np.int64).reshape(-1, d)
+            pts = np.asarray(centers_by_level[j], dtype=np.int64).reshape(-1, self.d)
             self.levels[j] = pts[np.lexsort(pts.T[::-1])]
             self._check_spacing(j, self.levels[j])
-        self.coin_fn = coin_fn
-        self.h_fn = h_fn
+        self.field = field
         self.tiles: list[Tile] = []
         self.overlaps = 0
         self._lost: list[tuple[int, np.ndarray]] = []  # see _paint
@@ -336,16 +342,17 @@ class TileForest:
         return int(self.grid[tuple(rel)])
 
     def coin(self, tid: int) -> int:
+        """Tile `tid`'s fair coin, +-1, read at its center."""
         if tid not in self._coin_cache:
-            self._coin_cache[tid] = int(self.coin_fn(self.tiles[tid].center))
+            self._coin_cache[tid] = int(self.field.coin(
+                f"{STREAM_PREFIX}:coin", self.tiles[tid].center))
         return self._coin_cache[tid]
 
     def h(self, tid: int) -> tuple:
+        """Tile `tid`'s uniform checkerboard pair, read at its center."""
         if tid not in self._h_cache:
-            q = tuple(self.h_fn(self.tiles[tid].center))
-            if q not in HEX_INDEX:
-                raise ValueError(f"h draw {q} is not a checkerboard pair")
-            self._h_cache[tid] = q
+            self._h_cache[tid] = HEX_VERTICES[self.field.discrete(
+                f"{STREAM_PREFIX}:h", self.tiles[tid].center, 6) - 1]
         return self._h_cache[tid]
 
     def h_prime(self, tid: int) -> tuple:
@@ -665,25 +672,6 @@ class TileForest:
 
 # -- field-driven construction ----------------------------------------------
 
-def _field_coin(field):
-    return lambda c: field.coin(f"{STREAM_PREFIX}:coin", c)
-
-
-def _field_h(field):
-    return lambda c: HEX_VERTICES[field.discrete(f"{STREAM_PREFIX}:h", c, 6) - 1]
-
-
-def build_tiles(field, region: Window, maxlevel: int = 8, *,
-                density_scale: float = 1.0) -> TileForest:
-    """The tile forest generated by all centers inside `region`."""
-    lo = np.asarray(region.origin, dtype=np.int64)
-    hi = lo + np.asarray(region.extent, dtype=np.int64)
-    by_level = {j: centers(field, j, lo, hi, density_scale=density_scale)
-                for j in range(1, maxlevel + 1)}
-    return TileForest(len(region.extent), lo, hi, by_level,
-                      coin_fn=_field_coin(field), h_fn=_field_h(field))
-
-
 def threegen_window(field, window: Window, *, maxlevel: int = 8,
                     density_scale: float = 1.0, margin: int = 0
                     ) -> tuple[np.ndarray, np.ndarray, TileForest]:
@@ -693,8 +681,11 @@ def threegen_window(field, window: Window, *, maxlevel: int = 8,
     the result is a proper coloring of the covered set but not a sample of
     the infinite-volume process; the per-vertex query keeps true semantics.
     """
-    region = window.grow(margin) if margin else window
-    forest = build_tiles(field, region, maxlevel, density_scale=density_scale)
+    region = window.grow(margin)
+    lo = np.asarray(region.origin, dtype=np.int64)
+    hi = lo + np.asarray(region.extent, dtype=np.int64)
+    forest = TileForest(lo, hi, {j: centers(field, j, lo, hi, density_scale=density_scale)
+                                 for j in range(1, maxlevel + 1)}, field)
     forest.assign_colorings(root_closure=True)
     colors, valid = forest.colors_grid(window)
     return colors, valid, forest
@@ -748,13 +739,20 @@ def scan_half(d: int, cap: int) -> int:
 
 def three_color_general(v, d: int, field, *, density_scale: float = 1.0,
                         radius_cap: int | None = None,
-                        centers_source=None, coin_fn=None, h_fn=None) -> int:
+                        centers_source=None) -> int:
     """Color of one vertex under the true (un-closed) chain semantics.
 
     Grows the examined region level by level until the nearest-special walk
     is decided inside it, and raises a radius refusal when the next stage
     would read past the cap.  The query's coding radius is what a `Tracker`
     records of its reads.
+
+    `centers_source(field, j, lo, hi)`, when given, stands in for the level-j
+    center scan of [lo, hi); the coins and checkerboards are still read from
+    `field`.  It is the seam for synthetic ancestor chains: a chain of one
+    tile per level that resolves at stage 6 at d = 1 would otherwise scan
+    boxes up to 5 * 10^7 sites wide, and `_bernoulli_points` builds an int64
+    coordinate axis of each (400 MB for the widest).
     """
     v = tuple(int(c) for c in v)
     if len(v) != d:
@@ -763,10 +761,6 @@ def three_color_general(v, d: int, field, *, density_scale: float = 1.0,
     if centers_source is None:
         centers_source = lambda fld, j, lo, hi: centers(
             fld, j, lo, hi, density_scale=density_scale)
-    if coin_fn is None:
-        coin_fn = _field_coin(field)
-    if h_fn is None:
-        h_fn = _field_h(field)
     base = np.asarray(v, dtype=np.int64)
 
     level = 0
@@ -774,8 +768,7 @@ def three_color_general(v, d: int, field, *, density_scale: float = 1.0,
         by_level = {}
         for j, (half, _) in zones.items():
             by_level[j] = centers_source(field, j, base - half, base + half + 1)
-        forest = TileForest(d, base, base + 1, by_level,
-                            coin_fn=coin_fn, h_fn=h_fn)
+        forest = TileForest(base, base + 1, by_level, field)
         forest.mark_specials(root_closure=False)
         tid = forest.tile_at(v)
         if tid < 0:

@@ -94,12 +94,21 @@ def _positive_offsets(d: int, m: int, norm: str) -> list[tuple[int, ...]]:
             if next(c for c in off if c) > 0]
 
 
+def _audit_radius(shape, m: int, norm: str) -> int:
+    """min(m, D + 1), D the grid's diameter in the norm: no two cells lie
+    farther apart than D, and from every cell the ball of radius D + 1
+    leaves the grid, so an audit reads the same at m as at this radius."""
+    spans = [max(n - 1, 0) for n in shape]
+    return min(m, (max(spans, default=0) if norm == "linf" else sum(spans)) + 1)
+
+
 def check_coloring(colors: np.ndarray, m: int = 1, norm: str = "l1",
                    valid: np.ndarray | None = None,
                    construction: str = "coloring") -> AuditReport:
     """Every pair at norm-distance <= m must differ, among valid positive cells."""
     colors = np.asarray(colors)
     d = colors.ndim
+    m = _audit_radius(colors.shape, m, norm)
     if valid is None:
         valid = np.ones(colors.shape, dtype=bool)
     ok = valid & (colors > 0)
@@ -147,6 +156,7 @@ def check_net(indicator: np.ndarray, m: int = 1, norm: str = "l1",
     ball is in-grid and valid sees a 1 in its ball."""
     j = np.asarray(indicator).astype(bool)
     d = j.ndim
+    m = _audit_radius(j.shape, m, norm)
     if valid is None:
         valid = np.ones(j.shape, dtype=bool)
     rep = AuditReport(construction, None)

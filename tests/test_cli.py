@@ -397,6 +397,19 @@ def test_verify_net_flags_covering_gap(tmp_path):
     assert set(kinds) == {"covering"}
 
 
+@pytest.mark.parametrize("kind", ["coloring", "net"])
+def test_verify_radius_past_the_image_reads_as_its_diameter_plus_one(tmp_path, kind):
+    # a 6 x 4 image has 1-norm diameter 8; a ball of radius 10^5 would need 40 GB
+    img = tmp_path / "c.ppm"
+    write_ppm(img, np.indices((6, 4)).sum(axis=0) % 2 + 1)
+    reports = []
+    for m in ("100000", "9"):
+        assert run("verify", "--image", img, "--kind", kind, "--m", m,
+                   "--json", tmp_path / f"{m}.json") == 1
+        reports.append((tmp_path / f"{m}.json").read_text())
+    assert reports[0] == reports[1]
+
+
 def test_verify_valid_mask_leaves_tainted_cells_out(tmp_path):
     f = LabelField(6)
     nw = MNet(1, 2, "l1").window(Window((0,), (400,)), f)
@@ -474,6 +487,15 @@ def test_stats_rerun_is_byte_identical(tmp_path):
         assert run("stats", "--construction", "tower", "--d", "1",
                    "--samples", "100", "--seed", "4", "--out", out) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_stats_seed_is_taken_mod_2_64_like_the_labels(tmp_path):
+    # sites and labels both come from the seed mod 2^64, so -1 is 2^64 - 1
+    outs = [tmp_path / f"{i}.csv" for i in range(2)]
+    for seed, out in zip(("-1", str(2**64 - 1)), outs):
+        assert run("stats", "--construction", "tower", "--samples", "3",
+                   f"--seed={seed}", "--out", out) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 @pytest.mark.parametrize("name,d,seed,samples,cap,query", [
@@ -800,6 +822,9 @@ def test_color_never_raises_on_random_window_strings(fuzz_dir, args):
     ["verify", "--image", "IMG", "--m", "-1"],
     ["color", "--construction", "tower", "--window", "0,0,4,4",
      "--radius-budget", "-1", "--out", "OUT"],
+    # counts one array could not hold: 14.6 TiB of sites, a 7.3 TiB window
+    ["stats", "--construction", "tower", "--samples", "1000000000000", "--out", "OUT"],
+    ["sft", "generate", "SPEC", "--length", "1000000000000", "--out", "OUT"],
 ])
 def test_bad_numeric_flag_exits_2(tmp_path, argv):
     spec = tmp_path / "c3.txt"

@@ -56,7 +56,7 @@ from ffcolor.perc3color import PercWindow, coding_radii, three2d_window, \
 from ffcolor.reduction import MNet, NetQuery, TowerQuery, net_window, tower_color_at, \
     tower_coloring
 from ffcolor.sft import coloring_spec, generate
-from ffcolor.tiling3color import HEX_VERTICES, SCALE_BASE, TileForest, \
+from ffcolor.tiling3color import HEX_INDEX, HEX_VERTICES, SCALE_BASE, TileForest, \
     _bernoulli_points, center_density, centers, three_color_general, threegen_window
 from ffcolor.verify import VIOLATION_CAP, check_heights
 from test_fourcolor import TiedLabels
@@ -326,6 +326,24 @@ def _spaced_centers(rng, d, j, hi, tries):
     return pts
 
 
+class SiteLabels:
+    """The two tile streams a `TileForest` reads, as rules of the tile's
+    center: `coin(c)` gives the tile's coin and `h(c)` its checkerboard pair,
+    and a constant stands for the rule that always gives it."""
+
+    def __init__(self, coin=-1, h=HEX_VERTICES[0]):
+        self._coin = coin if callable(coin) else lambda c: coin
+        self._h = h if callable(h) else lambda c: h
+
+    def coin(self, stream, c):
+        assert stream == "tiling:coin"
+        return self._coin(tuple(c))
+
+    def discrete(self, stream, c, n):
+        assert stream == "tiling:h" and n == len(HEX_VERTICES)
+        return HEX_INDEX[self._h(tuple(c))] + 1
+
+
 # (d, region side, candidate draws per level): dense level-1 balls, so most
 # higher tiles absorb several clumps, and a few also merge a clump that only
 # the tile's 1-neighborhood brings within distance 2
@@ -339,9 +357,8 @@ def test_tile_forest_digest():
         rng = np.random.default_rng(0)
         by_level = {j: _spaced_centers(rng, d, j, side, n)
                     for j, n in enumerate(tries, start=1)}
-        forest = TileForest(d, (0,) * d, (side,) * d, by_level,
-                            coin_fn=lambda c: 1 if sum(c) % 3 == 0 else -1,
-                            h_fn=lambda c: HEX_VERTICES[sum(c) % 6])
+        forest = TileForest((0,) * d, (side,) * d, by_level, SiteLabels(
+            lambda c: 1 if sum(c) % 3 == 0 else -1, lambda c: HEX_VERTICES[sum(c) % 6]))
         for t in forest.tiles:
             parent = -1 if t.parent is None else t.parent
             arrays += [np.array([t.level, parent], dtype=np.int64),
@@ -356,18 +373,14 @@ def test_tile_forest_digest():
     assert _digest(*arrays) == TILE_FORESTS
 
 
-def _const_forest(d, lo, hi, by_level):
-    return TileForest(d, lo, hi, by_level, coin_fn=lambda c: -1,
-                      h_fn=lambda c: HEX_VERTICES[0])
-
-
 def _seeded_forests():
     # the dense d = 1 and d = 2 forests above, and field-driven ones at d = 2, 3
     forests = []
     for d, side, tries in FORESTS:
         rng = np.random.default_rng(0)
-        forests.append(_const_forest(d, (0,) * d, (side,) * d, {
-            j: _spaced_centers(rng, d, j, side, n) for j, n in enumerate(tries, start=1)}))
+        forests.append(TileForest((0,) * d, (side,) * d, {
+            j: _spaced_centers(rng, d, j, side, n) for j, n in enumerate(tries, start=1)},
+            SiteLabels()))
     forests.append(threegen_window(LabelField(3), Window((0, 0), (320, 320)), maxlevel=2,
                                    density_scale=1 / 32, margin=64)[2])
     forests.append(threegen_window(LabelField(20), Window((0, 0, 0), (96, 96, 96)),
@@ -382,7 +395,7 @@ _HAND_CENTERS = {1: [(100, 100), (100, 170), (230, 230), (300, 300), (300, 380),
 
 
 def _hand_forest():
-    return _const_forest(2, (0, 0), (600, 600), _HAND_CENTERS)
+    return TileForest((0, 0), (600, 600), _HAND_CENTERS, SiteLabels())
 
 
 def _shifted_tile(f, tid=0, by=5):

@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 from ffcolor import sft
 from ffcolor.field import LabelField
 from ffcolor.lattice import Window
-from ffcolor.sft import (CyclePlan, LatticeRefusal, OverlapGraph, SftSpec,
-                         build_cycle_plan, choose_base, classify,
-                         coloring_spec, generate, parse_spec, recurrence_gcd,
-                         verify_membership)
+from ffcolor.sft import (LatticeRefusal, OverlapGraph, SftSpec, build_cycle_plan,
+                         choose_base, classify, coloring_spec, generate, parse_spec,
+                         recurrence_gcd, verify_membership)
 
 PETAL = SftSpec(6, 2, ((1, 2), (2, 3), (3, 1), (2, 4), (4, 5), (5, 6), (6, 1)))
 ONE_LETTER = SftSpec(2, 1, ((1,), (2,)))

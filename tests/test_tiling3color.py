@@ -12,12 +12,12 @@ from ffcolor.field import (Budget, BudgetExceeded, LabelField, PerturbedField,
                            Tracker, TrackedField)
 from ffcolor.lattice import Window, ball_mask
 from ffcolor.tiling3color import (HEX_INDEX, HEX_VERTICES, SCALE_BASE, TileForest,
-                                  _bernoulli_points, build_tiles, canonical_path,
+                                  _bernoulli_points, canonical_path,
                                   center_density, center_pad, centers, phase_color,
                                   scan_half, three_color_general, threegen_window,
                                   translate_phase)
 from ffcolor.verify import AuditReport, check_coloring
-from test_golden import FORESTS, _spaced_centers
+from test_golden import FORESTS, SiteLabels, _spaced_centers
 
 
 # -- scales and the hexagon ---------------------------------------------------
@@ -241,11 +241,10 @@ def test_centers_exact_far_from_the_origin():
 
 
 def test_center_spacing_exact_far_from_the_origin():
-    fns = dict(coin_fn=lambda c: -1, h_fn=lambda c: (1, 2))
     x = 2**61 + 12345
     with pytest.raises(ValueError):
-        TileForest(1, (x,), (x + 60,), {1: [(x,), (x + 52,)]}, **fns)
-    forest = TileForest(1, (x,), (x + 60,), {1: [(x,), (x + 53,)]}, **fns)
+        TileForest((x,), (x + 60,), {1: [(x,), (x + 52,)]}, SiteLabels())
+    forest = TileForest((x,), (x + 60,), {1: [(x,), (x + 53,)]}, SiteLabels())
     assert len(forest.tiles) == 2
 
 
@@ -259,10 +258,9 @@ def test_center_density_matches_bernoulli_rate():
 
 
 def test_center_spacing_is_enforced():
-    fns = dict(coin_fn=lambda c: -1, h_fn=lambda c: (1, 2))
     with pytest.raises(ValueError):
-        TileForest(1, (0,), (60,), {1: [(0,), (52,)]}, **fns)
-    forest = TileForest(1, (0,), (60,), {1: [(0,), (53,)]}, **fns)
+        TileForest((0,), (60,), {1: [(0,), (52,)]}, SiteLabels())
+    forest = TileForest((0,), (60,), {1: [(0,), (53,)]}, SiteLabels())
     assert len(forest.tiles) == 2
 
 
@@ -282,7 +280,7 @@ def test_level1_center_count_and_coverage_match_the_exact_mean(d, scale, side):
     for seed in range(windows):
         lo = np.full(d, 7919 * seed - 50000, dtype=np.int64)
         got = centers(LabelField(seed), 1, lo, lo + side, density_scale=scale)
-        forest = TileForest(d, lo, lo + side, {1: got}, **_const_fns())
+        forest = TileForest(lo, lo + side, {1: got}, SiteLabels())
         count += len(got)
         covered += int(np.count_nonzero(forest.grid >= 0))
     assert abs(count - mean) <= 4 * mean ** 0.5, (count, mean)
@@ -339,10 +337,6 @@ def test_centers_equal_the_full_padded_scan():
 
 # -- synthetic forests: exact geometry ----------------------------------------
 
-def _const_fns(coin=-1, h=(1, 2)):
-    return dict(coin_fn=lambda c: coin, h_fn=lambda c: h)
-
-
 def _coords(tile):
     return {tuple(int(c) for c in p) for p in np.argwhere(tile.mask) + tile.lo}
 
@@ -362,7 +356,7 @@ def _dilate(cells):
 
 
 def test_lowest_level_tile_is_a_ball():
-    forest = TileForest(2, (-20, -20), (21, 21), {1: [(0, 0)]}, **_const_fns())
+    forest = TileForest((-20, -20), (21, 21), {1: [(0, 0)]}, SiteLabels())
     t = forest.tiles[0]
     assert t.mask.sum() == 365
     assert _coords(t) == _ball((0, 0), 13)
@@ -371,8 +365,7 @@ def test_lowest_level_tile_is_a_ball():
 
 def test_absorption_boundary_inclusive():
     # Ball gap exactly 2: the small tile joins the big one's support.
-    forest = TileForest(2, (0, 0), (1, 1), {1: [(0, 0)], 2: [(90, 94)]},
-                        **_const_fns())
+    forest = TileForest((0, 0), (1, 1), {1: [(0, 0)], 2: [(90, 94)]}, SiteLabels())
     t1, t2 = forest.tiles
     assert t1.parent == t2.tid
     assert t2.children == [t1.tid]
@@ -384,8 +377,7 @@ def test_absorption_boundary_inclusive():
 
 def test_absorption_boundary_exclusive():
     # Ball gap 3: two unrelated roots, the big tile is a dilated ball.
-    forest = TileForest(2, (0, 0), (1, 1), {1: [(0, 0)], 2: [(90, 95)]},
-                        **_const_fns())
+    forest = TileForest((0, 0), (1, 1), {1: [(0, 0)], 2: [(90, 95)]}, SiteLabels())
     t1, t2 = forest.tiles
     assert t1.parent is None and t2.parent is None
     assert t2.children == []
@@ -394,7 +386,7 @@ def test_absorption_boundary_exclusive():
 
 
 def test_level_one_masks_are_read_only():
-    forest = TileForest(2, (0, 0), (1, 1), {1: [(0, 0), (80, 0)]}, **_const_fns())
+    forest = TileForest((0, 0), (1, 1), {1: [(0, 0), (80, 0)]}, SiteLabels())
     for t in forest.tiles:
         with pytest.raises(ValueError):
             t.mask[13, 13] = False
@@ -491,7 +483,7 @@ def test_clump_bookkeeping_matches_union_find(seed, d, side, tries):
     rng = np.random.default_rng(seed)
     by_level = {j: _spaced_centers(rng, d, j, side, n)
                 for j, n in enumerate(tries, start=1)}
-    forest = TileForest(d, (0,) * d, (side,) * d, by_level, **_const_fns())
+    forest = TileForest((0,) * d, (side,) * d, by_level, SiteLabels())
     want = _union_find_forest(d, (0,) * d, (side,) * d, by_level)
     assert len(forest.tiles) == len(want)
     for t, w in zip(forest.tiles, want):
@@ -607,7 +599,7 @@ def test_audit_matches_mask_walk(d, side, tries):
     for case in range(12):
         by_level = {j: _spaced_centers(rng, d, j, side, n)
                     for j, n in enumerate(tries, start=1)}
-        forest = TileForest(d, (0,) * d, (side,) * d, by_level, **_const_fns())
+        forest = TileForest((0,) * d, (side,) * d, by_level, SiteLabels())
         if case:
             _break_forest(forest, rng)
         got, want = forest.audit(), _walk_audit(forest)
@@ -622,8 +614,8 @@ def chain6():
     """One tile per level 1..6 on a line, every ball nested in the next."""
     coins = {(j,): -1 for j in range(1, 7)}
     hs = {(j,): (1, 2) for j in range(1, 7)}
-    forest = TileForest(1, (-50,), (51,), {j: [(j,)] for j in range(1, 7)},
-                        coin_fn=lambda c: coins[c], h_fn=lambda c: hs[c])
+    forest = TileForest((-50,), (51,), {j: [(j,)] for j in range(1, 7)},
+                        SiteLabels(coins.__getitem__, hs.__getitem__))
     return forest, coins, hs
 
 
@@ -733,8 +725,8 @@ def test_interpolation_uses_midpath_colorings(chain6):
 def test_root_closure_roots_are_special_and_keep_their_phase():
     coins = {(1,): -1, (2,): +1, (3,): -1}
     hs = {(1,): (1, 2), (2,): (2, 3), (3,): (1, 2)}
-    forest = TileForest(1, (-20,), (21,), {j: [(j,)] for j in (1, 2, 3)},
-                        coin_fn=lambda c: coins[c], h_fn=lambda c: hs[c])
+    forest = TileForest((-20,), (21,), {j: [(j,)] for j in (1, 2, 3)},
+                        SiteLabels(coins.__getitem__, hs.__getitem__))
     g = forest.assign_colorings(root_closure=True)
     assert forest.special[2] is True
     assert forest.special[1] is True
@@ -803,7 +795,9 @@ def test_forest_fixture_3d():
 
 # -- demand-driven queries ------------------------------------------------------
 
-def _chain_sources(coins, hs, tracker=None):
+def _chain_query(v, coins, hs, tracker=None):
+    """The query at v over the chain of one tile at (j,) per level j <= 6,
+    with the coins and checkerboards of `coins` and `hs`."""
     def src(field, j, lo, hi):
         if tracker is not None:
             # the box `centers` would scan for these centers
@@ -812,8 +806,8 @@ def _chain_sources(coins, hs, tracker=None):
         if j > 6 or not (lo[0] <= j < hi[0]):
             return pts[:0]
         return pts
-    return dict(centers_source=src,
-                coin_fn=lambda c: coins[c], h_fn=lambda c: hs[c])
+    return three_color_general(v, 1, SiteLabels(coins.__getitem__, hs.__getitem__),
+                               radius_cap=27_000_000, centers_source=src)
 
 
 def test_query_resolves_on_minimal_head_pattern():
@@ -821,12 +815,8 @@ def test_query_resolves_on_minimal_head_pattern():
     hs = {(j,): (1, 2) for j in range(1, 7)}
     hs[(4,)] = (2, 3)
     tr = Tracker((0,), Budget(radius_cap=27_000_000, access_cap=10 ** 9))
-    color = three_color_general(
-        (0,), 1, None, radius_cap=27_000_000, **_chain_sources(coins, hs, tr))
-    assert color == 2
-    color5 = three_color_general(
-        (5,), 1, None, radius_cap=27_000_000, **_chain_sources(coins, hs))
-    assert color5 == 3
+    assert _chain_query((0,), coins, hs, tr) == 2
+    assert _chain_query((5,), coins, hs) == 3
     # The chain resolves at the sixth scale; every read stays within the
     # (3/2 + 4) * r budget of that scale.
     assert 11 * 13 ** 5 // 2 < tr.radius <= 11 * 13 ** 6 // 2
@@ -836,23 +826,20 @@ def test_query_agrees_with_forest_coloring():
     coins = {(j,): s for j, s in zip(range(1, 7), (-1, -1, -1, +1, -1, -1))}
     hs = {(j,): (1, 2) for j in range(1, 7)}
     hs[(4,)] = (2, 3)
-    forest = TileForest(1, (-12,), (15,), {j: [(j,)] for j in range(1, 7)},
-                        coin_fn=lambda c: coins[c], h_fn=lambda c: hs[c])
+    forest = TileForest((-12,), (15,), {j: [(j,)] for j in range(1, 7)},
+                        SiteLabels(coins.__getitem__, hs.__getitem__))
     forest.assign_colorings(root_closure=False)
     colors, valid = forest.colors_grid()
     for v in (-12, -5, 0, 7, 14):
-        c = three_color_general(
-            (v,), 1, None, radius_cap=27_000_000, **_chain_sources(coins, hs))
         assert valid[v + 12]
-        assert c == colors[v + 12]
+        assert _chain_query((v,), coins, hs) == colors[v + 12]
 
 
 def test_query_censors_when_the_head_pattern_breaks():
     coins = {(j,): s for j, s in zip(range(1, 7), (-1, -1, -1, +1, +1, -1))}
     hs = {(j,): (1, 2) for j in range(1, 7)}
     with pytest.raises(BudgetExceeded) as err:
-        three_color_general((0,), 1, None, radius_cap=27_000_000,
-                            **_chain_sources(coins, hs))
+        _chain_query((0,), coins, hs)
     assert err.value.kind == "radius"
     assert err.value.stream == "tiling:w:7"
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from ffcolor.field import LabelField
 from ffcolor.lattice import Window, WindowGraph
 from ffcolor.reduction import net_window, tower_coloring
+from ffcolor import verify
 from ffcolor.verify import (
     VIOLATION_CAP,
     check_coloring,
@@ -70,6 +71,30 @@ def test_reach_longer_than_the_grid():
     rep = check_net(np.eye(3, dtype=bool), m=4)
     assert rep.stats["violations_total"] == 3
     assert {k for k, _ in rep.violations} == {"packing"}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=3), st.sampled_from(["l1", "linf"]),
+       st.sampled_from([(0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (1, 5)]),
+       st.integers(0, 2**32 - 1))
+def test_audits_past_the_grid_diameter_read_as_at_it(shape, norm, rule, seed):
+    # the audits clamp m to D + 1, D the grid's diameter in the norm; at
+    # m = 1, 2, D, D + 1, D + 2 and D + 5 they report as an unclamped audit
+    spans = [n - 1 for n in shape]
+    times, plus = rule
+    m = max(1, times * (max(spans) if norm == "linf" else sum(spans)) + plus)
+    rng = np.random.default_rng(seed)
+    colors = rng.integers(0, 4, size=shape)
+    valid = rng.random(shape) < 0.9
+    audits = [lambda r: check_coloring(colors, m=r, norm=norm, valid=valid),
+              lambda r: check_net(colors == 1, m=r, norm=norm, valid=valid)]
+    got = [audit(m) for audit in audits]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_audit_radius", lambda shape, r, norm: r)
+        want = [audit(m) for audit in audits]
+    for g, w in zip(got, want):
+        assert repr((g.passed, g.violations, g.stats)) == \
+            repr((w.passed, w.violations, w.stats))
 
 
 def test_tower_window_audit_end_to_end():
