@@ -15,12 +15,12 @@ rule for whether a label was read.
 Field protocol: every field (LabelField, TrackedField, PerturbedField) answers
 the scalar reads `u64`, `uniform`, `coin`, `discrete`, the point-list read
 `u64_points`, the bulk reads `u64_box`, `uniform_box`, `coin_box`,
-`discrete_box`, and the threshold scan `u64_below`; the bulk reads and the
-scan take broadcast coordinate axes.  The scan also takes a core, a sub-box
-of its box (None is the whole box), and answers the box's hits when the
-core holds one and nothing otherwise.  Every field keeps that rule, and
-TrackedField records the scan's whole box whatever its core, as below.
-Constructions call only these names.
+`discrete_box`, and the threshold scan `u64_below`; the bulk reads take
+broadcast coordinate axes.  The scan takes the bounds [lo, hi) of a core box
+and a pad, and answers the coordinates of the hits of the padded box
+[lo - pad, hi + pad) when the core holds one and nothing otherwise.  Every
+field keeps that rule, and TrackedField records the whole padded box
+whatever its core, as below.  Constructions call only these names.
 PerturbedField answers like `base` inside a region and like `alt` outside;
 a region is any object with `inside`, and the package's only one is Tracker.
 `u64_grid` is LabelField's raw vectorized hash, which the bulk reads of
@@ -79,17 +79,20 @@ where the threshold is at most (2^53 - 1) << 11 and fits in a uint64.  At
 p = 1 every label passes, and the threshold 2^64 does not fit, so that case
 needs its own branch.
 
-`u64_below(stream, axes, below, core)` runs that test over a box without
-building its labels: it returns the flat indices, in C order, of the labels
-below `below`, or none when the sub-box `core` holds none.  The core is
-hashed first, and the 2d slabs that partition the rest of the box (before
-and after the core along each axis) only when the core holds a hit, so no
-label is hashed twice and a scan whose core is empty of hits costs only its
-core.  A caller that keeps only hits in the core, as the center thinning
-does, loses nothing by it.  A tracked scan still records the whole box,
-before it reads a label: when the core holds a hit the answer depends on
-the whole box, and recording it either way keeps a query's boxes, access
-count, radius and budget refusals independent of what its cores hold.
+`u64_below(stream, lo, hi, below, pad)` runs that test over the box
+[lo - pad, hi + pad) without building its labels: it returns the
+coordinates, in lexicographic order, of the labels below `below`, or none
+when the core [lo, hi) holds none.  The core is hashed first, and the 2d
+slabs that partition the pad (before and after the core along each axis)
+only when the core holds a hit, so no label is hashed twice and a scan
+whose core is empty of hits costs only its core.  Each part builds the
+coordinate axes of its own box alone, so such a scan also allocates only
+for its core, however wide its pad.  A caller that keeps only hits in the
+core, as the center thinning does, loses nothing by it.  A tracked scan
+still records the whole padded box, before it reads a label: when the core
+holds a hit the answer depends on the whole box, and recording it either
+way keeps a query's boxes, access count, radius and budget refusals
+independent of what its cores hold.
 
 A box above one block goes through the same blocked loop as the bulk hash,
 into one reused block and scratch buffer, and keeps only each block's hits.
@@ -110,7 +113,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import sub
+from operator import le, sub
 from typing import Sequence
 
 import numpy as np
@@ -254,45 +257,16 @@ def _discrete_arr(u: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(k, n, out=k)
 
 
-def _core_bounds(core, shape: tuple) -> tuple[tuple, tuple]:
-    """(lo, hi) index bounds of the sub-box `core` (a tuple of step-1
-    slices, one per dimension of `shape`; None is the whole box)."""
-    if core is None:
-        return (0,) * len(shape), tuple(shape)
-    if len(core) != len(shape):
-        raise ValueError(f"core {core!r} is not a sub-box of a box of shape {shape}")
-    lo, hi = [], []
-    for s, n in zip(core, shape):
-        a, b, step = s.indices(n)
-        if step != 1:
-            raise ValueError(f"core slice {s!r} does not have step 1")
-        lo.append(a)
-        hi.append(max(a, b))
-    return tuple(lo), tuple(hi)
-
-
-def _cut(axes: list, shape: tuple, lo: tuple, hi: tuple) -> list:
-    """The coordinate axes of the sub-box [lo, hi) of their broadcast box
-    `shape`.  An axis keeps its length-1 (broadcast) dimensions unless the
-    sub-box is empty there, so an `np.ix_` box cuts to an `np.ix_` box."""
-    out = []
-    for a in axes:
-        k = len(shape) - a.ndim
-        out.append(a[tuple(slice(None) if n == 1 and b > l else slice(l, b)
-                           for n, l, b in zip(a.shape, lo[k:], hi[k:]))])
-    return out
-
-
-def _frame(lo: tuple, hi: tuple, shape: tuple):
-    """The nonempty ones of the 2d slabs that partition the box `shape`
-    minus its nonempty sub-box [lo, hi), as (lo, hi) bounds: slab (k, side)
-    spans the sub-box along the axes before k, one side of it along axis k
-    and the whole box along the axes after k."""
-    d = len(shape)
-    for k in range(d):
-        for a, b in ((0, lo[k]), (hi[k], shape[k])):
-            if a < b:
-                yield lo[:k] + (a,) + (0,) * (d - k - 1), hi[:k] + (b,) + shape[k + 1:]
+def _frame(lo: tuple, hi: tuple, pad: int):
+    """The 2d slabs that partition the box [lo - pad, hi + pad) minus its
+    nonempty core [lo, hi), as (lo, hi) bounds, for pad > 0: slab (k, side)
+    spans the core along the axes before k, one side of it along axis k and
+    the whole box along the axes after k."""
+    for k in range(len(lo)):
+        rest_lo = tuple(c - pad for c in lo[k + 1:])
+        rest_hi = tuple(c + pad for c in hi[k + 1:])
+        for a, b in ((lo[k] - pad, lo[k]), (hi[k], hi[k] + pad)):
+            yield lo[:k] + (a,) + rest_lo, hi[:k] + (b,) + rest_hi
 
 
 class BudgetExceeded(Exception):
@@ -395,38 +369,35 @@ class LabelField:
     def u64_box(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
         return self.u64_grid(stream, axes)
 
-    def u64_below(self, stream: str, axes: Sequence[np.ndarray], below: int,
-                  core: Sequence[slice] | None = None) -> np.ndarray:
-        """Flat indices, in C order over the broadcast shape of `axes`, of the
-        labels whose u64 is below `below` (an int in [0, 2^64)), when the
-        sub-box `core` holds one of them; an empty array when it holds none.
+    def u64_below(self, stream: str, lo: Sequence[int], hi: Sequence[int], below: int,
+                  pad: int = 0) -> np.ndarray:
+        """The coordinates, as an (n, d) int64 array in lexicographic order,
+        of the labels of the box [lo - pad, hi + pad) whose u64 is below
+        `below` (an int in [0, 2^64)), when the core [lo, hi) holds one of
+        them; an empty (0, d) array when it holds none.
 
-        `core` is a tuple of step-1 slices, one per dimension of the box, as
-        for indexing it; None is the whole box.  The core is scanned first,
-        and the 2d slabs that partition the rest of the box only when the
-        core holds a hit, so no label is hashed twice.
+        A core axis with hi < lo is empty.  The core is scanned first, and
+        the 2d slabs of the pad only when the core holds a hit, so no label
+        is hashed twice.
         """
-        shape = np.broadcast_shapes(*(np.shape(a) for a in axes))
-        axes = [np.asarray(a, dtype=np.int64) for a in axes]
-        lo, hi = _core_bounds(core, shape)
-        hits = self._scan_below(stream, _cut(axes, shape, lo, hi), below)
-        if not hits.size:
-            return hits
-        parts = [(lo, hi, hits)]
-        parts += [(a, b, self._scan_below(stream, _cut(axes, shape, a, b), below))
-                  for a, b in _frame(lo, hi, shape)]
-        if len(parts) == 1:  # the core is the whole box
-            return hits
-        flat = []
-        for a, b, h in parts:
-            at = np.unravel_index(h, tuple(map(sub, b, a)))
-            flat.append(np.ravel_multi_index([i + o for i, o in zip(at, a)], shape))
-        flat = np.concatenate(flat)
-        flat.sort()
-        return flat
+        lo = tuple(map(int, lo))
+        hi = tuple(map(max, lo, map(int, hi)))
+        pts = self._hits(stream, lo, hi, below)
+        if not len(pts) or not pad:
+            return pts
+        pts = np.concatenate([pts] + [self._hits(stream, a, b, below)
+                                      for a, b in _frame(lo, hi, pad)])
+        return pts[np.lexsort(pts.T[::-1])]
+
+    def _hits(self, stream: str, lo: tuple, hi: tuple, below: int) -> np.ndarray:
+        """`u64_below` of the box [lo, hi) with no pad, whatever it holds."""
+        axes = list(np.ix_(*(np.arange(a, b, dtype=np.int64) for a, b in zip(lo, hi))))
+        flat = self._scan_below(stream, axes, below)
+        return np.stack(np.unravel_index(flat, tuple(map(sub, hi, lo))), axis=1) + lo
 
     def _scan_below(self, stream: str, axes: list, below: int) -> np.ndarray:
-        """`u64_below` of the whole box of `axes`.
+        """Flat indices, in C order over the broadcast shape of the int64
+        coordinate `axes`, of the labels whose u64 is below `below`.
 
         A box above one block is hashed block by block into one reused
         buffer, and only each block's hits are kept.  A block is first tested
@@ -583,7 +554,7 @@ class TrackedField:
 
     Only the primitives have bodies here: `u64` records one point,
     `u64_points` its list of points, and `u64_box` and `u64_below` the
-    bounding box they scan (a scan's whole box, whatever its core).
+    bounding box they scan (a scan's whole padded box, whatever its core).
     The derived reads are LabelField's own functions, bound by name, so each
     records exactly once, through them.  Not a LabelField subclass: the raw
     `u64_grid` read would skip `base`.
@@ -603,21 +574,22 @@ class TrackedField:
         self.tracker.record_points(stream, points, is_spatial(stream))
         return self.base.u64_points(stream, points)
 
-    def _record_box(self, stream: str, axes: Sequence[np.ndarray]) -> None:
-        """Record the bounding box of a bulk read; an empty read records nothing."""
+    def u64_box(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
+        """Record the bounding box of the read (an empty read records
+        nothing), then read it."""
         if all(np.size(a) for a in axes):
             lo = [int(np.min(a)) for a in axes]
             hi = [int(np.max(a)) for a in axes]
             self.tracker.record_box(stream, lo, hi, spatial=is_spatial(stream))
-
-    def u64_box(self, stream: str, axes: Sequence[np.ndarray]) -> np.ndarray:
-        self._record_box(stream, axes)
         return self.base.u64_grid(stream, axes)
 
-    def u64_below(self, stream: str, axes: Sequence[np.ndarray], below: int,
-                  core: Sequence[slice] | None = None) -> np.ndarray:
-        self._record_box(stream, axes)
-        return self.base.u64_below(stream, axes, below, core)
+    def u64_below(self, stream: str, lo: Sequence[int], hi: Sequence[int], below: int,
+                  pad: int = 0) -> np.ndarray:
+        first = [int(c) - pad for c in lo]
+        last = [int(c) + pad - 1 for c in hi]
+        if all(map(le, first, last)):
+            self.tracker.record_box(stream, first, last, spatial=is_spatial(stream))
+        return self.base.u64_below(stream, lo, hi, below, pad)
 
     uniform = LabelField.uniform
     coin = LabelField.coin
@@ -656,12 +628,16 @@ class PerturbedField(LabelField):
         return np.where(self.keep.inside(stream, axes), self.base.u64_grid(stream, axes),
                         self.alt.u64_grid(stream, axes))
 
-    def u64_below(self, stream: str, axes: Sequence[np.ndarray], below: int,
-                  core: Sequence[slice] | None = None) -> np.ndarray:
+    def u64_below(self, stream: str, lo: Sequence[int], hi: Sequence[int], below: int,
+                  pad: int = 0) -> np.ndarray:
+        corner = np.subtract(lo, pad, dtype=np.int64)
+        axes = np.ix_(*map(np.arange, corner, np.add(hi, pad, dtype=np.int64)))
         hit = self.u64_grid(stream, axes) < np.uint64(below)
-        if not hit[tuple(map(slice, *_core_bounds(core, hit.shape)))].any():
-            return np.empty(0, dtype=np.intp)
-        return np.flatnonzero(hit)
+        # the core is the box less `pad` cells on each side; a stop below 0
+        # comes only with a start past the end, so it cuts an empty core too
+        if not hit[tuple(slice(pad, n - pad) for n in hit.shape)].any():
+            return np.empty((0, len(corner)), dtype=np.int64)
+        return np.argwhere(hit) + corner
 
 
 @dataclass

@@ -100,28 +100,23 @@ def canonical_path(a: tuple, b: tuple) -> tuple:
 
 # -- center discovery -------------------------------------------------------
 
-def _bernoulli_points(field, stream: str, lo, hi, p: float, core=None) -> np.ndarray:
-    """All vertices of [lo, hi) whose uniform label falls below p (p <= 1),
-    in lexicographic order, or none when the sub-box `core` holds none.
+def _bernoulli_points(field, stream: str, lo, hi, p: float, pad: int = 0) -> np.ndarray:
+    """All vertices of the box [lo - pad, hi + pad) whose uniform label falls
+    below p (p <= 1), as an (n, d) int64 array in lexicographic order, or
+    none when the core [lo, hi) holds none.
 
-    `core` is a tuple of slices of the box's index space, as for
-    `u64_below`; None is the whole box.  For p < 1, uniform < p exactly when
-    u64 < ceil(p * 2^53) << 11 (see the field module), so `u64_below` finds
-    the hits block by block without building the box's labels, and hashes
-    the rest of the box around the core only when the core holds a hit.  At
-    p = 1 every vertex is a hit, and one `u64_box` read records the box and
-    returns all of it, whatever the core.
+    For p < 1, uniform < p exactly when u64 < ceil(p * 2^53) << 11 (see the
+    field module), so `u64_below` finds the hits block by block without
+    building the box's labels, and hashes the pad only when the core holds a
+    hit.  At p = 1 every vertex is a hit, and one `u64_box` read records the
+    box and returns all of it, whatever the core.
     """
-    lo = np.asarray(lo, dtype=np.int64)
-    hi = np.asarray(hi, dtype=np.int64)
-    if np.any(hi <= lo):
-        return np.empty((0, lo.size), dtype=np.int64)
-    axes = np.ix_(*map(np.arange, lo, hi))
     if p < 1:
-        flat = field.u64_below(stream, axes, math.ceil(p * 2.0**53) << 11, core)
-    else:
-        flat = np.arange(field.u64_box(stream, axes).size)
-    return np.stack(np.unravel_index(flat, tuple(hi - lo)), axis=1) + lo
+        return field.u64_below(stream, lo, hi, math.ceil(p * 2.0**53) << 11, pad)
+    lo = np.asarray(lo, dtype=np.int64) - pad
+    hi = np.asarray(hi, dtype=np.int64) + pad
+    field.u64_box(stream, np.ix_(*map(np.arange, lo, hi)))
+    return np.argwhere(np.ones(tuple(np.maximum(hi - lo, 0).tolist()), dtype=bool)) + lo
 
 
 def centers(field, j: int, lo, hi, *, density_scale: float = 1.0) -> np.ndarray:
@@ -130,12 +125,12 @@ def centers(field, j: int, lo, hi, *, density_scale: float = 1.0) -> np.ndarray:
     Candidates are Bernoulli(density_scale * 13^(-j*d)) per vertex; a
     candidate with any other candidate within 1-norm distance 4*13^j
     (inclusive) is dropped, and so is that other candidate.  The scan reads
-    the box padded by 4*13^j, so every returned center's exclusion
-    certificate is complete, but hashes the pad only when [lo, hi), its
-    core, holds a candidate: thinning returns only core candidates, so a
-    core without one has no centers whatever the pad holds.  A tracked
-    scan records the whole padded box either way.  A density outside
-    [0, 1] raises ValueError.
+    [lo, hi) with a pad of 4*13^j, so every returned center's exclusion
+    certificate is complete, but hashes the pad, and builds coordinates for
+    it, only when [lo, hi), its core, holds a candidate: thinning returns
+    only core candidates, so a core without one has no centers whatever the
+    pad holds.  A tracked scan records the whole padded box either way.  A
+    density outside [0, 1] raises ValueError.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=np.int64))
     hi = np.atleast_1d(np.asarray(hi, dtype=np.int64))
@@ -144,8 +139,7 @@ def centers(field, j: int, lo, hi, *, density_scale: float = 1.0) -> np.ndarray:
     p = center_density(d, j, density_scale)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"level-{j} center density {p} is not in [0, 1]")
-    core = tuple(slice(pad, pad + n) for n in np.maximum(hi - lo, 0).tolist())
-    pts = _bernoulli_points(field, f"{STREAM_PREFIX}:w:{j}", lo - pad, hi + pad, p, core)
+    pts = _bernoulli_points(field, f"{STREAM_PREFIX}:w:{j}", lo, hi, p, pad)
     inside = np.all((pts >= lo) & (pts < hi), axis=1)
     crowded = np.zeros(len(pts), dtype=bool)
     crowded[close_pairs(pts, pad)[0]] = True
@@ -579,7 +573,11 @@ class TileForest:
     def _audit_coverage(self, rep: AuditReport) -> None:
         shape = tuple((self.hi - self.lo).tolist())
         cover = np.zeros(shape, dtype=bool)
+        # a level with no centers covers no cell: building (and caching) its
+        # ball would cost 2 * 13^j + 1 cells a side for nothing
         for j, pts in self.levels.items():
+            if not len(pts):
+                continue
             r = SCALE_BASE ** j
             ball = ball_mask(self.d, r)
             for c in pts:
@@ -751,8 +749,8 @@ def three_color_general(v, d: int, field, *, density_scale: float = 1.0,
     center scan of [lo, hi); the coins and checkerboards are still read from
     `field`.  It is the seam for synthetic ancestor chains: a chain of one
     tile per level that resolves at stage 6 at d = 1 would otherwise scan
-    boxes up to 5 * 10^7 sites wide, and `_bernoulli_points` builds an int64
-    coordinate axis of each (400 MB for the widest).
+    boxes up to 5 * 10^7 sites wide, and a core that draws a candidate
+    builds an int64 coordinate axis of each slab of its pad.
     """
     v = tuple(int(c) for c in v)
     if len(v) != d:

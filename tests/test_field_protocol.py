@@ -4,6 +4,7 @@ primitive exactly once."""
 
 import inspect
 import math
+from operator import sub
 
 import numpy as np
 import pytest
@@ -90,8 +91,8 @@ def test_empty_bulk_reads_return_empty_and_record_nothing(axes):
             got = getattr(fld, f"{kind}_box")("s", axes, *extra)
             want = getattr(base, f"{kind}_grid")("s", axes, *extra)
             assert got.shape == shape and got.dtype == want.dtype, (name, kind)
-        got = fld.u64_below("s", axes, 2**63)
-        assert got.shape == (0,) and got.dtype == np.intp, name
+        got = fld.u64_below("s", (0,) * len(shape), shape, 2**63)
+        assert got.shape == (0, len(shape)) and got.dtype == np.int64, name
     tr = fields["TrackedField"].tracker
     assert (tr.access_count, tr.points, tr.radius, tr.boxes) == (0, {}, 0, {})
 
@@ -175,11 +176,11 @@ def test_point_reads_over_a_cap_raise_budget_exceeded(case, stream, access_cap,
     assert got == want
 
 
-# -- u64_below: the flat indices of the labels below a threshold ---------------
+# -- u64_below: the coordinates of the labels below a threshold -------------
 
 # a pre-final state s (the chain before the last xorshift) and its label
 # s ^ (s >> 31) have the same bit length, so label < below forces
-# s < 2^below.bit_length(); u64_below finishes only such states
+# s < 2^below.bit_length(); the scan finishes only such states
 def _final(s: int) -> int:
     return s ^ (s >> 31)
 
@@ -230,7 +231,7 @@ def test_prefilter_keeps_every_label_below_the_threshold(below):
     picked = [_unpremix(s) ^ start for s in states]
     assert [field_mod.mix64(c ^ start) for c in picked] == [_final(s) for s in states]
     coords = np.array(picked + list(range(_BLOCK)), dtype=np.uint64).view(np.int64)
-    got = f.u64_below("s", [coords], below)
+    got = f._scan_below("s", [coords], below)
     assert got.tolist() == np.flatnonzero(f.u64_grid("s", [coords]) < below).tolist()
     assert got[got < len(states)].tolist() == \
         [i for i, s in enumerate(states) if _final(s) < below]
@@ -245,83 +246,82 @@ THRESHOLDS = st.one_of(st.sampled_from(BELOW), st.integers(0, 63).map(lambda k: 
 
 @st.composite
 def below_reads(draw):
+    # the box [lo - pad, hi + pad) of one of BELOW_SHAPES and its core
+    # [lo, hi): the pad is 0, small, or so wide that it empties the core or
+    # leaves it a negative extent, and one core axis may be cut to hi <= lo,
+    # which shrinks the box along it
     shape = draw(st.sampled_from(BELOW_SHAPES))
-    bases = draw(st.lists(st.one_of(st.integers(-50, 50), st.integers(2**62 - 99, 2**62),
-                                    st.integers(-2**62, -2**62 + 99)),
-                          min_size=len(shape), max_size=len(shape)))
-    ranges = [np.arange(n, dtype=np.int64) + b for n, b in zip(shape, bases)]
-    if draw(st.booleans()):
-        axes = list(np.ix_(*ranges))
-    else:  # full-shape axes: every axis is mixed block by block
-        axes = [g + r[0] for g, r in zip(np.indices(shape, dtype=np.int64), ranges)]
-    return axes, draw(THRESHOLDS)
-
-
-@st.composite
-def cores(draw, shape):
-    # a sub-box of the box `shape` as index slices: None (the whole box), an
-    # empty one, one on an edge of the box, one cell, the whole box, or any
-    kind = draw(st.sampled_from(["none", "empty", "edge", "cell", "whole", "any"]))
-    if kind == "none":
-        return None
-    bounds = []
-    for n in shape:
-        a = draw(st.integers(0, n - 1))
-        bounds.append({"cell": (a, a + 1), "whole": (0, n)}.get(
-            kind, (a, draw(st.integers(a + 1, n)))))
-    if kind in ("empty", "edge"):
+    corner = draw(st.lists(st.one_of(st.integers(-50, 50), st.integers(2**62 - 99, 2**62),
+                                     st.integers(-2**62, -2**62 + 99)),
+                           min_size=len(shape), max_size=len(shape)))
+    pad = draw(st.one_of(st.just(0), st.integers(1, 3), st.integers(0, min(shape) // 2 + 1)))
+    lo = [c + pad for c in corner]
+    hi = [c + n - pad for c, n in zip(corner, shape)]
+    if draw(st.integers(0, 3)) == 0:
         k = draw(st.integers(0, len(shape) - 1))
-        a, b = bounds[k]
-        bounds[k] = (a, a) if kind == "empty" else draw(st.sampled_from([(0, b), (a, shape[k])]))
-    return tuple(slice(a, b) for a, b in bounds)
+        hi[k] = min(hi[k], lo[k] - draw(st.integers(0, 4)))
+    # thresholds from 2^56 up make hits common enough that padded cores hold some
+    return lo, hi, pad, draw(st.one_of(THRESHOLDS, st.integers(2**56, 2**64 - 1)))
+
+
+def _box_scan(raw, lo, hi, below, pad):
+    """The reference answer: `np.argwhere` of the box's hits, when its core
+    holds one; the box's bounds, as a tracked scan records them."""
+    first = np.subtract(lo, pad)
+    last = np.add(hi, pad) - 1
+    hit = raw("s", np.ix_(*map(np.arange, first, last + 1))) < np.uint64(below)
+    core = tuple(slice(pad, pad + n) for n in np.maximum(np.subtract(hi, lo), 0).tolist())
+    want = np.argwhere(hit) + first if hit[core].any() else np.empty((0, len(lo)))
+    bounds = (tuple(first.tolist()), tuple(last.tolist()))
+    return want, bounds if np.all(first <= last) else None
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(below_reads(), st.integers(0, 2**64 - 1), st.data())
-def test_u64_below_equals_flatnonzero_of_the_box(read, alt_seed, data):
-    # with a core, the box's hits when the core holds one, none otherwise
-    axes, below = read
-    core = data.draw(cores(np.broadcast_shapes(*(a.shape for a in axes))))
+@given(below_reads(), st.integers(0, 2**64 - 1))
+def test_u64_below_equals_argwhere_of_the_box(read, alt_seed):
+    # the box's hits when the core holds one, none otherwise; a tracked scan
+    # records the padded box whenever it is nonempty, whatever the core
+    lo, hi, pad, below = read
     base = LabelField(5)
-    lo = tuple(int(a.min()) for a in axes)
-    mid = tuple((int(a.min()) + int(a.max())) // 2 for a in axes)
+    first, mid = np.subtract(lo, pad), (np.subtract(lo, pad) + np.add(hi, pad)) // 2
     half = Tracker(lo, UNCAPPED)
-    half.record_box("s", lo, mid)  # base answers in this corner, alt elsewhere
+    half.record_box("s", first, np.maximum(first, mid))  # base answers here, alt elsewhere
     fields = {"LabelField": base, "TrackedField": TrackedField(base, Tracker(lo, UNCAPPED)),
               "PerturbedField": PerturbedField(base, half, LabelField(alt_seed)),
               "untracked": untracked(base)}
     for name, fld in fields.items():
         raw = fld.u64_grid if name == "PerturbedField" else base.u64_grid
-        hit = raw("s", axes) < below
-        want = np.flatnonzero(hit) if core is None or hit[core].any() else []
-        assert fld.u64_below("s", axes, below).tolist() == np.flatnonzero(hit).tolist(), name
-        got = fld.u64_below("s", axes, below, core)
-        assert got.dtype == np.intp and got.tolist() == list(want), name
+        want, box = _box_scan(raw, lo, hi, below, pad)
+        got = fld.u64_below("s", lo, hi, below, pad)
+        assert got.dtype == np.int64 and got.shape == (len(want), len(lo)), name
+        assert got.tolist() == want.tolist(), name
+        if name == "TrackedField":
+            assert fld.tracker.boxes == ({"s": [box]} if box else {})
+        if box:  # and the whole box as its own core
+            end = np.add(box[1], 1)
+            whole = fld.u64_below("s", box[0], end, below)
+            assert whole.tolist() == _box_scan(raw, box[0], end, below, 0)[0].tolist(), name
 
 
-ONE_CELL, NO_CELL = (slice(3, 4), slice(5, 6)), (slice(None), slice(2, 2))
-
-
-@pytest.mark.parametrize("axes", [list(np.ix_(np.arange(-3, 5), np.arange(10, 16))),
-                                  list(np.ix_(np.arange(190), np.arange(-90, 90))),
-                                  [np.arange(2**40, 2**40 + _BLOCK + 9)]],
+@pytest.mark.parametrize("lo,hi", [((-3, 10), (5, 16)), ((0, -90), (190, 90)),
+                                   ((2**40,), (2**40 + _BLOCK + 9,))],
                          ids=["small", "blocked", "1d"])
 @pytest.mark.parametrize("stream", ["s", "family:s"])
-def test_tracked_u64_below_records_what_u64_box_records(axes, stream):
-    # with or without a core, and whether or not the core holds a hit, a
-    # scan records the whole box
-    origin = (7,) * len(axes)
-    cores = [None] + [c[-len(axes):] for c in (ONE_CELL, NO_CELL)]
-    reads = [lambda f: f.u64_box(stream, axes)]
-    reads += [lambda f, c=c, b=b: f.u64_below(stream, axes, b, c)
-              for c in cores for b in (2**60, 1)]
+def test_tracked_u64_below_records_what_u64_box_records(lo, hi, stream):
+    # whatever the pad, and whether the core it leaves holds a hit, is empty
+    # or has a negative extent, a scan records the whole box
+    origin = (7,) * len(lo)
+    m = min(map(sub, hi, lo))
+    reads = [lambda f: f.u64_box(stream, np.ix_(*map(np.arange, lo, hi)))]
+    reads += [lambda f, p=p, b=b: f.u64_below(stream, np.add(lo, p), np.subtract(hi, p), b, p)
+              for p in (0, 1, m // 2, m // 2 + 1) for b in (2**60, 1)]
     records = []
     for read in reads:
         tr = Tracker(origin, UNCAPPED)
         read(TrackedField(LabelField(5), tr))
         records.append((tr.access_count, tr.radius, tr.boxes, tr.points))
     assert all(r == records[0] for r in records)
-    assert records[0][0] == math.prod(np.broadcast_shapes(*(a.shape for a in axes)))
+    assert records[0][0] == math.prod(map(sub, hi, lo))
 
 
 @pytest.fixture
@@ -350,16 +350,18 @@ def hashed(monkeypatch):
     return rows
 
 
-@pytest.mark.parametrize("axes,core", [
-    (list(np.ix_(np.arange(-3, 5), np.arange(10, 16))), (slice(2, 5), slice(1, 4))),
-    (list(np.ix_(np.arange(600), np.arange(-300, 300))), (slice(250, 350), slice(0, 40))),
-    (list(np.ix_(np.arange(40), np.arange(2**62 - 40, 2**62), np.arange(-40, 0))),
-     (slice(10, 12), slice(39, 40), slice(0, 40))),
-    ([np.arange(-2**40, -2**40 + 3 * _BLOCK)], (slice(_BLOCK, _BLOCK + 9),))],
+@pytest.mark.parametrize("lo,hi,pad", [
+    ((-1, 12), (2, 14), 2),
+    ((250, -100), (350, -60), 200),
+    ((10, 2**62 - 21, -30), (12, 2**62 - 20, 10), 20),
+    ((-2**40 + _BLOCK,), (-2**40 + _BLOCK + 9,), _BLOCK)],
     ids=["small", "blocked", "3d", "1d"])
-def test_u64_below_hashes_the_core_alone_or_each_label_once(hashed, axes, core):
+def test_u64_below_hashes_the_core_alone_or_each_label_once(hashed, lo, hi, pad):
+    first = np.subtract(lo, pad)
+    axes = np.ix_(*map(np.arange, first, np.add(hi, pad)))
     shape = np.broadcast_shapes(*(a.shape for a in axes))
     box = np.stack([np.broadcast_to(a, shape).ravel() for a in axes], axis=1)
+    core = tuple(slice(pad, n - pad) for n in shape)
     inner = np.zeros(shape, dtype=bool)
     inner[core] = True
     base = LabelField(5)
@@ -367,7 +369,7 @@ def test_u64_below_hashes_the_core_alone_or_each_label_once(hashed, axes, core):
     hashed.clear()
     seen = set()
     for below in (0, 1 << 40, 1 << 62, 1 << 63):
-        found = base.u64_below("s", axes, below, core)
+        found = base.u64_below("s", lo, hi, below, pad)
         rows = np.concatenate(hashed)
         hashed.clear()
         hit = bool((labels[core] < below).any())
@@ -375,5 +377,5 @@ def test_u64_below_hashes_the_core_alone_or_each_label_once(hashed, axes, core):
         want = box if hit else box[inner.ravel()]
         assert np.array_equal(np.unique(rows, axis=0), np.unique(want, axis=0))
         assert len(rows) == len(want)  # each label once
-        assert found.tolist() == (np.flatnonzero(labels < below).tolist() if hit else [])
+        assert found.tolist() == ((np.argwhere(labels < below) + first).tolist() if hit else [])
     assert seen == {False, True}

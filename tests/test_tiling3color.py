@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.ndimage import binary_dilation, generate_binary_structure
 
+from ffcolor import tiling3color
 from ffcolor.field import (Budget, BudgetExceeded, LabelField, PerturbedField,
                            Tracker, TrackedField)
 from ffcolor.lattice import Window, ball_mask
@@ -149,11 +151,12 @@ class _FixedLabels:
     def u64_box(self, stream, axes):
         return self.labels.reshape(np.broadcast_shapes(*(a.shape for a in axes))).copy()
 
-    def u64_below(self, stream, axes, below, core=None):
-        hit = self.u64_box(stream, axes) < below
-        if core is not None and not hit[core].any():
-            return np.empty(0, dtype=np.intp)
-        return np.flatnonzero(hit)
+    def u64_below(self, stream, lo, hi, below, pad=0):
+        corner = np.subtract(lo, pad)
+        hit = self.labels.reshape(tuple(np.add(hi, pad) - corner)) < below
+        if not hit[tuple(slice(pad, max(pad, n - pad)) for n in hit.shape)].any():
+            return np.empty((0, len(corner)), dtype=np.int64)
+        return np.argwhere(hit) + corner
 
     uniform_box = LabelField.uniform_box
 
@@ -217,6 +220,25 @@ def test_centers_with_no_core_candidate(seed, candidates):
     assert got.shape == (0, 2) and got.dtype == np.int64
     assert tr.boxes == {"tiling:w:1": [((-52, -52), (55, 55))]}
     assert tr.points == {} and tr.access_count == 108 ** 2 and tr.radius == 110
+
+
+def test_a_scan_without_a_core_hit_builds_no_axis_of_its_pad():
+    # at level 5 in d = 1 the pad is 4 * 13^5 = 1,485,172 sites a side, so
+    # one int64 coordinate axis of the padded box would take 23.8 MB; the
+    # 16-site core holds no candidate, so only it is hashed, and the scan
+    # still records the whole padded box
+    lo, hi, pad = np.zeros(1, dtype=np.int64), np.full(1, 16, dtype=np.int64), center_pad(5)
+    assert len(_bernoulli_points(LabelField(3), "tiling:w:5", lo, hi, 1.0 / 13**5)) == 0
+    tr = Tracker((0,), Budget(radius_cap=10**9, access_cap=10**9))
+    tracemalloc.start()
+    try:
+        got = centers(TrackedField(LabelField(3), tr), 5, lo, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (0, 1) and peak < 2**16, peak
+    assert tr.boxes == {"tiling:w:5": [((-pad,), (16 + pad - 1,))]}
+    assert tr.access_count == 16 + 2 * pad
 
 
 def test_centers_exact_far_from_the_origin():
@@ -605,6 +627,25 @@ def test_audit_matches_mask_walk(d, side, tries):
         got, want = forest.audit(), _walk_audit(forest)
         assert repr((got.passed, got.violations, got.stats)) == \
             repr((want.passed, want.violations, want.stats)), case
+
+
+def test_audit_asks_no_ball_of_an_empty_top_level(monkeypatch):
+    # an empty level covers no cell, so the audit builds (and caches) no
+    # ball for it, and its report is that of the forest without the level
+    pts = [(100,), (300,)]
+    forest = TileForest((0,), (400,), {1: pts, 2: np.empty((0, 1))}, SiteLabels())
+    radii = []
+
+    def spy(d, r, norm="l1"):
+        radii.append(r)
+        return ball_mask(d, r, norm)
+
+    monkeypatch.setattr(tiling3color, "ball_mask", spy)
+    got = forest.audit()
+    assert radii and SCALE_BASE ** 2 not in radii
+    want = TileForest((0,), (400,), {1: pts}, SiteLabels()).audit()
+    assert got.passed and got.violations == want.violations
+    assert got.stats == dict(want.stats, levels={1: 2, 2: 0})
 
 
 # -- the ancestor chain fixture ----------------------------------------------
